@@ -366,8 +366,7 @@ class LocalBackend(ExecutionBackend):
             # configured, the engine's threads otherwise, or None for a
             # serial replay when adaptive selection predicts chunking
             # cannot pay — parallelises the single large-state replay
-            # (bitwise identical to serial); sampling then draws shots on
-            # the engine's threads either way.
+            # (bitwise identical to serial).
             pool, lane, predicted_units = self._route_replay(plan, shots)
             replay_started = time.perf_counter()
             with tracer.span(

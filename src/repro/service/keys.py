@@ -35,7 +35,10 @@ __all__ = [
 ]
 
 #: Backend options that do not affect measurement distributions and must not
-#: fragment the cache (they tune performance, not physics).  ``processes``
+#: fragment the cache (they tune performance, not physics).  ``threads``
+#: (and ``processes``) set how many seeded chunks the shots split into:
+#: fixed-seed counts differ between chunk counts, the distribution does
+#: not, which is the identity the cache serves.  ``processes``
 #: selects the process-sharded execution backend; its reductions are
 #: deterministic, so it is a routing knob, not part of the result identity.
 #: ``chunk-threshold`` gates chunk-parallel plan replay and

@@ -176,6 +176,11 @@ def precision_dtype(precision: object) -> np.dtype:
     """The numpy complex dtype for a precision tier spelling."""
     return np.dtype(PRECISION_DTYPES[resolve_precision(precision)])
 
+
+#: The spare (ping-pong) amplitude buffer: one per thread, not per plan, or a
+#: full plan cache pins a state-sized array per plan outside admission's count.
+_SCRATCH = threading.local()
+
 #: Gates realised as pure amplitude moves (never fused: moving is cheaper
 #: than any arithmetic a fused block would do).
 _PERMUTATION_GATES = frozenset({"X", "CX", "SWAP", "CCX", "CSWAP"})
@@ -352,7 +357,6 @@ class ExecutionPlan:
         self._shape = (2,) * self.n_qubits
         self._dim = 1 << self.n_qubits
         self._requires_binding = requires_binding
-        self._tls = threading.local()
         #: Memoised chunk programs keyed by worker count (built on first
         #: chunked execute; benign if two threads race to build one).
         self._chunk_programs: dict[int, tuple] = {}
@@ -431,7 +435,7 @@ class ExecutionPlan:
         return data
 
     def _scratch(self) -> np.ndarray:
-        spare = getattr(self._tls, "spare", None)
+        spare = getattr(_SCRATCH, "spare", None)
         if spare is None or spare.size != self._dim or spare.dtype != self.dtype:
             spare = np.empty(self._dim, dtype=self.dtype)
         return spare
@@ -446,7 +450,9 @@ class ExecutionPlan:
         """Run every step over ``data``; returns the resulting state array.
 
         The returned array may be a recycled scratch buffer rather than
-        ``data`` itself — always use the return value.
+        ``data`` itself — always use the return value.  ``data`` is consumed:
+        it may become this thread's spare buffer, which the next same-size
+        ``execute`` of *any* plan on the thread overwrites.
 
         ``pool`` is a :class:`ChunkPool` — the thread-pool
         :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
@@ -512,7 +518,7 @@ class ExecutionPlan:
                 t0 = perf_counter()
                 cur, spare = apply_step(step, cur, spare, shape, rng)
                 profiler.record_kernel(step.kernel, perf_counter() - t0)
-        self._tls.spare = spare
+        _SCRATCH.spare = spare
         return cur
 
     # -- chunk-parallel execution --------------------------------------------
@@ -578,7 +584,7 @@ class ExecutionPlan:
                 else:
                     cur, spare = chunked.run(pool_map, cur, spare, shape)
                 profiler.record_kernel(step.kernel, perf_counter() - t0)
-        self._tls.spare = spare
+        _SCRATCH.spare = spare
         return cur
 
     def _apply_step(

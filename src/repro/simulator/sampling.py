@@ -8,13 +8,17 @@ qubit order.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..exceptions import ExecutionError
+from .gate_application import _local_index_map
 
-__all__ = ["sample_counts", "counts_from_statevector", "format_bitstring", "marginal_probabilities"]
+__all__ = [
+    "sample_counts", "counts_from_statevector", "format_bitstring",
+    "marginal_probabilities", "sample_chunks",
+]
 
 
 def format_bitstring(index: int, qubits: tuple[int, ...]) -> str:
@@ -22,14 +26,11 @@ def format_bitstring(index: int, qubits: tuple[int, ...]) -> str:
     return "".join("1" if (index >> q) & 1 else "0" for q in qubits)
 
 
-def marginal_probabilities(
+def _marginal(
     probabilities: np.ndarray, qubits: tuple[int, ...], n_qubits: int
-) -> dict[str, float]:
-    """Marginalise a full probability vector onto ``qubits``.
-
-    Vectorised: builds the reduced index for every basis state at once and
-    accumulates with ``np.bincount``.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal onto ``qubits`` (bin bit ``i`` = ``qubits[i]``): the ascending
+    bins with positive probability and their unnormalised sums."""
     probabilities = np.asarray(probabilities, dtype=float).reshape(-1)
     if probabilities.size != (1 << n_qubits):
         raise ExecutionError(
@@ -39,20 +40,57 @@ def marginal_probabilities(
     for qubit in qubits:
         if not 0 <= qubit < n_qubits:
             raise ExecutionError(f"measured qubit {qubit} out of range")
-    # The reduced-index map only depends on (size, qubits); share the memoised
-    # map used by the diagonal gate kernel instead of rebuilding two full
-    # 2^n arrays per call (trajectory sampling hits this once per shot).
-    from .gate_application import _local_index_map
+    if qubits == tuple(range(n_qubits)):
+        sums = probabilities  # identity index map: one term per bin, exact
+    else:
+        # Memoised on (size, qubits) and shared with the diagonal gate kernel
+        # (trajectory sampling hits this once per shot).
+        reduced = _local_index_map(probabilities.size, qubits)
+        sums = np.bincount(reduced, weights=probabilities, minlength=1 << len(qubits))
+    # Everything but p <= 0: a NaN bin survives to fail the total check.
+    bins = np.flatnonzero(~(sums <= 0.0))
+    return bins, sums[bins]
 
-    reduced = _local_index_map(probabilities.size, tuple(qubits))
-    sums = np.bincount(reduced, weights=probabilities, minlength=1 << len(qubits))
-    result: dict[str, float] = {}
-    for local_index, p in enumerate(sums):
-        if p <= 0.0:
-            continue
-        bits = "".join("1" if (local_index >> i) & 1 else "0" for i in range(len(qubits)))
-        result[bits] = float(p)
-    return result
+
+def _keyed(bins: np.ndarray, values: np.ndarray, width: int) -> dict:
+    """``{bitstring: value}`` per bin; character ``i`` is bit ``i`` of the bin."""
+    return {format(b, f"0{width}b")[::-1]: v for b, v in zip(bins.tolist(), values.tolist())}
+
+
+def marginal_probabilities(
+    probabilities: np.ndarray, qubits: tuple[int, ...], n_qubits: int
+) -> dict[str, float]:
+    """Marginalise a full probability vector onto ``qubits`` (positive bins only)."""
+    return _keyed(*_marginal(probabilities, tuple(qubits), n_qubits), len(qubits))
+
+
+def sample_chunks(
+    probabilities: np.ndarray,
+    chunks: Sequence[int],
+    measured_qubits: Iterable[int],
+    n_qubits: int,
+    rngs: Sequence[np.random.Generator],
+) -> dict[str, int]:
+    """Draw ``chunks[i]`` shots on ``rngs[i]`` and histogram the total: one
+    multinomial per chunk over the measured qubits' *marginal*, computed once
+    (O(2^n) vectorised); keys are built only for outcomes that were drawn."""
+    qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
+    if not qubits:
+        raise ExecutionError("at least one qubit must be measured")
+    bins, probs = _marginal(probabilities, qubits, n_qubits)
+    # Float drift can push |amplitude|^2 a few ulp below 0 (dropped with the
+    # zero bins) or the total away from 1; multinomial rejects even one-ulp
+    # violations, so renormalise unconditionally.
+    total = probs.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        raise ExecutionError(f"probability vector sums to {total}, cannot sample")
+    probs = probs / total
+    # Division can still leave sum(probs[:-1]) > 1 by an ulp; let the last
+    # bin absorb the residual exactly.
+    probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
+    draws = sum(rng.multinomial(shots, probs) for shots, rng in zip(chunks, rngs))
+    hit = np.flatnonzero(draws)
+    return _keyed(bins[hit], draws[hit], len(qubits))
 
 
 def sample_counts(
@@ -62,34 +100,11 @@ def sample_counts(
     n_qubits: int,
     rng: np.random.Generator | None = None,
 ) -> dict[str, int]:
-    """Draw ``shots`` samples from ``probabilities`` and histogram them.
-
-    Sampling is done over the *marginal* distribution of the measured qubits
-    (a multinomial draw), which is both exact and much cheaper than sampling
-    full basis states when only a few qubits are measured.
-    """
+    """Draw ``shots`` samples from ``probabilities`` and histogram them."""
     if shots <= 0:
         raise ExecutionError(f"shots must be positive, got {shots}")
-    qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
-    if not qubits:
-        raise ExecutionError("at least one qubit must be measured")
-    rng = rng or np.random.default_rng()
-    marginals = marginal_probabilities(probabilities, qubits, n_qubits)
-    keys = list(marginals.keys())
-    probs = np.array([marginals[k] for k in keys], dtype=float)
-    # Float drift can push |amplitude|^2 a few ulp outside [0, 1] (or the
-    # total away from 1 after long gate sequences); multinomial rejects even
-    # one-ulp violations, so clip and renormalise unconditionally.
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        raise ExecutionError(f"probability vector sums to {total}, cannot sample")
-    probs = probs / total
-    # Division can still leave sum(probs[:-1]) > 1 by an ulp; let the last
-    # bin absorb the residual exactly.
-    probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
-    draws = rng.multinomial(shots, probs)
-    return {key: int(count) for key, count in zip(keys, draws) if count > 0}
+    rngs = (rng or np.random.default_rng(),)
+    return sample_chunks(probabilities, (shots,), measured_qubits, n_qubits, rngs)
 
 
 def counts_from_statevector(

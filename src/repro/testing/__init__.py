@@ -1,4 +1,5 @@
-"""Deterministic fault injection for chaos-testing the execution stack."""
+"""Test support: deterministic fault injection for chaos-testing the
+execution stack, and reference oracles production code is checked against."""
 
 from .faults import (
     FaultSpec,
@@ -8,6 +9,7 @@ from .faults import (
     install_faults,
     installed_faults,
 )
+from .sampling_oracle import reference_marginal_probabilities, reference_sample_counts
 
 __all__ = [
     "FaultSpec",
@@ -16,4 +18,6 @@ __all__ = [
     "fire",
     "install_faults",
     "installed_faults",
+    "reference_marginal_probabilities",
+    "reference_sample_counts",
 ]

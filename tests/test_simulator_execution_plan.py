@@ -362,48 +362,51 @@ class TestAcceleratorPlans:
 
 
 class TestEnginePoolReuse:
+    """Pool lifecycle, driven through the two entry points that need worker
+    threads whatever the state size: multi-chunk trajectories and chunked
+    plan replay."""
+
+    RESET_CIRCUIT = CircuitBuilder(1).h(0).reset(0).measure(0).build()
+
+    @staticmethod
+    def _chunked_replay(engine):
+        plan = compile_plan(bell_circuit(2), 2, chunk_threshold=2)
+        return StateVector(2).apply_plan(plan, pool=engine)
+
     def test_pool_is_reused_across_calls(self):
         engine = ParallelSimulationEngine(num_threads=3)
-        state = StateVector(2)
-        state.apply_circuit(bell_circuit(2).without_measurements())
         assert engine._pool is None  # lazily created
-        engine.sample_parallel(state, 300, seed=1)
+        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=8, seed=1)
         pool = engine._pool
         assert pool is not None
-        engine.sample_parallel(state, 300, seed=2)
+        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=8, seed=2)
         assert engine._pool is pool
-        circuit = CircuitBuilder(1).h(0).reset(0).measure(0).build()
-        engine.run_trajectories(1, circuit, shots=8, seed=3)
+        self._chunked_replay(engine)
         assert engine._pool is pool
         engine.close()
         assert engine._pool is None
 
     def test_close_then_reuse_builds_a_fresh_pool(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        state = StateVector(1)
-        state.apply(G.H([0]))
-        engine.sample_parallel(state, 64, seed=0)
+        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=64, seed=0)
         engine.close()
-        counts = engine.sample_parallel(state, 64, seed=0)
+        counts = engine.run_trajectories(1, self.RESET_CIRCUIT, shots=64, seed=0)
+        assert engine._pool is not None
         assert sum(counts.values()) == 64
         engine.close()
 
     def test_context_manager_tears_the_pool_down(self):
-        state = StateVector(1)
-        state.apply(G.H([0]))
         with ParallelSimulationEngine(num_threads=2) as engine:
-            engine.sample_parallel(state, 64, seed=0)
+            self._chunked_replay(engine)
             assert engine._pool is not None
         assert engine._pool is None
 
     def test_pool_grows_when_more_workers_needed(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        state = StateVector(2)
-        state.apply_circuit(bell_circuit(2).without_measurements())
-        engine.sample_parallel(state, 100, seed=1)
+        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=100, seed=1)
         small = engine._pool
         engine.num_threads = 5
-        engine.sample_parallel(state, 100, seed=1)
+        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=100, seed=1)
         assert engine._pool is not small
         assert engine._pool_size == 5
         engine.close()

@@ -13,6 +13,9 @@ asymptotic (O(n²) bits vs O(2^n) amplitudes), not parallelism:
 * a 500-qubit GHZ completes end-to-end through the broker in <1 s, with
   the automatic router (no explicit method request) picking the tableau;
 * tableau counts agree with the dense lane's distribution at 24 qubits;
+* a 400-qubit depth-8 H/S/CX/CZ brickwork (the end-to-end benchmark's widest
+  ``clifford_wide`` job: ~3.7k gates, every measured qubit random) returns
+  all its shots — its seconds are the record of the packed tableau's cost;
 * the cost model routes Clifford circuits to the tableau, refuses an
   explicit ``stabilizer`` request for non-Clifford circuits, and the
   broker leaves non-Clifford jobs on the dense path.
@@ -30,6 +33,8 @@ import os
 import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro.algorithms.ghz import ghz_circuit
 from repro.config import set_config
@@ -124,6 +129,47 @@ def bench_ghz_wide_broker(quick: bool) -> dict:
     }
 
 
+def brickwork_circuit(rng, n_qubits: int, depth: int):
+    """Random H/S/CX/CZ brickwork, as ``benchmarks/e2e`` builds it."""
+    builder = CircuitBuilder(n_qubits, name="bench_brickwork")
+    for layer in range(depth):
+        for qubit, gate in enumerate(rng.integers(3, size=n_qubits)):
+            if gate == 0:
+                builder.h(qubit)
+            elif gate == 1:
+                builder.s(qubit)
+        pairs = range(layer % 2, n_qubits - 1, 2)
+        for qubit, gate in zip(pairs, rng.integers(2, size=len(pairs))):
+            if gate:
+                builder.cx(qubit, qubit + 1)
+            else:
+                builder.cz(qubit, qubit + 1)
+    return builder.measure_all().build()
+
+
+def bench_wide_brickwork(quick: bool) -> dict:
+    """400-qubit depth-8 brickwork on the tableau: best-of-N seconds."""
+    n_qubits, depth, shots = 400, 8, 1024
+    circuit = brickwork_circuit(np.random.default_rng(SEED), n_qubits, depth)
+    backend = StabilizerBackend()
+    seconds = float("inf")
+    result = None
+    for _ in range(3 if quick else 7):
+        started = time.perf_counter()
+        result = backend.execute(circuit, shots, seed=SEED)
+        seconds = min(seconds, time.perf_counter() - started)
+    return {
+        "case": "wide_brickwork_400q",
+        "n_qubits": n_qubits,
+        "depth": depth,
+        "n_gates": result.n_gates,
+        "shots": shots,
+        "seconds": seconds,
+        "distinct_outcomes": len(result.counts),
+        "total_counts": sum(result.counts.values()),
+    }
+
+
 def bench_routing(quick: bool) -> dict:
     """Routing soundness: picks the tableau for Clifford, refuses otherwise."""
     model = SimulationCostModel()
@@ -170,6 +216,7 @@ def run_suite(quick: bool = False) -> dict:
     set_config(seed=SEED)
     speedup = bench_clifford_speedup(quick)
     wide = bench_ghz_wide_broker(quick)
+    brickwork = bench_wide_brickwork(quick)
     routing = bench_routing(quick)
     set_config(seed=None)
     reset_registry()
@@ -180,7 +227,7 @@ def run_suite(quick: bool = False) -> dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": host_cores(),
-        "results": [speedup, wide, routing],
+        "results": [speedup, wide, brickwork, routing],
     }
 
 
@@ -190,7 +237,7 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 
 def _gates(report: dict) -> list[str]:
     """Every failed gate, as human-readable strings (empty = all green)."""
-    speedup, wide, routing = report["results"]
+    speedup, wide, brickwork, routing = report["results"]
     failures = []
     if speedup["speedup"] < speedup["target"]:
         failures.append(
@@ -207,6 +254,11 @@ def _gates(report: dict) -> list[str]:
         failures.append("wide GHZ was not auto-routed to the tableau")
     if not wide["counts_on_poles"]:
         failures.append("wide GHZ counts left the GHZ poles")
+    if brickwork["total_counts"] != brickwork["shots"]:
+        failures.append(
+            f"{brickwork['n_qubits']}q brickwork returned "
+            f"{brickwork['total_counts']} of {brickwork['shots']} shots"
+        )
     for key in (
         "auto_picks_tableau_for_clifford",
         "auto_keeps_non_clifford_dense",
@@ -229,12 +281,13 @@ def test_stabilizer_speedup_and_routing():
     is asymptotic, not a parallelism ratio.  The JSON file lands either way."""
     report = run_suite(quick=True)
     write_trajectory_file(report, Path("BENCH_stabilizer.json"))
-    speedup, wide, _ = report["results"]
+    speedup, wide, brickwork, _ = report["results"]
     print(
         f"\nstabilizer {speedup['speedup']:.0f}x over statevector "
         f"({speedup['n_qubits']} qubits, target {SPEEDUP_TARGET:.0f}x); "
         f"{wide['n_qubits']}q GHZ through the broker in "
-        f"{wide['wall_seconds']:.3f}s (target <{GHZ_WIDE_SECONDS:.0f}s)"
+        f"{wide['wall_seconds']:.3f}s (target <{GHZ_WIDE_SECONDS:.0f}s); "
+        f"{brickwork['n_qubits']}q brickwork in {brickwork['seconds'] * 1e3:.1f} ms"
     )
     failures = _gates(report)
     assert not failures, failures
@@ -257,13 +310,15 @@ def main() -> int:
     args = parser.parse_args()
     report = run_suite(quick=args.quick)
     write_trajectory_file(report, args.output)
-    speedup, wide, routing = report["results"]
+    speedup, wide, brickwork, _ = report["results"]
     failures = _gates(report)
     print(
         f"stabilizer: {speedup['speedup']:.0f}x vs statevector at "
         f"{speedup['n_qubits']} qubits (target {SPEEDUP_TARGET:.0f}x); "
         f"{wide['n_qubits']}q GHZ in {wide['wall_seconds']:.3f}s "
-        f"(target <{GHZ_WIDE_SECONDS:.0f}s); routing sound: "
+        f"(target <{GHZ_WIDE_SECONDS:.0f}s); "
+        f"{brickwork['n_qubits']}q brickwork x {brickwork['shots']} shots in "
+        f"{brickwork['seconds'] * 1e3:.1f} ms; routing sound: "
         f"{not any('routing' in f or 'broker' in f for f in failures)}"
     )
     for failure in failures:

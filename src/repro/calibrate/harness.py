@@ -271,10 +271,11 @@ def run_calibration(
             measurements["shm_error"] = repr(exc)
 
     # -- 5. stabilizer tableau per-gate cost -------------------------------
-    # Times a fixed H-layer + CX-chain workload on a wide tableau; the
-    # derived constant is seconds per Clifford gate per qubit-row (the
-    # tableau's O(n) per-gate sweep unit), consumed by
-    # SimulationCostModel.stabilizer_seconds for latency predictions.
+    # Times a fixed H-layer + CX-chain workload on a wide tableau, one gate
+    # per call; the derived constant is seconds per *lone* Clifford gate per
+    # qubit of width (a gate XORs a few 2n-bit planes), consumed by
+    # SimulationCostModel.stabilizer_seconds for latency predictions.  Gates
+    # the classifier batches into one moment share a call and cost less.
     clifford_seconds: float | None = None
     from ..exec.stabilizer import StabilizerTableau
 

@@ -117,23 +117,34 @@ class CompositeInstruction(Instruction):
         """Histogram of instruction names, e.g. ``{"H": 1, "CX": 1, "MEASURE": 2}``."""
         return Counter(inst.name for inst in self._instructions)
 
-    def depth(self) -> int:
-        """Circuit depth counting each instruction as one time step per qubit."""
+    def instruction_levels(self) -> list[int]:
+        """Time step of every instruction: one step per instruction per qubit.
+
+        Instructions that share a level act on disjoint qubits.  A qubit-less
+        ``BARRIER`` aligns every qubit seen so far on the deepest one and
+        takes no step of its own.
+        """
         frontier: dict[int, int] = {}
-        depth = 0
+        levels: list[int] = []
         for inst in self._instructions:
-            if inst.name == "BARRIER":
-                if not inst.qubits:
-                    level = depth
-                    for q in frontier:
-                        frontier[q] = level
-                    continue
-            qubits = inst.qubits or tuple(frontier.keys())
-            level = max((frontier.get(q, 0) for q in qubits), default=0) + 1
+            qubits = inst.qubits
+            if len(qubits) == 1:
+                level = frontier.get(qubits[0], 0) + 1
+            elif qubits:
+                level = max([frontier.get(q, 0) for q in qubits]) + 1
+            else:
+                level = max(frontier.values(), default=0)
+                qubits = tuple(frontier)
+                if inst.name != "BARRIER":
+                    level += 1
             for q in qubits:
                 frontier[q] = level
-            depth = max(depth, level)
-        return depth
+            levels.append(level)
+        return levels
+
+    def depth(self) -> int:
+        """Circuit depth counting each instruction as one time step per qubit."""
+        return max(self.instruction_levels(), default=0)
 
     def qubits_used(self) -> frozenset[int]:
         used: set[int] = set()

@@ -8,6 +8,7 @@ live in :mod:`repro.ir.composite`.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +46,9 @@ class Instruction:
         qubits: Sequence[int],
         parameters: Sequence[ParameterValue] = (),
     ):
-        self.name = str(name).upper()
+        # Interned: ``upper()`` would otherwise mint a fresh string per
+        # instruction, a fifth of what a gate in a long circuit weighs.
+        self.name = sys.intern(str(name).upper())
         self.qubits = tuple(int(q) for q in qubits)
         self.parameters = tuple(parameters)
         self._validate()

@@ -15,6 +15,16 @@ the identity.  Angles are matched to within ``ANGLE_TOLERANCE`` — a
 rotation that is *numerically* Clifford is routed like one (global phases
 are irrelevant to measurement statistics).
 
+The lowered circuit is a compact array *program*, not a list of tuples:
+three parallel integer arrays (opcode, first qubit, second qubit — 5 bytes
+per op below 65k qubits) sorted into **moments**.  A moment is a run of
+same-kind ops on pairwise-disjoint qubits, found by per-qubit frontier
+levelling, so the tableau applies it as one vectorised update; a 400-qubit
+depth-8 brickwork is 3.7k ops in ~60 moments.  Resets measure, and a
+measurement's pivot depends on every generator, so a reset is a barrier
+for the levelling: nothing moves across it and consecutive resets keep
+their program order.
+
 Verdicts are cached on the circuit's content hash (the same identity the
 plan cache and job broker key on), so the broker classifies each distinct
 circuit once no matter how many riders share it.
@@ -26,6 +36,9 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from ..composite import CompositeInstruction
 
@@ -33,6 +46,8 @@ __all__ = [
     "ANGLE_TOLERANCE",
     "CLIFFORD_GATES",
     "CliffordClassification",
+    "TABLEAU_OPS",
+    "FIRST_TWO_QUBIT_OP",
     "classify_clifford",
     "clear_clifford_cache",
 ]
@@ -46,33 +61,81 @@ CLIFFORD_GATES = frozenset(
     {"I", "ID", "H", "X", "NOT", "Y", "Z", "S", "SDG", "CX", "CNOT", "CY", "CZ", "SWAP", "ISWAP"}
 )
 
-#: Primitive tableau ops a classified circuit lowers to: ``("h", q)``,
-#: ``("s", q)``, ``("sdg", q)``, ``("x", q)``, ``("y", q)``, ``("z", q)``,
-#: ``("cx", a, b)``, ``("cz", a, b)``, ``("swap", a, b)``,
-#: ``("measure", q)``, ``("reset", q)``.
+#: Primitive tableau ops a classified circuit lowers to; an op's opcode is
+#: its index here.  Single-qubit kinds come first so arity is one compare.
+TABLEAU_OPS = ("h", "s", "sdg", "x", "y", "z", "reset", "cx", "cz", "swap")
+FIRST_TWO_QUBIT_OP = TABLEAU_OPS.index("cx")
+_OPCODE = {name: code for code, name in enumerate(TABLEAU_OPS)}
+#: The longest lowering of one instruction (RY: sdg, h, s-power, h, s).
+_MAX_LOWERED_OPS = 5
+
+#: What :func:`_lower_instruction` emits: ``(kind, q)`` / ``(kind, a, b)``
+#: over :data:`TABLEAU_OPS`, plus ``("measure", q)`` markers.
 TableauOp = tuple
 
 
-@dataclass(frozen=True)
+def _program_field():
+    return field(default_factory=lambda: np.zeros(0, dtype=np.int32), repr=False)
+
+
+@dataclass(frozen=True, eq=False)
 class CliffordClassification:
     """Verdict of one classifier walk.
 
-    ``ops`` is only populated when ``is_clifford`` — the circuit lowered to
-    the tableau primitive set, ready for :class:`~repro.exec.stabilizer.
-    StabilizerTableau` to replay without re-walking the IR.
+    The program arrays are only populated when ``is_clifford`` — the
+    circuit lowered to the tableau primitive set and sorted into moments,
+    ready for :class:`~repro.exec.stabilizer.StabilizerTableau` to replay
+    without re-walking the IR.
     """
 
     is_clifford: bool
     #: Human-readable obstruction when not Clifford ("" otherwise).
     reason: str = ""
-    #: Lowered primitive ops (empty for non-Clifford circuits).
-    ops: tuple[TableauOp, ...] = ()
     n_qubits: int = 0
     #: Terminal measurement markers in program order (deduplicated).
     measured_qubits: tuple[int, ...] = ()
     has_reset: bool = False
     #: Unitary gate count of the source circuit (for cost estimates).
     n_gates: int = 0
+    #: ``circuit.depth()`` of the source circuit (the levelling yields it).
+    depth: int = 0
+    #: Lowered ops in moment order: index into :data:`TABLEAU_OPS`, first
+    #: qubit, second qubit (unused, 0, for single-qubit kinds).
+    opcodes: np.ndarray = _program_field()
+    first: np.ndarray = _program_field()
+    second: np.ndarray = _program_field()
+    #: Moment ``i`` is ops ``moment_starts[i]:moment_starts[i + 1]``.
+    moment_starts: np.ndarray = _program_field()
+
+    @property
+    def n_ops(self) -> int:
+        return len(self.opcodes)
+
+    @property
+    def ops(self) -> tuple[TableauOp, ...]:
+        """The program as ``(kind, q)`` / ``(kind, a, b)`` tuples, built on
+        demand.  Moment order: a valid sequential order of the circuit."""
+        return tuple(
+            (TABLEAU_OPS[code], a) if code < FIRST_TWO_QUBIT_OP else (TABLEAU_OPS[code], a, b)
+            for code, a, b in zip(
+                self.opcodes.tolist(), self.first.tolist(), self.second.tolist()
+            )
+        )
+
+    def moments(self) -> Iterator[tuple[int, object, object]]:
+        """``(opcode, first qubits, second qubits)`` per moment, in order.
+
+        Qubits come as index arrays, or as plain ints for a moment of one
+        op (a chain of dependent gates is all such moments, and an int
+        indexes a tableau plane as a view instead of gathering a copy).
+        """
+        starts = self.moment_starts.tolist()
+        codes = self.opcodes[self.moment_starts[:-1]].tolist()
+        for code, lo, hi in zip(codes, starts, starts[1:]):
+            if hi - lo == 1:
+                yield code, int(self.first[lo]), int(self.second[lo])
+            else:
+                yield code, self.first[lo:hi], self.second[lo:hi]
 
 
 def _angle_multiple(theta: float, unit: float) -> int | None:
@@ -178,35 +241,68 @@ def _lower_instruction(inst) -> tuple[list[TableauOp] | None, str]:
 
 
 def _classify(circuit: CompositeInstruction) -> CliffordClassification:
-    ops: list[TableauOp] = []
-    measured: list[int] = []
-    seen_measured: set[int] = set()
-    has_reset = False
-    n_gates = 0
+    lowerings: list[list[TableauOp]] = []
     for inst in circuit:
         lowered, reason = _lower_instruction(inst)
         if lowered is None:
             return CliffordClassification(
                 is_clifford=False, reason=reason, n_qubits=circuit.n_qubits
             )
-        if inst.is_unitary:
-            n_gates += 1
-        for op in lowered:
-            if op[0] == "measure":
+        lowerings.append(lowered)
+    # Only a circuit that lowered pays for the levelling.
+    instruction_levels = circuit.instruction_levels()
+    n_levels = max(instruction_levels, default=0) + 1
+    codes: list[int] = []
+    first: list[int] = []
+    second: list[int] = []
+    #: Moment sort key per op: (epoch, level, position within its source
+    #: instruction, opcode) folded into one integer.
+    keys: list[int] = []
+    measured: list[int] = []
+    seen_measured: set[int] = set()
+    epoch = 0
+    in_resets = False
+    for lowered, level in zip(lowerings, instruction_levels):
+        for step, op in enumerate(lowered):
+            kind = op[0]
+            if kind == "measure":
                 if op[1] not in seen_measured:
                     seen_measured.add(op[1])
                     measured.append(op[1])
                 continue
-            if op[0] == "reset":
-                has_reset = True
-            ops.append(op)
+            is_reset = kind == "reset"
+            if is_reset != in_resets:
+                # A reset is a barrier: ops never move across it, and a run
+                # of resets is one moment applied in program order.
+                epoch += 1
+                in_resets = is_reset
+            code = _OPCODE[kind]
+            codes.append(code)
+            first.append(op[1])
+            second.append(op[2] if code >= FIRST_TWO_QUBIT_OP else 0)
+            position = 0 if is_reset else level * _MAX_LOWERED_OPS + step
+            keys.append((epoch * n_levels * _MAX_LOWERED_OPS + position) * len(TABLEAU_OPS) + code)
+    # Instructions on one level touch disjoint qubits, so do their ``step``-th
+    # lowered ops: each run of equal keys is one moment.  The sort is stable,
+    # which keeps a run of resets in program order.
+    sort_keys = np.array(keys, dtype=np.int64)
+    order = np.argsort(sort_keys, kind="stable")
+    sort_keys = sort_keys[order]
+    bounds = np.flatnonzero(sort_keys[1:] != sort_keys[:-1]) + 1
+    moment_starts = np.concatenate(([0], bounds, [len(order)])) if len(order) else [0]
+    # The verdict cache holds hundreds of these: store the narrowest integers.
+    qubit_type = np.min_scalar_type(max(first + second, default=0))
     return CliffordClassification(
         is_clifford=True,
-        ops=tuple(ops),
         n_qubits=circuit.n_qubits,
         measured_qubits=tuple(measured),
-        has_reset=has_reset,
-        n_gates=n_gates,
+        has_reset=epoch > 0,
+        n_gates=sum(inst.is_unitary for inst in circuit),
+        depth=n_levels - 1,
+        opcodes=np.array(codes, dtype=np.uint8)[order],
+        first=np.array(first, dtype=qubit_type)[order],
+        second=np.array(second, dtype=qubit_type)[order],
+        moment_starts=np.asarray(moment_starts, dtype=np.min_scalar_type(len(order))),
     )
 
 

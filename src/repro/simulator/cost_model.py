@@ -74,11 +74,16 @@ EXECUTION_LANES = ("serial", "threads", "shm", "sharded")
 #: classifier decide.
 SIMULATION_METHODS = ("auto", "statevector", "stabilizer")
 
-#: Fallback per-gate tableau cost (seconds per Clifford gate per qubit-row,
-#: i.e. the constant in ``gates * 2n * n / 8`` byte-ops) when the host has
-#: no calibrated ``seconds_per_clifford_gate``.  Only the *ratio* against
-#: the dense model matters for routing, and the tableau wins by orders of
-#: magnitude for every circuit past ~20 qubits, so a loose constant is fine.
+#: Fallback per-gate tableau cost when the host has no calibrated
+#: ``seconds_per_clifford_gate``: seconds per Clifford gate per qubit of
+#: register width, for a gate applied on its own (it XORs a few packed
+#: ``2n``-bit planes, so a gate is ``~n/4`` byte-ops per plane touched plus
+#: the call).  That is the cost of a dependent chain; gates on disjoint
+#: qubits that the classifier batches into one moment share the call, so for
+#: layered circuits ``gates * n`` of these is an upper bound.  Only the
+#: *ratio* against the dense model matters for routing, and the tableau
+#: wins by orders of magnitude for every circuit past ~20 qubits, so a loose
+#: constant is fine.
 DEFAULT_SECONDS_PER_CLIFFORD_GATE = 2e-6
 
 #: Relative per-amplitude work of each compiled-plan kernel class, with a
@@ -239,9 +244,9 @@ class SimulationCostModel:
     #: observation).  0.25 converges in a handful of jobs while riding out
     #: one noisy measurement.
     refinement_alpha: float = 0.25
-    #: Measured seconds per Clifford gate on a 2n×n tableau row-pair
+    #: Measured seconds per lone Clifford gate per qubit of tableau width
     #: (``None`` until a calibration run fills it in; see
-    #: ``repro.calibrate.harness``).  Only used by :meth:`stabilizer_cost`
+    #: ``repro.calibrate.harness``).  Only used by :meth:`stabilizer_seconds`
     #: for reporting — routing in :meth:`choose_backend` is *categorical*
     #: (Clifford ⇒ tableau), because the polynomial/exponential gap is not a
     #: constant-factor question.
@@ -566,9 +571,12 @@ class SimulationCostModel:
     def stabilizer_seconds(self, n_qubits: int, n_gates: int, shots: int = 0) -> float:
         """Predicted wall-clock seconds of a tableau execution.
 
-        The tableau costs ``O(n)`` boolean row-ops per gate on ``2n`` rows
-        (``n_gates * n`` per-gate work units) plus one ``O(n²)`` affine solve
-        per measured qubit at sampling time, folded into a per-shot constant.
+        A gate applied on its own XORs a few bit-packed ``2n``-row planes:
+        ``n_gates * n`` per-gate work units, which is what a chain of
+        dependent gates costs and an upper bound once the classifier's
+        moments batch gates on disjoint qubits into one update.  Sampling —
+        collapsing each measured qubit on the packed rows, then one GF(2)
+        product over the draws — is folded into a per-shot constant.
         Uses the calibrated :attr:`seconds_per_clifford_gate` when a profile
         supplied one, :data:`DEFAULT_SECONDS_PER_CLIFFORD_GATE` otherwise.
         """

@@ -8,6 +8,7 @@ error** — no hangs, no leaked ``/dev/shm`` segments, no orphan worker
 processes.
 """
 
+import contextlib
 import multiprocessing
 import os
 import time
@@ -512,7 +513,9 @@ class TestDensityLane:
 # cancellation check and classification, so a tripped fault costs nothing.
 # The chaos circuit must be Clifford — the broker only routes such jobs to
 # the tableau — so this lane swaps chaos_circuit's rz disambiguator for a
-# tag-dependent S/Z suffix.
+# tag-dependent S/Z suffix.  Tableau jobs run one at a time per process, so
+# the lane has one more way to be slow: queued behind another job that
+# holds the gate (last column) until the deadline passes.
 # ---------------------------------------------------------------------------
 
 STABILIZER_CASES = [
@@ -521,7 +524,11 @@ STABILIZER_CASES = [
         [FaultSpec(site="stabilizer.execute", action="slow", seconds=0.4)],
         0.15,
         DeadlineExceeded,
+        False,
         id="stabilizer-slow-deadline",
+    ),
+    pytest.param(
+        "queued", [], 0.05, DeadlineExceeded, True, id="stabilizer-queued-deadline"
     ),
     pytest.param(
         "alloc",
@@ -535,6 +542,7 @@ STABILIZER_CASES = [
         ],
         None,
         MemoryError,
+        False,
         id="stabilizer-alloc-fail",
     ),
 ]
@@ -554,17 +562,21 @@ def clifford_chaos_circuit(tag: str, n_qubits: int = 3):
 
 
 class TestStabilizerLane:
-    @pytest.mark.parametrize("tag, specs, deadline, expect", STABILIZER_CASES)
-    def test_stabilizer_fault(self, tag, specs, deadline, expect):
-        from repro.exec.stabilizer import StabilizerBackend
+    @pytest.mark.parametrize(
+        "tag, specs, deadline, expect, gate_held", STABILIZER_CASES
+    )
+    def test_stabilizer_fault(self, tag, specs, deadline, expect, gate_held):
+        from repro.exec.stabilizer import StabilizerBackend, _tableau_gate
 
         circuit = clifford_chaos_circuit(f"stab_{tag}")
         backend = StabilizerBackend()
         expected = backend.execute(circuit, 64, seed=7).counts
         install_faults(specs)
         token = CancelToken(timeout=deadline) if deadline else CancelToken()
+        # The gate is a plain lock: held here, it is held by "another job".
+        other_job = _tableau_gate(None) if gate_held else contextlib.nullcontext()
         with pytest.raises(expect):
-            with cancel_scope(token):
+            with other_job, cancel_scope(token):
                 backend.execute(circuit, 64, seed=7)
         clear_faults()
         # Clean failure: the lane serves the next job bit-identically.

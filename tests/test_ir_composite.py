@@ -63,6 +63,15 @@ class TestIntrospection:
         circuit = CircuitBuilder(2).h(0).h(1).cx(0, 1).build()
         assert circuit.depth() == 2
 
+    def test_instruction_levels_align_on_a_full_barrier(self):
+        circuit = CircuitBuilder(3).h(0).x(0).h(1).barrier().h(2).cx(1, 2).build()
+        # h0 x0 h1 | barrier: no step of its own, aligns the qubits seen so
+        # far (0 and 1) | h2 starts fresh, cx12 waits for the barrier.
+        assert circuit.instruction_levels() == [1, 2, 1, 2, 1, 3]
+        assert circuit.depth() == 3
+        assert CompositeInstruction("empty", 2).instruction_levels() == []
+        assert CompositeInstruction("empty", 2).depth() == 0
+
     def test_qubits_used(self):
         circuit = CircuitBuilder(5).h(0).cx(2, 4).build()
         assert circuit.qubits_used() == frozenset({0, 2, 4})

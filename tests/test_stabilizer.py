@@ -16,11 +16,19 @@ Three contracts anchor this file:
   job keys, or the non-Clifford path.
 """
 
+import sys
+import threading
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.ghz import ghz_circuit
-from repro.exceptions import ExecutionError
+from repro.cancellation import CancelToken, cancel_scope
+from repro.exceptions import DeadlineExceeded, ExecutionError
 from repro.exec import LocalBackend
 from repro.exec.stabilizer import (
     StabilizerBackend,
@@ -28,6 +36,8 @@ from repro.exec.stabilizer import (
     estimate_tableau_bytes,
 )
 from repro.ir.builder import CircuitBuilder
+from repro.ir.gates import X
+from repro.ir.transforms import clifford
 from repro.ir.transforms.clifford import classify_clifford, clear_clifford_cache
 from repro.operators.pauli import PauliOperator, PauliTerm
 from repro.runtime.service_registry import reset_registry
@@ -35,6 +45,8 @@ from repro.service import QuantumJobService
 from repro.service.admission import estimate_job_bytes
 from repro.service.keys import job_key
 from repro.simulator.cost_model import SimulationCostModel
+from repro.simulator.statevector import StateVector
+from repro.testing import reference_marginal_probabilities
 
 
 @pytest.fixture(autouse=True)
@@ -46,18 +58,34 @@ def service_runtime_state():
     reset_registry()
 
 
-def random_clifford_circuit(rng: np.random.Generator, n_qubits: int, depth: int):
-    """A random measured Clifford circuit over the full lowering surface."""
+def random_clifford_circuit(
+    rng: np.random.Generator, n_qubits: int, depth: int, full: bool = False
+):
+    """A random measured Clifford circuit over the full lowering surface.
+
+    ``full`` adds what the dense lanes cannot sample in one replay or what
+    lowers to several tableau ops: mid-circuit resets, CY / iSWAP, and
+    Clifford-angle RX / RY / CRZ / CPHASE.
+    """
     builder = CircuitBuilder(n_qubits, name=f"clifford_rand_{rng.integers(1 << 30)}")
     single = ("h", "s", "sdg", "x", "y", "z")
+    double = ("cx", "cz", "swap", "cy", "iswap") if full else ("cx", "cz", "swap")
     for _ in range(depth):
-        if n_qubits > 1 and rng.random() < 0.4:
+        if full and rng.random() < 0.1:
+            builder.reset(int(rng.integers(n_qubits)))
+        elif full and n_qubits > 1 and rng.random() < 0.1:
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            getattr(builder, rng.choice(("cx", "cz", "swap")))(int(a), int(b))
+            getattr(builder, rng.choice(("crz", "cphase")))(
+                int(a), int(b), int(rng.integers(4)) * np.pi
+            )
+        elif n_qubits > 1 and rng.random() < 0.4:
+            a, b = rng.choice(n_qubits, size=2, replace=False)
+            getattr(builder, rng.choice(double))(int(a), int(b))
         elif rng.random() < 0.25:
             # Clifford-angle rotations must lower, not obstruct.
             k = int(rng.integers(4))
-            builder.rz(int(rng.integers(n_qubits)), k * np.pi / 2)
+            rotation = rng.choice(("rz", "rx", "ry")) if full else "rz"
+            getattr(builder, rotation)(int(rng.integers(n_qubits)), k * np.pi / 2)
         else:
             getattr(builder, rng.choice(single))(int(rng.integers(n_qubits)))
     builder.measure_all()
@@ -168,6 +196,33 @@ class TestTableauSizing:
         assert tableau < dense
         # 500 dense qubits would overflow any budget; the tableau fits.
         assert estimate_job_bytes(500, 100, method="stabilizer") < 2_000_000
+
+    @pytest.mark.parametrize("n_qubits, shots", [(200, 4096), (400, 1024)])
+    def test_estimate_bounds_the_measured_peak(self, n_qubits, shots):
+        """What admission charges is at least what ``execute`` allocates.
+
+        The circuit is the shape's worst case — every measured qubit random
+        (``n`` random bits to draw per shot) and every shot a distinct key —
+        and short, so the peak is the tableau's and not the classifier's
+        walk over a long gate list.
+        """
+        builder = CircuitBuilder(n_qubits, name="sizing")
+        for qubit in range(n_qubits):
+            builder.h(qubit)
+        for qubit in range(n_qubits - 1):
+            builder.cz(qubit, qubit + 1)
+        circuit = builder.measure_all().build()
+        backend = StabilizerBackend()
+        backend.execute(circuit, 16, seed=1)
+        tracemalloc.start()
+        try:
+            result = backend.execute(circuit, shots, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.counts) == shots
+        assert result.extra["n_random_bits"] == 0  # all minted while sampling
+        assert peak <= estimate_tableau_bytes(n_qubits, shots)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +416,225 @@ class TestCrossValidation:
         first = StabilizerBackend().execute(circuit, 1024, seed=7).counts
         second = StabilizerBackend().execute(circuit, 1024, seed=7).counts
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The moment program: batched evolution == gate by gate == dense
+# ---------------------------------------------------------------------------
+
+
+class _Forced:
+    """Stands in for a Generator so ``StateVector.measure`` takes a branch."""
+
+    def __init__(self, outcome: int):
+        self.outcome = outcome
+
+    def random(self) -> float:
+        return 0.0 if self.outcome else 1.0
+
+
+def dense_support(circuit) -> set:
+    """Exact support of the measured qubits, branching on every reset outcome."""
+    n = circuit.n_qubits
+
+    def walk(state, instructions):
+        for index, inst in enumerate(instructions):
+            if inst.name != "RESET":
+                state.apply(inst)
+                continue
+            (qubit,) = inst.qubits
+            p_one = state.probability_of_one(qubit)
+            support = set()
+            for outcome, p in ((0, 1.0 - p_one), (1, p_one)):
+                if p > 1e-9:
+                    branch = state.copy()
+                    branch.measure(qubit, _Forced(outcome))
+                    if outcome:
+                        branch.apply(X([qubit]))
+                    support |= walk(branch, instructions[index + 1 :])
+            return support
+        marginal = reference_marginal_probabilities(
+            state.probabilities(), tuple(range(n)), n
+        )
+        return {key for key, p in marginal.items() if p > 1e-9}
+
+    return walk(StateVector(n), list(circuit))
+
+
+def evolved(ops, n_qubits: int) -> StabilizerTableau:
+    """Apply ``(kind, q[, q2])`` tuples one gate at a time."""
+    tableau = StabilizerTableau(n_qubits)
+    method = {"x": "x_gate", "y": "y_gate", "z": "z_gate"}
+    for kind, *qubits in ops:
+        getattr(tableau, method.get(kind, kind))(*qubits)
+    return tableau
+
+
+def assert_same_tableau(left: StabilizerTableau, right: StabilizerTableau):
+    assert left.n_random_bits == right.n_random_bits
+    for name in ("x", "z", "sign", "affine"):
+        assert np.array_equal(getattr(left, name), getattr(right, name)), name
+
+
+class TestMomentProgram:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_qubits=st.integers(min_value=1, max_value=8),
+        depth=st.integers(min_value=0, max_value=48),
+    )
+    def test_batched_evolution_is_gate_by_gate_evolution(self, seed, n_qubits, depth):
+        circuit = random_clifford_circuit(
+            np.random.default_rng(seed), n_qubits, depth, full=True
+        )
+        program = classify_clifford(circuit)
+        assert program.is_clifford
+        batched = StabilizerTableau(n_qubits)
+        StabilizerBackend._evolve(batched, program)
+        # Same generators, same signs, same random-bit numbering — whether
+        # the ops run a moment at a time, one at a time in moment order, or
+        # one at a time in source order (levelling only reorders disjoint
+        # gates, and never across a reset).
+        assert_same_tableau(batched, evolved(program.ops, n_qubits))
+        source_order = [
+            op
+            for inst in circuit
+            for op in clifford._lower_instruction(inst)[0]
+            if op[0] != "measure"
+        ]
+        assert sorted(source_order) == sorted(program.ops)
+        assert_same_tableau(batched, evolved(source_order, n_qubits))
+        # Outcomes are uniform over an affine space of at most 2^8 points:
+        # 16k shots miss one with probability < 1e-25.
+        sampled = batched.sample(1 << 14, range(n_qubits), np.random.default_rng(seed))
+        assert set(sampled) == dense_support(circuit)
+
+    def test_moments_hold_same_kind_gates_on_disjoint_qubits(self):
+        rng = np.random.default_rng(11)
+        program = classify_clifford(random_clifford_circuit(rng, 8, 200, full=True))
+        reset = clifford.TABLEAU_OPS.index("reset")
+        n_moments = 0
+        for code, first, second in program.moments():
+            n_moments += 1
+            qubits = np.atleast_1d(first).tolist()
+            if code >= clifford.FIRST_TWO_QUBIT_OP:
+                qubits += np.atleast_1d(second).tolist()
+            assert code == reset or len(set(qubits)) == len(qubits)
+        assert n_moments == len(program.moment_starts) - 1 < program.n_ops
+
+    def test_a_brickwork_layer_is_a_handful_of_moments(self):
+        builder = CircuitBuilder(64, name="layers")
+        for layer in range(4):
+            for qubit in range(64):
+                builder.h(qubit) if (qubit + layer) % 2 else builder.s(qubit)
+            for qubit in range(layer % 2, 63, 2):
+                builder.cx(qubit, qubit + 1) if qubit % 4 else builder.cz(qubit, qubit + 1)
+        program = classify_clifford(builder.measure_all().build())
+        assert program.n_ops == 4 * 64 + 2 * 32 + 2 * 31
+        assert len(program.moment_starts) - 1 == 4 * 4  # h, s, cx, cz per layer
+
+    def test_program_is_compact(self):
+        program = classify_clifford(random_clifford_circuit(np.random.default_rng(5), 8, 400))
+        stored = sum(
+            getattr(program, name).nbytes
+            for name in ("opcodes", "first", "second", "moment_starts")
+        )
+        assert stored <= 12 * program.n_ops
+
+
+# ---------------------------------------------------------------------------
+# One tableau job at a time per process
+# ---------------------------------------------------------------------------
+
+
+class TestTableauGate:
+    def test_concurrent_jobs_all_return_correct_histograms(self):
+        """More threads than cores, switching every 10 µs, all through the
+        gate at once: every job's fixed-seed histogram is the one it gets
+        alone."""
+        circuits = [ghz_circuit(200 + i) for i in range(4)]
+        circuits[1] = random_clifford_circuit(np.random.default_rng(8), 200, 600)
+        backend = StabilizerBackend()
+        expected = [backend.execute(c, 512, seed=9).counts for c in circuits]
+        results: list = [None] * len(circuits)
+        start = threading.Barrier(len(circuits))
+
+        def run(index):
+            start.wait()
+            for _ in range(3):
+                results[index] = backend.execute(circuits[index], 512, seed=9).counts
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(circuits))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+        assert set(results[0]) == {"0" * 200, "1" * 200}
+
+    def test_deadline_passing_in_the_queue_raises_without_evolving(self, monkeypatch):
+        """A job queued behind a long one gives up on its own deadline: typed
+        error, bounded wait, no tableau evolved, gate left usable."""
+        evolved_widths = []
+        holding = threading.Event()
+        release = threading.Event()
+        real_evolve = StabilizerBackend._evolve
+
+        def slow_evolve(tableau, program):
+            evolved_widths.append(tableau.n)
+            if tableau.n == 6:  # the long job: sit inside the gate
+                holding.set()
+                assert release.wait(timeout=30)
+            real_evolve(tableau, program)
+
+        monkeypatch.setattr(StabilizerBackend, "_evolve", staticmethod(slow_evolve))
+        backend = StabilizerBackend()
+        long_job = threading.Thread(target=backend.execute, args=(ghz_circuit(6), 64))
+        long_job.start()
+        try:
+            assert holding.wait(timeout=30)
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceeded):
+                with cancel_scope(CancelToken(timeout=0.05)):
+                    backend.execute(ghz_circuit(5), 64, seed=1)
+            waited = time.perf_counter() - started
+        finally:
+            release.set()
+            long_job.join(timeout=30)
+        assert 0.04 <= waited < 2.0
+        assert evolved_widths == [6]
+        # The gate was handed back: the next job runs.
+        assert backend.execute(ghz_circuit(5), 64, seed=1).counts
+        assert evolved_widths == [6, 5]
+
+    def test_reported_seconds_exclude_the_wait_at_the_gate(self):
+        from repro.exec.stabilizer import _tableau_gate
+
+        backend = StabilizerBackend()
+        circuit = ghz_circuit(5)
+        backend.execute(circuit, 16, seed=1)
+        holding = threading.Event()
+
+        def another_job():
+            with _tableau_gate(None):
+                holding.set()
+                time.sleep(0.3)
+
+        holder = threading.Thread(target=another_job)
+        holder.start()
+        assert holding.wait(timeout=30)
+        started = time.perf_counter()
+        result = backend.execute(circuit, 16, seed=1)
+        wall = time.perf_counter() - started
+        holder.join(timeout=30)
+        assert wall >= 0.25
+        assert result.seconds < 0.1
 
 
 # ---------------------------------------------------------------------------

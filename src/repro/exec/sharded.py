@@ -52,7 +52,7 @@ from ..exceptions import (
     RetryExhausted,
 )
 from ..ir.composite import CompositeInstruction
-from ..ir.serialization import circuit_from_json, circuit_to_json
+from ..ir.serialization import circuit_content_hash, circuit_from_json, circuit_to_json
 from ..obs.profiler import ReplayProfiler, active_profiler, profiler_installed
 from ..obs.trace import TraceContext, get_tracer
 from ..testing import faults
@@ -67,7 +67,6 @@ from ..simulator.parallel_engine import (
     replay_trajectory_chunk,
     split_shots,
 )
-from ..simulator.plan_cache import cached_content_hash
 from ..simulator.sampling import sample_counts
 from .backend import ExecutionBackend, Params, _resolve_width
 from .result import ExecutionResult
@@ -88,21 +87,13 @@ _WAIT_POLL = 0.05
 
 
 def _circuit_payload(circuit: CompositeInstruction) -> tuple[str, str]:
-    """``(canonical_json, content_hash)`` for ``circuit``, memoised on it.
-
-    The memo follows the same invalidation rule as
-    :func:`~repro.simulator.plan_cache.cached_content_hash`: it is keyed by
-    the instruction count, the only thing ``CompositeInstruction.add`` can
-    change.
+    """``(canonical_json, content_hash)`` for ``circuit``, each computed once
+    per circuit object (``CompositeInstruction`` states the invalidation rule).
+    The payload keeps the name it was first serialised with; workers compile
+    from the instructions and never read it.
     """
-    n = circuit.n_instructions
-    memo = circuit.__dict__.get("_exec_payload")
-    if memo is not None and memo[0] == n:
-        return memo[1], memo[2]
-    payload = circuit_to_json(circuit)
-    digest = cached_content_hash(circuit)
-    circuit.__dict__["_exec_payload"] = (n, payload, digest)
-    return payload, digest
+    payload = circuit.memoised("exec_payload", lambda: circuit_to_json(circuit))
+    return payload, circuit_content_hash(circuit)
 
 
 # ---------------------------------------------------------------------------

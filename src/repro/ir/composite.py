@@ -10,7 +10,7 @@ to XASM text.  ``Circuit`` is an alias provided for readability.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -20,9 +20,29 @@ from .parameter import Parameter
 
 __all__ = ["CompositeInstruction", "Circuit"]
 
+_T = TypeVar("_T")
+
 
 class CompositeInstruction(Instruction):
-    """An ordered collection of instructions over ``n_qubits`` qubits."""
+    """An ordered collection of instructions over ``n_qubits`` qubits.
+
+    **Instructions are immutable once added.**  :meth:`add` is the only
+    mutation path and it only appends; nothing assigns an instruction's
+    ``qubits`` or ``parameters`` after construction (``with_qubits`` /
+    ``with_parameters`` / ``bind`` return new instructions).  Every value
+    derived from the instruction list is therefore valid for as long as the
+    instruction count is unchanged, and that is the one invalidation rule of
+    :meth:`memoised`: the content hash
+    (:func:`~repro.ir.serialization.circuit_content_hash`, which the job
+    keys, the Clifford classifier and the plan cache all share),
+    :attr:`is_parameterized` and the executors' JSON payload are computed
+    once per circuit *object* and dropped by the next :meth:`add`.
+    ``copy``, ``bind``, ``inverse``, ``remapped`` and
+    ``without_measurements`` build new objects and start without a memo; a
+    pickled circuit carries its (still valid) memo with it.  Code that
+    mutates an instruction in place after adding it must not rely on any of
+    these.
+    """
 
     is_composite = True
     num_qubits = 0
@@ -77,6 +97,22 @@ class CompositeInstruction(Instruction):
     def __len__(self) -> int:
         return len(self._instructions)
 
+    def memoised(self, slot: str, compute: Callable[[], _T]) -> _T:
+        """``compute()``, kept on the circuit until the next :meth:`add`.
+
+        For values that depend on the instruction list alone: assigning
+        ``name`` drops nothing.  Threads racing on a cold slot each compute
+        the same value; the stores are idempotent.
+        """
+        count = len(self._instructions)
+        memo = self.__dict__.get("_memo")
+        if memo is None or memo[0] != count:
+            memo = self.__dict__["_memo"] = (count, {})
+        values = memo[1]
+        if slot not in values:
+            values[slot] = compute()
+        return values[slot]
+
     def __getitem__(self, index):
         return self._instructions[index]
 
@@ -104,7 +140,10 @@ class CompositeInstruction(Instruction):
 
     @property
     def is_parameterized(self) -> bool:
-        return any(inst.is_parameterized for inst in self._instructions)
+        return self.memoised(
+            "is_parameterized",
+            lambda: any(inst.is_parameterized for inst in self._instructions),
+        )
 
     @property
     def free_parameters(self) -> frozenset[Parameter]:
@@ -263,8 +302,8 @@ class CompositeInstruction(Instruction):
             and all(a == b for a, b in zip(self._instructions, other._instructions))
         )
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.name, self._n_qubits, len(self._instructions)))
+    def __hash__(self) -> int:
+        return hash((self._n_qubits, len(self._instructions)))
 
     def __repr__(self) -> str:
         return (

@@ -124,9 +124,18 @@ def circuit_content_hash(circuit: CompositeInstruction, include_name: bool = Fal
     By default the circuit *name* is excluded: ``bell`` and ``bell_copy``
     containing identical instructions are the same work.  This is the one
     canonical content identity shared by the job broker's result cache
-    (:mod:`repro.service.keys`) and the simulator's execution-plan cache
-    (:mod:`repro.simulator.plan_cache`).
+    (:mod:`repro.service.keys`), the Clifford classifier's verdict cache and
+    the simulator's execution-plan cache (:mod:`repro.simulator.plan_cache`),
+    so the default digest is computed once per circuit object (see
+    :class:`~repro.ir.composite.CompositeInstruction` for the invalidation
+    rule).  ``include_name=True`` is never memoised: the name is assignable.
     """
+    if include_name:
+        return _content_hash(circuit, True)
+    return circuit.memoised("content_hash", lambda: _content_hash(circuit, False))
+
+
+def _content_hash(circuit: CompositeInstruction, include_name: bool) -> str:
     payload = circuit_to_dict(circuit)
     if not include_name:
         payload.pop("name", None)

@@ -41,6 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from ..composite import CompositeInstruction
+from ..serialization import circuit_content_hash
 
 __all__ = [
     "ANGLE_TOLERANCE",
@@ -320,8 +321,6 @@ def classify_clifford(circuit: CompositeInstruction) -> CliffordClassification:
     """
     if circuit.is_parameterized:
         return _classify(circuit)
-    from ..serialization import circuit_content_hash
-
     key = circuit_content_hash(circuit)
     with _cache_lock:
         hit = _cache.get(key)

@@ -14,10 +14,12 @@ the request alone exceeds the whole budget — are rejected immediately with
 :class:`~repro.exceptions.AdmissionRejected`, and so are jobs whose wait
 exceeds ``max_wait`` or whose deadline would expire while queued.
 
-The resident terms are measured by walking the actual structures
-(``ExecutionPlan.memory_bytes``, ``ResultCache.memory_bytes``, the shm
-pool's segment sizes) rather than trusting counters to stay in sync —
-the walk is cheap at admission frequency and cannot drift.
+The resident terms are read from the structures themselves: compiled
+plans and the shm pool's segments are walked
+(``ExecutionPlan.memory_bytes``, segment sizes — cheap at admission
+frequency), while ``ResultCache.memory_bytes`` is a total the cache moves
+with every entry it adds or drops, because walking its histograms held the
+lock every cache hit needs (a test checks it against the walk).
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ from .breaker import CircuitBreaker
 from .cache import ResultCache, subsample_counts
 from .dispatcher import DispatcherPool
 from .job import JobHandle, JobPriority, JobResult, JobSpec
-from .keys import binding_key, canonical_binding, job_key, sweep_key
+from .keys import _combine, canonical_binding, circuit_content_hash, config_fingerprint
 from .metrics import MetricsSnapshot, ServiceMetrics
 from .sweep import BindingResult, SweepHandle, _SweepChunk
 
@@ -138,6 +138,9 @@ class QuantumJobService:
                 f"known: {get_registry().registered_names('accelerator')}"
             )
         self.backend_options = dict(backend_options or {})
+        #: The configuration half of every key this service derives.  Backend
+        #: and options are fixed from here on, so it is fingerprinted once.
+        self._config_fingerprint = config_fingerprint(self.backend, self.backend_options)
         # Lifecycle knobs may also arrive through backend_options (their
         # kebab-case names are declared non-semantic in keys.py, so they
         # never fragment the result cache); explicit arguments win.
@@ -204,9 +207,9 @@ class QuantumJobService:
             on_init_failure=self._worker_init_failed,
         )
         #: Memory-budget admission control (None budget = accounting off).
-        #: Resident terms are measured by walking the live structures —
-        #: compiled plans, cached histograms, shm amplitude segments — so
-        #: the accounting cannot drift from reality.
+        #: Resident terms are read from the live structures — compiled
+        #: plans, shm amplitude segments, the result cache's own byte
+        #: total — not from counters kept here.
         self._admission = AdmissionController(
             memory_budget_bytes,
             max_wait=admission_wait_seconds,
@@ -275,6 +278,8 @@ class QuantumJobService:
         #: constant-factor comparison, so an uncalibrated model is fine).
         self._cost_model = SimulationCostModel()
         self._stabilizer_backend = None
+        #: Per-thread subsampling generator (see :meth:`_rng`).
+        self._rng_local = threading.local()
         self._state_lock = threading.Lock()
         self._started = False
         self._shut_down = False
@@ -439,10 +444,11 @@ class QuantumJobService:
         resolved_shots = shots if shots is not None else get_config().shots
         deadline = self._tenant_deadline(tenant, deadline)
         canon = [canonical_binding(b) for b in bindings]
-        skey = sweep_key(circuit, self.backend, self.backend_options, bindings)
+        circuit_hash = circuit_content_hash(circuit)
+        skey = _combine(circuit_hash, self._config_fingerprint, "sweep", canon)
         bkeys = [
-            binding_key(circuit, self.backend, self.backend_options, b)
-            for b in bindings
+            _combine(circuit_hash, self._config_fingerprint, "binding", binding)
+            for binding in canon
         ]
         tokens = [CancelToken(timeout=deadline) for _ in bindings]
         handle = SweepHandle(skey, canon, bkeys, resolved_shots, self.backend, tokens)
@@ -472,7 +478,7 @@ class QuantumJobService:
                 else None
             )
             if entry is not None and entry.shots >= resolved_shots:
-                counts = subsample_counts(entry.counts, resolved_shots, self._rng())
+                counts = entry.subsample(resolved_shots, self._rng())
                 handle._resolve(
                     index,
                     BindingResult(
@@ -755,7 +761,7 @@ class QuantumJobService:
         deadline = self._tenant_deadline(tenant, deadline)
         token = CancelToken(timeout=deadline)
         spec = JobSpec(
-            key=job_key(circuit, self.backend, self.backend_options),
+            key=_combine(circuit_content_hash(circuit), self._config_fingerprint),
             circuit=circuit,
             backend=self.backend,
             shots=resolved_shots,
@@ -790,7 +796,7 @@ class QuantumJobService:
         if self._cache is not None:
             entry = self._cache.lookup(spec.key, spec.shots)
             if entry is not None and entry.shots >= spec.shots:
-                counts = subsample_counts(entry.counts, spec.shots, self._rng())
+                counts = entry.subsample(spec.shots, self._rng())
                 handle._resolve(
                     JobResult(
                         counts=counts,
@@ -1415,7 +1421,22 @@ class QuantumJobService:
         return not self._shut_down
 
     def _rng(self) -> np.random.Generator:
-        return np.random.default_rng(get_config().seed)
+        """``default_rng(get_config().seed)``, without building one per draw.
+
+        Each thread keeps one generator and re-arms it to the initial state
+        of the configured seed, so every draw reads the stream a new
+        generator would.  An unseeded configuration draws fresh entropy.
+        """
+        seed = get_config().seed
+        if seed is None:
+            return np.random.default_rng()
+        local = self._rng_local
+        if getattr(local, "seed", None) != seed:
+            local.generator = np.random.default_rng(seed)
+            local.initial_state = local.generator.bit_generator.state
+            local.seed = seed
+        local.generator.bit_generator.state = local.initial_state
+        return local.generator
 
     # -- introspection ----------------------------------------------------------------
     def metrics(self) -> MetricsSnapshot:

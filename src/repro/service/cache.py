@@ -15,15 +15,25 @@ request's shot count happens in two directions:
 
 The cache never hands out mutable internal state: entry histograms are
 read-only mapping views shared by every caller.
+
+An entry also keeps its histogram in *array form* — the lexicographically
+sorted keys and an ``int64`` count array, built once on the entry's first
+subsample (an entry that is never read back never pays for it) — so a hit
+sorts nothing and touches only the bins it drew.  The hit path
+(:meth:`CachedResult.subsample`) and the public :func:`subsample_counts` go
+through one draw routine, :func:`_draw`; they differ only in where the
+array form comes from.  Each entry knows its own payload size, and the
+cache keeps the running total :meth:`ResultCache.memory_bytes` reports.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -31,6 +41,33 @@ from ..exceptions import ExecutionError
 from ..simulator.parallel_engine import merge_counts
 
 __all__ = ["CacheStats", "CachedResult", "ResultCache", "subsample_counts"]
+
+
+def _array_form(counts: Mapping[str, int]) -> tuple[list[str], np.ndarray]:
+    """``counts`` as (lexicographically sorted keys, their counts as int64)."""
+    keys = sorted(counts)
+    return keys, np.fromiter(map(counts.__getitem__, keys), np.int64, len(keys))
+
+
+def _draw(
+    counts: Mapping[str, int],
+    total: int,
+    shots: int,
+    rng: np.random.Generator | None,
+    array_form: Callable[[], tuple[list[str], np.ndarray]],
+) -> dict[str, int]:
+    """``shots`` of the ``total`` observations in ``counts``, without replacement."""
+    if shots > total:
+        raise ExecutionError(
+            f"cannot subsample {shots} shots from a {total}-shot histogram"
+        )
+    if shots == total:
+        return dict(counts)
+    rng = rng if rng is not None else np.random.default_rng()
+    keys, colors = array_form()
+    draws = rng.multivariate_hypergeometric(colors, shots)
+    drawn = np.flatnonzero(draws)
+    return dict(zip(map(keys.__getitem__, drawn.tolist()), draws[drawn].tolist()))
 
 
 def subsample_counts(
@@ -43,17 +80,7 @@ def subsample_counts(
     distribution of a prefix of the original run.  ``shots`` equal to the
     histogram total returns a plain copy.
     """
-    total = sum(counts.values())
-    if shots > total:
-        raise ExecutionError(
-            f"cannot subsample {shots} shots from a {total}-shot histogram"
-        )
-    if shots == total:
-        return dict(counts)
-    rng = rng if rng is not None else np.random.default_rng()
-    bitstrings = sorted(counts)
-    draws = rng.multivariate_hypergeometric([counts[b] for b in bitstrings], shots)
-    return {b: int(d) for b, d in zip(bitstrings, draws) if d > 0}
+    return _draw(counts, sum(counts.values()), shots, rng, lambda: _array_form(counts))
 
 
 @dataclass(frozen=True)
@@ -92,6 +119,23 @@ class CachedResult:
     counts: Mapping[str, int]
     shots: int
     backend: str
+    #: Payload bytes: one per key character plus a machine word per count.
+    nbytes: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = sum(map(len, self.counts)) + 8 * len(self.counts)
+        object.__setattr__(self, "nbytes", size)
+
+    @cached_property
+    def _arrays(self) -> tuple[list[str], np.ndarray]:
+        # Threads racing on a new entry each build the same pair.
+        return _array_form(self.counts)
+
+    def subsample(
+        self, shots: int, rng: np.random.Generator | None = None
+    ) -> dict[str, int]:
+        """:func:`subsample_counts` of this entry, without re-sorting it."""
+        return _draw(self.counts, self.shots, shots, rng, lambda: self._arrays)
 
 
 class ResultCache:
@@ -109,6 +153,8 @@ class ResultCache:
         self._insertions = 0
         self._top_ups = 0
         self._evictions = 0
+        #: Sum of ``nbytes`` over the live entries.
+        self._bytes = 0
 
     # -- lookup ------------------------------------------------------------------
     def lookup(self, key: str, shots: int) -> CachedResult | None:
@@ -144,19 +190,30 @@ class ResultCache:
             return len(self._entries)
 
     # -- mutation ------------------------------------------------------------------
+    def _put(self, key: str, entry: CachedResult) -> None:
+        """Make ``entry`` the most recent one for ``key``; evict LRU overflow.
+
+        Caller holds the lock.  Every path that adds or drops an entry moves
+        the running byte total with it.
+        """
+        replaced = self._entries.pop(key, None)
+        if replaced is not None:
+            self._bytes -= replaced.nbytes
+        self._entries[key] = entry
+        self._bytes += entry.nbytes
+        while len(self._entries) > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            self._evictions += 1
+
     def store(self, key: str, counts: Mapping[str, int], backend: str) -> CachedResult:
         """Insert (or replace) the histogram for ``key``; evicts LRU overflow."""
         entry = CachedResult(
             MappingProxyType(dict(counts)), sum(counts.values()), backend
         )
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = entry
+            self._put(key, entry)
             self._insertions += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
         return entry
 
     def top_up(
@@ -174,11 +231,7 @@ class ResultCache:
             entry = CachedResult(
                 MappingProxyType(merged), sum(merged.values()), backend
             )
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._put(key, entry)
         return entry
 
     def memory_bytes(self) -> int:
@@ -187,22 +240,24 @@ class ResultCache:
         Counts the bitstring keys (one byte per character) and one machine
         word per count — the payload that grows with outcome diversity.
         Container overhead is deliberately ignored: admission control needs
-        a stable, cheap estimate, not a profiler.
+        a stable, cheap estimate, not a profiler.  It polls this on every
+        budgeted admit, so the total is kept as entries come and go rather
+        than walked under the lock every hit needs.
         """
         with self._lock:
-            total = 0
-            for entry in self._entries.values():
-                for bitstring in entry.counts:
-                    total += len(bitstring) + 8
-            return total
+            return self._bytes
 
     def invalidate(self, key: str) -> bool:
         with self._lock:
-            return self._entries.pop(key, None) is not None
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._bytes -= entry.nbytes
+            return entry is not None
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._bytes = 0
 
     # -- stats ------------------------------------------------------------------------
     def stats(self) -> CacheStats:

@@ -14,6 +14,16 @@ produced by :mod:`repro.ir.serialization`, with the circuit *name* removed:
 work.  The configuration portion fingerprints the backend name plus whatever
 options the broker passes to the backend (noise model parameters, simulator
 thread count is excluded — it changes speed, not distributions).
+
+Each half is computed once.  The circuit digest is memoised on the circuit
+object by :func:`~repro.ir.serialization.circuit_content_hash` (resubmitting
+a circuit object, or keying every binding of one ansatz, hashes nothing), and
+:class:`~repro.service.broker.QuantumJobService` fingerprints its backend
+and options once at construction and feeds both halves to the same private
+combiner (:func:`_combine`) the public functions use — so the public
+:func:`job_key` / :func:`binding_key` / :func:`sweep_key` keep their
+signatures and values, and the key a service stamps on a result is the key
+they return.
 """
 
 from __future__ import annotations
@@ -127,14 +137,24 @@ def config_fingerprint(
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _combine(
+    circuit_hash: str, fingerprint: str, kind: str = "", canonical: object = None
+) -> str:
+    """The one key derivation: the two digests, plus for ``kind`` ``"sweep"``
+    / ``"binding"`` the canonical binding list / binding."""
+    combined = circuit_hash + ":" + fingerprint
+    if kind:
+        combined += ":" + kind + ":" + _canonical_json(canonical)
+    return hashlib.sha256(combined.encode("utf-8")).hexdigest()
+
+
 def job_key(
     circuit: CompositeInstruction,
     backend: str,
     options: Mapping[str, object] | None = None,
 ) -> str:
     """Canonical key for (circuit content, backend, config) — shots excluded."""
-    combined = circuit_content_hash(circuit) + ":" + config_fingerprint(backend, options)
-    return hashlib.sha256(combined.encode("utf-8")).hexdigest()
+    return _combine(circuit_content_hash(circuit), config_fingerprint(backend, options))
 
 
 # -- sweep keys ---------------------------------------------------------------------
@@ -182,14 +202,12 @@ def sweep_key(
     bindings=(),
 ) -> str:
     """Canonical key for a parameter sweep (binding list is semantic)."""
-    combined = (
-        circuit_content_hash(circuit)
-        + ":"
-        + config_fingerprint(backend, options)
-        + ":sweep:"
-        + _canonical_json([canonical_binding(b) for b in bindings])
+    return _combine(
+        circuit_content_hash(circuit),
+        config_fingerprint(backend, options),
+        "sweep",
+        [canonical_binding(b) for b in bindings],
     )
-    return hashlib.sha256(combined.encode("utf-8")).hexdigest()
 
 
 def binding_key(
@@ -204,11 +222,9 @@ def binding_key(
     routing, not identity), so per-binding histograms are reusable across
     differently-shaped sweeps of the same ansatz.
     """
-    combined = (
-        circuit_content_hash(circuit)
-        + ":"
-        + config_fingerprint(backend, options)
-        + ":binding:"
-        + _canonical_json(canonical_binding(binding))
+    return _combine(
+        circuit_content_hash(circuit),
+        config_fingerprint(backend, options),
+        "binding",
+        canonical_binding(binding),
     )
-    return hashlib.sha256(combined.encode("utf-8")).hexdigest()

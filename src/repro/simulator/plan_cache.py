@@ -44,20 +44,9 @@ __all__ = [
 ]
 
 
-def cached_content_hash(circuit: CompositeInstruction) -> str:
-    """Content hash of ``circuit``, memoised on the circuit object.
-
-    The memo is invalidated when the instruction count changes (the only
-    mutation path, ``CompositeInstruction.add``, always appends); callers
-    that mutate instructions *in place* must not rely on the memo.
-    """
-    n = circuit.n_instructions
-    cached = circuit.__dict__.get("_plan_content_hash")
-    if cached is not None and cached[0] == n:
-        return cached[1]
-    digest = circuit_content_hash(circuit)
-    circuit.__dict__["_plan_content_hash"] = (n, digest)
-    return digest
+#: The digest is memoised on the circuit by ``circuit_content_hash`` itself;
+#: this name stays for its importers.
+cached_content_hash = circuit_content_hash
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ class PlanCache:
         )
         precision = resolve_precision(precision)
         key = (
-            cached_content_hash(circuit),
+            circuit_content_hash(circuit),
             width,
             bool(optimize),
             int(fusion_max_qubits),

@@ -172,6 +172,11 @@ class TestDenseAndText:
         other = CircuitBuilder(2, name="bell").h(0).cx(0, 1).build()
         assert bell() != other
 
+    def test_equal_circuits_hash_equal(self):
+        renamed = CircuitBuilder(2, name="bell_copy").h(0).cx(0, 1).measure_all().build()
+        assert bell() == renamed and hash(bell()) == hash(renamed)
+        assert len({bell(), renamed}) == 1
+
     def test_equality_tolerates_float_noise(self):
         a = CircuitBuilder(1).rx(0, 0.5).build()
         b = CircuitBuilder(1).rx(0, 0.5 + 1e-12).build()

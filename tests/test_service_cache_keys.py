@@ -145,6 +145,36 @@ class TestResultCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_memory_bytes_tracks_the_walked_total(self):
+        """The running total equals a walk over the live entries after any
+        mix of inserts, replacements, top-ups, evictions and removals."""
+        rng = np.random.default_rng(20261001)
+        cache = ResultCache(capacity=5)
+
+        def histogram():
+            width = int(rng.integers(1, 9))
+            keys = {format(int(k), f"0{width}b") for k in rng.integers(0, 2**width, 12)}
+            return {key: int(rng.integers(1, 50)) for key in keys}
+
+        for _ in range(400):
+            key = f"k{int(rng.integers(0, 9))}"
+            op = rng.integers(0, 10)
+            if op < 4:
+                cache.store(key, histogram(), backend="qpp")
+            elif op < 7:
+                cache.top_up(key, histogram(), backend="qpp")
+            elif op < 9:
+                cache.invalidate(key)
+            else:
+                cache.clear()
+            walked = sum(
+                len(bitstring) + 8
+                for k in list(cache._entries)
+                for bitstring in cache.peek(k).counts
+            )
+            assert cache.memory_bytes() == walked
+        assert cache.stats().evictions > 0 and cache.stats().top_ups > 0
+
     def test_capacity_validated(self):
         with pytest.raises(ExecutionError):
             ResultCache(capacity=0)

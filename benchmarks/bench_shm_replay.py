@@ -103,7 +103,8 @@ def bench_shm_replay(quick: bool) -> dict:
     rounds = 2 if quick else 4
     workers = min(4, max(2, host_cores()))
     circuit = deep_circuit(REPLAY_QUBITS, layers)
-    plan = compile_plan(circuit, REPLAY_QUBITS)
+    # Force both lanes on: the comparison is lane vs lane, whatever the default crossover.
+    plan = compile_plan(circuit, REPLAY_QUBITS, chunk_threshold=2)
 
     serial_state = plan.execute(plan.new_state())
     with ParallelSimulationEngine(num_threads=workers) as engine:

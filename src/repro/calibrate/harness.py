@@ -5,10 +5,12 @@ efficiencies, barrier and dispatch overheads, the chunk threshold) shipped
 as hand-set guesses.  :func:`run_calibration` measures them:
 
 * **Kernel cost factors** — one dedicated micro-circuit per kernel class
-  (single/controlled/diagonal/permutation/gather/dense), compiled with
-  ``optimize=False`` so every class survives lowering, replayed serially
-  under the :class:`~repro.obs.profiler.ReplayProfiler`; per-amplitude
-  seconds normalise to the single-qubit kernel (the model's unit).
+  (single/controlled/diagonal/permutation/gather/dense/block), compiled
+  with ``optimize=False`` and — except for ``block``, which *is* the fused
+  form of a single-qubit layer — ``fusion_max_qubits=0`` so every class
+  survives lowering, replayed serially under the
+  :class:`~repro.obs.profiler.ReplayProfiler`; per-amplitude seconds
+  normalise to the single-qubit kernel (the model's unit).
 * **Thread-pool sweep efficiency** — each class replayed chunk-parallel on
   a full-width :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
   vs serially; the Amdahl parallel fraction ``(1 - t_W/t_1)/(1 - 1/W)`` is
@@ -33,7 +35,7 @@ import numpy as np
 from ..ir.builder import CircuitBuilder
 from ..ir.composite import CompositeInstruction
 from ..obs.profiler import ReplayProfiler, profiler_installed
-from ..simulator.execution_plan import compile_plan
+from ..simulator.execution_plan import DEFAULT_FUSION_MAX_QUBITS, compile_plan
 from ..simulator.parallel_engine import ParallelSimulationEngine
 from .profile import CalibrationProfile, utc_timestamp
 
@@ -41,7 +43,15 @@ __all__ = ["run_calibration", "kernel_microbench_circuit", "KERNEL_KINDS"]
 
 #: Kernel classes the harness measures ("reset" is excluded: it is
 #: RNG-serial by construction, so its default factor/efficiency stand).
-KERNEL_KINDS = ("single", "controlled", "diagonal", "permutation", "gather", "dense")
+KERNEL_KINDS = (
+    "single",
+    "controlled",
+    "diagonal",
+    "permutation",
+    "gather",
+    "dense",
+    "block",
+)
 
 #: 4x4 dense payload for the dense-kernel micro-circuit (H⊗H: unitary,
 #: no diagonal/permutation structure the lowerer could specialise away).
@@ -52,10 +62,15 @@ _DENSE_4X4 = np.kron(_H, _H)
 def kernel_microbench_circuit(
     kind: str, n_qubits: int, layers: int = 2
 ) -> CompositeInstruction:
-    """A circuit whose plan (compiled ``optimize=False``) is purely ``kind``."""
+    """A circuit whose plan (see :func:`_microbench_plan`) is purely ``kind``.
+
+    ``single`` and ``block`` share one circuit — layers of RX on every
+    qubit: gate for gate it is the single kernel, fused it is one
+    contiguous-window block per four qubits (the layers multiply together).
+    """
     builder = CircuitBuilder(n_qubits, name=f"cal-{kind}")
     for layer in range(layers):
-        if kind == "single":
+        if kind in ("single", "block"):
             for q in range(n_qubits):
                 builder.rx(q, 0.31 + 0.07 * ((layer + q) % 5))
         elif kind == "controlled":
@@ -81,6 +96,18 @@ def kernel_microbench_circuit(
         else:
             raise ValueError(f"unknown kernel kind {kind!r}")
     return builder.build()
+
+
+def _microbench_plan(kind: str, n_qubits: int, layers: int, chunk_threshold=None):
+    """``kind``'s micro-circuit lowered gate for gate (``block``: fused)."""
+    return compile_plan(
+        kernel_microbench_circuit(kind, n_qubits, layers),
+        n_qubits,
+        optimize=False,
+        fusion_max_qubits=DEFAULT_FUSION_MAX_QUBITS if kind == "block" else 0,
+        batch_diagonals=False,
+        chunk_threshold=chunk_threshold,
+    )
 
 
 def _best_seconds(fn, repeats: int) -> float:
@@ -135,15 +162,7 @@ def run_calibration(
     measurements: dict = {"quick": bool(quick), "n_serial": n_serial}
 
     # -- 1. serial per-kernel cost factors ---------------------------------
-    plans = {
-        kind: compile_plan(
-            kernel_microbench_circuit(kind, n_serial, layers),
-            n_serial,
-            optimize=False,
-            batch_diagonals=False,
-        )
-        for kind in KERNEL_KINDS
-    }
+    plans = {kind: _microbench_plan(kind, n_serial, layers) for kind in KERNEL_KINDS}
     profiler = ReplayProfiler()
     with profiler_installed(profiler):
         for plan in plans.values():
@@ -181,7 +200,11 @@ def run_calibration(
         for i in range(256):
             tiny_builder.rz(i % 2, 0.2 + 0.001 * i)
         tiny_plan = compile_plan(
-            tiny_builder.build(), 2, optimize=False, batch_diagonals=False
+            tiny_builder.build(),
+            2,
+            optimize=False,
+            fusion_max_qubits=0,
+            batch_diagonals=False,
         )
         replay = _Replayer(tiny_plan)
         per_step = _best_seconds(replay, repeats + 1) / max(1, len(tiny_plan.steps))
@@ -200,13 +223,7 @@ def run_calibration(
             n_big = 12 if quick else 16
             forced_threshold = 1 << 8
             for kind in KERNEL_KINDS:
-                plan = compile_plan(
-                    kernel_microbench_circuit(kind, n_big, 2),
-                    n_big,
-                    optimize=False,
-                    batch_diagonals=False,
-                    chunk_threshold=forced_threshold,
-                )
+                plan = _microbench_plan(kind, n_big, 2, forced_threshold)
                 t_serial = _best_seconds(_Replayer(plan), repeats)
                 t_pool = _best_seconds(_Replayer(plan, pool=engine), repeats)
                 thread_efficiency[kind] = round(
@@ -217,13 +234,7 @@ def run_calibration(
             crossover_exps = (12, 14) if quick else (12, 13, 14, 15, 16, 17)
             crossover: dict[str, dict[str, float]] = {}
             for exp in crossover_exps:
-                plan = compile_plan(
-                    kernel_microbench_circuit("single", exp, 2),
-                    exp,
-                    optimize=False,
-                    batch_diagonals=False,
-                    chunk_threshold=forced_threshold,
-                )
+                plan = _microbench_plan("single", exp, 2, forced_threshold)
                 t_serial = _best_seconds(_Replayer(plan), repeats)
                 t_pool = _best_seconds(_Replayer(plan, pool=engine), repeats)
                 crossover[str(1 << exp)] = {"serial": t_serial, "threads": t_pool}
@@ -242,13 +253,7 @@ def run_calibration(
 
             pool = get_shared_state_pool(shm_workers)
             n_shm = 10
-            plan = compile_plan(
-                kernel_microbench_circuit("diagonal", n_shm, 8),
-                n_shm,
-                optimize=False,
-                batch_diagonals=False,
-                chunk_threshold=1 << 8,
-            )
+            plan = _microbench_plan("diagonal", n_shm, 8, 1 << 8)
             if pool.can_replay(plan):
                 t_serial = _best_seconds(_Replayer(plan), repeats)
                 shm_profiler = ReplayProfiler()

@@ -216,7 +216,7 @@ class LocalBackend(ExecutionBackend):
         self._owns_engine = engine is None
         self._plan_cache = plan_cache
         #: Optional :class:`~repro.exec.shm.SharedStatePool`: super-threshold
-        #: plan replays run across its worker *processes* (the ≥20-qubit
+        #: plan replays run across its worker *processes* (the large-state
         #: lane) instead of the engine's threads.  Not owned — shared pools
         #: outlive any one backend, so ``close()`` leaves it running.
         self.shm_pool = shm_pool
@@ -260,8 +260,13 @@ class LocalBackend(ExecutionBackend):
         ``predicted_units`` is the cost model's wall-clock estimate for the
         chosen lane when adaptive selection ran (so the caller can feed the
         measured replay time back via ``observe_lane``), ``None`` under
-        fixed routing.
+        fixed routing.  A state below the plan's ``chunk_threshold`` — the
+        measured crossover under which splitting a replay across workers
+        loses to the serial sweep — is never handed a pool: no lane would
+        engage, and the replay span reports the lane that really ran.
         """
+        if (1 << plan.n_qubits) < plan.chunk_threshold:
+            return None, "serial", None
         shm = self.shm_pool
         shm_ok = shm is not None and shm.can_replay(plan)
         if not self.adaptive:

@@ -57,8 +57,6 @@ from ..obs.trace import TraceContext, get_tracer
 from ..testing import faults
 from .retry import is_infrastructure_failure
 from ..simulator.execution_plan import (
-    KERNEL_DENSE,
-    KERNEL_GATHER,
     KERNEL_RESET,
     ExecutionPlan,
     _ChunkDense,
@@ -158,14 +156,15 @@ def _worker_plan_for_job(job: dict):
 
 def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
                   profiler=None):
-    """Execute this worker's share of one plan step; returns ``swapped``.
+    """Execute this worker's share of one plan step.
 
-    Every worker walks the identical step/spec sequence, so the ping-pong
-    bookkeeping (which buffer currently holds the state) stays in lockstep
-    without any communication.  Steps with no chunk spec run serially on
-    worker 0 while the others wait at the barrier; dense steps barrier
-    between their gather / matmul / scatter phases because each phase
-    reads what the previous one wrote.
+    Every worker walks the identical step/spec sequence and swaps its
+    buffers after a step exactly when :attr:`PlanStep.swaps` says so, so the
+    ping-pong bookkeeping (which buffer currently holds the state) stays in
+    lockstep without any communication.  Steps with no chunk spec run
+    serially on worker 0 while the others wait at the barrier; dense steps
+    barrier between their gather / matmul / scatter phases because each
+    phase reads what the previous one wrote.
 
     With a ``profiler`` the work and the barrier waits are timed
     separately — work seconds land on the step's kernel class, wait
@@ -177,7 +176,7 @@ def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
             if index == 0:
                 plan._apply_step(step, cur, spare, shape, None)
             barrier.wait()
-            return step.tag in (KERNEL_DENSE, KERNEL_GATHER)
+            return
         if isinstance(spec, _ChunkDense):
             for task in spec.tasks[index::workers]:
                 spec.gather_part(task, cur, spare)
@@ -188,11 +187,11 @@ def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
             for task in spec.tasks[index::workers]:
                 spec.scatter_part(task, cur, spare)
             barrier.wait()
-            return True
+            return
         for task in spec.tasks[index::workers]:
             spec.apply(task, cur, spare, shape)
         barrier.wait()
-        return spec.swaps
+        return
 
     perf_counter = time.perf_counter
 
@@ -207,7 +206,7 @@ def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
             plan._apply_step(step, cur, spare, shape, None)
             profiler.record_kernel(step.kernel, perf_counter() - t0)
         wait()
-        return step.tag in (KERNEL_DENSE, KERNEL_GATHER)
+        return
     if isinstance(spec, _ChunkDense):
         t0 = perf_counter()
         for task in spec.tasks[index::workers]:
@@ -225,13 +224,12 @@ def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
         work += perf_counter() - t0
         profiler.record_kernel(step.kernel, work)
         wait()
-        return True
+        return
     t0 = perf_counter()
     for task in spec.tasks[index::workers]:
         spec.apply(task, cur, spare, shape)
     profiler.record_kernel(step.kernel, perf_counter() - t0)
     wait()
-    return spec.swaps
 
 
 def _worker_replay(
@@ -311,10 +309,11 @@ def _worker_replay(
                         span.mark_error("replay aborted (cancel/deadline)")
                         break
                 faults.fire("shm.worker.step")
-                if _run_step_shm(
+                _run_step_shm(
                     plan, step, spec, cur, spare, shape, index, workers, barrier,
                     profiler,
-                ):
+                )
+                if step.swaps:
                     cur, spare = spare, cur
         if profiler is not None and span.recording:
             snap = profiler.snapshot()

@@ -123,8 +123,7 @@ class Accelerator:
             self.execute(scratch, circuit, shots=shots)
             counts = scratch.get_measurement_counts()
             results.append(counts)
-            for bitstring, count in counts.items():
-                buffer.add_measurement(bitstring, count)
+            buffer.add_counts(counts)
         buffer.information.setdefault("batch", []).extend(  # type: ignore[union-attr]
             {"circuit": c.name, "counts": r} for c, r in zip(circuits, results)
         )

@@ -76,8 +76,7 @@ class NoisyAccelerator(Accelerator, Cloneable):
             precision=str(self.options.get("precision", "double")),
         )
 
-        for bitstring, count in result.counts.items():
-            buffer.add_measurement(bitstring, count)
+        buffer.add_counts(result.counts)
         buffer.information.update(
             {
                 "backend": self.name(),

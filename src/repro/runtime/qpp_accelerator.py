@@ -194,8 +194,7 @@ class QppAccelerator(Accelerator, Cloneable):
                 buffer, circuit, shots, seed, optimize
             )
 
-        for bitstring, count in counts.items():
-            buffer.add_measurement(bitstring, count)
+        buffer.add_counts(counts)
         buffer.information.update(
             {"backend": self.name(), "shots": shots, "threads": self.num_threads}
         )
@@ -226,8 +225,7 @@ class QppAccelerator(Accelerator, Cloneable):
         result = StabilizerBackend().execute(
             circuit, shots, n_qubits=buffer.size, seed=get_config().seed
         )
-        for bitstring, count in result.counts.items():
-            buffer.add_measurement(bitstring, count)
+        buffer.add_counts(result.counts)
         buffer.information.update(
             {
                 "backend": self.name(),

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..ir.composite import CompositeInstruction
+from .execution_plan import DEFAULT_CHUNK_THRESHOLD
 
 __all__ = [
     "CircuitCost",
@@ -92,7 +93,13 @@ DEFAULT_SECONDS_PER_CLIFFORD_GATE = 2e-6
 #: move amplitudes; gathers pay one indexed copy; controlled kernels update
 #: half the state; dense blocks pay the single-qubit cost scaled by
 #: ``multi_qubit_factor`` per extra target (handled in :meth:`plan_cost`);
-#: resets are a probability reduction plus a conditional slice swap.
+#: resets are a probability reduction plus a conditional slice swap.  A
+#: contiguous-window block is ONE batched-GEMM pass whatever its width — not
+#: k singles and not a gather-dense step, and it costs about what ONE
+#: in-place single-qubit update does: on the 2-core reference VM a 4-qubit
+#: window takes 0.36–0.51 ms at 16 qubits where a single takes 0.3–1.3 ms
+#: depending on its target; the calibration harness measures 0.95 (10
+#: qubits) to 1.58 (13 qubits) singles per block pass.
 DEFAULT_KERNEL_COST_FACTORS: dict[str, float] = {
     "single": 1.0,
     "controlled": 0.6,
@@ -101,13 +108,15 @@ DEFAULT_KERNEL_COST_FACTORS: dict[str, float] = {
     "gather": 0.35,
     "dense": 1.0,
     "reset": 0.5,
+    "block": 1.0,
 }
 
 #: Fraction of each kernel class's amplitude sweep that chunk-parallel plan
 #: replay actually overlaps across worker threads (states at or above the
 #: chunk threshold).  Elementwise kernels chunk almost perfectly; gathers
 #: and dense blocks pay barrier/scatter phases; resets stay serial (global
-#: probability reduction + one RNG draw).
+#: probability reduction + one RNG draw) and so do contiguous-window blocks
+#: (the GEMM pass runs as the identical serial call on every lane).
 DEFAULT_KERNEL_PARALLEL_EFFICIENCY: dict[str, float] = {
     "single": 0.92,
     "controlled": 0.88,
@@ -116,6 +125,7 @@ DEFAULT_KERNEL_PARALLEL_EFFICIENCY: dict[str, float] = {
     "gather": 0.75,
     "dense": 0.7,
     "reset": 0.0,
+    "block": 0.0,
 }
 
 #: Fraction of each kernel class's sweep that *shared-memory process*
@@ -134,6 +144,7 @@ DEFAULT_KERNEL_PROCESS_EFFICIENCY: dict[str, float] = {
     "gather": 0.7,
     "dense": 0.6,
     "reset": 0.0,
+    "block": 0.0,
 }
 
 
@@ -209,9 +220,9 @@ class SimulationCostModel:
     kernel_cost_factors: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_KERNEL_COST_FACTORS)
     )
-    #: Minimum state size (amplitudes) before chunk-parallel replay engages
-    #: (mirrors :data:`repro.simulator.execution_plan.DEFAULT_CHUNK_THRESHOLD`).
-    chunk_threshold: int = 1 << 16
+    #: Minimum state size (amplitudes) before chunk-parallel replay engages:
+    #: the measured crossover the plans themselves default to.
+    chunk_threshold: int = DEFAULT_CHUNK_THRESHOLD
     #: Per-kernel-class fraction of the sweep that chunking parallelises
     #: (see :data:`DEFAULT_KERNEL_PARALLEL_EFFICIENCY`).
     kernel_parallel_efficiency: Mapping[str, float] = field(
@@ -321,9 +332,10 @@ class SimulationCostModel:
 
         ``kernel`` is a class name from
         :data:`repro.simulator.execution_plan.KERNEL_NAMES`; unknown names
-        cost like a dense update (conservative).  Dense blocks additionally
-        scale by ``multi_qubit_factor`` per extra target, mirroring
-        :meth:`gate_cost`.
+        cost like a dense update (conservative).  Gather-based dense blocks
+        additionally scale by ``multi_qubit_factor`` per extra target,
+        mirroring :meth:`gate_cost`; a contiguous-window ``block`` is one
+        pass at its own factor however many qubits it fuses.
         """
         amplitudes = float(1 << n_qubits)
         factor = float(self.kernel_cost_factors.get(kernel, 1.0))

@@ -10,8 +10,22 @@ amortises gate application with fused OpenMP kernels:
 * :func:`compile_plan` runs the IR optimisation pipeline once, precomputes
   every gate matrix, classifies each step into a specialised kernel
   (single-qubit in-place, controlled-single, diagonal/phase, permutation
-  for X/CX/SWAP-style moves, basis-gather for classical permutations, and
-  fused ≤3-qubit dense blocks) and pre-resolves all reshape geometry.
+  for X/CX/SWAP-style moves, basis-gather for classical permutations,
+  fused ≤3-qubit dense blocks, and contiguous-window blocks) and
+  pre-resolves all reshape geometry.
+* **Layer fusion** (on unless ``fusion_max_qubits=0``): concrete
+  single-qubit gates on different qubits commute, so a run of them — a
+  whole rotation layer of an ansatz — is multiplied per qubit, cut into
+  windows of at most :data:`BLOCK_WINDOW_MAX_QUBITS` *adjacent* qubits and
+  each window becomes one :data:`KERNEL_BLOCK` step holding the Kronecker
+  product ``U``.  A window ``[lo, lo+k)`` is a plain reshape of the state
+  to ``(-1, 2^k, 2^lo)``, so the kernel is one batched GEMM pass
+  ping-ponged into the spare buffer: no index tables (the gather-based
+  :data:`KERNEL_DENSE` carries two ``2^n`` ``intp`` tables and makes three
+  passes) and one sweep of the state per *layer window* instead of one per
+  gate.  ``fusion_max_qubits=0`` switches off this pass together with the
+  overlapping-gate pass — the gate-for-gate plan the bit-exact tests and
+  the calibration micro-benchmarks need.
 * :class:`ExecutionPlan.execute` is then a tight loop over ready kernels
   with a reusable per-thread ping-pong scratch buffer instead of per-gate
   allocation.
@@ -25,7 +39,9 @@ amortises gate application with fused OpenMP kernels:
   precomputed product diagonal over the union of touched qubits, shrinking
   step counts and full-state memory passes.
 * **Chunk-parallel replay** (``execute(state, pool=...)``): for states
-  of at least ``chunk_threshold`` amplitudes, every kernel splits into
+  of at least ``chunk_threshold`` amplitudes (default
+  :data:`DEFAULT_CHUNK_THRESHOLD`, the *measured* crossover — below it
+  serial replay is faster), every kernel splits into
   contiguous/disjoint sub-views dispatched on a :class:`ChunkPool` — the
   thread-pool :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
   (NumPy releases the GIL inside the vectorised inner loops, so chunks
@@ -73,6 +89,7 @@ __all__ = [
     "DEFAULT_FUSION_MAX_QUBITS",
     "DEFAULT_CHUNK_THRESHOLD",
     "DEFAULT_DIAGONAL_BATCH_MAX_QUBITS",
+    "BLOCK_WINDOW_MAX_QUBITS",
     "DEFAULT_PRECISION",
     "PRECISION_DTYPES",
 ]
@@ -110,6 +127,7 @@ KERNEL_PERMUTATION = 3  #: slice exchanges for X/CX/SWAP/CCX/CSWAP
 KERNEL_GATHER = 4  #: whole-state index gather for classical permutations
 KERNEL_DENSE = 5  #: fused <=3-qubit dense block (gather + matmul + scatter)
 KERNEL_RESET = 6  #: mid-circuit projective reset (needs an RNG)
+KERNEL_BLOCK = 7  #: contiguous-window dense block (one batched GEMM pass)
 
 KERNEL_NAMES = {
     KERNEL_SINGLE: "single",
@@ -119,21 +137,60 @@ KERNEL_NAMES = {
     KERNEL_GATHER: "gather",
     KERNEL_DENSE: "dense",
     KERNEL_RESET: "reset",
+    KERNEL_BLOCK: "block",
 }
 
-#: Default ceiling for dense-block fusion (0/1 disables, 3 is the max).
+#: Kernels that write their result into the spare buffer instead of updating
+#: the state in place.  The one definition of "this step swaps the ping-pong
+#: buffers": :attr:`PlanStep.swaps` is derived from it, and the serial loop,
+#: the chunk specs and every shared-memory worker read that attribute, so a
+#: new out-of-place kernel cannot desynchronise a worker's bookkeeping.
+_SWAPPING_KERNELS = frozenset({KERNEL_GATHER, KERNEL_DENSE, KERNEL_BLOCK})
+
+#: Default ceiling for overlapping-gate dense-block fusion (3 is the max;
+#: below 2 only single-qubit layers fuse, and 0 switches all fusion off).
 DEFAULT_FUSION_MAX_QUBITS = 2
 
-#: States below this many amplitudes are never chunk-parallelised: the pool
-#: dispatch overhead dominates the kernels.  2^16 amplitudes = 16 qubits =
-#: 1 MiB of complex128, the point where one kernel sweep clearly outweighs
-#: a handful of thread-pool submissions.
-DEFAULT_CHUNK_THRESHOLD = 1 << 16
+#: States below this many amplitudes are never chunk-parallelised: the
+#: smallest size from which splitting every kernel step across the engine's
+#: threads beat serial replay by >= 1.2x on *both* ``large_state`` circuit
+#: shapes.  Serial / thread-chunked wall time of fused plans, median of 5
+#: (``BENCH_chunked_replay.json``: 2-core Intel Xeon @ 2.10 GHz VM, 2
+#: workers, numpy 2.4.6, Python 3.11.7; ``bench_chunked_replay.py`` re-takes
+#: it on any host):
+#:
+#: ======  ============  =============
+#: qubits  RY/CX ansatz  QFT behind RY
+#: ======  ============  =============
+#: 16      0.61          0.35
+#: 17      0.49          0.58
+#: 18      0.93          0.98
+#: 20      1.20 (1.196)  1.46
+#: 21      1.55          1.92
+#: 22      1.80          1.84
+#: ======  ============  =============
+#:
+#: (20 qubits over three more runs: 1.03–1.10 / 1.11–1.55; 19 qubits 0.95 /
+#: 0.94.)  Below the crossover the lane *costs* up to 2.9x.  Block steps
+#: replay as one serial GEMM pass on every lane, so the more of a plan is
+#: fused, the higher its crossover.
+DEFAULT_CHUNK_THRESHOLD = 1 << 21
 
 #: Ceiling on the union of qubits a batched diagonal step may touch (the
 #: product diagonal holds ``2**k`` entries and the strided kernel issues up
 #: to that many slice multiplies, so the cap bounds both).
 DEFAULT_DIAGONAL_BATCH_MAX_QUBITS = 6
+
+#: Widest contiguous window a fused single-qubit layer is cut into (the
+#: block holds one ``2**W x 2**W`` matrix: 4 KiB at W = 4).  Measured per
+#: GEMM pass over a 16-qubit state: W = 3 0.25–0.35 ms, W = 4 0.41–0.53 ms,
+#: W = 5 0.55–0.80 ms — per fused qubit W = 4 is as fast as W = 5 at a
+#: quarter of the bytes per block, and takes fewer steps than W = 3.
+BLOCK_WINDOW_MAX_QUBITS = 4
+
+#: Windows ending at or below this qubit are widened down to qubit 0 (see
+#: :func:`_block_step`).
+_BLOCK_PAD_BELOW = 5
 
 #: Amplitude precision tiers.  ``"double"`` (complex128) is the bit-exact
 #: reference every identity guarantee is stated against; ``"single"``
@@ -219,6 +276,7 @@ class PlanStep:
         "dim_k",
         "parametric",
         "rebind_fast",
+        "swaps",
     )
 
     def __init__(self, tag: int, name: str, targets: tuple[int, ...]):
@@ -227,6 +285,8 @@ class PlanStep:
         self.targets = targets
         self.parametric = None
         self.rebind_fast = None
+        #: True when the kernel leaves its result in the spare buffer.
+        self.swaps = tag in _SWAPPING_KERNELS
 
     @property
     def kernel(self) -> str:
@@ -610,7 +670,9 @@ class ExecutionPlan:
             if step.diag_nd is not None:
                 psi *= step.diag_nd
             else:
-                for idx, d in zip(step.diag_idx, step.diag):
+                diag = step.diag
+                for slot, idx in step.diag_idx:
+                    d = diag[slot]
                     if d != 1.0:
                         psi[idx] *= d
         elif tag == KERNEL_PERMUTATION:
@@ -626,25 +688,21 @@ class ExecutionPlan:
             s1 = sub[1]
             sub[0] = step.m00 * s0 + step.m01 * s1
             sub[1] = step.m10 * s0 + step.m11 * s1
+        elif tag == KERNEL_BLOCK:
+            _window_matmul(step.matrix, cur, spare, step.block)
         elif tag == KERNEL_DENSE:
             np.take(cur, step.perm, out=spare)
-            np.matmul(
-                step.matrix,
-                spare.reshape(step.dim_k, -1),
-                out=cur.reshape(step.dim_k, -1),
-            )
+            _window_matmul(step.matrix, spare, cur, self._dim // step.dim_k)
             np.take(cur, step.inv_perm, out=spare)
-            cur, spare = spare, cur
         elif tag == KERNEL_GATHER:
             np.take(cur, step.gather, out=spare)
-            cur, spare = spare, cur
         else:  # KERNEL_RESET
             if rng is None:
                 raise ExecutionError(
                     "plan contains RESET instructions; execute() needs an rng"
                 )
             cur = self._reset(cur, step, rng)
-        return cur, spare
+        return (spare, cur) if step.swaps else (cur, spare)
 
     def _reset(
         self, cur: np.ndarray, step: PlanStep, rng: np.random.Generator
@@ -828,6 +886,67 @@ class ParametricExecutionPlan:
 
 
 # ---------------------------------------------------------------------------
+# The one GEMM every dense product goes through
+# ---------------------------------------------------------------------------
+
+#: Ceiling on M·N·K of any single GEMM the replay kernels issue (see
+#: :func:`_window_matmul`).
+_MATMUL_BATCH_CAP = 1 << 15
+
+
+def _window_matmul(
+    matrix: np.ndarray, src: np.ndarray, dst: np.ndarray, inner: int
+) -> None:
+    """``dst[a, :, b] = matrix @ src[a, :, b]`` over the ``(-1, K, inner)`` view.
+
+    ``src`` / ``dst`` are distinct flat state-sized buffers and ``matrix`` is
+    ``K x K``: with ``inner = 2^lo`` this applies a dense block to the qubit
+    window ``[lo, lo + log2 K)`` (``inner == 1`` right-multiplies by
+    ``matrix.T`` instead — the same product without ``2^n / K``
+    matrix-vector calls); with ``inner = 2^n / K`` it is the product inside
+    the gather-based dense kernel.
+
+    **Every product stays single-threaded by shape.**  The rule: the call is
+    a *batched* ``np.matmul`` whose per-batch ``M·N·K`` never exceeds
+    :data:`_MATMUL_BATCH_CAP` (the batch axis is reshaped; columns are
+    sliced — as a strided view, never a copy — only when ``2^lo`` alone is
+    over the cap).  The measurement (2-core Xeon VM, numpy 2.4.6, bundled
+    OpenBLAS 0.3.31, default 2 BLAS threads, 16-qubit complex128 state, the
+    BLAS pool idle between calls as it always is inside a replay): a
+    ``zgemm`` that reaches ``M·N·K`` ≈ 65 536 wakes OpenBLAS's worker pool
+    and stalls on it — ``(4x4) @ (4x16384)``, the product of a two-qubit
+    dense step, takes 8.9 ms as one call and 0.23–0.39 ms shaped;
+    ``(4x4) @ (4x4096)`` x 4 takes 29–38 ms vs 0.24–0.35; ``(8x8) @
+    (8x1024)`` x 8 takes 62–68 ms vs 0.32–0.41.  The library sets no BLAS
+    environment variable and makes no ``ctypes`` call; it only never hands
+    the BLAS a product it would thread.  (A matrix too large for any column
+    count to fit the cap — a ≥ 8-qubit unitary — goes through whole: there
+    the threads earn their wake-up.)
+
+    The shapes depend only on ``(K, inner, state size)``, so every lane
+    issues the identical BLAS calls and stays bitwise identical.
+    """
+    k_dim = matrix.shape[0]
+    span = _MATMUL_BATCH_CAP // (k_dim * k_dim)
+    if inner == 1:
+        rows = max(1, min(span, src.size // k_dim))
+        np.matmul(
+            src.reshape(-1, rows, k_dim), matrix.T, out=dst.reshape(-1, rows, k_dim)
+        )
+    elif inner <= span or span == 0:
+        np.matmul(
+            matrix, src.reshape(-1, k_dim, inner), out=dst.reshape(-1, k_dim, inner)
+        )
+    else:
+        shape = (-1, k_dim, inner // span, span)
+        np.matmul(
+            matrix,
+            src.reshape(shape).transpose(0, 2, 1, 3),
+            out=dst.reshape(shape).transpose(0, 2, 1, 3),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Chunk-parallel kernel splitting
 #
 # Every spec below partitions a kernel's amplitude sweep into disjoint
@@ -887,17 +1006,16 @@ def _merge_index(
 class _ChunkSpec:
     """Base chunk spec: a task list plus one per-task kernel application.
 
-    The uniform ``tasks`` / ``apply`` / ``swaps`` surface is what lets two
+    The uniform ``tasks`` / ``apply`` surface is what lets two
     very different drivers share the arithmetic: the thread path maps
     ``apply`` over the whole task list on an executor, while each
     shared-memory worker process applies only its slice
     (``tasks[index::workers]``) of the same deterministic decomposition,
-    with a barrier per step.  ``swaps`` tells both drivers whether the
-    step's output landed in the scratch buffer.
+    with a barrier per step.  Whether the step's output landed in the
+    scratch buffer is the step's own :attr:`PlanStep.swaps`.
     """
 
     __slots__ = ("step", "tasks")
-    swaps = False
 
     def apply(self, task, cur, spare, shape) -> None:
         raise NotImplementedError
@@ -905,7 +1023,7 @@ class _ChunkSpec:
     def run(self, pool_map, cur, spare, shape):
         apply = self.apply
         pool_map(lambda task: apply(task, cur, spare, shape), self.tasks)
-        return (spare, cur) if self.swaps else (cur, spare)
+        return (spare, cur) if self.step.swaps else (cur, spare)
 
 
 class _ChunkSingle(_ChunkSpec):
@@ -1002,7 +1120,7 @@ class _ChunkDiagonalStrided(_ChunkSpec):
         self.tasks = [
             tuple(
                 (slot, _merge_index(idx, assignment, n_qubits))
-                for slot, idx in enumerate(step.diag_idx)
+                for slot, idx in step.diag_idx
             )
             for assignment in assignments
         ]
@@ -1046,7 +1164,6 @@ class _ChunkGather(_ChunkSpec):
     """Whole-state index gather split into contiguous output ranges."""
 
     __slots__ = ()
-    swaps = True
 
     def __init__(self, step: PlanStep, dim: int, workers: int):
         self.step = step
@@ -1064,15 +1181,14 @@ class _ChunkDense(_ChunkSpec):
     split into contiguous output ranges; the small ``(2^k, 2^k) @ (2^k, M)``
     product itself runs as the *exact* serial call — BLAS picks different
     (differently-rounded) microkernels per operand shape, so slicing its
-    columns would forfeit the bitwise-identity guarantee.  The three phases
-    are exposed individually (``gather_part`` / ``matmul`` /
-    ``scatter_part``) because the shared-memory driver needs a barrier
-    between each: all workers gather, one worker multiplies, all workers
-    scatter.
+    columns differently per lane would forfeit the bitwise-identity
+    guarantee.  The three phases are exposed individually (``gather_part`` /
+    ``matmul`` / ``scatter_part``) because the shared-memory driver needs a
+    barrier between each: all workers gather, one worker multiplies, all
+    workers scatter.
     """
 
     __slots__ = ()
-    swaps = True
 
     def __init__(self, step: PlanStep, dim: int, workers: int):
         self.step = step
@@ -1084,11 +1200,7 @@ class _ChunkDense(_ChunkSpec):
 
     def matmul(self, cur, spare):
         step = self.step
-        np.matmul(
-            step.matrix,
-            spare.reshape(step.dim_k, -1),
-            out=cur.reshape(step.dim_k, -1),
-        )
+        _window_matmul(step.matrix, spare, cur, cur.size // step.dim_k)
 
     def scatter_part(self, task, cur, spare):
         lo, hi = task
@@ -1098,7 +1210,7 @@ class _ChunkDense(_ChunkSpec):
         pool_map(lambda span: self.gather_part(span, cur, spare), self.tasks)
         self.matmul(cur, spare)
         pool_map(lambda span: self.scatter_part(span, cur, spare), self.tasks)
-        return spare, cur
+        return (spare, cur) if self.step.swaps else (cur, spare)
 
 
 def _chunk_step(step: PlanStep, n_qubits: int, dim: int, workers: int):
@@ -1133,7 +1245,10 @@ def _chunk_step(step: PlanStep, n_qubits: int, dim: int, workers: int):
         return _ChunkGather(step, dim, workers)
     if tag == KERNEL_DENSE:
         return _ChunkDense(step, dim, workers)
-    return None  # KERNEL_RESET: global reduction + RNG draw stays serial
+    # KERNEL_RESET: global reduction + RNG draw stays serial.  KERNEL_BLOCK:
+    # the GEMM pass runs as the identical serial call on every lane (same
+    # argument as _ChunkDense.matmul), which keeps lanes bitwise identical.
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1155,8 +1270,12 @@ def compile_plan(
 
     ``n_qubits`` widens the plan beyond the circuit's own width (the state
     register may be larger than the circuit).  ``optimize`` runs the default
-    IR pass pipeline first; ``fusion_max_qubits`` bounds dense-block fusion
-    (0 or 1 disables it, 3 is the maximum).  ``batch_diagonals`` collapses
+    IR pass pipeline first; ``fusion_max_qubits`` bounds the overlapping-gate
+    dense-block fusion (below 2 there is none, 3 is the maximum) and ``0``
+    switches **all** fusion off, single-qubit layer fusion included — the
+    gate-for-gate plan, bit-identical to the gate-by-gate path on exact
+    kernels; fused plans agree with it to ≤ 1e-12 on amplitudes (≤ 1e-4 in
+    single precision).  ``batch_diagonals`` collapses
     adjacent runs of diagonal steps into combined product-diagonal steps
     (distribution-equivalent; reassociating the products can shift
     amplitudes by ulps, so pass ``False`` when bit-exact equality with the
@@ -1249,15 +1368,26 @@ def _compile(
     steps: list[PlanStep] = []
     for item in fused_seq:
         if isinstance(item, _FusedBlock):
-            steps.append(_materialize_block(item, width, perm_cache))
+            steps.append(
+                _dense_step("FUSED", item.targets, item.matrix, width, perm_cache)
+            )
             continue
         step = _classify(item, width, perm_cache)
         if step is not None:
             steps.append(step)
 
+    if fusion_max_qubits > 0:
+        steps, layered = _fuse_single_qubit_layers(steps, width)
+        fused_gates += layered
+
     batched_diagonals = 0
     if batch_diagonals:
         steps, batched_diagonals = _batch_diagonal_steps(steps, width)
+    # Only now, on the diagonal steps that survived batching, build the
+    # broadcast tensor / index tuples their kernel reads.
+    for step in steps:
+        if step.tag == KERNEL_DIAGONAL:
+            _finish_diagonal_step(step, width)
 
     if precision == "single":
         # Downcast the ndarray kernel payloads so the hot sweeps move half
@@ -1363,6 +1493,114 @@ def _merge_diagonal_run(
     return _diagonal_step("DIAG_BATCH", union, diag, n_qubits)
 
 
+# -- single-qubit layer fusion -----------------------------------------------
+
+
+def _fuse_single_qubit_layers(
+    steps: Sequence[PlanStep], n_qubits: int
+) -> tuple[list[PlanStep], int]:
+    """Fold runs of concrete one-qubit steps into contiguous-window blocks.
+
+    One-qubit operators on different qubits commute, so a run of concrete
+    (non-parametric) one-qubit steps — broken by any other step — is
+    gathered per qubit (same-qubit steps multiply, in program order).  The
+    qubits carrying at least one non-diagonal gate are sorted and cut into
+    maximal runs of *adjacent* qubits, at most
+    :data:`BLOCK_WINDOW_MAX_QUBITS` wide; a run of two or more becomes one
+    :data:`KERNEL_BLOCK` step holding the Kronecker product, a lone qubit
+    with several steps one ``FUSED`` single step, and a lone step is kept as
+    it is.  Qubits whose steps are all diagonal are left alone: a broadcast
+    multiply is cheaper than a GEMM pass and :func:`_batch_diagonal_steps`
+    merges them next.  Each fused step takes the place of its earliest
+    member, so a run in which nothing fuses comes out in program order,
+    untouched.
+
+    Parametric steps break runs exactly as they do in diagonal batching —
+    they must stay individually rebindable.  Returns the new step list and
+    the number of source steps absorbed into fused steps.
+    """
+    out: list[PlanStep] = []
+    run: list[PlanStep] = []
+    absorbed = 0
+
+    def flush() -> None:
+        nonlocal absorbed
+        if len(run) < 2:
+            out.extend(run)
+            run.clear()
+            return
+        per_qubit: dict[int, list[int]] = {}
+        for position, step in enumerate(run):
+            per_qubit.setdefault(step.targets[0], []).append(position)
+        mixing = sorted(
+            q
+            for q, positions in per_qubit.items()
+            if any(run[p].tag == KERNEL_SINGLE for p in positions)
+        )
+        placed: dict[int, PlanStep | None] = {}
+        start = 0
+        while start < len(mixing):
+            stop = start + 1
+            while (
+                stop < len(mixing)
+                and stop - start < BLOCK_WINDOW_MAX_QUBITS
+                and mixing[stop] == mixing[stop - 1] + 1
+            ):
+                stop += 1
+            qubits = mixing[start:stop]
+            start = stop
+            positions = sorted(p for q in qubits for p in per_qubit[q])
+            if len(positions) == 1:
+                continue
+            matrix = None
+            for q in qubits:
+                factor = None
+                for p in per_qubit[q]:
+                    gate = _one_qubit_matrix(run[p])
+                    factor = gate if factor is None else gate @ factor
+                matrix = factor if matrix is None else _kron(factor, matrix)
+            absorbed += len(positions)
+            placed.update(dict.fromkeys(positions))
+            placed[positions[0]] = (
+                _single_step("FUSED", qubits[0], matrix, n_qubits)
+                if len(qubits) == 1
+                else _block_step("FUSED", qubits[0], matrix)
+            )
+        for position, step in enumerate(run):
+            step = placed.get(position, step)
+            if step is not None:
+                out.append(step)
+        run.clear()
+
+    for step in steps:
+        if (
+            step.parametric is None
+            and len(step.targets) == 1
+            and step.tag in (KERNEL_SINGLE, KERNEL_DIAGONAL)
+        ):
+            run.append(step)
+        else:
+            flush()
+            out.append(step)
+    flush()
+    return out, absorbed
+
+
+def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices as one broadcast multiply
+    (``np.kron`` itself costs ~40 us on 2x2 operands — a millisecond per
+    compiled ansatz)."""
+    a, b = high.shape[0], low.shape[0]
+    return (high[:, None, :, None] * low[None, :, None, :]).reshape(a * b, a * b)
+
+
+def _one_qubit_matrix(step: PlanStep) -> np.ndarray:
+    """The 2x2 matrix of a concrete single / one-qubit diagonal step."""
+    if step.tag == KERNEL_DIAGONAL:
+        return np.diag(np.asarray(step.diag, dtype=complex))
+    return np.array([[step.m00, step.m01], [step.m10, step.m11]], dtype=complex)
+
+
 # -- dense-block fusion ------------------------------------------------------
 
 
@@ -1371,9 +1609,11 @@ class _FusedBlock:
 
     __slots__ = ("targets", "matrix", "count")
 
-    def __init__(self, targets: tuple[int, ...], matrix: np.ndarray, count: int):
+    def __init__(
+        self, targets: tuple[int, ...], matrix: np.ndarray | None, count: int
+    ):
         self.targets = targets
-        self.matrix = matrix
+        self.matrix = matrix  # None until a second gate joins (see _fuse)
         self.count = count
 
 
@@ -1395,30 +1635,31 @@ def _fuse(
 ) -> tuple[list[Instruction | _FusedBlock], int]:
     """Greedily fold adjacent overlapping fusable gates into dense blocks.
 
-    Only *contiguous* gates whose target sets overlap are fused (disjoint
-    gates are never reordered), so fusion preserves program order exactly.
-    Blocks that end up holding a single gate are emitted as the original
-    instruction so it still reaches its specialised kernel.
+    Only *contiguous* gates whose target sets overlap are fused, so this
+    pass preserves program order exactly.  A group that holds one gate, or
+    never grows past one qubit, is emitted as its original instructions:
+    each still reaches its specialised kernel, and multiplying single-qubit
+    gates together is :func:`_fuse_single_qubit_layers`' job alone.
     """
     if max_qubits < 2:
         return list(sequence), 0
 
     out: list[Instruction | _FusedBlock] = []
     group: _FusedBlock | None = None
+    members: list[Instruction] = []
     fused_gates = 0
 
     def flush() -> None:
         nonlocal group, fused_gates
         if group is None:
             return
-        if group.count == 1:
-            out.append(group_first[0])
+        if group.count == 1 or len(group.targets) == 1:
+            out.extend(members)
         else:
             fused_gates += group.count
             out.append(group)
         group = None
 
-    group_first: list[Instruction] = []
     for inst in sequence:
         if _fusable(inst, max_qubits):
             if group is not None:
@@ -1426,13 +1667,18 @@ def _fuse(
                     q for q in inst.qubits if q not in group.targets
                 )
                 if len(union) <= max_qubits and set(inst.qubits) & set(group.targets):
+                    if group.matrix is None:
+                        group.matrix = np.asarray(members[0].matrix(), dtype=complex)
                     lifted_g = _expand_matrix(group.matrix, group.targets, union)
                     lifted_i = _expand_matrix(inst.matrix(), inst.qubits, union)
                     group = _FusedBlock(union, lifted_i @ lifted_g, group.count + 1)
+                    members.append(inst)
                     continue
                 flush()
-            group = _FusedBlock(tuple(inst.qubits), np.asarray(inst.matrix(), dtype=complex), 1)
-            group_first = [inst]
+            # The matrix is only built once a second gate joins: most groups
+            # (every gate of a rotation layer) end as their lone member.
+            group = _FusedBlock(tuple(inst.qubits), None, 1)
+            members = [inst]
         else:
             flush()
             out.append(inst)
@@ -1496,25 +1742,40 @@ def _single_step(name, target, matrix, n_qubits, parametric=None) -> PlanStep:
 
 
 def _diagonal_step(name, targets, diag, n_qubits, parametric=None) -> PlanStep:
+    """A diagonal step holding its values only; :func:`_finish_diagonal_step`
+    adds the kernel geometry once batching has decided which steps survive."""
     step = PlanStep(KERNEL_DIAGONAL, name, tuple(targets))
-    k = len(targets)
     step.diag = tuple(complex(v) for v in diag)
-    step.diag_idx = tuple(
-        _axis_index(
-            n_qubits, {q: (local >> bit) & 1 for bit, q in enumerate(targets)}
-        )
-        for local in range(1 << k)
-    )
-    # Mostly-non-unit diagonals (RZ, batched products) apply fastest as one
-    # broadcast multiply over the whole state; mostly-unit ones (CPHASE, CZ,
-    # S, T) keep the strided path that skips untouched subspaces.  Parametric
-    # steps rebind ``diag`` in place, so they always stay on the strided
-    # path, which reads ``diag`` at execution time.
-    step.diag_nd = None
-    if parametric is None and sum(1 for v in step.diag if v != 1.0) > (1 << k) // 2:
-        step.diag_nd = _diag_broadcast(step.diag, step.targets, n_qubits)
+    step.diag_idx = step.diag_nd = None
     step.parametric = parametric
     return step
+
+
+def _finish_diagonal_step(step: PlanStep, n_qubits: int) -> None:
+    """Build what the diagonal kernel reads: ``diag_nd`` or ``diag_idx``.
+
+    Mostly-non-unit diagonals (RZ, batched products) apply fastest as one
+    broadcast multiply over the whole state; mostly-unit ones (CPHASE, CZ,
+    S, T) keep the strided path that skips untouched subspaces, with
+    ``diag_idx`` holding ``(slot, index tuple)`` for the non-unit slots
+    only.  Parametric steps rebind ``diag`` in place, so they always stay on
+    the strided path, which reads ``diag`` at execution time, and keep
+    every slot.
+    """
+    targets, diag = step.targets, step.diag
+    if step.parametric is None and sum(1 for v in diag if v != 1.0) > len(diag) // 2:
+        step.diag_nd = _diag_broadcast(diag, targets, n_qubits)
+        return
+    step.diag_idx = tuple(
+        (
+            slot,
+            _axis_index(
+                n_qubits, {q: (slot >> bit) & 1 for bit, q in enumerate(targets)}
+            ),
+        )
+        for slot, value in enumerate(diag)
+        if value != 1.0 or step.parametric is not None
+    )
 
 
 def _diag_broadcast(
@@ -1597,6 +1858,28 @@ def _dense_step(name, targets, matrix, n_qubits, perm_cache, parametric=None) ->
     return step
 
 
+def _block_step(name, lo, matrix) -> PlanStep:
+    """Dense ``matrix`` on the contiguous window ``[lo, lo + k)``.
+
+    Local bit ``i`` of ``matrix`` is qubit ``lo + i``, so the window is the
+    middle axis of ``state.reshape(-1, 2^k, 2^lo)`` and the step needs no
+    index tables (see :func:`_window_matmul`).  A window that starts just
+    above qubit 0 would issue ``2^n / 2^(lo+k)`` tiny GEMMs — at ``k = 2,
+    lo = 1`` on 16 qubits 2.2–3.0 ms against ~1.5 ms for the two
+    single-qubit steps it replaces — so windows ending at or below qubit 5
+    are widened down to qubit 0 with identities (0.2–0.3 ms for that case;
+    the matrix stays ≤ 16 KiB).
+    """
+    k = matrix.shape[0].bit_length() - 1
+    step = PlanStep(KERNEL_BLOCK, name, tuple(range(lo, lo + k)))
+    if 0 < lo and lo + k <= _BLOCK_PAD_BELOW:
+        matrix = _kron(matrix, np.eye(1 << lo))
+        lo = 0
+    step.matrix = np.ascontiguousarray(matrix, dtype=complex)
+    step.block = 1 << lo
+    return step
+
+
 def _gather_step(name, targets, local_perm, n_qubits) -> PlanStep:
     """Whole-state gather realising ``|x> -> |perm[x]>`` on ``targets``."""
     step = PlanStep(KERNEL_GATHER, name, tuple(targets))
@@ -1628,12 +1911,6 @@ def _permutation_from_matrix(matrix: np.ndarray) -> tuple[int, ...] | None:
         return None
     # matrix[dst, src] == 1  =>  |src> -> |dst>
     return tuple(int(d) for d in np.argmax(real, axis=0))
-
-
-def _materialize_block(block: _FusedBlock, n_qubits: int, perm_cache: dict) -> PlanStep:
-    if len(block.targets) == 1:
-        return _single_step("FUSED", block.targets[0], block.matrix, n_qubits)
-    return _dense_step("FUSED", block.targets, block.matrix, n_qubits, perm_cache)
 
 
 #: Parametric gates with direct trig rebind paths (see PlanStep.rebind).

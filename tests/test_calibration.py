@@ -259,9 +259,13 @@ class TestHarness:
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_microbench_circuits_lower_to_their_own_kernel(self, kind):
+        # Gate for gate (fusion_max_qubits=0): with layer fusion on, the
+        # "single" circuit's RX layers would lower to contiguous-window
+        # blocks — which is exactly what the "block" kind measures.
         plan = compile_plan(
             kernel_microbench_circuit(kind, 6), 6,
             optimize=False, batch_diagonals=False,
+            fusion_max_qubits=2 if kind == "block" else 0,
         )
         kernels = {step.kernel for step in plan.steps}
         assert kernels == {kind}

@@ -236,6 +236,32 @@ class TestPlanAwareCostModel:
         unfused = model.plan_cost(compile_plan(circuit, 5, fusion_max_qubits=0), 10)
         assert fused.total_work < unfused.total_work
 
+    def test_block_is_priced_as_one_pass_whatever_its_width(self):
+        """A contiguous-window block is one GEMM pass: not k singles, and
+        not a gather-dense step scaled per extra target."""
+        model = SimulationCostModel()
+        n = 12
+        assert model.kernel_cost(n, "block", targets=4) == model.kernel_cost(
+            n, "block", targets=2
+        )
+        assert model.kernel_cost(n, "block", targets=4) < 2 * model.kernel_cost(n, "single")
+        assert model.kernel_cost(n, "block", targets=2) < model.kernel_cost(
+            n, "dense", targets=2
+        )
+        builder = CircuitBuilder(n, name="layer")
+        for q in range(n):
+            builder.ry(q, 0.1 + 0.1 * q)
+        fused = compile_plan(builder.build(), n)
+        assert fused.kernel_counts() == {"block": 3}
+        unfused = compile_plan(builder.build(), n, fusion_max_qubits=0)
+        assert model.plan_cost(fused, 0).total_work < 0.5 * model.plan_cost(unfused, 0).total_work
+
+    def test_model_threshold_is_the_plans_measured_default(self):
+        from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD
+
+        assert SimulationCostModel().chunk_threshold == DEFAULT_CHUNK_THRESHOLD
+        assert compile_plan(qft_circuit(3), 3).chunk_threshold == DEFAULT_CHUNK_THRESHOLD
+
     def test_harness_modeled_mode_with_plan_costs(self):
         set_config(execution_mode="modeled")
         tasks = [

@@ -55,6 +55,51 @@ class TestAcceleratorBuffer:
         with pytest.raises(ExecutionError):
             buffer.add_measurement("")
 
+    def test_add_counts_accumulates_like_add_measurement_per_item(self):
+        counts = {"00": 5, "11": 3, "01": 0}
+        bulk, looped = AcceleratorBuffer(2), AcceleratorBuffer(2)
+        for buffer in (bulk, looped):
+            buffer.add_measurement("00", 2)
+        bulk.add_counts(counts)
+        for bitstring, count in counts.items():
+            looped.add_measurement(bitstring, count)
+        assert bulk.get_measurement_counts() == looped.get_measurement_counts()
+        assert bulk.get_measurement_counts() == {"00": 7, "11": 3, "01": 0}
+        bulk.add_counts({})
+        assert bulk.total_shots() == 10
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"00": 1, "0x": 2}, "invalid measurement bitstring '0x'"),
+            ({"00": 1, "": 2}, "invalid measurement bitstring ''"),
+            ({"0a1": 1}, "invalid measurement bitstring '0a1'"),
+            ({"00": 1, "11": -2}, "count must be non-negative, got -2"),
+        ],
+    )
+    def test_add_counts_rejects_what_add_measurement_rejects(self, bad, message):
+        buffer = AcceleratorBuffer(2)
+        buffer.add_measurement("00", 4)
+        with pytest.raises(ExecutionError, match=message):
+            buffer.add_counts(bad)
+        # Validated in bulk before anything is merged.
+        assert buffer.get_measurement_counts() == {"00": 4}
+
+    def test_add_counts_takes_the_lock_once(self):
+        buffer = AcceleratorBuffer(3)
+        acquisitions = []
+
+        class CountingLock:
+            def __enter__(self):
+                acquisitions.append(1)
+
+            def __exit__(self, *exc):
+                return False
+
+        buffer._lock = CountingLock()
+        buffer.add_counts({format(i, "03b"): i for i in range(8)})
+        assert len(acquisitions) == 1
+
     def test_probability(self):
         buffer = AcceleratorBuffer(2)
         buffer.set_measurements({"00": 75, "11": 25})

@@ -104,6 +104,9 @@ def test_algorithm_suite_bit_identical_without_fusion_triggering():
     Diagonal batching is disabled here because batched plans reassociate
     the CPHASE products (ulp-level shifts on generic states; equivalence
     with batching on is covered at 1e-12 in test_simulator_chunked_plan).
+    Fusion is pinned off (``fusion_max_qubits=0``): since single-qubit
+    layers fuse into GEMM blocks, Shor's Hadamard layers would otherwise
+    trigger it, and a fused plan is 1e-12-close, not bit-identical.
     """
     shor = period_finding_circuit(15, 2)
     for circuit, n in [
@@ -113,7 +116,9 @@ def test_algorithm_suite_bit_identical_without_fusion_triggering():
         (shor, shor.n_qubits),
     ]:
         assert np.array_equal(
-            plan_state(circuit, n, optimize=False, batch_diagonals=False),
+            plan_state(
+                circuit, n, optimize=False, batch_diagonals=False, fusion_max_qubits=0
+            ),
             naive_state(circuit, n),
         )
 
@@ -152,13 +157,34 @@ def test_fusion_fuses_single_qubit_runs_and_overlapping_blocks():
     assert np.allclose(plan.execute(plan.new_state()), expected, atol=1e-12)
 
 
-def test_fusion_never_reorders_disjoint_gates():
+def test_fusion_merges_disjoint_singles_and_keeps_non_commuting_order():
+    """What is true since layer fusion (this test used to assert that
+    disjoint rotations never merge — the old pass's limitation): concrete
+    single-qubit gates on different qubits commute, so a run of them folds
+    into one contiguous-window block and ``fused_gates`` counts them; a
+    step that does not commute with the run (here a CX) is never crossed,
+    so program order is preserved around it.
+    """
     circuit = CircuitBuilder(3).ry(0, 0.3).ry(1, 0.7).ry(2, 1.1).build()
     plan = compile_plan(circuit, 3, fusion_max_qubits=3)
-    # Disjoint rotations must not merge (reordering is only safe when the
-    # target sets overlap and stay contiguous).
-    assert plan.fused_gates == 0
+    assert [step.kernel for step in plan.steps] == ["block"]
+    assert plan.steps[0].targets == (0, 1, 2)
+    assert plan.fused_gates == 3
     assert np.allclose(plan.execute(plan.new_state()), naive_state(circuit, 3), atol=1e-12)
+
+    ordered = (
+        CircuitBuilder(3).ry(0, 0.3).ry(1, 0.7).cx(0, 1).ry(0, 0.5).ry(1, 0.9).ry(2, 1.1)
+    ).build()
+    plan = compile_plan(ordered, 3, optimize=False)
+    assert [step.kernel for step in plan.steps] == ["block", "permutation", "block"]
+    assert [step.targets for step in plan.steps] == [(0, 1), (0, 1), (0, 1, 2)]
+    assert plan.fused_gates == 5
+    assert np.allclose(plan.execute(plan.new_state()), naive_state(ordered, 3), atol=1e-12)
+
+    # fusion_max_qubits=0 is the gate-for-gate plan: nothing merges at all.
+    unfused = compile_plan(ordered, 3, optimize=False, fusion_max_qubits=0)
+    assert unfused.fused_gates == 0 and unfused.n_steps == 6
+    assert np.array_equal(unfused.execute(unfused.new_state()), naive_state(ordered, 3))
 
 
 def test_plan_width_can_exceed_circuit_width():

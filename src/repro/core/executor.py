@@ -38,9 +38,17 @@ __all__ = ["KernelTask", "TaskResult", "ExecutionReport", "run_one_by_one", "run
 class KernelTask:
     """One quantum kernel execution request.
 
-    ``circuit_factory`` (rather than a pre-built circuit) lets workloads
-    regenerate per-task circuits lazily; ``shots`` defaults to the global
-    configuration.
+    ``circuit_factory`` (rather than a pre-built circuit) keeps construction
+    lazy; ``shots`` defaults to the global configuration.
+
+    The circuit is **built once**: :meth:`build_circuit` calls the factory
+    on first use and hands back the same object afterwards.  Circuits are
+    append-only and their instructions immutable once added (see
+    :class:`~repro.ir.composite.CompositeInstruction`) and every caller only
+    reads, so one object per task is safe — and it is what lets the
+    per-object content-hash memo and the plan cache's fast path hit on
+    every run after the first (building and hashing a Shor kernel costs
+    about as much as executing it).
     """
 
     name: str
@@ -49,9 +57,14 @@ class KernelTask:
     shots: int | None = None
     #: Extra accelerator options (e.g. noise settings) for this task.
     accelerator_options: Mapping[str, object] = field(default_factory=dict)
+    _circuit: CompositeInstruction | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def build_circuit(self) -> CompositeInstruction:
-        return self.circuit_factory()
+        if self._circuit is None:
+            self._circuit = self.circuit_factory()
+        return self._circuit
 
 
 @dataclass

@@ -17,6 +17,7 @@ proposes wrappers that do it automatically.  These are those wrappers:
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import threading
 from typing import Callable, Mapping, Sequence, TypeVar
 
@@ -67,10 +68,35 @@ def qcor_thread(
     return thread
 
 
-#: Executor backing qcor_async; sized generously because tasks are usually
-#: I/O-or-simulation bound and short-lived.
-_async_executor: concurrent.futures.ThreadPoolExecutor | None = None
+_async_pool: concurrent.futures.ThreadPoolExecutor | None = None
 _async_lock = threading.Lock()
+
+
+def async_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The process's one async pool (``qcor_async`` and ``std_async``).
+
+    One worker per host core, all started when the pool is created — on the
+    first call, never at import or in :func:`initialize`, so a process that
+    launches nothing asynchronously gains no thread.  A lazily growing pool
+    spawns a worker whenever a submit finds none idle, and a worker
+    publishes its result *before* it counts itself idle, so a submit landing
+    in between grew the pool long after start-up; a full pool cannot grow.
+    """
+    global _async_pool
+    with _async_lock:
+        if _async_pool is None:
+            workers = os.cpu_count() or 1
+            pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="qcor-async"
+            )
+            # A submit starts a worker only while none is idle: hold each
+            # one at a barrier until the last has started.
+            all_started = threading.Barrier(workers + 1)
+            for _ in range(workers):
+                pool.submit(all_started.wait)
+            all_started.wait()
+            _async_pool = pool
+        return _async_pool
 
 
 def qcor_async(
@@ -84,17 +110,13 @@ def qcor_async(
     """Asynchronously run ``target`` with per-thread QPU initialisation.
 
     Mirrors Listing 5 of the paper: returns a future whose ``result()`` is
-    the target's return value.
+    the target's return value.  Targets share :func:`async_pool`'s
+    ``os.cpu_count()`` workers and queue behind one another, so a target
+    that *blocks on another* ``qcor_async`` result can starve itself of the
+    worker that result needs — such a target belongs on :func:`qcor_thread`.
     """
-    global _async_executor
-    with _async_lock:
-        if _async_executor is None:
-            _async_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=32, thread_name_prefix="qcor-async"
-            )
-        executor = _async_executor
     runner = _wrap_with_initialize(target, accelerator, shots, options)
-    return executor.submit(runner, *args, **kwargs)
+    return async_pool().submit(runner, *args, **kwargs)
 
 
 class TaskGroup:

@@ -21,22 +21,41 @@ everywhere): shared plan cache + per-instance
 density-matrix simulator behind the same protocol so the noisy accelerator
 is an adapter like the others.  The process-sharded implementation lives in
 :mod:`repro.exec.sharded`.
+
+**One execution gate per process** (:func:`execution_gate`).  Two threads
+that each run an interpreter-bound kernel do not overlap: they hand the GIL
+back and forth at every numpy call — a cross-core wake-up each, once the OS
+has spread them over two cores — and both finish later than they would back
+to back.  Such kernels run one at a time under one lock: every tableau job
+(:mod:`repro.exec.stabilizer`), and a reset-free dense job whose state lies
+in the *hand-off band*, ``HANDOFF_BAND_START <= 2**width <
+HANDOFF_BAND_STOP`` (measured constants beside ``DEFAULT_CHUNK_THRESHOLD``
+in :mod:`repro.simulator.execution_plan`: below the band nothing is handed
+off, above it two threads genuinely overlap).  Only state allocation +
+replay + sample are gated; compile and cache lookup stay outside, and
+trajectories, sweeps and expectations are not gated.
 """
 
 from __future__ import annotations
 
 import abc
+import contextlib
+import threading
 import time
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..cancellation import active_cancel_token
+from ..cancellation import CancelToken, active_cancel_token
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..obs.trace import get_tracer
 from ..testing import faults
-from ..simulator.execution_plan import DEFAULT_PRECISION
+from ..simulator.execution_plan import (
+    DEFAULT_PRECISION,
+    HANDOFF_BAND_START,
+    HANDOFF_BAND_STOP,
+)
 from ..simulator.parallel_engine import ParallelSimulationEngine
 from ..simulator.plan_cache import PlanCache, get_plan_cache
 from ..simulator.statevector import StateVector
@@ -46,6 +65,34 @@ __all__ = ["ExecutionBackend", "LocalBackend", "DensityBackend"]
 
 #: Accepted parameter shapes for parametric execution.
 Params = Mapping[str, float] | Sequence[float] | None
+
+#: The process's one execution gate: held while an interpreter-bound kernel
+#: evolves and samples (every tableau job, and a dense job whose state lies
+#: in the hand-off band — see the module docstring).
+_GATE = threading.Lock()
+#: How long a queued job waits between looks at its cancel token.
+_GATE_SLICE_SECONDS = 0.02
+
+
+@contextlib.contextmanager
+def execution_gate(token: CancelToken | None) -> Iterator[None]:
+    """Hold the process-wide execution gate for the block.
+
+    A job with a cancel token waits in bounded slices and re-checks the
+    token between them and once more on entry, so one whose deadline passes
+    in the queue raises the usual typed error and never starts its kernel.
+    """
+    if token is None:
+        _GATE.acquire()
+    else:
+        while not _GATE.acquire(timeout=_GATE_SLICE_SECONDS):
+            token.check()
+    try:
+        if token is not None:
+            token.check()
+        yield
+    finally:
+        _GATE.release()
 
 
 class ExecutionBackend(abc.ABC):
@@ -366,34 +413,40 @@ class LocalBackend(ExecutionBackend):
                     width, circuit, shots, seed=seed, plan=plan
                 )
         else:
-            state = StateVector(width, dtype=plan.dtype)
-            # The chunk pool — shm processes for large states when
-            # configured, the engine's threads otherwise, or None for a
-            # serial replay when adaptive selection predicts chunking
-            # cannot pay — parallelises the single large-state replay
-            # (bitwise identical to serial).
-            pool, lane, predicted_units = self._route_replay(plan, shots)
-            replay_started = time.perf_counter()
-            with tracer.span(
-                "replay",
-                attrs={
-                    "n_qubits": width,
-                    "lane": type(pool).__name__ if pool is not None else "serial",
-                },
-            ):
-                state.apply_plan(plan, pool=pool)
-            if predicted_units is not None:
-                # Online calibration refinement: fold the measured replay
-                # time for the lane the model chose back into its EWMA so
-                # subsequent selections reflect this host's served jobs.
-                self.cost_model().observe_lane(
-                    lane, predicted_units, time.perf_counter() - replay_started
-                )
-            measured = plan.measured_qubits or tuple(range(width))
-            with tracer.span("sample", attrs={"shots": shots}):
-                counts = self._engine.sample_parallel(
-                    state, shots, measured, seed=seed
-                )
+            # One interpreter-bound dense kernel at a time (module docstring).
+            gated = HANDOFF_BAND_START <= (1 << width) < HANDOFF_BAND_STOP
+            queued = time.perf_counter()
+            with execution_gate(token) if gated else contextlib.nullcontext():
+                # ``seconds`` reports this job's work, not its wait for another's.
+                started += time.perf_counter() - queued
+                state = StateVector(width, dtype=plan.dtype)
+                # The chunk pool — shm processes for large states when
+                # configured, the engine's threads otherwise, or None for a
+                # serial replay when adaptive selection predicts chunking
+                # cannot pay — parallelises the single large-state replay
+                # (bitwise identical to serial).
+                pool, lane, predicted_units = self._route_replay(plan, shots)
+                replay_started = time.perf_counter()
+                with tracer.span(
+                    "replay",
+                    attrs={
+                        "n_qubits": width,
+                        "lane": type(pool).__name__ if pool is not None else "serial",
+                    },
+                ):
+                    state.apply_plan(plan, pool=pool)
+                if predicted_units is not None:
+                    # Online calibration refinement: fold the measured replay
+                    # time for the lane the model chose back into its EWMA so
+                    # subsequent selections reflect this host's served jobs.
+                    self.cost_model().observe_lane(
+                        lane, predicted_units, time.perf_counter() - replay_started
+                    )
+                measured = plan.measured_qubits or tuple(range(width))
+                with tracer.span("sample", attrs={"shots": shots}):
+                    counts = self._engine.sample_parallel(
+                        state, shots, measured, seed=seed
+                    )
         elapsed = time.perf_counter() - started
         return ExecutionResult(
             counts=counts,

@@ -51,22 +51,23 @@ workers do not overlap, they hand the GIL back and forth at every numpy
 call and both finish later than they would back to back (measured on the
 byte-per-bit tableau: two clients got 0.75x the throughput of one, at
 +50 % CPU per op).
-:meth:`StabilizerBackend.execute` therefore evolves and samples under a
-process-wide lock, taken in short slices so a queued job still honours its
-deadline.  This is what the GIL already enforces, minus the hand-offs.
+:meth:`StabilizerBackend.execute` therefore evolves and samples under the
+process's one execution gate (:func:`repro.exec.backend.execution_gate` —
+the lock dense kernels in the hand-off band take too, so a tableau job and
+such a dense job also exclude each other), taken in short slices so a queued
+job still honours its deadline.  This is what the GIL already enforces,
+minus the hand-offs.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..cancellation import CancelToken, active_cancel_token
+from ..cancellation import active_cancel_token
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import (
@@ -78,7 +79,7 @@ from ..ir.transforms.clifford import (
 from ..obs.trace import get_tracer
 from ..testing import faults
 from ..simulator.execution_plan import DEFAULT_PRECISION
-from .backend import ExecutionBackend, Params, _resolve_width
+from .backend import ExecutionBackend, Params, _resolve_width, execution_gate
 from .result import ExecutionResult
 
 __all__ = ["StabilizerTableau", "StabilizerBackend", "estimate_tableau_bytes"]
@@ -479,34 +480,6 @@ class StabilizerTableau:
         return -1.0 if rows.product_phase(selected)[0] & 0x80 else 1.0
 
 
-#: Held while a tableau evolves and samples: one such job at a time per
-#: process (see the module docstring).
-_GATE = threading.Lock()
-#: How long a queued job waits between looks at its cancel token.
-_GATE_SLICE_SECONDS = 0.02
-
-
-@contextmanager
-def _tableau_gate(token: CancelToken | None) -> Iterator[None]:
-    """Hold the process-wide tableau gate for the block.
-
-    A job with a cancel token waits in bounded slices and re-checks the
-    token between them and once more on entry, so one whose deadline passes
-    in the queue raises the usual typed error and never evolves a tableau.
-    """
-    if token is None:
-        _GATE.acquire()
-    else:
-        while not _GATE.acquire(timeout=_GATE_SLICE_SECONDS):
-            token.check()
-    try:
-        if token is not None:
-            token.check()
-        yield
-    finally:
-        _GATE.release()
-
-
 class StabilizerBackend(ExecutionBackend):
     """Tableau execution behind :class:`ExecutionBackend`.
 
@@ -592,7 +565,7 @@ class StabilizerBackend(ExecutionBackend):
         measured = classification.measured_qubits or tuple(range(width))
         rng = np.random.default_rng(seed)
         queued = time.perf_counter()
-        with _tableau_gate(token):
+        with execution_gate(token):
             # ``seconds`` reports this job's work, not its wait for another's.
             started += time.perf_counter() - queued
             with tracer.span(

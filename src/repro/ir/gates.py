@@ -519,7 +519,10 @@ class PermutationGate(UnitaryGate):
         for src, dst in enumerate(perm):
             matrix[dst, src] = 1.0
         self.permutation = tuple(perm)
-        super().__init__(matrix, qubits, name=name)
+        # The 0/1 matrix of a bijection is unitary and has the right shape
+        # by the two checks above, so UnitaryGate's M·M† product is skipped.
+        self._matrix = matrix
+        Instruction.__init__(self, name, qubits)
 
 
 # ---------------------------------------------------------------------------

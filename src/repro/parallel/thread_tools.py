@@ -14,13 +14,11 @@ import concurrent.futures
 import threading
 from typing import Callable, Iterable, TypeVar
 
+from ..core.threading_api import async_pool
+
 __all__ = ["std_thread", "std_async", "join_all"]
 
 R = TypeVar("R")
-
-#: Shared executor backing std_async (lazily created, grown on demand).
-_async_executor: concurrent.futures.ThreadPoolExecutor | None = None
-_async_lock = threading.Lock()
 
 
 def std_thread(target: Callable[..., object], *args, **kwargs) -> threading.Thread:
@@ -37,17 +35,11 @@ def std_thread(target: Callable[..., object], *args, **kwargs) -> threading.Thre
 def std_async(fn: Callable[..., R], *args, **kwargs) -> "concurrent.futures.Future[R]":
     """Launch ``fn`` asynchronously and return a future (``std::async`` analogue).
 
-    The launch policy is always the equivalent of ``std::launch::async``: the
-    callable starts running immediately on a pool thread.
+    Runs on the process's one async pool
+    (:func:`repro.core.threading_api.async_pool`, one worker per host core):
+    the callable starts as soon as a worker is free.
     """
-    global _async_executor
-    with _async_lock:
-        if _async_executor is None:
-            _async_executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=32, thread_name_prefix="repro-async"
-            )
-        executor = _async_executor
-    return executor.submit(fn, *args, **kwargs)
+    return async_pool().submit(fn, *args, **kwargs)
 
 
 def join_all(threads: Iterable[threading.Thread]) -> None:

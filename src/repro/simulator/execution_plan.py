@@ -88,6 +88,8 @@ __all__ = [
     "precision_dtype",
     "DEFAULT_FUSION_MAX_QUBITS",
     "DEFAULT_CHUNK_THRESHOLD",
+    "HANDOFF_BAND_START",
+    "HANDOFF_BAND_STOP",
     "DEFAULT_DIAGONAL_BATCH_MAX_QUBITS",
     "BLOCK_WINDOW_MAX_QUBITS",
     "DEFAULT_PRECISION",
@@ -175,6 +177,36 @@ DEFAULT_FUSION_MAX_QUBITS = 2
 #: replay as one serial GEMM pass on every lane, so the more of a plan is
 #: fused, the higher its crossover.
 DEFAULT_CHUNK_THRESHOLD = 1 << 21
+
+#: The *hand-off band*, in amplitudes, half-open: the state sizes at which a
+#: second thread replaying its own dense kernel costs throughput, because
+#: numpy drops the GIL inside calls too short to be worth a cross-core
+#: hand-off.  Inside it :class:`~repro.exec.backend.LocalBackend` runs one
+#: dense kernel at a time (the process's execution gate); below its upper
+#: edge trajectory shot chunks run on the calling thread, not on a pool.
+#: A size is in the band iff two gated threads did >= 1.05x the jobs/s of two
+#: ungated ones in the tracked sweep — ``LocalBackend.execute`` of a 2-layer
+#: RY/CX ansatz x 256 shots per thread, median of three 2.5 s cells per side
+#: after a 3 s spin-up (``BENCH_paper_figures.json``: 2-core Intel Xeon @
+#: 2.10 GHz VM, numpy 2.4.6, Python 3.11.7; ``bench_paper_figures.py``
+#: re-takes it on any host, forcing each side by patching these constants):
+#:
+#: ===============  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====
+#: qubits              4     6     8     9    10    11    12    13    14    16    20
+#: gated / ungated  0.59  0.72  0.73  1.31  1.38  1.81  1.35  1.16  0.71  0.56  0.51
+#: ungated / solo   0.74  0.63  0.72  0.47  0.45  0.37  0.46  0.83  1.01  1.68  1.77
+#: ===============  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====  ====
+#:
+#: 13 qubits is the margin: 0.96–1.27 over nine single cells in four sweeps
+#: (never a loss beyond noise), 14 qubits 0.71–0.91 in every one.  Below the
+#: band nothing is handed off and a gate only adds a lock convoy; above it
+#: one numpy call outlasts a hand-off and two threads genuinely overlap —
+#: *ungated / solo* crosses 1 at 14 qubits, where the paper's "two kernels in
+#: parallel beat one after the other" starts to hold on this host.  Pooled /
+#: inline trajectory chunks (64 shots, 2 threads, same file): 6 q 1.46, 8 q
+#: 1.39, 10 q 1.97, 12 q 1.92, 14 q 1.04, 16 q 0.60 (13 q, apart: 1.17–1.24).
+HANDOFF_BAND_START = 1 << 9
+HANDOFF_BAND_STOP = 1 << 14
 
 #: Ceiling on the union of qubits a batched diagonal step may touch (the
 #: product diagonal holds ``2**k`` entries and the strided kernel issues up

@@ -7,7 +7,10 @@ Python analogue used by :class:`repro.runtime.qpp_accelerator.QppAccelerator`:
 * **Shot-level parallelism** — shots split into ``num_threads`` chunks, each
   with its own RNG stream from a ``numpy.random.SeedSequence`` spawn:
   trajectory chunks (noisy or mid-circuit-measurement workloads) run on a
-  thread pool, terminal-sampling chunks draw on the calling thread.  A fixed
+  thread pool — or, for a state below ``HANDOFF_BAND_STOP`` amplitudes, back
+  to back on the calling thread, because a second thread on so small a
+  state only trades the GIL with the first — and terminal-sampling chunks
+  draw on the calling thread.  A fixed
   seed reproduces exactly at a fixed ``num_threads``; fixed-seed *counts*
   differ between worker counts (``seed=5`` gives different Bell histograms
   on 1 and 2 threads), the sampled *distribution* does not.
@@ -38,7 +41,12 @@ import numpy as np
 from ..config import get_config
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
-from .execution_plan import DEFAULT_CHUNK_THRESHOLD, ExecutionPlan, compile_plan
+from .execution_plan import (
+    DEFAULT_CHUNK_THRESHOLD,
+    HANDOFF_BAND_STOP,
+    ExecutionPlan,
+    compile_plan,
+)
 from .sampling import sample_chunks, sample_counts
 from .statevector import StateVector
 
@@ -250,7 +258,9 @@ class ParallelSimulationEngine:
         single-state + multinomial sampling approach incorrect).  The
         circuit is compiled once into an execution plan (or use a
         pre-compiled ``plan``) and replayed per trajectory; trajectory
-        counts are split over the worker pool.
+        counts are split into one chunk per worker (run on the pool at or
+        above ``HANDOFF_BAND_STOP`` amplitudes, inline below it — the
+        counts are the same either way).
 
         ``processes=N`` (N > 1) shards the trajectories across the shared
         :class:`~repro.exec.sharded.ShardedExecutor` worker *processes*
@@ -309,9 +319,12 @@ class ParallelSimulationEngine:
                 plan, chunk, np.random.default_rng(seq), measured, n_qubits, prepare
             )
 
-        pool = self._executor(len(chunks))
-        results = list(pool.map(run_chunk, zip(chunks, seeds)))
-        return merge_counts(results)
+        # Below the hand-off band's upper edge the chunks run back to back
+        # here: same streams, same chunk function, same merge order — so
+        # identical counts — and no pool is created.
+        inline = (1 << n_qubits) < HANDOFF_BAND_STOP
+        mapper = map if inline else self._executor(len(chunks)).map
+        return merge_counts(mapper(run_chunk, zip(chunks, seeds)))
 
     # -- chunk-level parallelism ----------------------------------------------------
     def apply_single_qubit_chunked(

@@ -100,7 +100,14 @@ LOCAL_CASES = [
         [FaultSpec(site="local.replay", action="slow", seconds=0.4)],
         0.15,
         DeadlineExceeded,
+        False,
         id="local-slow-deadline",
+    ),
+    # An in-band dense job takes the process's execution gate (as every
+    # tableau job does), so this lane too can be slow by queueing behind
+    # another job that holds it until the deadline passes.
+    pytest.param(
+        "queued", [], 0.05, DeadlineExceeded, True, id="local-queued-deadline"
     ),
     pytest.param(
         "compile",
@@ -111,6 +118,7 @@ LOCAL_CASES = [
         ],
         None,
         CompilationError,
+        False,
         id="local-compile-fail",
     ),
     pytest.param(
@@ -122,6 +130,7 @@ LOCAL_CASES = [
         ],
         None,
         MemoryError,
+        False,
         id="local-alloc-fail",
     ),
 ]
@@ -251,11 +260,13 @@ SHM_CASES = [
 
 
 class TestLocalLane:
-    @pytest.mark.parametrize("tag, specs, deadline, expect", LOCAL_CASES)
-    def test_local_fault(self, tag, specs, deadline, expect):
+    @pytest.mark.parametrize("tag, specs, deadline, expect, gate_held", LOCAL_CASES)
+    def test_local_fault(self, tag, specs, deadline, expect, gate_held):
+        from repro.exec.backend import execution_gate
         from repro.simulator.plan_cache import get_plan_cache
 
-        circuit = chaos_circuit(f"loc_{tag}")
+        # Only a state inside the hand-off band (10 qubits is) is gated.
+        circuit = chaos_circuit(f"loc_{tag}", 10 if gate_held else 3)
         backend = LocalBackend()
         expected = backend.execute(circuit, 64, seed=7).counts
         # The baseline warmed the global plan cache; a compile fault must
@@ -268,8 +279,10 @@ class TestLocalLane:
                 result = backend.execute(circuit, 64, seed=7)
             assert result.counts == expected
         else:
+            # The gate is a plain lock: held here, it is held by "another job".
+            other_job = execution_gate(None) if gate_held else contextlib.nullcontext()
             with pytest.raises(expect):
-                with cancel_scope(token):
+                with other_job, cancel_scope(token):
                     backend.execute(circuit, 64, seed=7)
             clear_faults()
             # Clean failure: the lane serves the next job untouched.
@@ -566,7 +579,8 @@ class TestStabilizerLane:
         "tag, specs, deadline, expect, gate_held", STABILIZER_CASES
     )
     def test_stabilizer_fault(self, tag, specs, deadline, expect, gate_held):
-        from repro.exec.stabilizer import StabilizerBackend, _tableau_gate
+        from repro.exec.backend import execution_gate
+        from repro.exec.stabilizer import StabilizerBackend
 
         circuit = clifford_chaos_circuit(f"stab_{tag}")
         backend = StabilizerBackend()
@@ -574,7 +588,7 @@ class TestStabilizerLane:
         install_faults(specs)
         token = CancelToken(timeout=deadline) if deadline else CancelToken()
         # The gate is a plain lock: held here, it is held by "another job".
-        other_job = _tableau_gate(None) if gate_held else contextlib.nullcontext()
+        other_job = execution_gate(None) if gate_held else contextlib.nullcontext()
         with pytest.raises(expect):
             with other_job, cancel_scope(token):
                 backend.execute(circuit, 64, seed=7)

@@ -1,11 +1,14 @@
 """Tests for qcor_thread / qcor_async / TaskGroup and thread-safety helpers."""
 
+import os
 import threading
 
 import pytest
 
 import repro
 from repro.algorithms.bell import bell_kernel
+from repro.benchmark import figure3_workload
+from repro.core.executor import run_parallel
 from repro.core.qpu_manager import QPUManager
 from repro.core.thread_safety import GlobalLockRegistry, synchronized
 from repro.core.threading_api import TaskGroup, qcor_async, qcor_thread
@@ -95,6 +98,32 @@ class TestQcorAsync:
         futures = [qcor_async(bell_task, 16) for _ in range(8)]
         results = [f.result(timeout=60) for f in futures]
         assert all(sum(r.values()) == 16 for r in results)
+
+
+class TestAsyncPool:
+    """One pool for ``qcor_async`` and ``std_async``: one worker per core,
+    all started by the first call, so it cannot grow afterwards.  (The parent
+    kept two lazily growing 32-worker pools: a submit that landed between a
+    worker publishing its result and counting itself idle started one more
+    thread, long after set-up.)"""
+
+    def test_pool_is_full_after_the_first_call_and_never_grows(self):
+        qcor_async(lambda: None).result(timeout=30)
+        workers = [t for t in threading.enumerate() if t.name.startswith("qcor-async")]
+        assert len(workers) == (os.cpu_count() or 1)
+        threads = threading.active_count()
+        tasks = figure3_workload().tasks
+        for _ in range(500):
+            run_parallel(tasks, 2)
+        assert std_async(lambda: 42).result(timeout=30) == 42
+        assert threading.active_count() == threads
+
+    def test_more_tasks_than_workers_queue_and_complete(self):
+        n_tasks = 4 * (os.cpu_count() or 1)
+        with TaskGroup() as group:
+            group.launch_all(bell_task, [(8,)] * n_tasks)
+        results = group.results(timeout=60)
+        assert [sum(counts.values()) for counts in results] == [8] * n_tasks
 
 
 class TestTaskGroup:

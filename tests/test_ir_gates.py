@@ -187,6 +187,25 @@ class TestMatrixGates:
         with pytest.raises(InvalidGateError):
             PermutationGate([0, 1], [0, 1])
 
+    def test_permutation_skips_the_unitarity_product_and_keeps_its_matrix(self, monkeypatch):
+        """A bijection's 0/1 matrix is unitary: no ``M @ M†`` + ``allclose``
+        (the parent ran both), same matrix bit for bit, same validation."""
+        import repro.ir.gates as gates
+
+        perm = [2, 0, 3, 1, 4, 5, 7, 6]
+        reference = UnitaryGate(PermutationGate(perm, [0, 1, 2]).matrix(), [0, 1, 2])
+
+        def no_allclose(*args, **kwargs):
+            raise AssertionError("PermutationGate proved unitarity twice")
+
+        monkeypatch.setattr(gates.np, "allclose", no_allclose)
+        gate = PermutationGate(perm, [0, 1, 2])
+        assert gate.matrix().dtype == complex
+        assert np.array_equal(gate.matrix(), reference.matrix())
+        assert [int(np.argmax(gate.matrix()[:, x])) for x in range(8)] == perm
+        with pytest.raises(InvalidGateError):
+            PermutationGate(perm, [0, 0, 1])
+
 
 class TestValidationAndRegistry:
     def test_wrong_qubit_count_rejected(self):

@@ -17,6 +17,7 @@ from repro.ir.parameter import Parameter
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.simulator.execution_plan import (
+    HANDOFF_BAND_STOP,
     compile_parametric_plan,
     compile_plan,
 )
@@ -389,10 +390,12 @@ class TestAcceleratorPlans:
 
 class TestEnginePoolReuse:
     """Pool lifecycle, driven through the two entry points that need worker
-    threads whatever the state size: multi-chunk trajectories and chunked
-    plan replay."""
+    threads: multi-chunk trajectories at the hand-off band's upper edge
+    (below it the chunks run inline and no pool exists, which is why these
+    tests moved off their 1-qubit circuit) and chunked plan replay."""
 
-    RESET_CIRCUIT = CircuitBuilder(1).h(0).reset(0).measure(0).build()
+    WIDTH = HANDOFF_BAND_STOP.bit_length() - 1
+    RESET_CIRCUIT = CircuitBuilder(WIDTH).h(0).reset(0).measure(0).build()
 
     @staticmethod
     def _chunked_replay(engine):
@@ -402,10 +405,10 @@ class TestEnginePoolReuse:
     def test_pool_is_reused_across_calls(self):
         engine = ParallelSimulationEngine(num_threads=3)
         assert engine._pool is None  # lazily created
-        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=8, seed=1)
+        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=8, seed=1)
         pool = engine._pool
         assert pool is not None
-        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=8, seed=2)
+        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=8, seed=2)
         assert engine._pool is pool
         self._chunked_replay(engine)
         assert engine._pool is pool
@@ -414,9 +417,9 @@ class TestEnginePoolReuse:
 
     def test_close_then_reuse_builds_a_fresh_pool(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=64, seed=0)
+        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=64, seed=0)
         engine.close()
-        counts = engine.run_trajectories(1, self.RESET_CIRCUIT, shots=64, seed=0)
+        counts = engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=64, seed=0)
         assert engine._pool is not None
         assert sum(counts.values()) == 64
         engine.close()
@@ -429,10 +432,10 @@ class TestEnginePoolReuse:
 
     def test_pool_grows_when_more_workers_needed(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=100, seed=1)
+        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=10, seed=1)
         small = engine._pool
         engine.num_threads = 5
-        engine.run_trajectories(1, self.RESET_CIRCUIT, shots=100, seed=1)
+        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=10, seed=1)
         assert engine._pool is not small
         assert engine._pool_size == 5
         engine.close()

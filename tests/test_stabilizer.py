@@ -614,7 +614,7 @@ class TestTableauGate:
         assert evolved_widths == [6, 5]
 
     def test_reported_seconds_exclude_the_wait_at_the_gate(self):
-        from repro.exec.stabilizer import _tableau_gate
+        from repro.exec.backend import execution_gate
 
         backend = StabilizerBackend()
         circuit = ghz_circuit(5)
@@ -622,7 +622,7 @@ class TestTableauGate:
         holding = threading.Event()
 
         def another_job():
-            with _tableau_gate(None):
+            with execution_gate(None):
                 holding.set()
                 time.sleep(0.3)
 

@@ -241,7 +241,7 @@ def test_calibrated_lane_ranking_and_precision_bounds(tmp_path):
     within the documented amplitude bound.  The JSON artifact lands
     either way."""
     report = run_suite(quick=True, profile_path=tmp_path / "calibration.json")
-    write_trajectory_file(report, Path("BENCH_calibration.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_calibration.json")
     assert report["adaptive_counts_identity_all"], report["adaptive_counts_identity"]
     assert report["single_precision_within_bound_all"], report[
         "single_precision_fidelity"

@@ -15,10 +15,11 @@ Measures the two large-state execution-plan mechanisms:
   product-diagonal steps — reported as the plan step-count reduction.
 
 Acceptance: chunked amplitudes must be **bitwise identical** to the serial
-replay at every point of the sweep, the QFT step count must shrink, and
-fixed-seed counts must be identical with and without the tuning knobs across
-bell/ghz/qft/shor/vqe on every backend (local, density, sharded) — all
-enforced everywhere.  Speed is recorded, never gated, on hosts with fewer
+replay at every point of the sweep, the QFT step count must shrink,
+fixed-seed counts must be identical with chunking disabled and forced across
+bell/ghz/qft/shor/vqe on every backend (local, density, sharded), and
+replaying the unbatched and the batched plan of each circuit must sample the
+same fixed-seed counts — all enforced everywhere.  Speed is recorded, never gated, on hosts with fewer
 than 4 cores and in ``--quick`` runs (which stop at 16 qubits, below any
 crossover measured so far); a full run on a >= 4-core host must show the
 >= 1.5x chunked speedup at the largest size.
@@ -53,6 +54,7 @@ from repro.exec import DensityBackend, LocalBackend, ShardedExecutor
 from repro.ir.builder import CircuitBuilder
 from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
+from repro.simulator.sampling import sample_counts
 
 SPEEDUP_TARGET = 1.5
 #: The 1.5x chunked-replay target only binds where threads can win.
@@ -201,7 +203,7 @@ def bench_qft_step_reduction(n_qubits: int = 16) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Acceptance identity: tuning knobs never move a count, on any backend
+# Acceptance identity: chunking and batching never move a count
 # ---------------------------------------------------------------------------
 
 
@@ -217,17 +219,25 @@ def algorithm_suite():
     }
 
 
+def replayed_counts(plan, shots: int, seed: int) -> dict[str, int]:
+    """Fixed-seed counts sampled from one serial replay of ``plan``."""
+    data = plan.execute(plan.new_state())
+    measured = plan.measured_qubits or tuple(range(plan.n_qubits))
+    rng = np.random.default_rng(seed)
+    return sample_counts(np.abs(data) ** 2, shots, measured, plan.n_qubits, rng)
+
+
 def check_identity(shots: int = 512, seed: int = 1234) -> dict:
-    """Per backend: counts with the knobs at their defaults-off extreme
-    (no batching, chunking disabled) vs fully on (batching + chunking
-    forced).  Chunking is bitwise-neutral and batching is bit-exact from
-    |0...0> on this suite, so the histograms must be identical — local,
-    sharded and density (where the knobs are ignored) alike.  The density
-    lane swaps in a 9-qubit Shor instance: density evolution is O(4^n) per
-    gate, so the 12-qubit period-finding circuit would take minutes for a
-    check that is backend-independent anyway."""
-    off = {"batch_diagonals": False, "chunk_threshold": 1 << 30}
-    on = {"batch_diagonals": True, "chunk_threshold": 2}
+    """Per backend: counts with chunking disabled vs forced.  Chunking is
+    bitwise-neutral, so the histograms must be identical — local, sharded
+    and density (where the threshold is ignored) alike.  The density lane
+    swaps in a 9-qubit Shor instance: density evolution is O(4^n) per gate,
+    so the 12-qubit period-finding circuit would take minutes for a check
+    that is backend-independent anyway.  Per circuit, ``"batching"``
+    compares the unbatched plan with the default (batched) plan on replayed
+    counts: batching is bit-exact from |0...0> on this suite."""
+    off = {"chunk_threshold": 1 << 30}
+    on = {"chunk_threshold": 2}
     small_shor = period_finding_circuit(7, 3)
     results: dict[str, dict[str, bool]] = {}
 
@@ -254,6 +264,11 @@ def check_identity(shots: int = 512, seed: int = 1234) -> dict:
                 per_backend[backend_name] = dict(reference.counts) == dict(
                     tuned.counts
                 )
+            unbatched = compile_plan(circuit, width, batch_diagonals=False)
+            batched = compile_plan(circuit, width)
+            per_backend["batching"] = replayed_counts(
+                unbatched, shots, seed
+            ) == replayed_counts(batched, shots, seed)
             results[name] = per_backend
     local.close()
     return results

@@ -12,11 +12,12 @@ traffic shapes that dominate the paper's workloads:
    Target: >= 2x.
 3. **Accelerator repeats** (broker-shaped traffic): repeated
    ``QppAccelerator.execute`` of one hot circuit with the plan cache warm
-   vs the ``use-plans=False`` legacy path.
+   vs the gate-by-gate reference (IR passes + ``StateVector.apply_circuit``
+   + the engine's sampler) per repeat.
 
 It also verifies the acceptance identity: with a fixed seed, plan-executed
-results produce *the same counts* as the gate-by-gate path across the
-algorithm suite (bell / ghz / qft / shor / vqe).
+results produce *the same counts* as that reference across the algorithm
+suite (bell / ghz / qft / shor / vqe).
 
 Run standalone (writes the ``BENCH_execution_plan.json`` trajectory file)::
 
@@ -108,6 +109,17 @@ def naive_parametric_evaluation(circuit, parameter_sets, n_qubits, optimize=True
             if instruction.is_measurement:
                 continue
             state.apply(instruction)
+
+
+def reference_counts(circuit, width, shots, seed, engine):
+    """IR passes + ``StateVector.apply_circuit`` + the engine's sampler: the
+    gate-by-gate reference every plan-executed job must reproduce."""
+    circuit = default_pass_manager().run(circuit)
+    if any(instruction.name == "RESET" for instruction in circuit):
+        return engine.run_trajectories(width, circuit, shots, seed=seed)
+    state = StateVector(width).apply_circuit(circuit)
+    measured = circuit.measured_qubits() or tuple(range(width))
+    return engine.sample_parallel(state, shots, measured, seed=seed)
 
 
 def plan_parametric_evaluation(parametric_plan, parameter_sets):
@@ -221,16 +233,21 @@ def bench_accelerator_repeats(quick: bool) -> dict:
     circuit = qft_circuit(n_qubits)
     set_config(seed=1234)
 
-    def run(options):
-        accelerator = QppAccelerator(options)
+    def run_plans():
+        accelerator = QppAccelerator()
         for _ in range(repeats):
             buffer = AcceleratorBuffer(n_qubits)
             accelerator.execute(buffer, circuit, shots=shots)
 
+    def run_reference():
+        with ParallelSimulationEngine() as engine:
+            for _ in range(repeats):
+                reference_counts(circuit, n_qubits, shots, 1234, engine)
+
     reset_plan_cache()
-    run({"use-plans": True})  # warm the plan cache
-    plan_seconds = _best_of(2, run, {"use-plans": True})
-    legacy_seconds = _best_of(2, run, {"use-plans": False})
+    run_plans()  # warm the plan cache
+    plan_seconds = _best_of(2, run_plans)
+    legacy_seconds = _best_of(2, run_reference)
     return {
         "workload": "accelerator_repeats",
         "n_qubits": n_qubits,
@@ -256,16 +273,15 @@ def algorithm_suite() -> dict:
 
 
 def check_identity(shots: int = 512, seed: int = 1234) -> dict:
-    """Fixed-seed counts equality: plan path vs gate-by-gate path."""
+    """Fixed-seed counts equality: plan path vs the gate-by-gate reference."""
     results = {}
-    for name, (circuit, width) in algorithm_suite().items():
-        set_config(seed=seed)
-        planned = AcceleratorBuffer(width)
-        QppAccelerator({"use-plans": True, "threads": 2}).execute(planned, circuit, shots=shots)
-        set_config(seed=seed)
-        legacy = AcceleratorBuffer(width)
-        QppAccelerator({"use-plans": False, "threads": 2}).execute(legacy, circuit, shots=shots)
-        results[name] = planned.get_measurement_counts() == legacy.get_measurement_counts()
+    with ParallelSimulationEngine(num_threads=2) as engine:
+        for name, (circuit, width) in algorithm_suite().items():
+            set_config(seed=seed)
+            planned = AcceleratorBuffer(width)
+            QppAccelerator({"threads": 2}).execute(planned, circuit, shots=shots)
+            reference = reference_counts(circuit, width, shots, seed, engine)
+            results[name] = planned.get_measurement_counts() == reference
     return results
 
 
@@ -301,7 +317,7 @@ def test_parametric_plan_speedup_and_trajectory_file(tmp_path):
     """Acceptance: >=3x on parametric replay, >=2x on trajectories, counts
     identical across the algorithm suite; the JSON trajectory file lands."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_execution_plan.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_execution_plan.json")
     parametric, trajectory, repeats = report["results"]
     assert report["counts_identity_all"], report["counts_identity"]
     assert trajectory["counts_identical"]

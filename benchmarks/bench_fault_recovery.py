@@ -194,12 +194,12 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_fault_recovery_and_hook_overhead():
+def test_fault_recovery_and_hook_overhead(tmp_path):
     """Acceptance (all hosts): every killed-worker round recovers
     bit-identically with at least one retry, and the disarmed fault hooks
     add <5% to an in-process replay."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_fault_recovery.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_fault_recovery.json")
     recovery, overhead = report["results"]
     print(
         f"\nrecovery p95 {recovery['recovery_p95_seconds'] * 1e3:.1f}ms "

@@ -157,12 +157,12 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_obs_overhead_under_limit():
+def test_obs_overhead_under_limit(tmp_path):
     """Acceptance (all hosts): tracing + profiling enabled adds <5% to an
     18-qubit replay, perturbs no counts, and the traced run's Chrome trace
     artifact is valid JSON."""
-    report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_obs_overhead.json"))
+    report = run_suite(quick=True, trace_output=tmp_path / "BENCH_obs_trace.json")
+    write_trajectory_file(report, tmp_path / "BENCH_obs_overhead.json")
     (overhead,) = report["results"]
     print(
         f"\nobs overhead at {overhead['n_qubits']} qubits: "

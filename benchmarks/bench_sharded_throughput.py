@@ -181,12 +181,12 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_sharded_dispatch_throughput_and_identity():
+def test_sharded_dispatch_throughput_and_identity(tmp_path):
     """Acceptance: fixed-seed sharded == in-process counts everywhere; on
     hosts with >= 4 cores, sharded dispatch >= 2x in-process dispatch.  The
     JSON trajectory file lands either way."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_sharded_throughput.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_sharded_throughput.json")
     assert report["counts_identity_all"], report["counts_identity"]
     (dispatch,) = report["results"]
     print(

@@ -215,12 +215,12 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_shm_replay_speedup_and_identity():
+def test_shm_replay_speedup_and_identity(tmp_path):
     """Acceptance: bitwise amplitudes on both lanes, cross-path counts
     identity and zero leaked segments everywhere; ≥2x shm-over-threads on
     ≥4-core hosts.  The JSON trajectory file lands either way."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_shm_replay.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_shm_replay.json")
     (replay,) = report["results"]
     assert replay["thread_amplitudes_bitwise_identical"]
     assert replay["shm_amplitudes_bitwise_identical"]

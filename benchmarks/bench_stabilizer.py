@@ -276,11 +276,11 @@ def _gates(report: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def test_stabilizer_speedup_and_routing():
+def test_stabilizer_speedup_and_routing(tmp_path):
     """Acceptance: every gate binds on every host — the contrast under test
     is asymptotic, not a parallelism ratio.  The JSON file lands either way."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_stabilizer.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_stabilizer.json")
     speedup, wide, brickwork, _ = report["results"]
     print(
         f"\nstabilizer {speedup['speedup']:.0f}x over statevector "

@@ -204,11 +204,11 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_identity_gradient_and_speedup():
+def test_sweep_identity_gradient_and_speedup(tmp_path):
     """Acceptance: bit-identical counts and 1e-6 gradients on every host;
     ≥3x fan-out speedup on ≥4-core hosts.  The JSON file lands either way."""
     report = run_suite(quick=True)
-    write_trajectory_file(report, Path("BENCH_sweep.json"))
+    write_trajectory_file(report, tmp_path / "BENCH_sweep.json")
     fanout, gradient = report["results"]
     assert fanout["counts_bit_identical"], fanout
     assert gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"], gradient

@@ -57,24 +57,6 @@ class BenchmarkHarness:
     cost_model: SimulationCostModel = field(default_factory=SimulationCostModel)
     contention: ContentionModel = field(default_factory=ContentionModel)
     backend: str | None = None
-    #: Cost modeled kernels from their *compiled plans* (kernel-class-aware
-    #: costing via :meth:`SimulationCostModel.plan_cost`) instead of the
-    #: historical per-gate estimate.  Opt-in: the calibrated Figures 3-5
-    #: constants assume per-gate costing.
-    use_plan_costs: bool = False
-    #: With ``use_plan_costs``, model *chunk-parallel* replay (the default
-    #: real-execution behaviour for states at or above the chunk
-    #: threshold) instead of the OpenMP-style sweep model: below the
-    #: threshold sweeps are serial, above it each kernel class
-    #: parallelises its measured efficiency fraction.
-    chunked_plan_costs: bool = False
-    #: With ``use_plan_costs``, model the shared-memory *process* lane
-    #: (``SharedStatePool`` with this many workers) instead of the thread
-    #: lane: per-kernel process efficiencies plus a per-step barrier/IPC
-    #: cost above the chunk threshold.  0 = off; overrides
-    #: ``chunked_plan_costs`` when set, mirroring the real dispatch
-    #: priority in ``LocalBackend``.
-    shm_plan_processes: int = 0
 
     def _resolve_mode(self) -> str:
         mode = self.mode if self.mode is not None else get_config().execution_mode
@@ -88,18 +70,7 @@ class BenchmarkHarness:
         for task in workload.tasks:
             circuit = task.build_circuit()
             shots = task.shots if task.shots is not None else get_config().shots
-            if self.use_plan_costs:
-                from ..simulator.plan_cache import get_plan_cache
-
-                plan = get_plan_cache().get_or_compile(circuit)
-                cost = self.cost_model.plan_cost(
-                    plan,
-                    shots,
-                    chunked=self.chunked_plan_costs,
-                    processes=self.shm_plan_processes,
-                )
-            else:
-                cost = self.cost_model.circuit_cost(circuit, shots)
+            cost = self.cost_model.circuit_cost(circuit, shots)
             tasks.append(
                 SimTask.from_cost(
                     task.name,

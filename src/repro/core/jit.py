@@ -12,10 +12,9 @@ equivalent that exercises the same programming-model path:
 * :meth:`AsyncKernelCompiler.compile_async` submits a circuit and returns a
   :class:`CompilationHandle` immediately.
 * Compilation itself runs the IR optimisation pipeline repeatedly at a
-  configurable *effort* level (each extra effort unit re-runs the pass
-  manager and attempts additional single-qubit fusion), recording what it
-  did, so higher effort genuinely costs more time and genuinely changes the
-  circuit — the behaviour the asynchronous launch is meant to hide.
+  configurable *effort* level (each effort unit re-runs the pass manager),
+  recording what it did, so higher effort genuinely costs more time — the
+  behaviour the asynchronous launch is meant to hide.
 * :meth:`CompilationHandle.execute_when_ready` blocks until compilation
   finishes and then executes the optimised kernel on the calling thread's
   QPU, mirroring "launch the compiled kernel on a QPU only when it is
@@ -32,12 +31,7 @@ from typing import Mapping
 
 from ..exceptions import CompilationError, ExecutionError
 from ..ir.composite import CompositeInstruction
-from ..ir.transforms import (
-    InverseCancellationPass,
-    PassManager,
-    RotationMergingPass,
-    SingleQubitFusionPass,
-)
+from ..ir.transforms import InverseCancellationPass, PassManager, RotationMergingPass
 from ..runtime.buffer import AcceleratorBuffer
 from ..runtime.qreg import qreg
 
@@ -115,8 +109,6 @@ class AsyncKernelCompiler:
         passes_applied: list[str] = []
         current = circuit
         pipeline = [RotationMergingPass(), InverseCancellationPass()]
-        if effort >= 2:
-            pipeline.append(SingleQubitFusionPass())
         manager = PassManager(pipeline)
         for _ in range(max(1, effort)):
             current = manager.run(current)

@@ -106,17 +106,15 @@ class ExecutionBackend(abc.ABC):
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ):
         """Lower ``circuit`` into a reusable plan; ``None`` when the backend
         executes directly (density-matrix evolution has no plan form).
 
-        ``batch_diagonals`` collapses adjacent diagonal runs at compile
-        time; ``chunk_threshold`` sets the minimum state size for
-        chunk-parallel replay (``None`` = the compiled default).  Both are
-        performance knobs — they never change measurement distributions.
+        ``chunk_threshold`` sets the minimum state size for chunk-parallel
+        replay (``None`` = the compiled default), a performance knob that
+        never changes measurement distributions.
         ``precision`` is NOT a performance knob: ``"single"`` compiles and
         replays in complex64 (half the memory traffic, ~1e-4 amplitude
         deviation), so it participates in plan and job identity.
@@ -133,7 +131,6 @@ class ExecutionBackend(abc.ABC):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionResult:
@@ -147,7 +144,6 @@ class ExecutionBackend(abc.ABC):
         n_qubits: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> float:
@@ -165,7 +161,6 @@ class ExecutionBackend(abc.ABC):
         n_qubits: int | None = None,
         seed: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> list[ExecutionResult]:
@@ -185,7 +180,6 @@ class ExecutionBackend(abc.ABC):
                 seed=seed,
                 params=binding,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -200,7 +194,6 @@ class ExecutionBackend(abc.ABC):
         *,
         n_qubits: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> list[float]:
@@ -216,7 +209,6 @@ class ExecutionBackend(abc.ABC):
                 n_qubits=n_qubits,
                 params=binding,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -352,7 +344,6 @@ class LocalBackend(ExecutionBackend):
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ):
@@ -360,7 +351,6 @@ class LocalBackend(ExecutionBackend):
             circuit,
             _resolve_width(circuit, n_qubits),
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -375,7 +365,6 @@ class LocalBackend(ExecutionBackend):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionResult:
@@ -396,7 +385,6 @@ class LocalBackend(ExecutionBackend):
                 circuit,
                 width,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -468,7 +456,6 @@ class LocalBackend(ExecutionBackend):
         n_qubits: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> float:
@@ -477,7 +464,6 @@ class LocalBackend(ExecutionBackend):
             circuit,
             width,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -504,7 +490,6 @@ class LocalBackend(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> list[ExecutionResult]:
@@ -527,7 +512,6 @@ class LocalBackend(ExecutionBackend):
                 circuit,
                 width,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -542,7 +526,6 @@ class LocalBackend(ExecutionBackend):
                 n_qubits=n_qubits,
                 seed=seed,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -596,7 +579,6 @@ class LocalBackend(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> list[float]:
@@ -608,7 +590,6 @@ class LocalBackend(ExecutionBackend):
             circuit,
             width,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -623,7 +604,6 @@ class LocalBackend(ExecutionBackend):
                 bindings,
                 n_qubits=n_qubits,
                 optimize=optimize,
-                batch_diagonals=batch_diagonals,
                 chunk_threshold=chunk_threshold,
                 precision=precision,
             )
@@ -667,18 +647,16 @@ class DensityBackend(ExecutionBackend):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionResult:
-        # batch_diagonals / chunk_threshold are plan-replay knobs; density
-        # evolution has no plan form, so they are accepted (protocol
-        # uniformity) and ignored.  precision is semantic: "single" evolves
-        # the matrix in complex64 (half the footprint, diagonal-probability
-        # error ≤ 1e-4 at the guarded sizes — Kraus sums accumulate error
-        # linearly in depth, so the bound is looser than the statevector
-        # lane's) and participates in the job identity like every other
-        # semantic option.
+        # chunk_threshold is a plan-replay knob; density evolution has no
+        # plan form, so it is accepted (protocol uniformity) and ignored.
+        # precision is semantic: "single" evolves the matrix in complex64
+        # (half the footprint, diagonal-probability error ≤ 1e-4 at the
+        # guarded sizes — Kraus sums accumulate error linearly in depth, so
+        # the bound is looser than the statevector lane's) and participates
+        # in the job identity like every other semantic option.
         from ..simulator.density import DensityMatrix
         from ..simulator.execution_plan import resolve_precision
 

@@ -182,20 +182,16 @@ def _worker_plan(
     digest: str,
     width: int,
     optimize: bool,
-    batch_diagonals: bool = True,
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
 ):
     """Compile-once lookup inside a worker process.
 
-    ``batch_diagonals`` participates in the key because batched plans are
-    ulp-level different artefacts — the parent compiled with the same flag,
-    and fixed-seed bit-identity across processes depends on both sides
-    replaying the same kernels.  ``precision`` participates because a
-    complex64 plan is a semantically different artefact (different
-    payload dtypes, different results).
+    ``precision`` participates in the key because a complex64 plan is a
+    semantically different artefact (different payload dtypes, different
+    results).
     """
-    key = (digest, width, optimize, batch_diagonals, chunk_threshold, precision)
+    key = (digest, width, optimize, chunk_threshold, precision)
     plan = _WORKER_PLANS.get(key)
     if plan is not None:
         _WORKER_PLANS.move_to_end(key)
@@ -207,7 +203,6 @@ def _worker_plan(
             circuit,
             width,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -216,7 +211,6 @@ def _worker_plan(
             circuit,
             width,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -235,7 +229,6 @@ def _replay_chunk_body(
     seed_seq: np.random.SeedSequence,
     params: Params,
     trajectories: bool,
-    batch_diagonals: bool,
     chunk_threshold: int | None,
     precision: str = DEFAULT_PRECISION,
 ) -> tuple[dict[str, int], int, int, bool]:
@@ -259,7 +252,7 @@ def _replay_chunk_body(
     tracer = get_tracer()
     with tracer.span("compile") as compile_span:
         plan, cached = _worker_plan(
-            payload, digest, width, optimize, batch_diagonals, chunk_threshold,
+            payload, digest, width, optimize, chunk_threshold,
             precision,
         )
         compile_span.set_attribute("plan_cached", cached)
@@ -289,7 +282,6 @@ def _replay_chunk(
     seed_seq: np.random.SeedSequence,
     params: Params = None,
     trajectories: bool = False,
-    batch_diagonals: bool = True,
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
     obs: dict | None = None,
@@ -314,7 +306,7 @@ def _replay_chunk(
     """
     body_args = (
         payload, digest, width, optimize, shots, seed_seq, params,
-        trajectories, batch_diagonals, chunk_threshold, precision,
+        trajectories, chunk_threshold, precision,
     )
     token = (
         CancelToken(deadline=ctl.get("deadline")) if ctl is not None else None
@@ -351,7 +343,6 @@ def _sweep_chunk_body(
     bindings: Sequence,
     shots: int,
     seed: int | None,
-    batch_diagonals: bool,
     chunk_threshold: int | None,
     precision: str,
     observable,
@@ -369,7 +360,7 @@ def _sweep_chunk_body(
     tracer = get_tracer()
     with tracer.span("compile") as compile_span:
         plan, cached = _worker_plan(
-            payload, digest, width, optimize, batch_diagonals, chunk_threshold,
+            payload, digest, width, optimize, chunk_threshold,
             precision,
         )
         compile_span.set_attribute("plan_cached", cached)
@@ -427,7 +418,6 @@ def _sweep_chunk(
     bindings: Sequence,
     shots: int,
     seed: int | None = None,
-    batch_diagonals: bool = True,
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
     observable=None,
@@ -444,7 +434,7 @@ def _sweep_chunk(
     """
     body_args = (
         payload, digest, width, optimize, bindings, shots, seed,
-        batch_diagonals, chunk_threshold, precision, observable,
+        chunk_threshold, precision, observable,
     )
     token = CancelToken(deadline=ctl.get("deadline")) if ctl is not None else None
     with cancel_scope(token):
@@ -478,7 +468,6 @@ def _chunk_expectation(
     optimize: bool,
     params: Params,
     observable,
-    batch_diagonals: bool = True,
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
 ) -> float:
@@ -486,7 +475,7 @@ def _chunk_expectation(
     from ..simulator.statevector import StateVector
 
     plan, _ = _worker_plan(
-        payload, digest, width, optimize, batch_diagonals, chunk_threshold, precision
+        payload, digest, width, optimize, chunk_threshold, precision
     )
     if plan.is_parametric:
         plan = plan.bind(params if params is not None else ())
@@ -507,7 +496,6 @@ def _warm_worker_plan(
     digest: str,
     width: int,
     optimize: bool,
-    batch_diagonals: bool = True,
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
 ) -> bool:
@@ -517,7 +505,7 @@ def _warm_worker_plan(
     boundary — only this flag does.)
     """
     _, cached = _worker_plan(
-        payload, digest, width, optimize, batch_diagonals, chunk_threshold, precision
+        payload, digest, width, optimize, chunk_threshold, precision
     )
     return cached
 
@@ -814,7 +802,6 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ):
@@ -830,7 +817,7 @@ class ShardedExecutor(ExecutionBackend):
         shard = self.shard_for(digest)
         self._run_on_shard(
             shard, _warm_worker_plan, payload, digest, width, optimize,
-            batch_diagonals, chunk_threshold, precision,
+            chunk_threshold, precision,
         )
         from ..simulator.plan_cache import get_plan_cache
 
@@ -838,7 +825,6 @@ class ShardedExecutor(ExecutionBackend):
             circuit,
             width,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )
@@ -853,7 +839,6 @@ class ShardedExecutor(ExecutionBackend):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
         shard: int | None = None,
@@ -927,7 +912,7 @@ class ShardedExecutor(ExecutionBackend):
                     indices[0],
                     _replay_chunk,
                     payload, digest, width, optimize, chunks[0], seeds[0], params,
-                    trajectories, batch_diagonals, chunk_threshold, precision,
+                    trajectories, chunk_threshold, precision,
                     obs, ctl,
                     policy=retry_policy,
                 )
@@ -939,7 +924,7 @@ class ShardedExecutor(ExecutionBackend):
                         index,
                         (
                             payload, digest, width, optimize, chunk, seq, params,
-                            trajectories, batch_diagonals, chunk_threshold,
+                            trajectories, chunk_threshold,
                             precision, obs, ctl,
                         ),
                     )
@@ -1049,7 +1034,6 @@ class ShardedExecutor(ExecutionBackend):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
         retry_policy: RetryPolicy | None = None,
@@ -1065,7 +1049,6 @@ class ShardedExecutor(ExecutionBackend):
             seed=seed,
             params=params,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
             shard=self._owner_for_key(key),
@@ -1081,7 +1064,6 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None,
         seed: int | None,
         optimize: bool,
-        batch_diagonals: bool,
         chunk_threshold: int | None,
         precision: str,
         observable,
@@ -1134,7 +1116,7 @@ class ShardedExecutor(ExecutionBackend):
                     indices[0],
                     _sweep_chunk,
                     payload, digest, width, optimize, ranges[0], shots, seed,
-                    batch_diagonals, chunk_threshold, precision, observable,
+                    chunk_threshold, precision, observable,
                     obs, ctl,
                     policy=retry_policy,
                 )
@@ -1146,7 +1128,7 @@ class ShardedExecutor(ExecutionBackend):
                         index,
                         (
                             payload, digest, width, optimize, chunk, shots, seed,
-                            batch_diagonals, chunk_threshold, precision,
+                            chunk_threshold, precision,
                             observable, obs, ctl,
                         ),
                     )
@@ -1183,7 +1165,6 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
         retry_policy: RetryPolicy | None = None,
@@ -1206,7 +1187,6 @@ class ShardedExecutor(ExecutionBackend):
             n_qubits=n_qubits,
             seed=seed,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
             observable=None,
@@ -1237,7 +1217,6 @@ class ShardedExecutor(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
         retry_policy: RetryPolicy | None = None,
@@ -1255,7 +1234,6 @@ class ShardedExecutor(ExecutionBackend):
             n_qubits=n_qubits,
             seed=None,
             optimize=optimize,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
             observable=observable,
@@ -1271,7 +1249,6 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> float:
@@ -1280,7 +1257,7 @@ class ShardedExecutor(ExecutionBackend):
         shard = self.shard_for(digest)
         return self._run_on_shard(
             shard, _chunk_expectation, payload, digest, width, optimize, params,
-            observable, batch_diagonals, chunk_threshold, precision,
+            observable, chunk_threshold, precision,
         )
 
     # -- introspection ------------------------------------------------------------

@@ -117,17 +117,10 @@ def _worker_plan_for_job(job: dict):
     """
     from ..ir.serialization import circuit_from_json
 
+    # ``compile_options`` are exactly the compile kwargs the parent's plan
+    # was built with, so they are both the key and the call.
     options = job["options"]
-    precision = options.get("precision", "double")
-    key = (
-        job["digest"],
-        job["width"],
-        options["optimize"],
-        options["fusion_max_qubits"],
-        options["batch_diagonals"],
-        options["chunk_threshold"],
-        precision,
-    )
+    key = (job["digest"], job["width"], tuple(sorted(options.items())))
     plan = _POOL_WORKER_PLANS.get(key)
     if plan is None:
         faults.fire("shm.worker.compile")
@@ -135,15 +128,7 @@ def _worker_plan_for_job(job: dict):
         compiler = (
             compile_parametric_plan if circuit.is_parameterized else compile_plan
         )
-        plan = compiler(
-            circuit,
-            job["width"],
-            optimize=options["optimize"],
-            fusion_max_qubits=options["fusion_max_qubits"],
-            batch_diagonals=options["batch_diagonals"],
-            chunk_threshold=options["chunk_threshold"],
-            precision=precision,
-        )
+        plan = compiler(circuit, job["width"], **options)
         _POOL_WORKER_PLANS[key] = plan
         while len(_POOL_WORKER_PLANS) > _POOL_WORKER_PLAN_CAPACITY:
             _POOL_WORKER_PLANS.popitem(last=False)

@@ -503,7 +503,6 @@ class StabilizerBackend(ExecutionBackend):
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> CliffordClassification:
@@ -541,7 +540,6 @@ class StabilizerBackend(ExecutionBackend):
         seed: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionResult:
@@ -599,7 +597,6 @@ class StabilizerBackend(ExecutionBackend):
         n_qubits: int | None = None,
         params: Params = None,
         optimize: bool = True,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> float:

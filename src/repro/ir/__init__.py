@@ -52,7 +52,6 @@ from .gates import (
 )
 from .composite import CompositeInstruction, Circuit
 from .builder import CircuitBuilder
-from .visitor import InstructionVisitor
 from .serialization import circuit_to_dict, circuit_from_dict, circuit_to_json, circuit_from_json
 
 __all__ = [
@@ -93,7 +92,6 @@ __all__ = [
     "CompositeInstruction",
     "Circuit",
     "CircuitBuilder",
-    "InstructionVisitor",
     "circuit_to_dict",
     "circuit_from_dict",
     "circuit_to_json",

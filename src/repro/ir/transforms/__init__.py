@@ -7,8 +7,6 @@ Python analogues used by the default compilation pipeline:
   (``H H``, ``CX CX``, ``S Sdg`` ...).
 * :class:`RotationMergingPass` — merges adjacent rotations about the same
   axis on the same qubit and drops rotations with angle ~ 0 (mod 4 pi).
-* :class:`SingleQubitFusionPass` — fuses runs of single-qubit gates on a
-  qubit into one :class:`~repro.ir.gates.U3`.
 * :class:`PassManager` — runs an ordered list of passes to a fixed point.
 * :func:`classify_clifford` — compile-time circuit-class analysis: lowers
   Clifford circuits (including Clifford-angle rotations) to the stabilizer
@@ -18,7 +16,6 @@ Python analogues used by the default compilation pipeline:
 from .pass_base import BasePass, PassManager, default_pass_manager
 from .inverse_cancellation import InverseCancellationPass
 from .rotation_merging import RotationMergingPass
-from .gate_fusion import SingleQubitFusionPass
 from .clifford import (
     CliffordClassification,
     classify_clifford,
@@ -31,7 +28,6 @@ __all__ = [
     "default_pass_manager",
     "InverseCancellationPass",
     "RotationMergingPass",
-    "SingleQubitFusionPass",
     "CliffordClassification",
     "classify_clifford",
     "clear_clifford_cache",

@@ -12,15 +12,13 @@ the system:
   by the ``modeled`` execution mode; it is what reproduces the paper's key
   observation that two kernels run *in parallel* with N/2 threads each beat
   the same kernels run one-by-one with N threads.
-* :class:`WorkerPool` / :mod:`~repro.parallel.thread_tools` — real
-  thread-pool execution and thin ``std::thread`` / ``std::async`` analogues
-  used by examples and the ``real`` execution mode.
+* :mod:`~repro.parallel.thread_tools` — thin ``std::thread`` /
+  ``std::async`` analogues used by examples and the ``real`` execution mode.
 """
 
 from .affinity import MachineTopology, PAPER_MACHINE, detect_host_topology
 from .contention import ContentionModel, parallel_efficiency
 from .scheduler import SimTask, TaskScheduler, WorkPhase, ScheduleResult
-from .pool import WorkerPool, omp_get_max_threads
 from .thread_tools import std_thread, std_async, join_all
 
 __all__ = [
@@ -33,8 +31,6 @@ __all__ = [
     "WorkPhase",
     "TaskScheduler",
     "ScheduleResult",
-    "WorkerPool",
-    "omp_get_max_threads",
     "std_thread",
     "std_async",
     "join_all",

@@ -25,23 +25,21 @@ refactor it is a *thin adapter* over the unified
 
 Circuits containing mid-circuit ``RESET`` instructions fall back to
 trajectory simulation (one plan replay per shot), distributed the same way.
-Setting the ``use-plans`` option to ``False`` restores the historical
-gate-by-gate dispatch (useful for A/B benchmarks); ``optimize=False`` skips
-the IR pass pipeline in both modes.
+``optimize=False`` skips the IR pass pipeline.  The gate-by-gate reference is
+:meth:`~repro.simulator.statevector.StateVector.apply_circuit` plus the
+engine's ``sample_parallel`` / ``run_trajectories``; plans are checked
+against it in the test suite rather than selectable here.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
 
 from ..config import get_config
 from ..exceptions import AcceleratorError
 from ..exec.backend import ExecutionBackend, LocalBackend
 from ..ir.composite import CompositeInstruction
-from ..ir.transforms import default_pass_manager
 from ..simulator.parallel_engine import ParallelSimulationEngine
-from ..simulator.statevector import StateVector
 from .accelerator import Accelerator, Cloneable
 from .buffer import AcceleratorBuffer
 
@@ -155,50 +153,36 @@ class QppAccelerator(Accelerator, Cloneable):
         shots = self._resolve_shots(shots)
         seed = get_config().seed
         optimize = bool(self.options.get("optimize", True))
-        use_plans = bool(self.options.get("use-plans", True))
-        # Plan-replay tuning knobs (performance only — neither changes the
-        # measurement distribution; both are non-semantic job-key options).
-        batch_diagonals = bool(self.options.get("batch-diagonals", True))
+        # Plan-replay tuning knob (performance only — it does not change the
+        # measurement distribution; a non-semantic job-key option).
         chunk_threshold = self._option_int("chunk-threshold", default=None)
         # Precision is *semantic*: complex64 replay changes the sampled
         # distribution within the documented fidelity bound, so it
         # participates in job keys and cache identity.
         precision = str(self.options.get("precision", "double"))
 
-        if use_plans:
-            result = self.execution_backend().execute(
-                circuit,
-                shots,
-                n_qubits=buffer.size,
-                seed=seed,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
-            )
-            counts = result.counts
-            information = {
+        result = self.execution_backend().execute(
+            circuit,
+            shots,
+            n_qubits=buffer.size,
+            seed=seed,
+            optimize=optimize,
+            chunk_threshold=chunk_threshold,
+            precision=precision,
+        )
+        buffer.add_counts(result.counts)
+        buffer.information.update(
+            {
+                "backend": self.name(),
+                "shots": shots,
+                "threads": self.num_threads,
                 "execution-time-seconds": result.seconds,
                 "circuit-depth": result.depth,
                 "circuit-gates": result.n_gates,
                 "plan-cached": result.plan_cached,
                 "processes": result.shards if result.shards > 1 else 0,
             }
-        else:
-            if precision not in ("double", "complex128", "fp64"):
-                raise AcceleratorError(
-                    "the gate-by-gate path (use-plans=False) evolves in "
-                    f"complex128 only; got precision={precision!r}"
-                )
-            counts, information = self._execute_gate_by_gate(
-                buffer, circuit, shots, seed, optimize
-            )
-
-        buffer.add_counts(counts)
-        buffer.information.update(
-            {"backend": self.name(), "shots": shots, "threads": self.num_threads}
         )
-        buffer.information.update(information)
         return buffer
 
     def _execute_stabilizer(
@@ -240,36 +224,3 @@ class QppAccelerator(Accelerator, Cloneable):
             }
         )
         return buffer
-
-    def _execute_gate_by_gate(
-        self,
-        buffer: AcceleratorBuffer,
-        circuit: CompositeInstruction,
-        shots: int,
-        seed: int | None,
-        optimize: bool,
-    ) -> tuple[dict[str, int], dict[str, object]]:
-        """The historical pre-plan path, kept verbatim for A/B benchmarks."""
-        started = time.perf_counter()
-        if optimize:
-            circuit = default_pass_manager().run(circuit)
-        has_reset = any(inst.name == "RESET" for inst in circuit)
-        measured = circuit.measured_qubits()
-        if has_reset:
-            counts = self._engine.run_trajectories(buffer.size, circuit, shots, seed=seed)
-        else:
-            state = StateVector(buffer.size)
-            for instruction in circuit:
-                if instruction.is_measurement:
-                    continue
-                state.apply(instruction)
-            target_qubits = measured or tuple(range(buffer.size))
-            counts = self._engine.sample_parallel(state, shots, target_qubits, seed=seed)
-        elapsed = time.perf_counter() - started
-        return counts, {
-            "execution-time-seconds": elapsed,
-            "circuit-depth": circuit.depth(),
-            "circuit-gates": circuit.n_gates,
-            "plan-cached": False,
-            "processes": 0,
-        }

@@ -173,13 +173,6 @@ class QuantumJobService:
                     f"process sharding replays compiled plans and requires the "
                     f"'qpp' backend, got {self.backend!r}"
                 )
-            if not bool(self.backend_options.get("use-plans", True)):
-                # Plan replay is the only form shards execute; forking
-                # workers that could never be used would be pure waste.
-                raise ExecutionError(
-                    "process sharding requires plan execution; drop "
-                    "processes= or remove 'use-plans': False"
-                )
             from ..exec.sharded import ShardedExecutor
 
             # "shm-processes" lets each shard borrow a shared-memory pool
@@ -591,7 +584,6 @@ class QuantumJobService:
         kwargs = dict(
             n_qubits=max(circuit.n_qubits, 1),
             optimize=bool(self.backend_options.get("optimize", True)),
-            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
             chunk_threshold=(
                 None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
             ),
@@ -1202,7 +1194,6 @@ class QuantumJobService:
             n_qubits=spec.n_qubits,
             seed=get_config().seed,
             optimize=bool(self.backend_options.get("optimize", True)),
-            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
             chunk_threshold=(
                 None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
             ),
@@ -1309,9 +1300,7 @@ class QuantumJobService:
         ``spec.key`` — the hash affinity that keeps each worker process
         replaying from a plan cache already warm with its keys — honouring
         the service's ``optimize`` backend option (it is part of the job
-        key, so sharded and in-process results must agree on it).  The
-        ``use-plans: False`` A/B option has no sharded form and is rejected
-        with ``processes`` at construction.
+        key, so sharded and in-process results must agree on it).
 
         The shard lane sits behind a circuit breaker: infrastructure
         failures (dead workers, exhausted retry budgets) count against it,
@@ -1344,7 +1333,6 @@ class QuantumJobService:
                             n_qubits=spec.n_qubits,
                             seed=get_config().seed,
                             optimize=bool(self.backend_options.get("optimize", True)),
-                            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
                             chunk_threshold=None if chunk_threshold is None else int(chunk_threshold),  # type: ignore[arg-type]
                             precision=self.precision,
                             retry_policy=spec.retry_policy,  # type: ignore[arg-type]

@@ -53,14 +53,8 @@ __all__ = [
 #: deterministic, so it is a routing knob, not part of the result identity.
 #: ``chunk-threshold`` gates chunk-parallel plan replay and
 #: ``shm-processes`` moves that replay onto shared-memory worker processes
-#: (both bitwise identical to serial replay); ``batch-diagonals`` collapses
-#: diagonal runs at compile time (reassociates floating-point products —
-#: ulp-level amplitude shifts, identical distributions).  All of them stay
-#: out of the job identity.  Consequence: the result cache may serve a
-#: batched-plan histogram to a ``batch-diagonals: False`` submission;
-#: callers who need bit-exact gate-by-gate reproduction (not just
-#: distributional identity) should disable the result cache rather than
-#: rely on this option fragmenting it.
+#: (both bitwise identical to serial replay).  All of them stay out of the
+#: job identity.
 #:
 #: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
 #: ``admission-wait-seconds``, ``breaker-failure-threshold``,
@@ -96,7 +90,6 @@ _NON_SEMANTIC_OPTIONS = frozenset(
         "processes",
         "shm-processes",
         "shm-states",
-        "batch-diagonals",
         "chunk-threshold",
         "adaptive-lane",
         "deadline-seconds",

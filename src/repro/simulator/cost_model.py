@@ -414,35 +414,6 @@ class SimulationCostModel:
         locked += shots * self.shot_locked_cost
         return CircuitCost(parallel_work=parallel, serial_work=serial, locked_work=locked)
 
-    def sweep_cost(
-        self,
-        plan,
-        n_bindings: int,
-        shots: int,
-        *,
-        chunked: bool = False,
-        processes: int = 0,
-    ) -> CircuitCost:
-        """Estimate a compile-once parameter sweep over ``n_bindings``.
-
-        An independent submission pays :meth:`plan_cost` — including the
-        :attr:`launch_overhead` critical-section entry — once *per binding*.
-        A sweep pays the launch once for the whole fan-out and then only the
-        marginal per-evaluation work: an in-place trig rebind (folded into
-        the per-step dispatch constant, same as :meth:`plan_cost`'s
-        parametric note) plus the replay + sampling sweep itself.  The
-        predicted amortisation ratio is therefore
-        ``n * plan_cost(...).total_work / sweep_cost(...).total_work``.
-        """
-        n = max(1, int(n_bindings))
-        single = self.plan_cost(plan, shots, chunked=chunked, processes=processes)
-        marginal_locked = max(0.0, single.locked_work - self.launch_overhead)
-        return CircuitCost(
-            parallel_work=single.parallel_work * n,
-            serial_work=single.serial_work * n,
-            locked_work=marginal_locked * n + self.launch_overhead,
-        )
-
     # -- online refinement -------------------------------------------------------------
     def observe_lane(
         self, lane: str, predicted_units: float, measured_seconds: float

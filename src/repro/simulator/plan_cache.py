@@ -40,13 +40,7 @@ __all__ = [
     "PlanCacheStats",
     "get_plan_cache",
     "reset_plan_cache",
-    "cached_content_hash",
 ]
-
-
-#: The digest is memoised on the circuit by ``circuit_content_hash`` itself;
-#: this name stays for its importers.
-cached_content_hash = circuit_content_hash
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,6 @@ class PlanCache:
         *,
         optimize: bool = True,
         fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> tuple[ExecutionPlan | ParametricExecutionPlan, bool]:
@@ -114,7 +107,6 @@ class PlanCache:
             width,
             bool(optimize),
             int(fusion_max_qubits),
-            bool(batch_diagonals),
             threshold,
             precision,
         )
@@ -135,7 +127,6 @@ class PlanCache:
                     width,
                     optimize=optimize,
                     fusion_max_qubits=fusion_max_qubits,
-                    batch_diagonals=batch_diagonals,
                     chunk_threshold=threshold,
                     precision=precision,
                 )
@@ -145,7 +136,6 @@ class PlanCache:
                     width,
                     optimize=optimize,
                     fusion_max_qubits=fusion_max_qubits,
-                    batch_diagonals=batch_diagonals,
                     chunk_threshold=threshold,
                     precision=precision,
                 )
@@ -167,7 +157,6 @@ class PlanCache:
         *,
         optimize: bool = True,
         fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
-        batch_diagonals: bool = True,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionPlan | ParametricExecutionPlan:
@@ -177,7 +166,6 @@ class PlanCache:
             n_qubits,
             optimize=optimize,
             fusion_max_qubits=fusion_max_qubits,
-            batch_diagonals=batch_diagonals,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )

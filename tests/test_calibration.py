@@ -207,18 +207,6 @@ class TestOnlineRefinement:
         model.observe_lane("serial", 1.0, 4.0)
         assert model._lane_scale("shm") == pytest.approx(3.0)
 
-    def test_sweep_cost_amortises_the_launch(self):
-        circuit = kernel_microbench_circuit("single", 8)
-        plan = compile_plan(circuit, 8)
-        model = SimulationCostModel()
-        n = 32
-        single = model.plan_cost(plan, 100)
-        sweep = model.sweep_cost(plan, n, 100)
-        # The sweep pays the launch overhead once, not n times.
-        assert sweep.total_work < n * single.total_work
-        saved = n * single.total_work - sweep.total_work
-        assert saved == pytest.approx((n - 1) * model.launch_overhead)
-
 
 class TestFromProfile:
     def test_partial_profile_merges_over_defaults(self):

@@ -12,13 +12,14 @@ from repro.algorithms.bell import bell_circuit
 from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.algorithms.vqe import deuteron_ansatz_circuit, deuteron_hamiltonian
-from repro.benchmark.harness import BenchmarkHarness
-from repro.benchmark.workloads import Workload
 from repro.config import set_config
 from repro.core.executor import KernelTask, run_one_by_one
 from repro.exceptions import ExecutionError
 from repro.exec import DensityBackend, ExecutionResult, LocalBackend
 from repro.ir.builder import CircuitBuilder
+from repro.ir.transforms import default_pass_manager
+from repro.parallel.contention import ContentionModel
+from repro.parallel.scheduler import SimTask, TaskScheduler
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.noisy_accelerator import NoisyAccelerator
 from repro.runtime.qpp_accelerator import QppAccelerator
@@ -29,6 +30,23 @@ from repro.simulator.cost_model import (
 from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import reset_plan_cache
+from repro.simulator.statevector import StateVector
+
+
+def modeled_one_by_one(costs, threads=4):
+    """Makespan of kernels with ``costs`` run one after another on
+    ``threads`` threads each — the modeled harness's one-by-one variant."""
+    tasks = [
+        SimTask.from_cost(
+            f"k{index}",
+            parallel_work=cost.parallel_work,
+            serial_work=cost.serial_work,
+            locked_work=cost.locked_work,
+            threads=threads,
+        )
+        for index, cost in enumerate(costs)
+    ]
+    return TaskScheduler(contention=ContentionModel()).run_one_by_one(tasks).makespan
 
 
 @pytest.fixture(autouse=True)
@@ -165,20 +183,16 @@ class TestAcceleratorAdapter:
         qpu.execute(buffer2, ghz_circuit(3), shots=64)
         assert buffer2.information["plan-cached"] is True
 
-    def test_gate_by_gate_path_unchanged(self):
+    def test_plan_counts_match_the_gate_by_gate_reference(self):
         set_config(seed=5)
         circuit = qft_circuit(4)
         plan_buffer = AcceleratorBuffer(4)
         QppAccelerator({"threads": 1}).execute(plan_buffer, circuit, shots=256)
-        legacy_buffer = AcceleratorBuffer(4)
-        QppAccelerator({"threads": 1, "use-plans": False}).execute(
-            legacy_buffer, circuit, shots=256
-        )
-        assert (
-            plan_buffer.get_measurement_counts()
-            == legacy_buffer.get_measurement_counts()
-        )
-        assert legacy_buffer.information["plan-cached"] is False
+        state = StateVector(4).apply_circuit(default_pass_manager().run(circuit))
+        engine = ParallelSimulationEngine(num_threads=1)
+        reference = engine.sample_parallel(state, 256, tuple(range(4)), seed=5)
+        engine.close()
+        assert plan_buffer.get_measurement_counts() == reference
 
     def test_executor_routes_processes_option(self):
         # processes=1 must not engage sharding (stays on the local seam).
@@ -262,33 +276,24 @@ class TestPlanAwareCostModel:
         assert SimulationCostModel().chunk_threshold == DEFAULT_CHUNK_THRESHOLD
         assert compile_plan(qft_circuit(3), 3).chunk_threshold == DEFAULT_CHUNK_THRESHOLD
 
-    def test_harness_modeled_mode_with_plan_costs(self):
-        set_config(execution_mode="modeled")
-        tasks = [
-            KernelTask("qft", lambda: qft_circuit(5), 5, shots=128),
-            KernelTask("ghz", lambda: ghz_circuit(5), 5, shots=128),
-        ]
-        workload = Workload(name="plan-cost", tasks=tasks)
-        plan_harness = BenchmarkHarness(mode="modeled", use_plan_costs=True)
-        gate_harness = BenchmarkHarness(mode="modeled")
-        plan_result = plan_harness.run_variant(workload, "one-by-one", 4)
-        gate_result = gate_harness.run_variant(workload, "one-by-one", 4)
-        assert plan_result.duration > 0
-        # Plan replay is predicted faster than per-gate dispatch.
-        assert plan_result.duration < gate_result.duration
-
-    def test_harness_chunked_plan_costs_model_small_states_as_serial(self):
-        """chunked_plan_costs models the real chunk-parallel replay: these
-        5-qubit states sit far below the chunk threshold, so their sweeps
-        are serial and extra threads buy nothing — the prediction must be
-        at least as slow as the thread-parallel sweep model."""
-        set_config(execution_mode="modeled")
-        tasks = [KernelTask("qft", lambda: qft_circuit(5), 5, shots=128)]
-        workload = Workload(name="chunked-cost", tasks=tasks)
-        chunked = BenchmarkHarness(
-            mode="modeled", use_plan_costs=True, chunked_plan_costs=True
+    def test_modeled_plan_costs_predict_faster_than_per_gate(self):
+        model = SimulationCostModel()
+        circuits = [qft_circuit(5), ghz_circuit(5)]
+        plan = modeled_one_by_one(
+            [model.plan_cost(compile_plan(c), 128) for c in circuits]
         )
-        sweep = BenchmarkHarness(mode="modeled", use_plan_costs=True)
-        chunked_result = chunked.run_variant(workload, "one-by-one", 4)
-        sweep_result = sweep.run_variant(workload, "one-by-one", 4)
-        assert chunked_result.duration >= sweep_result.duration
+        gate = modeled_one_by_one([model.circuit_cost(c, 128) for c in circuits])
+        assert plan > 0
+        # Plan replay is predicted faster than per-gate dispatch.
+        assert plan < gate
+
+    def test_chunked_plan_costs_model_small_states_as_serial(self):
+        """chunked=True models the real chunk-parallel replay: this 5-qubit
+        state sits far below the chunk threshold, so its sweeps are serial
+        and extra threads buy nothing — the prediction must be at least as
+        slow as the thread-parallel sweep model."""
+        model = SimulationCostModel()
+        plan = compile_plan(qft_circuit(5))
+        chunked = modeled_one_by_one([model.plan_cost(plan, 128, chunked=True)])
+        sweep = modeled_one_by_one([model.plan_cost(plan, 128)])
+        assert chunked >= sweep

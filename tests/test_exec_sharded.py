@@ -24,9 +24,9 @@ from repro.exec import LocalBackend, ShardedExecutor, get_sharded_executor
 from repro.ir import gates as G
 from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
+from repro.ir.serialization import circuit_content_hash
 from repro.service import QuantumJobService
 from repro.simulator.parallel_engine import ParallelSimulationEngine
-from repro.simulator.plan_cache import cached_content_hash
 
 
 def algorithm_suite():
@@ -179,7 +179,7 @@ class TestAffinityAndCaching:
         assert plan.n_qubits == 3
         # Route with the same key compile() used: the circuit content hash.
         result = sharded2.execute_for_key(
-            cached_content_hash(circuit), circuit, 32, seed=0
+            circuit_content_hash(circuit), circuit, 32, seed=0
         )
         assert result.plan_cached is True
 
@@ -284,16 +284,6 @@ class TestShardedBroker:
         ) as service:
             sharded = service.submit(circuit, shots=256).counts()
         assert sharded == reference
-
-    def test_use_plans_false_rejected_with_processes(self):
-        # The gate-by-gate A/B path has no plan form: forking shard workers
-        # that could never serve it would be pure waste, so the combination
-        # is rejected up front.
-        with pytest.raises(ExecutionError, match="use-plans"):
-            QuantumJobService(
-                backend="qpp", workers=1, processes=2,
-                backend_options={"use-plans": False}, name="legacy-ab",
-            )
 
     def test_sharded_plan_hits_counter(self):
         set_config(seed=6)

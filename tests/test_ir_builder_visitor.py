@@ -1,11 +1,9 @@
-"""Tests for the fluent CircuitBuilder and the instruction visitor."""
+"""Tests for the fluent CircuitBuilder."""
 
 import numpy as np
 import pytest
 
 from repro.ir.builder import CircuitBuilder
-from repro.ir.composite import CompositeInstruction
-from repro.ir.visitor import InstructionVisitor
 
 
 class TestCircuitBuilder:
@@ -67,49 +65,3 @@ class TestCircuitBuilder:
         first = builder.build()
         builder.h(0)
         assert first.n_instructions == 1
-
-
-class TestVisitor:
-    def test_dispatch_to_named_method(self):
-        visits = []
-
-        class Recorder(InstructionVisitor):
-            def visit_h(self, inst):
-                visits.append(("h", inst.qubits))
-                return "H!"
-
-            def visit_cx(self, inst):
-                visits.append(("cx", inst.qubits))
-                return "CX!"
-
-        circuit = CircuitBuilder(2).h(0).cx(0, 1).build()
-        results = Recorder().walk(circuit)
-        assert results == ["H!", "CX!"]
-        assert visits == [("h", (0,)), ("cx", (0, 1))]
-
-    def test_default_fallback_for_unhandled_gates(self):
-        class OnlyH(InstructionVisitor):
-            def visit_h(self, inst):
-                return "h"
-
-            def visit_default(self, inst):
-                return f"other:{inst.name}"
-
-        circuit = CircuitBuilder(2).h(0).x(1).build()
-        assert OnlyH().walk(circuit) == ["h", "other:X"]
-
-    def test_visit_composite_on_nested_dispatch(self):
-        class Counter(InstructionVisitor):
-            def __init__(self):
-                self.count = 0
-
-            def visit_default(self, inst):
-                self.count += 1
-
-        counter = Counter()
-        counter.visit(CircuitBuilder(2).h(0).cx(0, 1).measure(0).build())
-        assert counter.count == 3
-
-    def test_base_visitor_returns_none_by_default(self):
-        circuit = CompositeInstruction("empty")
-        assert InstructionVisitor().walk(circuit) == []

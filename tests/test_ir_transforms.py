@@ -12,7 +12,6 @@ from repro.ir.transforms import (
     InverseCancellationPass,
     PassManager,
     RotationMergingPass,
-    SingleQubitFusionPass,
     default_pass_manager,
 )
 
@@ -90,38 +89,6 @@ class TestRotationMerging:
         circuit = CircuitBuilder(1).rz(0, 0.2).rz(0, 0.7).rx(0, 1.1).rx(0, -0.4).build()
         out = RotationMergingPass().run(circuit)
         assert np.allclose(circuit.to_unitary(), out.to_unitary(), atol=1e-10)
-
-
-class TestSingleQubitFusion:
-    def test_run_of_gates_becomes_one_u3(self):
-        circuit = CircuitBuilder(1).h(0).t(0).s(0).x(0).build()
-        out = SingleQubitFusionPass().run(circuit)
-        assert len(out) == 1
-        assert out[0].name == "U3"
-
-    def test_fusion_preserves_semantics_up_to_phase(self):
-        circuit = CircuitBuilder(2).h(0).t(0).rx(0, 0.4).x(1).z(1).cx(0, 1).h(1).s(1).build()
-        out = SingleQubitFusionPass().run(circuit)
-        original = circuit.to_unitary()
-        fused = out.to_unitary()
-        index = np.unravel_index(np.argmax(np.abs(original)), original.shape)
-        phase = original[index] / fused[index]
-        assert np.allclose(original, phase * fused, atol=1e-9)
-
-    def test_two_qubit_gate_breaks_the_run(self):
-        circuit = CircuitBuilder(2).h(0).cx(0, 1).h(0).build()
-        out = SingleQubitFusionPass().run(circuit)
-        assert [i.name for i in out] == ["H", "CX", "H"]
-
-    def test_single_gates_left_unfused(self):
-        circuit = CircuitBuilder(2).h(0).cx(0, 1).build()
-        out = SingleQubitFusionPass().run(circuit)
-        assert [i.name for i in out] == ["H", "CX"]
-
-    def test_symbolic_gate_breaks_the_run(self):
-        circuit = CircuitBuilder(1).h(0).rx(0, Parameter("a")).h(0).build()
-        out = SingleQubitFusionPass().run(circuit)
-        assert len(out) == 3
 
 
 class TestPassManager:

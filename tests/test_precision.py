@@ -246,12 +246,3 @@ class TestPrecisionIsSemantic:
         assert single.data.dtype == np.dtype(np.complex64)
         error = np.max(np.abs(single.probabilities() - double.probabilities()))
         assert error <= 1e-4
-
-    def test_gate_by_gate_path_rejects_single_precision(self):
-        from repro.exceptions import AcceleratorError
-        from repro.runtime.buffer import AcceleratorBuffer
-        from repro.runtime.qpp_accelerator import QppAccelerator
-
-        qpu = QppAccelerator({"use-plans": False, "precision": "single"})
-        with pytest.raises(AcceleratorError, match="complex128 only"):
-            qpu.execute(AcceleratorBuffer(2), bell_circuit(), shots=16)

@@ -11,12 +11,7 @@ from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
 from repro.ir.gates import create_gate
 from repro.ir.serialization import circuit_from_json, circuit_to_json
-from repro.ir.transforms import (
-    InverseCancellationPass,
-    PassManager,
-    RotationMergingPass,
-    SingleQubitFusionPass,
-)
+from repro.ir.transforms import InverseCancellationPass, PassManager, RotationMergingPass
 from repro.simulator.statevector import StateVector
 from repro.simulator.unitary import circuit_unitary
 
@@ -124,9 +119,7 @@ class TestTransformInvariants:
     @_SETTINGS
     @given(random_circuits(max_qubits=3, max_gates=10))
     def test_optimisation_passes_preserve_semantics_up_to_phase(self, circuit):
-        manager = PassManager(
-            [RotationMergingPass(), InverseCancellationPass(), SingleQubitFusionPass()]
-        )
+        manager = PassManager([RotationMergingPass(), InverseCancellationPass()])
         optimised = manager.run(circuit)
         original = circuit_unitary(circuit)
         transformed = circuit_unitary(optimised)

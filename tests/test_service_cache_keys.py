@@ -9,7 +9,41 @@ from repro.algorithms.bell import bell_circuit
 from repro.algorithms.ghz import ghz_circuit
 from repro.exceptions import ExecutionError
 from repro.service.cache import CachedResult, ResultCache, subsample_counts
-from repro.service.keys import circuit_content_hash, config_fingerprint, job_key
+from repro.service.keys import (
+    _NON_SEMANTIC_OPTIONS,
+    circuit_content_hash,
+    config_fingerprint,
+    job_key,
+)
+
+#: (option, values it is toggled through, semantic?).  Every non-semantic
+#: member is listed, so adding one to ``_NON_SEMANTIC_OPTIONS`` is covered
+#: without touching this table; ``batch-diagonals`` is a compile-level
+#: argument, not a job option, so it fragments keys like any unknown one.
+_KEY_TOGGLES = [
+    (name, (0, 1, 2, 64, True, False, "x"), False) for name in sorted(_NON_SEMANTIC_OPTIONS)
+] + [
+    ("optimize", (True, False), True),
+    ("precision", ("double", "single"), True),
+    ("method", ("statevector", "stabilizer"), True),
+    ("batch-diagonals", (True, False), True),
+]
+
+
+class TestKeySoundness:
+    @pytest.mark.parametrize(
+        "option,values,semantic", _KEY_TOGGLES, ids=[row[0] for row in _KEY_TOGGLES]
+    )
+    @pytest.mark.parametrize("base", [{}, {"optimize": True, "p1": 0.01}])
+    def test_toggling_an_option_moves_the_key_iff_semantic(
+        self, option, values, semantic, base
+    ):
+        circuit = ghz_circuit(3)
+        keys = [job_key(circuit, "qpp", {**base, option: value}) for value in values]
+        if semantic:
+            assert len(set(keys)) == len(values)
+        else:
+            assert set(keys) == {job_key(circuit, "qpp", base)}
 
 
 class TestJobKeys:
@@ -36,14 +70,10 @@ class TestJobKeys:
         assert config_fingerprint("qpp", {"threads": 4}) == config_fingerprint("qpp")
 
     def test_plan_tuning_options_are_non_semantic(self):
-        # Chunked replay is bitwise identical and diagonal batching is
-        # distribution-equivalent: neither may fragment the result cache.
+        # Chunked replay is bitwise identical: it may not fragment the cache.
         assert config_fingerprint("qpp", {"chunk-threshold": 2}) == config_fingerprint("qpp")
-        assert config_fingerprint("qpp", {"batch-diagonals": False}) == config_fingerprint(
-            "qpp"
-        )
         assert config_fingerprint(
-            "qpp", {"batch-diagonals": False, "chunk-threshold": 64, "threads": 2}
+            "qpp", {"chunk-threshold": 64, "threads": 2}
         ) == config_fingerprint("qpp")
 
     def test_semantic_options_fragment_keys(self):

@@ -14,6 +14,7 @@ from repro.ir import gates as G
 from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
 from repro.ir.parameter import Parameter
+from repro.ir.transforms import default_pass_manager
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.simulator.execution_plan import (
@@ -33,6 +34,25 @@ def naive_state(circuit, n_qubits):
             continue
         state.apply(inst)
     return state.data
+
+
+def reference_counts(circuit, width, shots, seed, threads=None):
+    """The gate-by-gate reference an accelerator job must reproduce: the
+    default IR passes, ``StateVector.apply_circuit`` (or per-shot
+    trajectories when the circuit resets), and the engine's sampler.
+    Returns the counts and the optimised circuit."""
+    circuit = default_pass_manager().run(circuit)
+    engine = ParallelSimulationEngine(num_threads=threads)
+    try:
+        if any(inst.name == "RESET" for inst in circuit):
+            counts = engine.run_trajectories(width, circuit, shots, seed=seed)
+        else:
+            state = StateVector(width).apply_circuit(circuit)
+            measured = circuit.measured_qubits() or tuple(range(width))
+            counts = engine.sample_parallel(state, shots, measured, seed=seed)
+    finally:
+        engine.close()
+    return counts, circuit
 
 
 def plan_state(circuit, n_qubits, **kwargs):
@@ -357,11 +377,11 @@ class TestAcceleratorPlans:
             "vqe": (vqe, max(vqe.n_qubits, 2)),
         }
         circuit, width = suite[name]
-        planned, info = self._counts(circuit, width, {"use-plans": True})
-        legacy, legacy_info = self._counts(circuit, width, {"use-plans": False})
-        assert planned == legacy
-        assert info["circuit-depth"] == legacy_info["circuit-depth"]
-        assert info["circuit-gates"] == legacy_info["circuit-gates"]
+        planned, info = self._counts(circuit, width, {})
+        reference, optimized = reference_counts(circuit, width, 256, 99)
+        assert planned == reference
+        assert info["circuit-depth"] == optimized.depth()
+        assert info["circuit-gates"] == optimized.n_gates
 
     def test_repeat_executions_hit_the_plan_cache(self):
         reset_plan_cache()
@@ -378,9 +398,9 @@ class TestAcceleratorPlans:
         circuit = (
             CircuitBuilder(3).h(0).cx(0, 1).reset(1).ry(2, 0.8).measure(0).measure(1).measure(2).build()
         )
-        planned, _ = self._counts(circuit, 3, {"use-plans": True, "threads": 2})
-        legacy, _ = self._counts(circuit, 3, {"use-plans": False, "threads": 2})
-        assert planned == legacy
+        planned, _ = self._counts(circuit, 3, {"threads": 2})
+        reference, _ = reference_counts(circuit, 3, 256, 99, threads=2)
+        assert planned == reference
 
 
 # ---------------------------------------------------------------------------

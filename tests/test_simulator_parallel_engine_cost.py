@@ -245,27 +245,31 @@ class TestShmProcessPlanCost:
         assert dense_extra == pytest.approx(3 * model.shm_step_barrier_cost)
         assert diag_extra == pytest.approx(model.shm_step_barrier_cost)
 
-    def test_harness_shm_mode_runs(self):
-        """BenchmarkHarness(shm_plan_processes=N) gives the process cost
-        mode a modeled-mode caller, and the barrier term makes the modeled
+    def test_shm_mode_is_slower_than_threads_when_chunking(self):
+        """The process cost mode's barrier term makes the modeled one-by-one
         duration strictly longer than the thread-chunked mode on the same
         workload (sub-threshold states: equal; this workload chunks)."""
-        from repro.benchmark.harness import BenchmarkHarness
         from repro.benchmark.workloads import bell_workload
+        from repro.parallel.contention import ContentionModel
+        from repro.parallel.scheduler import SimTask, TaskScheduler
         from repro.simulator.cost_model import SimulationCostModel
+        from repro.simulator.execution_plan import compile_plan
 
         model = SimulationCostModel(chunk_threshold=4)
-        workload = bell_workload(n_kernels=1, shots=64)
-        shm = BenchmarkHarness(
-            mode="modeled",
-            cost_model=model,
-            use_plan_costs=True,
-            shm_plan_processes=4,
-        ).run_variant(workload, "one-by-one", 4)
-        threaded = BenchmarkHarness(
-            mode="modeled",
-            cost_model=model,
-            use_plan_costs=True,
-            chunked_plan_costs=True,
-        ).run_variant(workload, "one-by-one", 4)
-        assert shm.duration > threaded.duration > 0
+        (task,) = bell_workload(n_kernels=1, shots=64).tasks
+        plan = compile_plan(task.build_circuit())
+
+        def duration(cost):
+            sim = SimTask.from_cost(
+                task.name,
+                parallel_work=cost.parallel_work,
+                serial_work=cost.serial_work,
+                locked_work=cost.locked_work,
+                threads=4,
+            )
+            scheduler = TaskScheduler(contention=ContentionModel())
+            return scheduler.run_one_by_one([sim]).makespan
+
+        shm = duration(model.plan_cost(plan, task.shots, processes=4))
+        threaded = duration(model.plan_cost(plan, task.shots, chunked=True))
+        assert shm > threaded > 0

@@ -188,10 +188,13 @@ def check_identity(shots: int = 512, seed: int = 1234) -> dict:
 
 
 def run_suite(quick: bool = False) -> dict:
+    # Segments held by pools that were open before this suite (other bench
+    # files in the same process) are not this suite's leaks.
+    preexisting = set(live_segments())
     identity = check_identity()
     identity_all = all(ok for algo in identity.values() for ok in algo.values())
     replay = bench_shm_replay(quick)
-    leaked = live_segments()
+    leaked = [name for name in live_segments() if name not in preexisting]
     return {
         "benchmark": "shm_replay",
         "quick": quick,

@@ -5,9 +5,10 @@ the running host and persists a versioned, host-fingerprinted
 :class:`CalibrationProfile`; :func:`load_calibrated_model` turns it back
 into a :class:`~repro.simulator.cost_model.SimulationCostModel` (falling
 back to the hand-set defaults, with a warning, when the profile is
-missing, stale, or from another host).  The adaptive lane selection in
-:class:`~repro.exec.backend.LocalBackend` and the broker consumes that
-model to route each plan to its predicted-cheapest execution lane.
+missing, stale, or from another host).  The model prices kernel classes,
+plan-step dispatch and tableau gates; it does not pick replay lanes, which
+follow the fixed chunk-threshold rule in
+:class:`~repro.exec.backend.LocalBackend`.
 """
 
 from .harness import KERNEL_KINDS, kernel_microbench_circuit, run_calibration

@@ -23,12 +23,6 @@ def main(argv=None) -> int:
         help=f"profile path (default: {default_profile_path()})",
     )
     parser.add_argument(
-        "--no-threads", action="store_true", help="skip thread-pool measurements"
-    )
-    parser.add_argument(
-        "--no-shm", action="store_true", help="skip shared-memory lane measurements"
-    )
-    parser.add_argument(
         "--show",
         action="store_true",
         help="print the existing profile at --output and exit (no measurement)",
@@ -47,21 +41,10 @@ def main(argv=None) -> int:
         )
         return 0
 
-    profile = run_calibration(
-        quick=args.quick,
-        include_threads=not args.no_threads,
-        include_shm=not args.no_shm,
-    )
+    profile = run_calibration(quick=args.quick)
     saved = profile.save(path)
     print(profile.to_json())
     print(f"calibration profile written to {saved}", file=sys.stderr)
-
-    if not args.no_shm:
-        # The shm stage may have spun worker processes up through the shared
-        # registry; leave nothing running behind a one-shot CLI.
-        from ..exec.shm import shutdown_shared_state_pools
-
-        shutdown_shared_state_pools()
     return 0
 
 

@@ -9,9 +9,9 @@ does not match the running host loads but must not steer the cost model,
 so :func:`load_calibrated_model` warns and falls back to the hand-set
 defaults in that case.  The profile only stores constants that were
 actually measured — anything it leaves ``None`` keeps its default when
-:meth:`SimulationCostModel.from_profile` consumes it, which is how a
-1-core host (no thread/shm measurements possible) still produces a usable
-profile.
+:meth:`SimulationCostModel.from_profile` consumes it.  Keys this build does
+not know (such as the lane-pricing fields older builds wrote) are ignored
+on load, so older version-1 files still load.
 """
 
 from __future__ import annotations
@@ -54,10 +54,9 @@ def host_fingerprint() -> dict:
     """Identity of the measuring host, as far as the constants depend on it.
 
     The calibrated constants are ratios of numpy kernel throughputs, so the
-    fingerprint captures what changes those ratios: the core count (thread
-    and process efficiencies), the numpy build (kernel implementations),
-    and the machine architecture.  ``dtype`` is the reference amplitude
-    dtype the kernels were timed at.
+    fingerprint captures what changes those ratios: the core count, the
+    numpy build (kernel implementations), and the machine architecture.
+    ``dtype`` is the reference amplitude dtype the kernels were timed at.
     """
     return {
         "cpu_count": os.cpu_count() or 1,
@@ -92,14 +91,7 @@ class CalibrationProfile:
     #: predicted seconds.
     seconds_per_unit: float | None = None
     kernel_cost_factors: dict = field(default_factory=dict)
-    kernel_parallel_efficiency: dict = field(default_factory=dict)
-    kernel_process_efficiency: dict = field(default_factory=dict)
     plan_step_dispatch_cost: float | None = None
-    shm_step_barrier_cost: float | None = None
-    sharded_dispatch_cost: float | None = None
-    chunk_threshold: int | None = None
-    recommended_threads: int | None = None
-    recommended_shm_workers: int | None = None
     #: Measured wall seconds per Clifford gate per tableau qubit-row (the
     #: stabilizer lane's O(n) per-gate constant); feeds
     #: :meth:`SimulationCostModel.stabilizer_seconds` predictions.

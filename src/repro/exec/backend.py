@@ -235,10 +235,11 @@ class LocalBackend(ExecutionBackend):
     This is the seam the single-process paths sit on: the qpp accelerator,
     ``core/executor.py`` and the broker's default dispatcher all reduce to
     ``LocalBackend.execute``.  Fixed-seed results are the reference the
-    sharded backend must reproduce bit for bit.  With ``shm_pool`` set the
-    backend stops being strictly in-process: super-threshold plan replays
-    run across the pool's shared-memory worker processes (bitwise
-    identical, so the reference property is untouched).
+    sharded backend must reproduce bit for bit.  Every replay takes one
+    fixed lane (:meth:`_replay_pool`): serial below the plan's chunk
+    threshold, else the ``shm_pool``'s shared-memory worker processes when
+    one is set, else the engine's threads — all bitwise identical, so the
+    reference property holds on every lane.
     """
 
     backend_name = "local"
@@ -248,8 +249,6 @@ class LocalBackend(ExecutionBackend):
         engine: ParallelSimulationEngine | None = None,
         plan_cache: PlanCache | None = None,
         shm_pool=None,
-        adaptive: bool = False,
-        cost_model=None,
     ):
         self._engine = engine if engine is not None else ParallelSimulationEngine()
         self._owns_engine = engine is None
@@ -259,12 +258,6 @@ class LocalBackend(ExecutionBackend):
         #: lane) instead of the engine's threads.  Not owned — shared pools
         #: outlive any one backend, so ``close()`` leaves it running.
         self.shm_pool = shm_pool
-        #: When True, each plan replays on the lane the cost model predicts
-        #: cheapest (serial / threads / shm) instead of the fixed
-        #: shm-then-threads preference.  Never changes results: every lane
-        #: is bit-identical at a given precision.
-        self.adaptive = bool(adaptive)
-        self._cost_model = cost_model
 
     @property
     def engine(self) -> ParallelSimulationEngine:
@@ -273,69 +266,21 @@ class LocalBackend(ExecutionBackend):
     def _cache(self) -> PlanCache:
         return self._plan_cache if self._plan_cache is not None else get_plan_cache()
 
-    def cost_model(self):
-        """The lane-selection cost model (calibrated for this host if a
-        profile is persisted, the hand-set defaults otherwise)."""
-        if self._cost_model is None:
-            from ..calibrate import load_calibrated_model
-
-            self._cost_model = load_calibrated_model()
-        return self._cost_model
-
-    def _replay_pool(self, plan, shots: int = 0):
+    def _replay_pool(self, plan):
         """The chunk pool this plan replays on (``None`` = serial replay).
 
-        Fixed routing prefers the shm lane when it applies, the thread
-        engine otherwise; ``adaptive=True`` instead asks the (calibrated)
-        cost model to rank {serial, threads, shm} for *this* plan and shot
-        count and routes to the predicted-cheapest lane.
-        """
-        pool, _, _ = self._route_replay(plan, shots)
-        return pool
-
-    def _route_replay(self, plan, shots: int = 0):
-        """Route a replay: ``(pool, lane_name, predicted_units)``.
-
-        ``predicted_units`` is the cost model's wall-clock estimate for the
-        chosen lane when adaptive selection ran (so the caller can feed the
-        measured replay time back via ``observe_lane``), ``None`` under
-        fixed routing.  A state below the plan's ``chunk_threshold`` — the
-        measured crossover under which splitting a replay across workers
-        loses to the serial sweep — is never handed a pool: no lane would
-        engage, and the replay span reports the lane that really ran.
+        A state below the plan's ``chunk_threshold`` — the measured
+        crossover under which splitting a replay across workers loses to
+        the serial sweep — replays serially; above it the shm pool takes
+        the replay when one is configured and can hold the plan, the
+        engine's threads otherwise.  Every lane is bit-identical.
         """
         if (1 << plan.n_qubits) < plan.chunk_threshold:
-            return None, "serial", None
+            return None
         shm = self.shm_pool
-        shm_ok = shm is not None and shm.can_replay(plan)
-        if not self.adaptive:
-            if shm_ok:
-                return shm, "shm", None
-            return self._engine, "threads", None
-        try:
-            threads = self._engine.effective_threads()
-        except ExecutionError:
-            threads = 1
-        shm_workers = shm.effective_threads() if shm_ok else 0
-        model = self.cost_model()
-        lane, costs = model.choose_lane_with_costs(
-            plan, shots, threads=threads, shm_workers=shm_workers
-        )
-
-        def raw_units(name: str) -> float | None:
-            # lane_costs returns EWMA-scaled values once observations exist;
-            # observe_lane needs the *unscaled* units or the correction
-            # would compound against itself, so divide the scale back out.
-            value = costs.get(name)
-            if value is None or not model.lane_seconds_per_unit:
-                return value
-            return value / model._lane_scale(name)
-
-        if lane == "shm" and shm_ok:
-            return shm, lane, raw_units(lane)
-        if lane == "threads" and threads > 1:
-            return self._engine, lane, raw_units(lane)
-        return None, "serial", raw_units("serial")
+        if shm is not None and shm.can_replay(plan):
+            return shm
+        return self._engine
 
     # -- protocol -----------------------------------------------------------------
     def compile(
@@ -408,13 +353,7 @@ class LocalBackend(ExecutionBackend):
                 # ``seconds`` reports this job's work, not its wait for another's.
                 started += time.perf_counter() - queued
                 state = StateVector(width, dtype=plan.dtype)
-                # The chunk pool — shm processes for large states when
-                # configured, the engine's threads otherwise, or None for a
-                # serial replay when adaptive selection predicts chunking
-                # cannot pay — parallelises the single large-state replay
-                # (bitwise identical to serial).
-                pool, lane, predicted_units = self._route_replay(plan, shots)
-                replay_started = time.perf_counter()
+                pool = self._replay_pool(plan)
                 with tracer.span(
                     "replay",
                     attrs={
@@ -423,13 +362,6 @@ class LocalBackend(ExecutionBackend):
                     },
                 ):
                     state.apply_plan(plan, pool=pool)
-                if predicted_units is not None:
-                    # Online calibration refinement: fold the measured replay
-                    # time for the lane the model chose back into its EWMA so
-                    # subsequent selections reflect this host's served jobs.
-                    self.cost_model().observe_lane(
-                        lane, predicted_units, time.perf_counter() - replay_started
-                    )
                 measured = plan.measured_qubits or tuple(range(width))
                 with tracer.span("sample", attrs={"shots": shots}):
                     counts = self._engine.sample_parallel(
@@ -538,8 +470,7 @@ class LocalBackend(ExecutionBackend):
             started = time.perf_counter()
             bound = plan.bind(binding)
             state = StateVector(width, dtype=bound.dtype)
-            pool, lane, predicted_units = self._route_replay(bound, shots)
-            replay_started = time.perf_counter()
+            pool = self._replay_pool(bound)
             with tracer.span(
                 "replay",
                 attrs={
@@ -549,10 +480,6 @@ class LocalBackend(ExecutionBackend):
                 },
             ):
                 state.apply_plan(bound, pool=pool)
-            if predicted_units is not None:
-                self.cost_model().observe_lane(
-                    lane, predicted_units, time.perf_counter() - replay_started
-                )
             measured = bound.measured_qubits or tuple(range(width))
             with tracer.span("sample", attrs={"shots": shots}):
                 counts = self._engine.sample_parallel(state, shots, measured, seed=seed)

@@ -60,11 +60,6 @@ _COUNTER_FIELDS = (
         "sweep_fanout_total",
         "sweep chunks fanned out to execution lanes",
     ),
-    (
-        "calibration_refinements",
-        "calibration_refinements_total",
-        "online cost-model EWMA refinements from measured replays",
-    ),
     ("executed_shots", "executed_shots_total", "shots actually simulated"),
     ("served_shots", "served_shots_total", "shots delivered to clients"),
     ("shard_respawns", "shard_respawns_total", "shard workers respawned after dying"),

@@ -8,9 +8,7 @@ This subpackage provides the same surface: :func:`X`, :func:`Y`, :func:`Z`
 return single-qubit Pauli operators supporting ``*``, ``+``, ``-`` with each
 other and with scalars, producing a :class:`PauliOperator` (a weighted sum of
 :class:`PauliTerm` products).  Expectation values can be computed exactly
-from a state vector or estimated from measurement counts, and terms can be
-grouped into qubit-wise commuting sets to reduce the number of measured
-circuits.
+from a state vector or estimated from measurement counts.
 """
 
 from .pauli import I, PauliOperator, PauliTerm, X, Y, Z
@@ -19,7 +17,6 @@ from .expectation import (
     measurement_circuits,
     estimate_expectation,
 )
-from .commutation import qubit_wise_commuting_groups
 
 __all__ = [
     "I",
@@ -31,5 +28,4 @@ __all__ = [
     "expectation_from_counts",
     "measurement_circuits",
     "estimate_expectation",
-    "qubit_wise_commuting_groups",
 ]

@@ -119,9 +119,6 @@ class QppAccelerator(Accelerator, Cloneable):
             )
         else:
             self._local_backend.shm_pool = None
-        # Opt-in measured lane routing: consult the calibrated cost model
-        # per plan instead of the fixed shm-if-available policy.
-        self._local_backend.adaptive = bool(self.options.get("adaptive-lane", False))
         return self._local_backend
 
     # -- execution ------------------------------------------------------------------

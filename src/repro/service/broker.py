@@ -1430,7 +1430,6 @@ class QuantumJobService:
     def metrics(self) -> MetricsSnapshot:
         """Consistent snapshot of throughput, queue, cache and latency stats."""
         from ..exec.shm import shm_health
-        from ..simulator.cost_model import calibration_refinement_count
         from ..simulator.plan_cache import get_plan_cache
 
         # Aggregated over this process's open shm pools (the in-process
@@ -1463,7 +1462,6 @@ class QuantumJobService:
             shm_barrier_aborts=shm["barrier_aborts"],
             shm_resident_bytes=shm["resident_bytes"],
             shm_resident_states=shm["resident_states"],
-            calibration_refinements=calibration_refinement_count(),
             breaker_state=self._breaker.state,
             breaker_trips=self._breaker.trips,
             shm_breaker_state=self._shm_breaker.state,

@@ -63,9 +63,7 @@ __all__ = [
 #: may fail with DeadlineExceeded or AdmissionRejected under one setting
 #: and succeed under another — but never change the histogram a successful
 #: job returns, so a result produced under a tight deadline is perfectly
-#: reusable by a submission with a loose one.  ``adaptive-lane`` only picks
-#: which execution lane replays the plan — every lane is bit-identical at a
-#: given precision — so it too stays out of the identity.
+#: reusable by a submission with a loose one.
 #:
 #: ``"precision"`` is deliberately **not** listed: the complex64 tier
 #: changes the evolved amplitudes (within the documented fidelity bound)
@@ -91,7 +89,6 @@ _NON_SEMANTIC_OPTIONS = frozenset(
         "shm-processes",
         "shm-states",
         "chunk-threshold",
-        "adaptive-lane",
         "deadline-seconds",
         "memory-budget-bytes",
         "admission-wait-seconds",

@@ -153,9 +153,6 @@ class MetricsSnapshot:
     shm_resident_bytes: int = 0
     #: Resident shm state slots (gangs) live across this process's pools.
     shm_resident_states: int = 0
-    #: Online cost-model refinements applied (EWMA updates from measured
-    #: per-lane replay timings feeding back into the calibration profile).
-    calibration_refinements: int = 0
     #: Shard-lane circuit-breaker state at snapshot time
     #: ("closed" / "open" / "half-open"; "closed" without sharding).
     breaker_state: str = "closed"
@@ -263,7 +260,6 @@ class ServiceMetrics:
         shm_barrier_aborts: int = 0,
         shm_resident_bytes: int = 0,
         shm_resident_states: int = 0,
-        calibration_refinements: int = 0,
         breaker_state: str = "closed",
         breaker_trips: int = 0,
         shm_breaker_state: str = "closed",
@@ -299,7 +295,6 @@ class ServiceMetrics:
             shm_barrier_aborts=shm_barrier_aborts,
             shm_resident_bytes=shm_resident_bytes,
             shm_resident_states=shm_resident_states,
-            calibration_refinements=calibration_refinements,
             breaker_state=breaker_state,
             breaker_trips=breaker_trips,
             shm_breaker_state=shm_breaker_state,

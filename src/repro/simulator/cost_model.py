@@ -20,57 +20,22 @@ regimes the paper reports.
 
 from __future__ import annotations
 
-import math
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..ir.composite import CompositeInstruction
-from .execution_plan import DEFAULT_CHUNK_THRESHOLD
 
 __all__ = [
     "CircuitCost",
     "SimulationCostModel",
     "DEFAULT_KERNEL_COST_FACTORS",
-    "DEFAULT_KERNEL_PARALLEL_EFFICIENCY",
-    "DEFAULT_KERNEL_PROCESS_EFFICIENCY",
     "DEFAULT_SECONDS_PER_CLIFFORD_GATE",
-    "EXECUTION_LANES",
     "SIMULATION_METHODS",
-    "calibration_refinement_count",
 ]
 
-#: Process-wide count of online lane-timing refinements folded into any
-#: cost model via :meth:`SimulationCostModel.observe_lane`.  The broker
-#: surfaces it in ``service.metrics()`` as ``calibration_refinements`` so
-#: operators can see whether lane selection is still trusting the one-shot
-#: calibration profile or has started learning from served jobs.
-_refinement_lock = threading.Lock()
-_refinement_count = 0
-
-
-def calibration_refinement_count() -> int:
-    """Total ``observe_lane`` refinements applied in this process."""
-    with _refinement_lock:
-        return _refinement_count
-
-
-def _reset_refinement_count() -> None:
-    """Testing hook: zero the process-wide refinement counter."""
-    global _refinement_count
-    with _refinement_lock:
-        _refinement_count = 0
-
-#: The execution lanes adaptive selection ranks.  ``serial`` is in-process
-#: single-threaded replay; ``threads`` is chunk-parallel replay on the
-#: engine's thread pool; ``shm`` is the shared-memory process lane;
-#: ``sharded`` is the process-sharded executor (wins only for trajectory
-#: fan-out, where shots split across workers).
-EXECUTION_LANES = ("serial", "threads", "shm", "sharded")
-
 #: Simulation *methods* :meth:`SimulationCostModel.choose_backend` ranks.
-#: ``statevector`` is the dense amplitude simulator (every lane above is a
-#: way of replaying it); ``stabilizer`` is the CHP-style tableau, polynomial
+#: ``statevector`` is the dense amplitude simulator (every replay lane is a
+#: way of running it); ``stabilizer`` is the CHP-style tableau, polynomial
 #: in qubit count but restricted to Clifford circuits.  ``auto`` lets the
 #: classifier decide.
 SIMULATION_METHODS = ("auto", "statevector", "stabilizer")
@@ -109,42 +74,6 @@ DEFAULT_KERNEL_COST_FACTORS: dict[str, float] = {
     "dense": 1.0,
     "reset": 0.5,
     "block": 1.0,
-}
-
-#: Fraction of each kernel class's amplitude sweep that chunk-parallel plan
-#: replay actually overlaps across worker threads (states at or above the
-#: chunk threshold).  Elementwise kernels chunk almost perfectly; gathers
-#: and dense blocks pay barrier/scatter phases; resets stay serial (global
-#: probability reduction + one RNG draw) and so do contiguous-window blocks
-#: (the GEMM pass runs as the identical serial call on every lane).
-DEFAULT_KERNEL_PARALLEL_EFFICIENCY: dict[str, float] = {
-    "single": 0.92,
-    "controlled": 0.88,
-    "diagonal": 0.85,
-    "permutation": 0.8,
-    "gather": 0.75,
-    "dense": 0.7,
-    "reset": 0.0,
-    "block": 0.0,
-}
-
-#: Fraction of each kernel class's sweep that *shared-memory process*
-#: replay overlaps across worker processes.  Slightly below the thread
-#: efficiencies: the sweeps themselves are identical, but every worker
-#: touches the shared mapping cold (no cache reuse between steps that
-#: threads get for free) and dense blocks leave their matmul on one
-#: worker.  The per-step barrier/IPC cost is modelled separately
-#: (:attr:`SimulationCostModel.shm_step_barrier_cost`) because it is a
-#: fixed synchronisation price, not a fraction of the sweep.
-DEFAULT_KERNEL_PROCESS_EFFICIENCY: dict[str, float] = {
-    "single": 0.9,
-    "controlled": 0.85,
-    "diagonal": 0.82,
-    "permutation": 0.76,
-    "gather": 0.7,
-    "dense": 0.6,
-    "reset": 0.0,
-    "block": 0.0,
 }
 
 
@@ -220,41 +149,6 @@ class SimulationCostModel:
     kernel_cost_factors: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_KERNEL_COST_FACTORS)
     )
-    #: Minimum state size (amplitudes) before chunk-parallel replay engages:
-    #: the measured crossover the plans themselves default to.
-    chunk_threshold: int = DEFAULT_CHUNK_THRESHOLD
-    #: Per-kernel-class fraction of the sweep that chunking parallelises
-    #: (see :data:`DEFAULT_KERNEL_PARALLEL_EFFICIENCY`).
-    kernel_parallel_efficiency: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_KERNEL_PARALLEL_EFFICIENCY)
-    )
-    #: Per-kernel-class fraction the shared-memory *process* lane overlaps
-    #: (see :data:`DEFAULT_KERNEL_PROCESS_EFFICIENCY`).
-    kernel_process_efficiency: Mapping[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_KERNEL_PROCESS_EFFICIENCY)
-    )
-    #: Serial cost of one inter-process step barrier (semaphore round +
-    #: worker wake-up) in shared-memory replay.  Dense steps pay three
-    #: (gather / matmul / scatter each barrier); every other chunked step
-    #: pays one.  This is the term that makes shallow plans on small
-    #: states *lose* from process parallelism in the model, exactly as
-    #: they do on hardware.
-    shm_step_barrier_cost: float = 60.0
-    #: Fixed serial cost of handing a job to a sharded worker process
-    #: (pickle + queue round-trip).  Only the sharded lane pays it, which
-    #: is what keeps single-state jobs off that lane in adaptive selection
-    #: unless trajectory fan-out amortises it.
-    sharded_dispatch_cost: float = 500.0
-    #: Online refinement state: EWMA of measured seconds per predicted work
-    #: unit, per lane, fed by :meth:`observe_lane` from served jobs.  Empty
-    #: until the first observation, in which case lane ranking trusts the
-    #: (calibrated) static constants exactly as before.  Not persisted —
-    #: this is the in-service correction on top of the one-shot profile.
-    lane_seconds_per_unit: dict[str, float] = field(default_factory=dict)
-    #: EWMA smoothing factor for :meth:`observe_lane` (weight of the newest
-    #: observation).  0.25 converges in a handful of jobs while riding out
-    #: one noisy measurement.
-    refinement_alpha: float = 0.25
     #: Measured seconds per lone Clifford gate per qubit of tableau width
     #: (``None`` until a calibration run fills it in; see
     #: ``repro.calibrate.harness``).  Only used by :meth:`stabilizer_seconds`
@@ -268,36 +162,24 @@ class SimulationCostModel:
         """Build a model from a measured :class:`~repro.calibrate.CalibrationProfile`.
 
         Any constant the profile does not carry (``None`` or missing) keeps
-        its hand-set default, and the per-kernel tables are merged over the
-        defaults so a partial calibration (e.g. the shm lane unavailable on
-        a 1-core host) still yields a complete model.  Accepts anything with
-        the profile's attribute shape, so tests can pass a stub.
+        its hand-set default, and the kernel cost factors are merged over
+        the defaults so a partial calibration still yields a complete model.
+        Accepts anything with the profile's attribute shape, so tests can
+        pass a stub.
         """
         kwargs: dict = {}
-        for name in (
-            "amplitude_update_cost",
-            "plan_step_dispatch_cost",
-            "shm_step_barrier_cost",
-            "sharded_dispatch_cost",
-            "chunk_threshold",
-        ):
+        for name in ("amplitude_update_cost", "plan_step_dispatch_cost"):
             value = getattr(profile, name, None)
             if value is not None:
-                kwargs[name] = type(cls.__dataclass_fields__[name].default)(value)
-        # ``None``-default fields cannot use the type-of-default coercion above.
+                kwargs[name] = float(value)
         clifford_seconds = getattr(profile, "seconds_per_clifford_gate", None)
         if clifford_seconds is not None:
             kwargs["seconds_per_clifford_gate"] = float(clifford_seconds)
-        for name, defaults in (
-            ("kernel_cost_factors", DEFAULT_KERNEL_COST_FACTORS),
-            ("kernel_parallel_efficiency", DEFAULT_KERNEL_PARALLEL_EFFICIENCY),
-            ("kernel_process_efficiency", DEFAULT_KERNEL_PROCESS_EFFICIENCY),
-        ):
-            table = getattr(profile, name, None)
-            if table:
-                merged = dict(defaults)
-                merged.update({str(k): float(v) for k, v in dict(table).items()})
-                kwargs[name] = merged
+        table = getattr(profile, "kernel_cost_factors", None)
+        if table:
+            merged = dict(DEFAULT_KERNEL_COST_FACTORS)
+            merged.update({str(k): float(v) for k, v in dict(table).items()})
+            kwargs["kernel_cost_factors"] = merged
         return cls(**kwargs)
 
     def gate_cost(self, n_qubits: int, gate_qubits: int) -> float:
@@ -343,9 +225,7 @@ class SimulationCostModel:
             factor *= self.multi_qubit_factor ** max(0, targets - 1)
         return amplitudes * self.amplitude_update_cost * factor
 
-    def plan_cost(
-        self, plan, shots: int, *, chunked: bool = False, processes: int = 0
-    ) -> CircuitCost:
+    def plan_cost(self, plan, shots: int) -> CircuitCost:
         """Estimate the cost of replaying a compiled :class:`ExecutionPlan`.
 
         The ``modeled`` execution mode uses this to predict *plan-executed*
@@ -356,53 +236,17 @@ class SimulationCostModel:
         per-gate IR walk.  Accepts parametric plans (the kernel sequence is
         the template's; rebinding cost is a handful of 2x2 rebuilds and is
         folded into the step dispatch constant).
-
-        ``chunked=True`` models *chunk-parallel* replay instead of the
-        OpenMP-style sweep model: below :attr:`chunk_threshold` the replay
-        is single-threaded (all sweep work is serial — exactly what the
-        real engine does), and above it each kernel class parallelises only
-        its :attr:`kernel_parallel_efficiency` fraction.
-
-        ``processes=N`` (N > 1) models the shared-memory *process* lane
-        instead: above the threshold each kernel class overlaps its
-        :attr:`kernel_process_efficiency` fraction across the worker
-        processes and every chunked step additionally pays
-        :attr:`shm_step_barrier_cost` per barrier (three for dense steps:
-        gather / matmul / scatter), the IPC price the thread lane does not
-        have; below the threshold the lane never engages, so the sweep is
-        serial with no barrier cost — matching
-        :class:`~repro.exec.shm.SharedStatePool` exactly.
         """
         steps = getattr(plan, "steps", None)
         if steps is None:  # ParametricExecutionPlan delegates to its template
             steps = plan.template_steps
         n = max(int(plan.n_qubits), 1)
-        process_mode = processes > 1
-        chunking_engages = (chunked or process_mode) and (
-            1 << n
-        ) >= self.chunk_threshold
+        parallel_fraction = 1.0 - self.gate_serial_fraction
         parallel = 0.0
         serial = 0.0
         locked = self.launch_overhead
         for step in steps:
             work = self.kernel_cost(n, step.kernel, len(step.targets))
-            if process_mode:
-                if chunking_engages:
-                    parallel_fraction = float(
-                        self.kernel_process_efficiency.get(step.kernel, 0.6)
-                    )
-                    barriers = 3 if step.kernel == "dense" else 1
-                    serial += self.shm_step_barrier_cost * barriers
-                else:
-                    parallel_fraction = 0.0
-            elif not chunked:
-                parallel_fraction = 1.0 - self.gate_serial_fraction
-            elif chunking_engages:
-                parallel_fraction = float(
-                    self.kernel_parallel_efficiency.get(step.kernel, 0.7)
-                )
-            else:
-                parallel_fraction = 0.0
             parallel += work * parallel_fraction
             serial += work * (1.0 - parallel_fraction)
             serial += self.plan_step_dispatch_cost
@@ -413,142 +257,6 @@ class SimulationCostModel:
         serial += shots * self.shot_cost
         locked += shots * self.shot_locked_cost
         return CircuitCost(parallel_work=parallel, serial_work=serial, locked_work=locked)
-
-    # -- online refinement -------------------------------------------------------------
-    def observe_lane(
-        self, lane: str, predicted_units: float, measured_seconds: float
-    ) -> None:
-        """Fold one served-job measurement into the per-lane EWMA.
-
-        ``predicted_units`` is this model's wall-clock estimate for the
-        replay that was routed to ``lane`` (from :meth:`lane_costs`);
-        ``measured_seconds`` is what the replay actually took.  The ratio
-        seconds-per-unit is smoothed per lane and applied as a multiplicative
-        correction in :meth:`lane_costs`, so lane selection improves in
-        service instead of trusting one-shot micro-benchmarks forever.
-        Non-positive or non-finite inputs are ignored (a cancelled or
-        clock-skewed job must not poison the estimate).
-        """
-        global _refinement_count
-        if lane not in EXECUTION_LANES:
-            return
-        if not (
-            math.isfinite(predicted_units)
-            and math.isfinite(measured_seconds)
-            and predicted_units > 0.0
-            and measured_seconds > 0.0
-        ):
-            return
-        ratio = measured_seconds / predicted_units
-        with _refinement_lock:
-            previous = self.lane_seconds_per_unit.get(lane)
-            if previous is None:
-                self.lane_seconds_per_unit[lane] = ratio
-            else:
-                alpha = self.refinement_alpha
-                self.lane_seconds_per_unit[lane] = previous + alpha * (ratio - previous)
-            _refinement_count += 1
-
-    def _lane_scale(self, lane: str) -> float:
-        """Multiplicative EWMA correction for ``lane``.
-
-        Lanes without observations borrow the mean of the observed lanes so
-        that a uniformly-miscalibrated host (every lane 2x slower than the
-        profile predicts) does not bias selection toward whichever lane
-        happens to be unobserved; with no observations at all the scale is
-        1.0 and ranking reduces to the static model.
-        """
-        table = self.lane_seconds_per_unit
-        if not table:
-            return 1.0
-        observed = table.get(lane)
-        if observed is not None:
-            return observed
-        return sum(table.values()) / len(table)
-
-    # -- adaptive lane selection -----------------------------------------------------
-    def predicted_units(self, cost: CircuitCost, workers: int) -> float:
-        """Wall-clock estimate (abstract units) of ``cost`` on ``workers``:
-        serial and locked work never overlap, parallel work divides."""
-        workers = max(1, int(workers))
-        return cost.serial_work + cost.locked_work + cost.parallel_work / workers
-
-    def lane_costs(
-        self,
-        plan,
-        shots: int,
-        *,
-        threads: int = 1,
-        shm_workers: int = 0,
-        shards: int = 0,
-    ) -> dict[str, float]:
-        """Predicted wall-clock units of replaying ``plan`` on each available lane.
-
-        ``serial`` is always present; ``threads``/``shm``/``sharded`` appear
-        only when the corresponding worker count makes the lane viable
-        (> 1).  The sharded lane only divides work for trajectory plans
-        (shots fan out across processes); a single-state replay runs whole
-        on one shard and just pays the dispatch overhead on top of serial.
-        """
-        costs: dict[str, float] = {}
-        chunked = self.plan_cost(plan, shots, chunked=True)
-        costs["serial"] = chunked.total_work
-        if threads > 1:
-            costs["threads"] = self.predicted_units(chunked, threads)
-        if shm_workers > 1:
-            shm = self.plan_cost(plan, shots, processes=shm_workers)
-            costs["shm"] = self.predicted_units(shm, shm_workers)
-        if shards > 1:
-            if getattr(plan, "has_reset", False):
-                costs["sharded"] = (
-                    self.predicted_units(chunked, shards) + self.sharded_dispatch_cost
-                )
-            else:
-                costs["sharded"] = chunked.total_work + self.sharded_dispatch_cost
-        # Apply the online per-lane EWMA correction (1.0 until observe_lane
-        # has been fed at least once, so cold models rank exactly as the
-        # static constants dictate).
-        if self.lane_seconds_per_unit:
-            for lane in costs:
-                costs[lane] *= self._lane_scale(lane)
-        return costs
-
-    def choose_lane(
-        self,
-        plan,
-        shots: int,
-        *,
-        threads: int = 1,
-        shm_workers: int = 0,
-        shards: int = 0,
-    ) -> str:
-        """The predicted-cheapest lane name for ``plan`` (ties prefer the
-        earlier entry in :data:`EXECUTION_LANES`, i.e. the simpler lane)."""
-        lane, _ = self.choose_lane_with_costs(
-            plan, shots, threads=threads, shm_workers=shm_workers, shards=shards
-        )
-        return lane
-
-    def choose_lane_with_costs(
-        self,
-        plan,
-        shots: int,
-        *,
-        threads: int = 1,
-        shm_workers: int = 0,
-        shards: int = 0,
-    ) -> tuple[str, dict[str, float]]:
-        """Like :meth:`choose_lane`, also returning the full cost table.
-
-        Callers that time the replay they route (``LocalBackend`` with
-        ``adaptive=True``) need the chosen lane's predicted units to feed
-        :meth:`observe_lane` afterwards without re-costing the plan.
-        """
-        costs = self.lane_costs(
-            plan, shots, threads=threads, shm_workers=shm_workers, shards=shards
-        )
-        lane = min(costs, key=lambda lane: (costs[lane], EXECUTION_LANES.index(lane)))
-        return lane, costs
 
     # -- circuit-class (method) routing ------------------------------------------------
     def stabilizer_seconds(self, n_qubits: int, n_gates: int, shots: int = 0) -> float:

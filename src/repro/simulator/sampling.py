@@ -15,10 +15,7 @@ import numpy as np
 from ..exceptions import ExecutionError
 from .gate_application import _local_index_map
 
-__all__ = [
-    "sample_counts", "counts_from_statevector", "format_bitstring",
-    "marginal_probabilities", "sample_chunks",
-]
+__all__ = ["sample_counts", "counts_from_statevector", "format_bitstring", "sample_chunks"]
 
 
 def format_bitstring(index: int, qubits: tuple[int, ...]) -> str:
@@ -55,13 +52,6 @@ def _marginal(
 def _keyed(bins: np.ndarray, values: np.ndarray, width: int) -> dict:
     """``{bitstring: value}`` per bin; character ``i`` is bit ``i`` of the bin."""
     return {format(b, f"0{width}b")[::-1]: v for b, v in zip(bins.tolist(), values.tolist())}
-
-
-def marginal_probabilities(
-    probabilities: np.ndarray, qubits: tuple[int, ...], n_qubits: int
-) -> dict[str, float]:
-    """Marginalise a full probability vector onto ``qubits`` (positive bins only)."""
-    return _keyed(*_marginal(probabilities, tuple(qubits), n_qubits), len(qubits))
 
 
 def sample_chunks(

@@ -2,13 +2,14 @@
 
 The contract: a persisted profile round-trips losslessly; a profile from a
 different host or an older schema must *never* steer the cost model (warn,
-fall back to the hand-set defaults); a partial profile (1-core host: no
-thread/shm measurements) merges over the defaults into a complete model;
-and the harness itself produces a usable profile on any host.
+fall back to the hand-set defaults); a partial profile merges over the
+defaults into a complete model; the harness itself produces a usable
+profile on any host; and no profile steers which lane a replay runs on.
 """
 
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +24,9 @@ from repro.calibrate import (
     load_calibrated_model,
     run_calibration,
 )
-from repro.simulator.cost_model import (
-    DEFAULT_KERNEL_COST_FACTORS,
-    EXECUTION_LANES,
-    SimulationCostModel,
-)
-from repro.simulator.execution_plan import compile_plan
+from repro.simulator.cost_model import DEFAULT_KERNEL_COST_FACTORS, SimulationCostModel
+from repro.exec.backend import LocalBackend
+from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD, compile_plan
 
 
 def created_days_ago(days: float) -> str:
@@ -42,11 +40,8 @@ def make_profile(**overrides) -> CalibrationProfile:
         created=created_days_ago(0),
         seconds_per_unit=2.5e-9,
         kernel_cost_factors={"single": 1.0, "diagonal": 0.3, "dense": 1.4},
-        kernel_parallel_efficiency={"single": 0.9},
         plan_step_dispatch_cost=40.0,
-        shm_step_barrier_cost=75.0,
-        chunk_threshold=1 << 14,
-        recommended_threads=4,
+        seconds_per_clifford_gate=3e-6,
         measurements={"quick": True},
     )
     base.update(overrides)
@@ -79,17 +74,46 @@ class TestPersistence:
         target = make_profile().save(tmp_path / "cal.json")
         payload = json.loads(target.read_text())
         payload["some_future_field"] = {"x": 1}
+        # Lane-pricing fields older version-1 builds wrote.
+        payload["chunk_threshold"] = 1 << 14
+        payload["kernel_parallel_efficiency"] = {"single": 0.9}
         target.write_text(json.dumps(payload))
         loaded = CalibrationProfile.load(target)
         assert loaded.seconds_per_unit == pytest.approx(2.5e-9)
 
 
+#: Lane-pricing fields version-1 profiles carried before the lane rule was
+#: fixed to the plan's measured chunk threshold, with values they recorded.
+RETIRED_PROFILE_FIELDS = {
+    "kernel_parallel_efficiency": {"single": 0.9},
+    "kernel_process_efficiency": {"dense": 0.5},
+    "shm_step_barrier_cost": 75.0,
+    "sharded_dispatch_cost": 1e5,
+    "chunk_threshold": 1 << 14,
+    "recommended_threads": 4,
+    "recommended_shm_workers": 2,
+}
+
+
 class TestLoadCalibratedModel:
+    @pytest.mark.parametrize("field", sorted(RETIRED_PROFILE_FIELDS))
+    def test_retired_lane_pricing_field_loads_and_steers_nothing(self, tmp_path, field):
+        current = make_profile().save(tmp_path / "current.json")
+        payload = json.loads(current.read_text())
+        payload[field] = RETIRED_PROFILE_FIELDS[field]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = load_calibrated_model(old)
+        assert model == load_calibrated_model(current)
+        assert model != SimulationCostModel()
+
     def test_matching_profile_steers_the_model(self, tmp_path):
         target = make_profile().save(tmp_path / "cal.json")
         model = load_calibrated_model(target)
         assert model.plan_step_dispatch_cost == 40.0
-        assert model.chunk_threshold == 1 << 14
+        assert model.seconds_per_clifford_gate == 3e-6
         assert model.kernel_cost_factors["diagonal"] == 0.3
 
     def test_missing_file_falls_back_silently(self, tmp_path):
@@ -170,60 +194,20 @@ class TestProfileTTL:
         assert json.loads(captured.out)["plan_step_dispatch_cost"] == 40.0
 
 
-class TestOnlineRefinement:
-    def setup_method(self):
-        from repro.simulator.cost_model import _reset_refinement_count
-
-        _reset_refinement_count()
-
-    def test_observe_lane_refines_and_counts(self):
-        from repro.simulator.cost_model import calibration_refinement_count
-
-        model = SimulationCostModel()
-        assert model._lane_scale("threads") == 1.0
-        model.observe_lane("threads", predicted_units=1.0, measured_seconds=3.0)
-        assert model._lane_scale("threads") == pytest.approx(3.0)
-        assert calibration_refinement_count() == 1
-        # EWMA: the next observation moves the estimate toward its ratio.
-        model.observe_lane("threads", predicted_units=1.0, measured_seconds=1.0)
-        scale = model._lane_scale("threads")
-        assert 1.0 < scale < 3.0
-        assert calibration_refinement_count() == 2
-
-    def test_bad_measurements_are_ignored(self):
-        from repro.simulator.cost_model import calibration_refinement_count
-
-        model = SimulationCostModel()
-        model.observe_lane("threads", 0.0, 1.0)
-        model.observe_lane("threads", 1.0, -1.0)
-        model.observe_lane("threads", float("nan"), 1.0)
-        model.observe_lane("not-a-lane", 1.0, 1.0)
-        assert calibration_refinement_count() == 0
-        assert model._lane_scale("threads") == 1.0
-
-    def test_unobserved_lane_borrows_the_observed_mean(self):
-        model = SimulationCostModel()
-        model.observe_lane("threads", 1.0, 2.0)
-        model.observe_lane("serial", 1.0, 4.0)
-        assert model._lane_scale("shm") == pytest.approx(3.0)
-
-
 class TestFromProfile:
     def test_partial_profile_merges_over_defaults(self):
         profile = make_profile(
             kernel_cost_factors={"dense": 9.9},
-            kernel_parallel_efficiency={},
             plan_step_dispatch_cost=None,
         )
         model = SimulationCostModel.from_profile(profile)
         # Measured constants land...
         assert model.kernel_cost_factors["dense"] == 9.9
-        assert model.shm_step_barrier_cost == 75.0
+        assert model.seconds_per_clifford_gate == 3e-6
         # ...unmeasured ones keep their hand-set defaults.
         assert model.kernel_cost_factors["reset"] == DEFAULT_KERNEL_COST_FACTORS["reset"]
         defaults = SimulationCostModel()
         assert model.plan_step_dispatch_cost == defaults.plan_step_dispatch_cost
-        assert model.kernel_parallel_efficiency == defaults.kernel_parallel_efficiency
 
     def test_empty_profile_is_the_default_model(self):
         model = SimulationCostModel.from_profile(CalibrationProfile())
@@ -232,10 +216,7 @@ class TestFromProfile:
 
 class TestHarness:
     def test_quick_calibration_measures_serial_factors(self, tmp_path):
-        profile = run_calibration(
-            quick=True, include_threads=False, include_shm=False,
-            profile_path=tmp_path / "cal.json",
-        )
+        profile = run_calibration(quick=True, profile_path=tmp_path / "cal.json")
         assert profile.matches_host()
         assert profile.seconds_per_unit is not None and profile.seconds_per_unit > 0
         assert profile.kernel_cost_factors["single"] == 1.0
@@ -259,48 +240,82 @@ class TestHarness:
         assert kernels == {kind}
 
 
+class _StubPool:
+    """Stands in for a configured shm pool; counts what routing asks it."""
+
+    def __init__(self, replays: bool = True):
+        self.replays = replays
+        self.asked = 0
+
+    def can_replay(self, plan) -> bool:
+        self.asked += 1
+        return self.replays
+
+
 class TestLaneSelection:
-    def _plan(self, n=8, steps=6):
+    """No calibrated model picks the lane any more: one fixed rule on the
+    plan's measured ``chunk_threshold`` routes every replay (serial below it;
+    above it the shm pool when it can take the plan, the engine otherwise)."""
+
+    def _plan(self, n=8, steps=6, chunk_threshold=None):
         from repro.ir.builder import CircuitBuilder
 
         builder = CircuitBuilder(n, name=f"lane-{n}-{steps}")
         for i in range(steps):
             builder.rx(i % n, 0.1 + 0.01 * i)  # non-cancelling: plan keeps every step
-        return compile_plan(builder.build(), n, optimize=False)
+        return compile_plan(
+            builder.build(), n, optimize=False, chunk_threshold=chunk_threshold
+        )
 
     def test_serial_host_chooses_serial(self):
-        model = SimulationCostModel()
-        plan = self._plan()
-        assert model.choose_lane(plan, 100, threads=1, shm_workers=0) == "serial"
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        # Below the crossover the replay is serial however many threads
+        # the engine has.
+        for threads in (1, 4):
+            with ParallelSimulationEngine(num_threads=threads) as engine:
+                backend = LocalBackend(engine=engine, shm_pool=_StubPool())
+                assert backend._replay_pool(self._plan()) is None
 
     def test_lane_costs_only_lists_viable_lanes(self):
-        model = SimulationCostModel()
-        plan = self._plan()
-        costs = model.lane_costs(plan, 100, threads=4, shm_workers=2, shards=2)
-        assert set(costs) == {"serial", "threads", "shm", "sharded"}
-        assert set(model.lane_costs(plan, 100)) == {"serial"}
-        assert all(lane in EXECUTION_LANES for lane in costs)
+        plan = self._plan(n=4, chunk_threshold=2)
+        refusing = _StubPool(replays=False)
+        backend = LocalBackend(shm_pool=refusing)
+        try:
+            # A pool that cannot hold the plan is not a lane for it.
+            assert backend._replay_pool(plan) is backend.engine
+            assert refusing.asked == 1
+        finally:
+            backend.close()
 
     def test_threads_win_on_large_states(self):
-        model = SimulationCostModel(chunk_threshold=1 << 4)
-        plan = self._plan(n=12, steps=24)
-        choice = model.choose_lane(plan, 0, threads=8, shm_workers=0)
-        assert choice == "threads"
+        plan = self._plan(n=21, steps=2)
+        assert plan.chunk_threshold == DEFAULT_CHUNK_THRESHOLD == 1 << 21
+        backend = LocalBackend()
+        try:
+            assert backend._replay_pool(plan) is backend.engine
+            assert backend._replay_pool(self._plan(n=20, steps=2)) is None
+        finally:
+            backend.close()
 
     def test_barrier_cost_keeps_shm_off_small_states(self):
-        model = SimulationCostModel(chunk_threshold=1 << 4)
-        plan = self._plan(n=6, steps=24)
-        costs = model.lane_costs(plan, 0, threads=1, shm_workers=4)
-        assert costs["serial"] <= costs["shm"]
+        pool = _StubPool()
+        backend = LocalBackend(shm_pool=pool)
+        try:
+            assert backend._replay_pool(self._plan(n=20, steps=2)) is None
+            assert pool.asked == 0  # the pool is not even consulted
+            assert backend._replay_pool(self._plan(n=21, steps=2)) is pool
+        finally:
+            backend.close()
 
     def test_choice_is_deterministic(self):
-        model = SimulationCostModel()
-        plan = self._plan(n=10, steps=12)
-        choices = {
-            model.choose_lane(plan, 256, threads=4, shm_workers=2, shards=2)
-            for _ in range(20)
-        }
-        assert len(choices) == 1
+        plan = self._plan(n=10, steps=12, chunk_threshold=256)
+        backend = LocalBackend(shm_pool=_StubPool())
+        try:
+            choices = {id(backend._replay_pool(plan)) for _ in range(20)}
+        finally:
+            backend.close()
+        assert choices == {id(backend.shm_pool)}
 
 
 class TestFingerprint:

@@ -5,6 +5,8 @@ canonical in-process seam, :class:`DensityBackend` behind the noisy
 accelerator, the accelerator adapters, and the plan-aware cost model.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,59 @@ class TestLocalBackend:
         with LocalBackend() as backend:
             assert backend.execute(bell_circuit(2), 8, seed=0).total_counts() == 8
 
+    @pytest.mark.parametrize("with_shm", [False, True], ids=["no-shm", "shm"])
+    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+    def test_one_lane_rule(self, above, with_shm):
+        """Below the plan's chunk threshold: serial; above it: the shm pool
+        when one is configured, the engine's threads otherwise — and the
+        replay span names the lane that ran."""
+        from repro.exec import SharedStatePool
+        from repro.obs import enable_tracing
+
+        if with_shm and not os.path.isdir("/dev/shm"):
+            pytest.skip("POSIX shared memory required")
+        circuit = ghz_circuit(4)
+        threshold = 2 if above else 1 << 5
+        engine = ParallelSimulationEngine(num_threads=2)
+        pool = SharedStatePool(2, name="lane-rule", fallback=engine) if with_shm else None
+        tracer = enable_tracing()
+        try:
+            backend = LocalBackend(engine=engine, shm_pool=pool)
+            plan = backend.compile(circuit, chunk_threshold=threshold)
+            expected = None if not above else (pool if with_shm else engine)
+            assert backend._replay_pool(plan) is expected
+            backend.execute(circuit, 64, seed=3, chunk_threshold=threshold)
+        finally:
+            if pool is not None:
+                pool.close()
+            engine.close()
+        lanes = [s.attributes["lane"] for s in tracer.spans() if s.name == "replay"]
+        assert lanes[-1:] == [type(expected).__name__ if expected else "serial"]
+
+    def test_closed_shm_pool_falls_back_to_engine_threads(self):
+        """The backend does not own its shm pool: once the pool is closed
+        it can no longer take a replay, and above the threshold the engine's
+        threads run it instead — with the same fixed-seed counts."""
+        from repro.exec import SharedStatePool
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("POSIX shared memory required")
+        circuit = ghz_circuit(4)
+        engine = ParallelSimulationEngine(num_threads=2)
+        pool = SharedStatePool(2, name="lane-closed", fallback=engine)
+        try:
+            backend = LocalBackend(engine=engine, shm_pool=pool)
+            plan = backend.compile(circuit, chunk_threshold=2)
+            assert backend._replay_pool(plan) is pool
+            on_pool = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
+            pool.close()
+            assert backend._replay_pool(plan) is engine
+            on_threads = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
+        finally:
+            pool.close()
+            engine.close()
+        assert on_threads == on_pool
+
 
 class TestDensityBackend:
     def test_noisy_accelerator_is_thin_adapter(self):
@@ -270,10 +325,9 @@ class TestPlanAwareCostModel:
         unfused = compile_plan(builder.build(), n, fusion_max_qubits=0)
         assert model.plan_cost(fused, 0).total_work < 0.5 * model.plan_cost(unfused, 0).total_work
 
-    def test_model_threshold_is_the_plans_measured_default(self):
+    def test_plans_default_to_the_measured_threshold(self):
         from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD
 
-        assert SimulationCostModel().chunk_threshold == DEFAULT_CHUNK_THRESHOLD
         assert compile_plan(qft_circuit(3), 3).chunk_threshold == DEFAULT_CHUNK_THRESHOLD
 
     def test_modeled_plan_costs_predict_faster_than_per_gate(self):
@@ -286,14 +340,3 @@ class TestPlanAwareCostModel:
         assert plan > 0
         # Plan replay is predicted faster than per-gate dispatch.
         assert plan < gate
-
-    def test_chunked_plan_costs_model_small_states_as_serial(self):
-        """chunked=True models the real chunk-parallel replay: this 5-qubit
-        state sits far below the chunk threshold, so its sweeps are serial
-        and extra threads buy nothing — the prediction must be at least as
-        slow as the thread-parallel sweep model."""
-        model = SimulationCostModel()
-        plan = compile_plan(qft_circuit(5))
-        chunked = modeled_one_by_one([model.plan_cost(plan, 128, chunked=True)])
-        sweep = modeled_one_by_one([model.plan_cost(plan, 128)])
-        assert chunked >= sweep

@@ -1,10 +1,9 @@
-"""Tests for expectation estimation from counts and QWC grouping."""
+"""Tests for expectation estimation from counts."""
 
 import pytest
 
 from repro.exceptions import ExecutionError
 from repro.ir.builder import CircuitBuilder
-from repro.operators.commutation import qubit_wise_commuting_groups
 from repro.operators.expectation import (
     estimate_expectation,
     expectation_from_counts,
@@ -68,33 +67,3 @@ class TestEstimateExpectation:
         observable = 1.0 * Z(0) + 1.0 * X(0)
         with pytest.raises(ExecutionError):
             estimate_expectation(observable, {"Z0": {"0": 10}})
-
-
-class TestCommutingGroups:
-    def test_groups_cover_all_terms(self):
-        observable = 1.0 * X(0) * X(1) + 1.0 * Y(0) * Y(1) + 1.0 * Z(0) + 1.0 * Z(1)
-        groups = qubit_wise_commuting_groups(observable)
-        flattened = [t.pauli_string for group in groups for t in group]
-        assert sorted(flattened) == ["X0 X1", "Y0 Y1", "Z0", "Z1"]
-
-    def test_group_members_pairwise_commute_qubit_wise(self):
-        observable = (
-            1.0 * X(0) * X(1) + 1.0 * Y(0) * Y(1) + 1.0 * Z(0) + 1.0 * Z(1) + 1.0 * Z(0) * Z(1)
-        )
-        for group in qubit_wise_commuting_groups(observable):
-            for i, a in enumerate(group):
-                for b in group[i + 1:]:
-                    assert a.qubit_wise_commutes_with(b)
-
-    def test_grouping_reduces_circuit_count_for_deuteron(self):
-        H = 5.907 - 2.1433 * X(0) * X(1) - 2.1433 * Y(0) * Y(1) + 0.21829 * Z(0) - 6.125 * Z(1)
-        groups = qubit_wise_commuting_groups(H)
-        assert len(groups) < len(H.non_identity_terms())
-        assert len(groups) == 3
-
-    def test_empty_operator_gives_no_groups(self):
-        assert qubit_wise_commuting_groups(PauliOperator([])) == []
-
-    def test_single_term(self):
-        groups = qubit_wise_commuting_groups(PauliOperator([X(0)]))
-        assert len(groups) == 1 and len(groups[0]) == 1

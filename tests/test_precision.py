@@ -1,12 +1,10 @@
-"""The complex64 precision tier and adaptive lane selection.
+"""The complex64 precision tier.
 
 Two invariants anchor this file:
 
 * **Lane choice never changes results.**  At complex128 every lane —
   serial, thread-chunked, shared-memory processes, shot-sharded — produces
-  bit-identical fixed-seed histograms, and the adaptive selector only
-  re-routes between those lanes, so turning it on is observationally
-  invisible.
+  bit-identical fixed-seed histograms.
 * **The single-precision tier is fidelity-bounded.**  Evolving the paper's
   algorithm suite in complex64 deviates from the complex128 amplitudes by
   at most 1e-4 (max absolute amplitude difference) — the documented bound
@@ -24,8 +22,11 @@ from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.algorithms.shor import period_finding_circuit
 from repro.algorithms.vqe import deuteron_ansatz_circuit
+from repro.config import configure
 from repro.exceptions import ExecutionError
 from repro.exec.backend import DensityBackend, LocalBackend
+from repro.runtime.buffer import AcceleratorBuffer
+from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.service.admission import estimate_job_bytes
 from repro.service.keys import job_key
 from repro.simulator.execution_plan import (
@@ -127,6 +128,18 @@ class TestFidelityBound:
             pool.close()
 
     @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
+    def test_thread_lane_matches_serial_in_both_tiers(self, name, factory):
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        circuit = factory()
+        with ParallelSimulationEngine(num_threads=2) as engine:
+            for precision in ("double", "single"):
+                serial = final_state(circuit, precision)
+                threaded = final_state(circuit, precision, pool=engine)
+                assert threaded.dtype == serial.dtype
+                assert np.array_equal(threaded, serial), f"{name}/{precision}"
+
+    @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
     def test_sharded_lane_counts_agree_across_tiers(self, name, factory):
         from repro.exec.sharded import ShardedExecutor
 
@@ -164,43 +177,39 @@ class TestFidelityBound:
         )
 
 
+def accelerator_counts(circuit, **options):
+    """Fixed-seed counts of one ``QppAccelerator`` job with ``options``."""
+    buffer = AcceleratorBuffer(circuit.n_qubits)
+    with configure(seed=99):
+        QppAccelerator({"threads": 2, **options}).execute(buffer, circuit, shots=256)
+    return buffer.get_measurement_counts()
+
+
 class TestAdaptiveLaneSelection:
+    """``adaptive-lane`` is no longer read: a job that still sets it replays
+    on the one fixed-rule lane, so its fixed-seed histogram is the unflagged
+    job's, below and above a forced chunk threshold."""
+
     def test_adaptive_backend_is_bit_identical_at_complex128(self):
-        fixed = LocalBackend(adaptive=False)
-        adaptive = LocalBackend(adaptive=True)
         for name, factory in ALGORITHMS:
             circuit = factory()
-            expected = fixed.execute(
-                circuit, 256, n_qubits=circuit.n_qubits, seed=99
-            ).counts
-            got = adaptive.execute(
-                circuit, 256, n_qubits=circuit.n_qubits, seed=99
-            ).counts
-            assert got == expected, name
+            for threshold in (None, 2):
+                expected = accelerator_counts(circuit, **{"chunk-threshold": threshold})
+                got = accelerator_counts(
+                    circuit, **{"chunk-threshold": threshold, "adaptive-lane": True}
+                )
+                assert got == expected, (name, threshold)
 
     def test_adaptive_backend_fidelity_bounded_at_complex64(self):
-        fixed = LocalBackend(adaptive=False)
-        adaptive = LocalBackend(adaptive=True)
         for name, factory in ALGORITHMS:
             circuit = factory()
-            expected = fixed.execute(
-                circuit, 256, n_qubits=circuit.n_qubits, seed=99,
-                precision="single",
-            ).counts
-            got = adaptive.execute(
-                circuit, 256, n_qubits=circuit.n_qubits, seed=99,
-                precision="single",
-            ).counts
-            # Lane choice reorders nothing: within one tier the replay is
-            # bit-identical, so the fixed-seed histograms agree exactly.
-            assert got == expected, name
-
-    def test_adaptive_accepts_injected_cost_model(self):
-        from repro.simulator.cost_model import SimulationCostModel
-
-        backend = LocalBackend(adaptive=True, cost_model=SimulationCostModel())
-        result = backend.execute(bell_circuit(), 64, n_qubits=2, seed=5)
-        assert sum(result.counts.values()) == 64
+            for threshold in (None, 2):
+                options = {"chunk-threshold": threshold, "precision": "single"}
+                expected = accelerator_counts(circuit, **options)
+                got = accelerator_counts(circuit, **options, **{"adaptive-lane": True})
+                # Within one tier every lane is bit-identical, so the
+                # fixed-seed histograms agree exactly.
+                assert got == expected, (name, threshold)
 
 
 class TestPrecisionIsSemantic:
@@ -209,12 +218,6 @@ class TestPrecisionIsSemantic:
         double = job_key(circuit, "qpp", {"precision": "double"})
         single = job_key(circuit, "qpp", {"precision": "single"})
         assert double != single
-
-    def test_adaptive_lane_does_not_change_the_job_key(self):
-        circuit = bell_circuit()
-        plain = job_key(circuit, "qpp", {})
-        adaptive = job_key(circuit, "qpp", {"adaptive-lane": True})
-        assert plain == adaptive
 
     def test_plan_cache_keeps_tiers_apart(self):
         from repro.simulator.plan_cache import get_plan_cache

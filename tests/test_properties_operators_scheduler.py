@@ -9,7 +9,7 @@ from repro.operators.pauli import PauliOperator, PauliTerm
 from repro.parallel.contention import ContentionModel
 from repro.parallel.scheduler import SimTask, TaskScheduler
 from repro.simulator.parallel_engine import merge_counts, split_shots
-from repro.simulator.sampling import marginal_probabilities
+from repro.simulator.sampling import _keyed, _marginal
 
 _SETTINGS = settings(
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -114,7 +114,8 @@ class TestSamplingProperties:
                 )
             )
         )
-        marginals = marginal_probabilities(probs, qubits, n_qubits)
+        # The marginal sample_chunks draws from.
+        marginals = _keyed(*_marginal(probs, qubits, n_qubits), len(qubits))
         assert sum(marginals.values()) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -27,6 +27,7 @@ _KEY_TOGGLES = [
     ("precision", ("double", "single"), True),
     ("method", ("statevector", "stabilizer"), True),
     ("batch-diagonals", (True, False), True),
+    ("adaptive-lane", (True, False), True),
 ]
 
 

@@ -24,11 +24,7 @@ from repro.simulator.noise import (
     depolarizing_channel,
     phase_flip_channel,
 )
-from repro.simulator.sampling import (
-    format_bitstring,
-    marginal_probabilities,
-    sample_counts,
-)
+from repro.simulator.sampling import _keyed, _marginal, format_bitstring, sample_counts
 from repro.simulator import execution_plan
 from repro.simulator.parallel_engine import (
     ParallelSimulationEngine,
@@ -40,6 +36,11 @@ from repro.simulator.statevector import StateVector
 from repro.testing import reference_marginal_probabilities, reference_sample_counts
 
 
+def sampled_marginal(probs, qubits, n_qubits):
+    """The marginal ``sample_chunks`` draws from, keyed like its counts."""
+    return _keyed(*_marginal(probs, tuple(qubits), n_qubits), len(qubits))
+
+
 class TestSampling:
     def test_format_bitstring(self):
         assert format_bitstring(0b101, (0, 1, 2)) == "101"
@@ -47,14 +48,14 @@ class TestSampling:
 
     def test_marginals_sum_to_one(self):
         probs = np.full(8, 1 / 8)
-        marginals = marginal_probabilities(probs, (0, 2), 3)
+        marginals = sampled_marginal(probs, (0, 2), 3)
         assert sum(marginals.values()) == pytest.approx(1.0)
         assert set(marginals) == {"00", "01", "10", "11"}
 
     def test_marginals_of_correlated_state(self):
         probs = np.zeros(4)
         probs[0] = probs[3] = 0.5
-        marginals = marginal_probabilities(probs, (0,), 2)
+        marginals = sampled_marginal(probs, (0,), 2)
         assert marginals == pytest.approx({"0": 0.5, "1": 0.5})
 
     def test_sample_counts_total_matches_shots(self):
@@ -129,7 +130,7 @@ class TestSamplerMatchesReference:
         new = sample_counts(probs, shots, qubits, n_qubits, np.random.default_rng(seed))
         old = reference_sample_counts(probs, shots, qubits, n_qubits, np.random.default_rng(seed))
         assert new == old
-        assert marginal_probabilities(probs, tuple(qubits), n_qubits) == (
+        assert sampled_marginal(probs, qubits, n_qubits) == (
             reference_marginal_probabilities(probs, tuple(qubits), n_qubits)
         )
 

@@ -15,7 +15,11 @@ Acceptance:
   1e-6 — gated on every host;
 * ≥3x cold-path speedup for the 32-binding 16-qubit sweep — enforced only
   on hosts with ≥4 cores (single-core CI records the ratio without
-  gating; the fan-out has no parallelism to exploit there).
+  gating; the fan-out has no parallelism to exploit there);
+* the compiled exact expectation of the 10- and 12-qubit transverse-field
+  Ising observables (the expectation under every gradient binding) agrees
+  with the per-term basis-rotation reference to 1e-12 — gated on every
+  host — and takes ≤150 µs per call at 10 qubits, gated on full runs only.
 
 Run standalone (writes the ``BENCH_sweep.json`` trajectory file)::
 
@@ -32,16 +36,20 @@ import time
 from pathlib import Path
 
 import numpy as np
+from bench_chunked_replay import cpu_model
 
 from repro.config import set_config
 from repro.core.objective import createObjectiveFunction
 from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.operators import X, Z
+from repro.simulator.statevector import StateVector
 from repro.runtime.service_registry import reset_registry
 from repro.service import QuantumJobService
 
 SPEEDUP_TARGET = 3.0
+#: Per-call budget of the compiled 10-qubit Ising expectation (full runs).
+EXPECTATION_TARGET_US = 150.0
 #: Below this many cores the fan-out cannot express parallelism, so the
 #: speedup is recorded for the trajectory but not gated.
 MIN_CORES_FOR_TARGET = 4
@@ -179,9 +187,86 @@ def bench_gradient(quick: bool) -> dict:
     }
 
 
+def ising_observable(n_qubits: int, field: float = 0.7):
+    """Transverse-field Ising chain: -sum Z_i Z_{i+1} - h sum X_i."""
+    observable = -field * X(0)
+    for qubit in range(1, n_qubits):
+        observable = observable - field * X(qubit)
+    for qubit in range(n_qubits - 1):
+        observable = observable - Z(qubit) * Z(qubit + 1)
+    return observable
+
+
+def rotated_expectation(state: StateVector, observable) -> float:
+    """Reference: copy, rotate each term into the Z basis, read its parity."""
+    index = np.arange(state.dim)
+    total = observable.constant.real
+    for term in observable.non_identity_terms():
+        rotated = state.copy()
+        rotated.apply_circuit(term.basis_rotation_circuit(state.n_qubits))
+        parity = np.zeros(state.dim, dtype=np.int64)
+        for qubit in term.qubits:
+            parity ^= (index >> qubit) & 1
+        total += term.coefficient.real * np.dot(rotated.probabilities(), 1 - 2 * parity)
+    return float(total)
+
+
+def _us_per_call(fn, calls: int, repeats: int = 5) -> float:
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        samples.append((time.perf_counter() - started) / calls)
+    return float(np.median(samples)) * 1e6
+
+
+def bench_compiled_expectation(quick: bool) -> dict:
+    """µs per exact Ising expectation: compiled form vs per-term rotation."""
+    calls = 200 if quick else 2000
+    rows = []
+    for n_qubits in (10, 12):
+        observable = ising_observable(n_qubits)
+        circuit, n_params = vqe_ansatz(n_qubits)
+        state = StateVector(n_qubits)
+        state.run(circuit.without_measurements(), sweep_bindings(1, n_params)[0])
+        compiled = state.expectation(observable)  # compiles once, memoised
+        reference = rotated_expectation(state, observable)
+        rows.append({
+            "n_qubits": n_qubits,
+            "n_terms": observable.n_terms,
+            "compiled_us_per_call": _us_per_call(
+                lambda: state.expectation(observable), calls
+            ),
+            "rotated_us_per_call": _us_per_call(
+                lambda: rotated_expectation(state, observable), max(1, calls // 10)
+            ),
+            "abs_error_vs_rotated": abs(compiled - reference),
+        })
+    return {
+        "case": "compiled_expectation",
+        "observable": "ising",
+        "calls": calls,
+        "rows": rows,
+        "tolerance": 1e-12,
+        "target_us_10q": EXPECTATION_TARGET_US,
+        "target_enforced": not quick,
+    }
+
+
+def expectation_ok(report: dict) -> bool:
+    """Agreement on every host; the 10-qubit budget on full runs only."""
+    ok = all(r["abs_error_vs_rotated"] <= report["tolerance"] for r in report["rows"])
+    if report["target_enforced"]:
+        ten = next(r for r in report["rows"] if r["n_qubits"] == 10)
+        ok = ok and ten["compiled_us_per_call"] <= report["target_us_10q"]
+    return ok
+
+
 def run_suite(quick: bool = False) -> dict:
     fanout = bench_sweep_fanout(quick)
     gradient = bench_gradient(quick)
+    expectation = bench_compiled_expectation(quick)
     set_config(seed=None)
     reset_registry()
     return {
@@ -190,8 +275,10 @@ def run_suite(quick: bool = False) -> dict:
         "created_unix": time.time(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_model": cpu_model(),
+        "numpy": np.__version__,
         "cpu_count": host_cores(),
-        "results": [fanout, gradient],
+        "results": [fanout, gradient, expectation],
     }
 
 
@@ -209,10 +296,11 @@ def test_sweep_identity_gradient_and_speedup(tmp_path):
     ≥3x fan-out speedup on ≥4-core hosts.  The JSON file lands either way."""
     report = run_suite(quick=True)
     write_trajectory_file(report, tmp_path / "BENCH_sweep.json")
-    fanout, gradient = report["results"]
+    fanout, gradient, expectation = report["results"]
     assert fanout["counts_bit_identical"], fanout
     assert gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"], gradient
     assert gradient["max_error_vs_serial_shift"] < 1e-9, gradient
+    assert expectation_ok(expectation), expectation
     print(
         f"\nsweep fan-out {fanout['speedup']:.2f}x over independent submits "
         f"({fanout['n_bindings']} bindings, {fanout['n_qubits']} qubits, "
@@ -240,7 +328,7 @@ def main() -> int:
     args = parser.parse_args()
     report = run_suite(quick=args.quick)
     write_trajectory_file(report, args.output)
-    fanout, gradient = report["results"]
+    fanout, gradient, expectation = report["results"]
     enforced = "enforced" if fanout["target_enforced"] else "recorded only"
     print(
         f"sweep fan-out: {fanout['speedup']:.2f}x vs independent submits "
@@ -249,8 +337,17 @@ def main() -> int:
         f"counts identical: {fanout['counts_bit_identical']}; "
         f"gradient max FD error {gradient['max_error_vs_central_fd']:.2e}"
     )
-    ok = fanout["counts_bit_identical"] and (
-        gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"]
+    for row in expectation["rows"]:
+        print(
+            f"ising {row['n_qubits']}q expectation: compiled "
+            f"{row['compiled_us_per_call']:.1f} us/call vs rotated "
+            f"{row['rotated_us_per_call']:.1f} us/call "
+            f"(|diff| {row['abs_error_vs_rotated']:.1e})"
+        )
+    ok = (
+        fanout["counts_bit_identical"]
+        and gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"]
+        and expectation_ok(expectation)
     )
     if fanout["target_enforced"]:
         ok = ok and fanout["speedup"] >= SPEEDUP_TARGET

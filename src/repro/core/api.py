@@ -203,7 +203,7 @@ def observe_expectation(
     non-identity Pauli term is measured with ``shots`` shots in its rotated
     basis and the histogram parities are combined.
     """
-    from ..operators.expectation import expectation_from_counts
+    from ..operators.expectation import estimate_expectation, measurement_circuits
     from ..simulator.statevector import StateVector
 
     if isinstance(observable, PauliTerm):
@@ -227,18 +227,11 @@ def observe_expectation(
         circuit = circuit.bind(parameters)
 
     qpu = get_qpu()
-    energy = float(observable.constant.real)
-    for term in observable.non_identity_terms():
-        measured = CompositeInstruction(f"{circuit.name}_{term.pauli_string}", n_qubits)
-        measured.add(circuit.without_measurements())
-        measured.add(term.basis_rotation_circuit(n_qubits))
-        from ..ir.gates import Measure
-
-        for qubit in term.qubits:
-            measured.add(Measure([qubit]))
+    counts_per_term: dict[str, dict[str, int]] = {}
+    for term, measured in measurement_circuits(
+        circuit.without_measurements(), observable, n_qubits
+    ):
         scratch = AcceleratorBuffer(n_qubits)
         qpu.execute(scratch, measured, shots=shots)
-        counts = scratch.get_measurement_counts()
-        positions = list(range(len(term.qubits)))
-        energy += term.coefficient.real * expectation_from_counts(counts, positions)
-    return energy
+        counts_per_term[term.pauli_string] = scratch.get_measurement_counts()
+    return estimate_expectation(observable, counts_per_term)

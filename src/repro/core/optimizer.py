@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize as scipy_optimize
 
 from ..exceptions import OptimizationError
 
@@ -123,6 +122,10 @@ class ScipyOptimizer(Optimizer):
         jac = None
         if self._uses_gradient and hasattr(objective, "gradient"):
             jac = lambda x: np.asarray(objective.gradient(x), dtype=float)  # noqa: E731
+
+        # Imported here: scipy.optimize costs ~40 MB of RSS, and most
+        # processes that import the package never run a scipy method.
+        from scipy import optimize as scipy_optimize
 
         result = scipy_optimize.minimize(
             wrapped,

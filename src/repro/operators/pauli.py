@@ -187,8 +187,9 @@ class PauliTerm:
         )
 
     def __hash__(self) -> int:
-        return hash((tuple(self.paulis.items()), round(self.coefficient.real, 10),
-                     round(self.coefficient.imag, 10)))
+        # Equality compares coefficients with a tolerance, so only the Pauli
+        # structure may enter the hash.
+        return hash(tuple(self.paulis.items()))
 
     def __repr__(self) -> str:
         coeff = self.coefficient
@@ -307,8 +308,9 @@ class PauliOperator:
             return False
         return all(np.isclose(mine[k], theirs[k]) for k in mine)
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(tuple(sorted(repr(t) for t in self._terms)))
+    def __hash__(self) -> int:
+        # Structure only, as for PauliTerm: equality is tolerant on coefficients.
+        return hash(frozenset(tuple(t.paulis.items()) for t in self._terms))
 
     def __repr__(self) -> str:
         if not self._terms:

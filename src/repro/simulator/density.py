@@ -189,13 +189,10 @@ class DensityMatrix:
         return sample_counts(self.probabilities(), shots, qubits, self.n_qubits, rng)
 
     def expectation(self, observable) -> float:
-        """Exact expectation value of a Pauli operator."""
-        from ..operators.pauli import PauliOperator, PauliTerm
+        """Exact ``tr(rho H)`` through the same compiled form as the state vector."""
+        from ..operators.compiled import compile_observable
 
-        if isinstance(observable, PauliTerm):
-            observable = PauliOperator([observable])
-        matrix = observable.to_matrix(self.n_qubits)
-        return float(np.trace(matrix @ self._rho).real)
+        return compile_observable(observable, self.n_qubits).density_expectation(self._rho)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(n_qubits={self.n_qubits})"

@@ -274,38 +274,16 @@ class StateVector:
         return sample_counts(self.probabilities(), shots, qubits, self.n_qubits, rng)
 
     # -- observables --------------------------------------------------------------------
-    def expectation_z(self, qubits: Iterable[int]) -> float:
-        """Expectation of the tensor product of Z on ``qubits`` (exact)."""
-        qubits = tuple(qubits)
-        probs = self.probabilities()
-        indices = np.arange(self.dim)
-        parity = np.zeros(self.dim, dtype=np.int64)
-        for q in qubits:
-            if not 0 <= q < self.n_qubits:
-                raise ExecutionError(f"qubit {q} out of range")
-            parity ^= (indices >> q) & 1
-        signs = 1.0 - 2.0 * parity
-        return float(np.dot(probs, signs))
-
     def expectation(self, observable) -> float:
-        """Exact expectation value of a Pauli operator (see :mod:`repro.operators`)."""
-        from ..operators.pauli import PauliOperator, PauliTerm
+        """Exact expectation value of a Pauli operator (see :mod:`repro.operators`).
 
-        if isinstance(observable, PauliTerm):
-            observable = PauliOperator([observable])
-        if not isinstance(observable, PauliOperator):
-            raise ExecutionError(
-                f"expected a PauliOperator/PauliTerm, got {type(observable).__name__}"
-            )
-        total = 0.0
-        for term in observable.terms:
-            if term.is_identity:
-                total += term.coefficient.real
-                continue
-            rotated = self.copy()
-            rotated.apply_circuit(term.basis_rotation_circuit(self.n_qubits))
-            total += term.coefficient.real * rotated.expectation_z(term.qubits)
-        return float(total)
+        Reads the state in place through the observable's memoised
+        :class:`~repro.operators.compiled.CompiledObservable`: one pass per
+        X/Y flip mask, no copy and no basis-rotation circuit.
+        """
+        from ..operators.compiled import compile_observable
+
+        return compile_observable(observable, self.n_qubits).expectation(self._data)
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"

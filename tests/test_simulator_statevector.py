@@ -121,14 +121,14 @@ class TestObservables:
     def test_expectation_z_plus_state(self):
         state = StateVector(1)
         state.apply(H([0]))
-        assert state.expectation_z([0]) == pytest.approx(0.0, abs=1e-12)
+        assert state.expectation(PZ(0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_expectation_z_excited_state(self):
         state = StateVector(2)
         state.apply(X([0]))
-        assert state.expectation_z([0]) == pytest.approx(-1.0)
-        assert state.expectation_z([1]) == pytest.approx(1.0)
-        assert state.expectation_z([0, 1]) == pytest.approx(-1.0)
+        assert state.expectation(PZ(0)) == pytest.approx(-1.0)
+        assert state.expectation(PZ(1)) == pytest.approx(1.0)
+        assert state.expectation(PZ(0) * PZ(1)) == pytest.approx(-1.0)
 
     def test_pauli_expectation_matches_matrix(self):
         circuit = CircuitBuilder(2).h(0).cx(0, 1).t(1).build()

@@ -14,6 +14,10 @@ traffic shapes that dominate the paper's workloads:
    ``QppAccelerator.execute`` of one hot circuit with the plan cache warm
    vs the gate-by-gate reference (IR passes + ``StateVector.apply_circuit``
    + the engine's sampler) per repeat.
+4. **Sampling crossover**: one chunk's draw by ``multinomial`` vs by
+   inverse CDF over positive bins 2^1..2^17 x chunk shots 1..8192, median
+   of 5 each; the table ``repro.simulator.sampling.INVERSE_CDF_MIN_BINS``
+   cites, with the regret of the rule that constant sets.
 
 It also verifies the acceptance identity: with a fixed seed, plan-executed
 results produce *the same counts* as that reference across the algorithm
@@ -32,11 +36,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import statistics
 import time
 from pathlib import Path
 
 import numpy as np
+from bench_paper_figures import cpu_model
 
 from repro.algorithms.bell import bell_circuit
 from repro.algorithms.ghz import ghz_circuit
@@ -53,6 +60,11 @@ from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import reset_plan_cache
+from repro.simulator.sampling import (
+    _inverse_cdf_draws,
+    _inverse_cdf_wins,
+    _multinomial_draws,
+)
 from repro.simulator.statevector import StateVector
 
 SPEEDUP_TARGET_PARAMETRIC = 3.0
@@ -259,6 +271,56 @@ def bench_accelerator_repeats(quick: bool) -> dict:
     }
 
 
+def _median_us(rounds, fn, *args) -> float:
+    samples = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        fn(*args)
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples) * 1e6
+
+
+def _multinomial_hits(probs, shots, rng):
+    counts = _multinomial_draws(probs, probs.sum(), [(shots, rng)])
+    hit = np.flatnonzero(counts)
+    return hit, counts[hit]
+
+
+def _inverse_hits(probs, shots, rng):
+    return _inverse_cdf_draws(probs, [(shots, rng)])
+
+
+def bench_sampling_crossover(quick: bool) -> dict:
+    """One chunk's draw both ways over (positive bins x chunk shots)."""
+    bin_exponents = range(1, 18, 4 if quick else 1)
+    shot_counts = [1 << k for k in range(0, 14, 4 if quick else 1)]
+    rounds = 3 if quick else 5
+    rng = np.random.default_rng(0)
+    cells = []
+    for exponent in bin_exponents:
+        bins = 1 << exponent
+        probs = rng.random(bins) + 0.5  # every bin positive, none dominant
+        probs /= probs.sum()
+        for shots in shot_counts:
+            multinomial = _median_us(rounds, _multinomial_hits, probs, shots, rng)
+            inverse = _median_us(rounds, _inverse_hits, probs, shots, rng)
+            chosen = inverse if _inverse_cdf_wins(shots, bins) else multinomial
+            cells.append({
+                "bins": bins,
+                "shots": shots,
+                "multinomial_us": multinomial,
+                "inverse_cdf_us": inverse,
+                "rule_picks_inverse": _inverse_cdf_wins(shots, bins),
+                "rule_regret": chosen / min(multinomial, inverse),
+            })
+    return {
+        "workload": "sampling_crossover",
+        "rounds": rounds,
+        "cells": cells,
+        "max_rule_regret": max(cell["rule_regret"] for cell in cells),
+    }
+
+
 def algorithm_suite() -> dict:
     """(name -> (circuit, width)) for the counts-identity acceptance check."""
     shor = period_finding_circuit(15, 2)
@@ -297,8 +359,12 @@ def run_suite(quick: bool = False) -> dict:
         "quick": quick,
         "created_unix": time.time(),
         "python": platform.python_version(),
+        "numpy": np.__version__,
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count() or 1,
+        "cpu_model": cpu_model(),
         "results": results,
+        "sampling_crossover": bench_sampling_crossover(quick),
         "counts_identity": identity,
         "counts_identity_all": all(identity.values()),
     }
@@ -351,6 +417,9 @@ def main() -> int:
         target = result.get("target")
         target_note = f" (target {target}x)" if target else ""
         print(f"{result['workload']}: {result['speedup']:.2f}x{target_note}")
+    crossover = report["sampling_crossover"]
+    print(f"sampling rule regret: max {crossover['max_rule_regret']:.2f}x over "
+          f"{len(crossover['cells'])} (bins, shots) cells")
     print(f"counts identity (bell/ghz/qft/shor/vqe): {report['counts_identity']}")
     print(f"wrote {args.output}")
     ok = report["counts_identity_all"]

@@ -1,14 +1,12 @@
 """Kernel languages and the single-source ``@qpu`` DSL.
 
 QCOR kernels are written in quantum DSLs (XACC's XASM or OpenQASM) embedded
-in C++.  The Python reproduction supports three front ends that all lower to
+in C++.  The Python reproduction supports two front ends that both lower to
 the same IR:
 
 * :func:`compile_xasm` — an XASM-subset compiler covering the constructs the
   paper's listings use (gate calls on ``q[i]``, C-style ``for`` loops over
   ``q.size()``, classical parameters).
-* :func:`parse_qasm2` / :func:`to_qasm2` — an OpenQASM 2 subset for
-  interchange.
 * :func:`qpu` — a decorator turning a plain Python function into a quantum
   kernel: calling the kernel traces its gate calls into a circuit and
   executes it on the calling thread's QPU, mirroring the ``__qpu__``
@@ -17,7 +15,6 @@ the same IR:
 
 from .lexer import Token, tokenize
 from .parser import compile_xasm
-from .qasm2 import parse_qasm2, to_qasm2
 from .kernel import qpu, QuantumKernel
 from . import dsl
 
@@ -25,8 +22,6 @@ __all__ = [
     "Token",
     "tokenize",
     "compile_xasm",
-    "parse_qasm2",
-    "to_qasm2",
     "qpu",
     "QuantumKernel",
     "dsl",

@@ -39,7 +39,6 @@ from .shot_parallelism import execute_shots_parallel
 from .objective import ObjectiveFunction, createObjectiveFunction
 from .optimizer import Optimizer, createOptimizer, OptimizerResult
 from .jit import AsyncKernelCompiler, CompilationHandle, CompilationResult, compile_and_execute_async
-from .workflow import Workflow, WorkflowResult, WorkflowTask, result_of
 
 __all__ = [
     "RaceDetector",
@@ -75,10 +74,6 @@ __all__ = [
     "CompilationHandle",
     "CompilationResult",
     "compile_and_execute_async",
-    "Workflow",
-    "WorkflowResult",
-    "WorkflowTask",
-    "result_of",
     "QuantumJobService",
     "JobPriority",
 ]

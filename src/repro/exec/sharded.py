@@ -236,7 +236,7 @@ def _replay_chunk_body(
 
     Mirrors the in-process paths operation for operation so fixed-seed
     results reduce bit-identically: non-reset circuits replay the plan once
-    and multinomial-sample the chunk from one RNG stream
+    and sample the chunk from one RNG stream by the same per-chunk rule
     (:meth:`ParallelSimulationEngine.sample_parallel`'s per-chunk body);
     reset circuits run one trajectory per shot with the chunk RNG shared
     between collapses and sampling (:meth:`run_trajectories`'s chunk body).

@@ -79,6 +79,7 @@ from ..ir.transforms.clifford import (
 from ..obs.trace import get_tracer
 from ..testing import faults
 from ..simulator.execution_plan import DEFAULT_PRECISION
+from ..simulator.sampling import format_packed_keys
 from .backend import ExecutionBackend, Params, _resolve_width, execution_gate
 from .result import ExecutionResult
 
@@ -146,12 +147,6 @@ def _transpose_bits(packed: np.ndarray, n_bits: int, out_bytes: int) -> np.ndarr
     out = np.zeros((n_bits, out_bytes), dtype=np.uint8)
     out[:, : _packed_bytes(packed.shape[0])] = np.packbits(bits.T, axis=1)
     return out
-
-
-def _format_keys(packed: np.ndarray, n_bits: int) -> list[str]:
-    """One ``'0'``/``'1'`` string of ``n_bits`` characters per packed row."""
-    text = (np.unpackbits(packed, axis=1, count=n_bits) + 48).tobytes().decode("ascii")
-    return [text[i : i + n_bits] for i in range(0, len(text), n_bits)]
 
 
 @dataclass(slots=True)
@@ -427,7 +422,7 @@ class StabilizerTableau:
         if not coeffs.any():
             # Deterministic outcomes: the single bitstring every dense lane
             # produces at any seed — bitwise identical by construction.
-            return {_format_keys(constant[None, :], len(qubits))[0]: int(shots)}
+            return {format_packed_keys(constant[None, :], len(qubits))[0]: int(shots)}
         rng = rng or np.random.default_rng()
         draws = rng.integers(0, 2, size=(shots, coeffs.shape[1]), dtype=np.uint8)
         # draws · coeffsᵀ + constant over GF(2), on packed sample rows: XOR
@@ -445,7 +440,7 @@ class StabilizerTableau:
         # Big-endian packing sorts like the bit strings themselves.
         row_type = np.dtype((np.void, samples.shape[1]))
         values, counts = np.unique(samples.view(row_type).ravel(), return_counts=True)
-        keys = _format_keys(values.view(np.uint8).reshape(len(values), -1), len(qubits))
+        keys = format_packed_keys(values.view(np.uint8).reshape(len(values), -1), len(qubits))
         return dict(zip(keys, counts.tolist()))
 
     # -- exact expectations ----------------------------------------------------

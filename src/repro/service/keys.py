@@ -75,9 +75,11 @@ __all__ = [
 #: specially in :func:`config_fingerprint` rather than listed here.  An
 #: *explicit* method is semantic: forcing the tableau or the dense lane
 #: pins the sampling law (the tableau draws its randomness from GF(2)
-#: affine forms, the statevector from a multinomial over amplitudes — same
-#: distribution, different per-seed streams), so an explicit choice must
-#: not share cache entries with the other lane.  The default ``auto`` is
+#: affine forms, the statevector from inverse-CDF or multinomial draws over
+#: amplitudes — same distribution, different per-seed streams), so an
+#: explicit choice must not share cache entries with the other lane.
+#: The dense stream's version (``SAMPLING_STREAM``) is not part of a key.
+#: The default ``auto`` is
 #: *non-semantic*: it is the broker's routing decision, and the whole
 #: point of automatic Clifford routing is that callers who did not ask for
 #: a method get the fast path without their job identity moving.

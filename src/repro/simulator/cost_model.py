@@ -201,7 +201,7 @@ class SimulationCostModel:
             parallel += gate_work * (1.0 - self.gate_serial_fraction)
             serial += gate_work * self.gate_serial_fraction
             serial += self.gate_dispatch_cost
-        # Probability-vector pass + multinomial sampling.
+        # Probability-vector pass + sampling (inverse CDF or multinomial).
         parallel += float(1 << n) * self.amplitude_update_cost
         parallel += shots * self.shot_parallel_cost
         serial += shots * self.shot_cost
@@ -250,8 +250,8 @@ class SimulationCostModel:
             parallel += work * parallel_fraction
             serial += work * (1.0 - parallel_fraction)
             serial += self.plan_step_dispatch_cost
-        # Probability-vector pass + multinomial sampling (identical to the
-        # gate-by-gate path: sampling does not change with plans).
+        # Probability-vector pass + sampling (identical to the gate-by-gate
+        # path: sampling does not change with plans).
         parallel += float(1 << n) * self.amplitude_update_cost
         parallel += shots * self.shot_parallel_cost
         serial += shots * self.shot_cost

@@ -224,12 +224,14 @@ class ParallelSimulationEngine:
         measured_qubits: Sequence[int] | None = None,
         seed: int | None = None,
     ) -> dict[str, int]:
-        """Sample ``shots`` outcomes: one seeded multinomial per shot chunk.
+        """Sample ``shots`` outcomes: one seeded generator per shot chunk.
 
-        The marginal is computed once and the per-chunk draws are summed
-        before any key is formatted.  Draws run on the calling thread: two
-        pooled 2^17-bin draws measured slower than inline on the 2-core
-        benchmark host, so sampling never touches the worker pool.
+        :func:`~repro.simulator.sampling.sample_chunks` computes the marginal
+        once and draws each chunk by inverse CDF or ``multinomial`` (a rule
+        of chunk shots and positive bins), summing them before any key is
+        formatted.  Draws run on the calling thread: two pooled 2^17-bin
+        draws measured slower than inline on the 2-core benchmark host, so
+        sampling never touches the worker pool.
         """
         threads = self.effective_threads()
         qubits = (

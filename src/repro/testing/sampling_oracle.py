@@ -1,18 +1,22 @@
 """Reference sampler: the dict-building implementation the sparse sampler replaced.
 
-Kept verbatim as the oracle :mod:`repro.simulator.sampling` is tested
-against — it formats a bitstring key for every one of the 2^k marginal
-bins before drawing, so it is O(2^k) Python and only fit for tests.  The
-production sampler must reproduce its fixed-seed histograms exactly.
+Kept as the oracle :mod:`repro.simulator.sampling` is tested against — it
+formats a bitstring key for every one of the 2^k marginal bins before
+drawing, and draws inverse-CDF chunks with a Python running sum and
+``bisect``, so it is O(2^k) Python and only fit for tests.  The production
+sampler must reproduce its fixed-seed histograms exactly, at
+:data:`~repro.simulator.sampling.SAMPLING_STREAM` 2.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import ExecutionError
+from ..simulator.sampling import INVERSE_CDF_MIN_BINS
 
 __all__ = ["reference_marginal_probabilities", "reference_sample_counts"]
 
@@ -59,9 +63,11 @@ def reference_sample_counts(
 ) -> dict[str, int]:
     """Draw ``shots`` samples from ``probabilities`` and histogram them.
 
-    Sampling is done over the *marginal* distribution of the measured qubits
-    (a multinomial draw), which is both exact and much cheaper than sampling
-    full basis states when only a few qubits are measured.
+    Sampling is done over the *marginal* distribution of the measured qubits:
+    with fewer shots than positive bins (and at least
+    ``INVERSE_CDF_MIN_BINS`` of them) each shot is one ``rng.random()``
+    scaled by the running total and bisected into the running sums; else
+    one multinomial draw.
     """
     if shots <= 0:
         raise ExecutionError(f"shots must be positive, got {shots}")
@@ -79,6 +85,15 @@ def reference_sample_counts(
     total = probs.sum()
     if total <= 0.0 or not np.isfinite(total):
         raise ExecutionError(f"probability vector sums to {total}, cannot sample")
+    if shots < len(keys) and len(keys) >= INVERSE_CDF_MIN_BINS:
+        running, cdf = 0.0, []
+        for p in probs.tolist():
+            running += p
+            cdf.append(running)
+        hits = [0] * len(keys)
+        for u in rng.random(shots).tolist():
+            hits[bisect.bisect_right(cdf, u * running)] += 1
+        return {key: count for key, count in zip(keys, hits) if count > 0}
     probs = probs / total
     # Division can still leave sum(probs[:-1]) > 1 by an ulp; let the last
     # bin absorb the residual exactly.

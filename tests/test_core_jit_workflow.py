@@ -1,15 +1,10 @@
-"""Tests for the Section VII extensions: async JIT compilation and workflows."""
-
-import threading
-import time
+"""Tests for the Section VII extension: async JIT compilation."""
 
 import pytest
 
 import repro
-from repro.algorithms.bell import bell_circuit
 from repro.core.jit import AsyncKernelCompiler, compile_and_execute_async
-from repro.core.workflow import Workflow, result_of
-from repro.exceptions import CompilationError, ConfigurationError, ExecutionError
+from repro.exceptions import CompilationError
 from repro.ir.builder import CircuitBuilder
 
 
@@ -86,129 +81,3 @@ class TestAsyncKernelCompiler:
             compiler.compile_async(redundant_circuit())
             compiler.compile_async(redundant_circuit())
             assert compiler.jobs_submitted == 2
-
-
-class TestWorkflow:
-    def test_linear_pipeline_passes_results_downstream(self):
-        workflow = Workflow("pipeline")
-        workflow.add_task("generate", lambda: 21)
-        workflow.add_task(
-            "double", lambda x: x * 2, result_of("generate"), depends_on=["generate"]
-        )
-        outcome = workflow.run()
-        assert outcome["double"] == 42
-        assert outcome.completion_order.index("generate") < outcome.completion_order.index("double")
-
-    def test_independent_branches_run_concurrently(self):
-        active = {"count": 0, "max": 0}
-        lock = threading.Lock()
-
-        def slow_task():
-            with lock:
-                active["count"] += 1
-                active["max"] = max(active["max"], active["count"])
-            time.sleep(0.05)
-            with lock:
-                active["count"] -= 1
-            return True
-
-        workflow = Workflow()
-        for i in range(3):
-            workflow.add_task(f"branch{i}", slow_task)
-        workflow.run()
-        assert active["max"] >= 2
-
-    def test_quantum_tasks_in_a_workflow(self):
-        def run_bell_task(shots):
-            q = repro.qalloc(2)
-            from repro.algorithms.bell import bell_kernel
-
-            return bell_kernel(q, shots=shots)
-
-        def total_shots(counts_a, counts_b):
-            return sum(counts_a.values()) + sum(counts_b.values())
-
-        workflow = Workflow("quantum", resource_limits={"qpu": 2})
-        workflow.add_task("bell_a", run_bell_task, 64, resource="qpu")
-        workflow.add_task("bell_b", run_bell_task, 64, resource="qpu")
-        workflow.add_task(
-            "analyse",
-            total_shots,
-            result_of("bell_a"),
-            result_of("bell_b"),
-            depends_on=["bell_a", "bell_b"],
-        )
-        outcome = workflow.run()
-        assert outcome["analyse"] == 128
-
-    def test_resource_limit_serialises_qpu_tasks(self):
-        active = {"count": 0, "max": 0}
-        lock = threading.Lock()
-
-        def qpu_task():
-            with lock:
-                active["count"] += 1
-                active["max"] = max(active["max"], active["count"])
-            time.sleep(0.03)
-            with lock:
-                active["count"] -= 1
-
-        workflow = Workflow(resource_limits={"qpu": 1})
-        for i in range(3):
-            workflow.add_task(f"q{i}", qpu_task, resource="qpu")
-        workflow.run()
-        assert active["max"] == 1
-
-    def test_cycle_detection(self):
-        workflow = Workflow()
-        workflow.add_task("a", lambda: 1, depends_on=["b"])
-        workflow.add_task("b", lambda: 2, depends_on=["a"])
-        with pytest.raises(ConfigurationError):
-            workflow.run()
-
-    def test_unknown_dependency_rejected(self):
-        workflow = Workflow()
-        workflow.add_task("a", lambda: 1, depends_on=["ghost"])
-        with pytest.raises(ConfigurationError):
-            workflow.validate()
-
-    def test_reference_without_dependency_rejected(self):
-        workflow = Workflow()
-        workflow.add_task("a", lambda: 1)
-        workflow.add_task("b", lambda x: x, result_of("a"))  # missing depends_on
-        with pytest.raises(ConfigurationError):
-            workflow.validate()
-
-    def test_duplicate_task_name_rejected(self):
-        workflow = Workflow()
-        workflow.add_task("a", lambda: 1)
-        with pytest.raises(ConfigurationError):
-            workflow.add_task("a", lambda: 2)
-
-    def test_failure_propagates_and_skips_dependents(self):
-        calls = []
-
-        def boom():
-            raise RuntimeError("task failed")
-
-        workflow = Workflow()
-        workflow.add_task("bad", boom)
-        workflow.add_task("after", lambda: calls.append("ran"), depends_on=["bad"])
-        with pytest.raises(ExecutionError):
-            workflow.run()
-        assert calls == []
-
-    def test_critical_path_length(self):
-        workflow = Workflow()
-        workflow.add_task("a", lambda: 1)
-        workflow.add_task("b", lambda: 2, depends_on=["a"])
-        workflow.add_task("c", lambda: 3, depends_on=["b"])
-        workflow.add_task("d", lambda: 4)
-        assert workflow.critical_path_length() == 3
-
-    def test_durations_and_wall_time_recorded(self):
-        workflow = Workflow()
-        workflow.add_task("sleepy", lambda: time.sleep(0.02))
-        outcome = workflow.run()
-        assert outcome.durations["sleepy"] >= 0.02
-        assert outcome.wall_time_seconds >= 0.02

@@ -102,6 +102,24 @@ class TestDeterministicEquivalence:
             sharded = sharded2.execute(circuit, 128, seed=seed)
             assert dict(sharded.counts) == dict(reference.counts), f"trial {trial}"
 
+    @pytest.mark.parametrize("reset", [False, True])
+    def test_inverse_cdf_chunks_match_the_two_thread_engine(self, sharded2, reset):
+        """10 measured qubits (1024 bins) under 512 shots: every shot chunk,
+        and every one-shot trajectory draw, takes the inverse-CDF side."""
+        circuit = random_circuit(np.random.default_rng(31), 10, 40)
+        if reset:
+            body = CircuitBuilder(10, name="reset10").h(0).cx(0, 9).reset(9).h(9)
+            for instruction in circuit:
+                body.append(instruction)
+            circuit, shots = body.build(), 24
+        else:
+            shots = 512
+        local = LocalBackend(engine=ParallelSimulationEngine(num_threads=2))
+        reference = local.execute(circuit, shots, seed=4321)
+        sharded = sharded2.execute(circuit, shots, seed=4321)
+        assert dict(sharded.counts) == dict(reference.counts)
+        assert sum(reference.counts.values()) == shots
+
     def test_expectation_bit_identical(self, sharded2):
         ansatz = deuteron_ansatz_circuit(0.59).without_measurements()
         observable = deuteron_hamiltonian()

@@ -19,6 +19,7 @@ from repro.operators.compiled import compile_observable
 from repro.operators.pauli import PauliOperator, PauliTerm, X, Y, Z
 from repro.service import QuantumJobService
 from repro.simulator.density import DensityMatrix
+from repro.simulator.sampling import SAMPLING_STREAM
 from repro.simulator.statevector import StateVector
 
 _SETTINGS = settings(
@@ -205,7 +206,9 @@ class TestMemo:
 
 class TestSampledPath:
     def test_sampled_expectation_matches_parent_recording(self):
-        # Value recorded at the parent's inline implementation, same seed.
+        # Value recorded at the parent's inline implementation, same seed,
+        # at sampling stream 1 and unmoved by stream 2.
+        assert SAMPLING_STREAM == 2
         set_config(seed=1234)
         ansatz = CircuitBuilder(3).h(0).cx(0, 1).ry(2, 0.3).measure(0).build()
         observable = 0.5 - 1.25 * X(0) * X(1) + 0.75 * Y(1) * Z(2) + 0.3 * Z(0)

@@ -27,6 +27,7 @@ from repro.exceptions import ExecutionError
 from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.service import QuantumJobService, ResultCache, subsample_counts
+from repro.simulator.sampling import SAMPLING_STREAM
 
 SEEDS = (1234, 0)
 SHOTS = 2048
@@ -142,6 +143,7 @@ GOLDEN: dict[int, dict[str, str]] = {
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_served_histograms_match_the_recorded_digests(seed):
+    assert SAMPLING_STREAM == 2  # recorded at stream 1, unmoved by stream 2
     assert scenario(seed) == GOLDEN[seed]
 
 

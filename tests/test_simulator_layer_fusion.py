@@ -44,6 +44,7 @@ from repro.simulator.execution_plan import (
 )
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import PlanCache
+from repro.simulator.sampling import SAMPLING_STREAM
 from repro.simulator.statevector import StateVector
 
 #: Ceiling on M·N·K of one GEMM (the module's cap, restated so this file
@@ -423,7 +424,8 @@ QFT_DIAGONALS = {
 }
 
 #: sha256 over the sorted counts of 300 trajectories of ``reset_circuit()``
-#: through ``LocalBackend``, keyed ``seed/threads``.
+#: through ``LocalBackend``, keyed ``seed/threads`` (sampling stream 1,
+#: unmoved by stream 2).
 RESET_TRAJECTORIES = {
     "0/1": "897ecfe9b98e8683", "0/2": "bc9f9e4a88607075",
     "1234/1": "cbfbc2dbc5c8aae9", "1234/2": "86b928316e0e13b1",
@@ -458,6 +460,7 @@ def reset_circuit(n: int = 7):
 
 @pytest.mark.parametrize("key", sorted(RESET_TRAJECTORIES))
 def test_reset_trajectory_counts_equal_the_parent_recorded_value(key):
+    assert SAMPLING_STREAM == 2
     seed, threads = (int(part) for part in key.split("/"))
     engine = ParallelSimulationEngine(num_threads=threads)
     with LocalBackend(engine=engine, plan_cache=PlanCache()) as backend:

@@ -1,8 +1,10 @@
 """Tests for sampling, the density-matrix simulator and noise channels."""
 
+import importlib.util
 import inspect
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,17 @@ from repro.simulator.noise import (
     depolarizing_channel,
     phase_flip_channel,
 )
-from repro.simulator.sampling import _keyed, _marginal, format_bitstring, sample_counts
+from repro.simulator.sampling import (
+    INVERSE_CDF_MIN_BINS,
+    SAMPLING_STREAM,
+    _inverse_cdf_wins,
+    _keyed,
+    _marginal,
+    format_bitstring,
+    format_packed_keys,
+    sample_chunks,
+    sample_counts,
+)
 from repro.simulator import execution_plan
 from repro.simulator.parallel_engine import (
     ParallelSimulationEngine,
@@ -39,6 +51,17 @@ from repro.testing import reference_marginal_probabilities, reference_sample_cou
 def sampled_marginal(probs, qubits, n_qubits):
     """The marginal ``sample_chunks`` draws from, keyed like its counts."""
     return _keyed(*_marginal(probs, tuple(qubits), n_qubits), len(qubits))
+
+
+def _load_e2e_oracle():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("e2e_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tv_bound = _load_e2e_oracle().tv_bound
 
 
 class TestSampling:
@@ -120,11 +143,43 @@ def sampling_cases(draw):
     return weights, qubits, n_qubits, shots, seed
 
 
+@st.composite
+def wide_sampling_cases(draw):
+    """Cases with 2^9..2^11 marginal bins, so chunks land on both sides of
+    the inverse-CDF rule: zero and negative-drift bins, awkward qubit lists."""
+    n_qubits = draw(st.integers(min_value=9, max_value=11))
+    state_rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    weights = state_rng.random(1 << n_qubits) ** draw(st.sampled_from([1, 8]))
+    holes = state_rng.random(weights.size) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    weights[holes] = state_rng.choice([0.0, -1e-18], size=int(holes.sum()))
+    weights = weights / weights.sum() * draw(st.sampled_from([1.0 - 2**-52, 1.0, 1.0 + 2**-51]))
+    if draw(st.booleans()):
+        qubits = list(range(n_qubits))
+    else:
+        qubits = draw(st.permutations(range(n_qubits)))[: draw(st.integers(9, n_qubits))]
+        qubits += qubits[:2]  # duplicates are dropped
+    shots = draw(st.integers(min_value=1, max_value=3000))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return weights, qubits, n_qubits, shots, seed
+
+
+class _Refusing:
+    """A generator proxy whose ``blocked`` draw method raises."""
+
+    def __init__(self, rng, blocked):
+        self._rng, self._blocked = rng, blocked
+
+    def __getattr__(self, name):
+        if name == self._blocked:
+            raise AssertionError(f"{name} drawn")
+        return getattr(self._rng, name)
+
+
 class TestSamplerMatchesReference:
     """The sparse sampler against the dict-building oracle it replaced."""
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(sampling_cases())
+    @given(st.one_of(sampling_cases(), wide_sampling_cases()))
     def test_fixed_seed_counts_equal_the_oracle(self, case):
         probs, qubits, n_qubits, shots, seed = case
         new = sample_counts(probs, shots, qubits, n_qubits, np.random.default_rng(seed))
@@ -144,6 +199,39 @@ class TestSamplerMatchesReference:
     def test_all_zero_vector_rejected(self):
         with pytest.raises(ExecutionError, match="cannot sample"):
             sample_counts(np.zeros(4), 10, (0, 1), 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "zero"])
+    @pytest.mark.parametrize("shots", [10, 4096])
+    def test_bad_vectors_are_rejected_on_both_sides_of_the_rule(self, bad, shots):
+        probs = np.full(1024, 1 / 1024)
+        if bad == "zero":
+            probs[:] = 0.0
+        else:
+            probs[3] = bad
+        for sampler in (sample_counts, reference_sample_counts):
+            with pytest.raises(ExecutionError, match="cannot sample"):
+                sampler(probs, shots, range(10), 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shots", [10, 4096])
+    def test_sub_ulp_negative_bins_are_dropped(self, shots):
+        probs = np.full(1024, 1 / 1000)
+        probs[::41] = -1e-18
+        counts = sample_counts(probs, shots, range(10), 10, np.random.default_rng(5))
+        dropped = {format_bitstring(b, tuple(range(10))) for b in range(0, 1024, 41)}
+        assert sum(counts.values()) == shots and not dropped & set(counts)
+
+    @pytest.mark.parametrize("position", [0, 517, 1023])
+    def test_a_sub_ulp_bin_leaves_inverse_cdf_counts_unchanged(self, position):
+        """One more positive bin of 1e-30 cannot move an inverse-CDF draw
+        (a ``multinomial`` stream shifts with the bin count)."""
+        probs = np.random.default_rng(9).random(1024)
+        probs[position] = 0.0
+        probs /= probs.sum()
+        assert _inverse_cdf_wins(300, 1023) and _inverse_cdf_wins(300, 1024)
+        before = sample_counts(probs, 300, range(10), 10, np.random.default_rng(17))
+        probs[position] = 1e-30
+        after = sample_counts(probs, 300, range(10), 10, np.random.default_rng(17))
+        assert after == before
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_engine_chunks_equal_the_oracle_on_a_large_state(self, threads):
@@ -213,6 +301,7 @@ class TestGoldenHistograms:
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     @pytest.mark.parametrize("threads", [1, 2])
     def test_local_backend(self, name, threads):
+        assert SAMPLING_STREAM == 2  # recorded at stream 1, unmoved by stream 2
         circuit, shots, seed, *expected = _GOLDEN[name]
         with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as backend:
             assert dict(backend.execute(circuit, shots, seed=seed).counts) == expected[threads - 1]
@@ -221,6 +310,90 @@ class TestGoldenHistograms:
         with ShardedExecutor(2, name="golden-shard") as sharded:
             for circuit, shots, seed, _, expected in _GOLDEN.values():
                 assert dict(sharded.execute(circuit, shots, seed=seed).counts) == expected
+
+
+class TestInverseCdfRule:
+    """Which draw a chunk takes, and that both draw the marginal's law."""
+
+    def test_few_shots_on_many_bins_never_call_multinomial(self):
+        """Work bound the parent fails: it pays 2^16 binomials for 512 shots."""
+        probs = np.full(1 << 16, 1.0 / (1 << 16))
+        rng = _Refusing(np.random.default_rng(0), "multinomial")
+        counts = sample_counts(probs, 512, range(16), 16, rng)
+        assert sum(counts.values()) == 512
+
+    def test_many_shots_on_few_bins_keep_multinomial(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        rng = _Refusing(np.random.default_rng(0), "random")
+        counts = sample_counts(probs, 4096, (0, 1), 2, rng)
+        assert sum(counts.values()) == 4096 and len(counts) == 4
+
+    def test_a_split_straddling_the_rule_equals_the_oracle_chunk_by_chunk(self):
+        probs = np.random.default_rng(4).random(1024)
+        probs /= probs.sum()
+        chunks = (1024, 1023)  # one chunk each side of shots < bins
+        assert [_inverse_cdf_wins(c, 1024) for c in chunks] == [False, True]
+        seeds = np.random.SeedSequence(8).spawn(2)
+        expected = merge_counts(
+            reference_sample_counts(probs, c, range(10), 10, np.random.default_rng(s))
+            for c, s in zip(chunks, seeds)
+        )
+        rngs = [np.random.default_rng(s) for s in seeds]
+        assert sample_chunks(probs, chunks, range(10), 10, rngs) == expected
+
+    def test_the_rule_reads_only_chunk_shots_and_positive_bins(self):
+        assert not _inverse_cdf_wins(1, INVERSE_CDF_MIN_BINS - 1)
+        assert _inverse_cdf_wins(1, INVERSE_CDF_MIN_BINS)
+        assert _inverse_cdf_wins(INVERSE_CDF_MIN_BINS - 1, INVERSE_CDF_MIN_BINS)
+        assert not _inverse_cdf_wins(INVERSE_CDF_MIN_BINS, INVERSE_CDF_MIN_BINS)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "n_qubits, qubits, shots, inverse",
+        [
+            (12, tuple(range(12)), 1500, True),
+            (12, (11, 0, 3, 5, 6, 8, 9, 10, 1, 2), 900, True),  # partial: 1024 bins
+            (12, (1, 4, 7, 10), 3000, False),
+            (9, tuple(range(9)), 6000, False),
+        ],
+    )
+    def test_total_variation_stays_within_the_e2e_bound(
+        self, chunks, n_qubits, qubits, shots, inverse
+    ):
+        state_rng = np.random.default_rng(n_qubits * 10 + chunks)
+        probs = state_rng.random(1 << n_qubits) ** 6  # skewed: a wrong bin shows
+        probs /= probs.sum()
+        exact = reference_marginal_probabilities(probs, tuple(sorted(qubits)), n_qubits)
+        split = split_shots(shots, chunks)
+        assert {_inverse_cdf_wins(c, len(exact)) for c in split} == {inverse}
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(chunks)]
+        counts = sample_chunks(probs, split, qubits, n_qubits, rngs)
+        assert sum(counts.values()) == shots and set(counts) <= set(exact)
+        tv = 0.5 * sum(abs(counts.get(key, 0) / shots - p) for key, p in exact.items())
+        assert tv <= tv_bound(shots, len(exact))
+
+
+class TestKeyFormatter:
+    @pytest.mark.parametrize("width", range(1, 31))
+    def test_integer_bins_match_format(self, width):
+        bins = np.unique(np.random.default_rng(width).integers(0, 1 << width, size=200))
+        expected = [format(b, f"0{width}b")[::-1] for b in bins.tolist()]
+        assert list(_keyed(bins, bins, width)) == expected
+
+    @pytest.mark.parametrize("n_bits", [1, 7, 8, 9, 63, 64, 65, 200, 400])
+    def test_packed_tableau_rows_match_the_per_row_text(self, n_bits):
+        """Big-endian rows, padding bits set: the text the tableau sampler
+        built row by row before it shared this helper."""
+        packed = np.random.default_rng(n_bits).integers(
+            0, 256, size=(50, (n_bits + 7) // 8), dtype=np.uint8
+        )
+        bits = np.unpackbits(packed, axis=1, count=n_bits)
+        expected = ["".join(str(bit) for bit in row) for row in bits.tolist()]
+        assert format_packed_keys(packed, n_bits) == expected
+
+    def test_no_rows_no_keys(self):
+        assert format_packed_keys(np.zeros((0, 1), dtype=np.uint8), 5) == []
+        assert _keyed(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 5) == {}
 
 
 class TestWorkBounds:

@@ -7,8 +7,8 @@ One protocol (:class:`ExecutionBackend`) behind every execution path:
   accelerator, ``core/executor`` and the job broker.
 * :class:`ShardedExecutor` — process-sharded plan replay: persistent
   worker processes, circuits shipped by content hash + canonical JSON,
-  per-worker plan caches, hash-affine job routing (with cold-key work
-  stealing), worker-death retry.
+  hash-affine job routing (with cold-key work stealing), worker-death
+  retry.
 * :class:`DensityBackend` — density-matrix evolution (the noisy
   accelerator's seam).
 * :class:`StabilizerBackend` — CHP-style tableau execution for Clifford
@@ -17,10 +17,12 @@ One protocol (:class:`ExecutionBackend`) behind every execution path:
 * :class:`SharedStatePool` — not a backend but the shared-memory
   :class:`~repro.simulator.execution_plan.ChunkPool`: worker processes
   cooperating on one large state through shared amplitude buffers, the
-  lane :class:`LocalBackend` and the shard workers borrow for ≥20-qubit
-  replays.
+  lane :class:`LocalBackend` takes for ≥20-qubit replays when configured.
 
-The backends return :class:`ExecutionResult`.
+Both process lanes run the worker library in :mod:`repro.exec.workers`:
+one circuit payload, one worker plan cache and one job envelope, under
+each lane's own process supervisor.  The backends return
+:class:`ExecutionResult`.
 """
 
 from .backend import DensityBackend, ExecutionBackend, LocalBackend

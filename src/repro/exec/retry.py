@@ -1,11 +1,10 @@
 """Retry policies: bounded attempts, exponential backoff, typed classification.
 
-Before this module the stack had exactly one recovery behaviour — the
-sharded executor's hard-coded "respawn the pool and re-run the chunk once"
-— and the shm lane had none.  :class:`RetryPolicy` replaces that with an
-explicit object the caller owns: how many attempts, how long to back off
-between them (exponential with deterministic jitter), and *which* failures
-are worth retrying at all.
+A :class:`RetryPolicy` is an explicit object the caller owns: how many
+attempts, how long to back off between them (exponential with
+deterministic jitter), and *which* failures are worth retrying at all.
+The sharded executor runs under :data:`DEFAULT_RETRY_POLICY` unless given
+another; the shm pool retries only under a policy it is handed.
 
 Classification is the load-bearing part.  Infrastructure failures (a
 worker process SIGKILLed, a broken pool, an OS-level pipe error, memory
@@ -165,9 +164,9 @@ class RetryPolicy:
         return error
 
 
-#: The stack-wide default: one retry with a short first backoff — the
-#: behaviour the sharded executor has always had, now in policy form.
+#: The stack-wide default: one retry with a short first backoff (the
+#: sharded executor's policy unless it is given another).
 DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.5)
 
-#: Never retry (the shm pool's historical contract: fail fast and typed).
+#: Never retry: fail fast and typed (the shm pool's behaviour without a policy).
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0)

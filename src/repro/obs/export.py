@@ -109,7 +109,7 @@ _GAUGE_FIELDS = (
     (
         "shm_resident_states",
         "shm_resident_states",
-        "resident shm state slots (gangs) live across open pools",
+        "resident shm state slots (one per open pool)",
     ),
     ("uptime_seconds", "uptime_seconds", "seconds since the service started"),
     (

@@ -380,8 +380,7 @@ class Tracer:
 
         Worker processes wrap their replay in ``capture()`` and ship
         ``[s.to_dict() for s in sink]`` home with the result; nested
-        captures (shard worker hosting shm workers) each see the spans, so
-        two-hop stitching works.
+        captures each see the spans.
         """
         sink: list[Span] = []
         stack = getattr(self._sinks, "stack", None)

@@ -90,12 +90,6 @@ class QppAccelerator(Accelerator, Cloneable):
         value = self._option_int("shm-processes", default=0) or 0
         return value if value > 1 else 0
 
-    @property
-    def num_shm_states(self) -> int:
-        """Resident shm states via ``shm-states`` (1 = single-state pool)."""
-        value = self._option_int("shm-states", default=1) or 1
-        return max(1, value)
-
     def execution_backend(self) -> ExecutionBackend:
         """The :class:`ExecutionBackend` this clone currently dispatches to.
 
@@ -113,10 +107,7 @@ class QppAccelerator(Accelerator, Cloneable):
         if shm:
             from ..exec.shm import get_shared_state_pool
 
-            budget = self._option_int("memory-budget-bytes", default=None)
-            self._local_backend.shm_pool = get_shared_state_pool(
-                shm, self.num_shm_states, byte_budget=budget
-            )
+            self._local_backend.shm_pool = get_shared_state_pool(shm)
         else:
             self._local_backend.shm_pool = None
         return self._local_backend

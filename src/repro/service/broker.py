@@ -173,17 +173,15 @@ class QuantumJobService:
                     f"process sharding replays compiled plans and requires the "
                     f"'qpp' backend, got {self.backend!r}"
                 )
+            if int(self.backend_options.get("shm-processes", 0) or 0) > 1:
+                raise ExecutionError(
+                    "the shm-processes lane replays one state in this process; "
+                    "it cannot be combined with process sharding (processes > 1)"
+                )
             from ..exec.sharded import ShardedExecutor
 
-            # "shm-processes" lets each shard borrow a shared-memory pool
-            # for super-threshold single-state replays (the ≥20-qubit lane);
-            # in in-process mode the same option flows to the accelerator
-            # clones through backend_options instead.
             self._sharded = ShardedExecutor(
-                self.processes,
-                name=f"{name}-shard",
-                shm_processes=int(self.backend_options.get("shm-processes", 0) or 0),
-                retry_policy=retry_policy,
+                self.processes, name=f"{name}-shard", retry_policy=retry_policy
             )
         self._queue = BatchingJobQueue(max_pending=max_pending)
         self._cache: ResultCache | None = (

@@ -89,7 +89,6 @@ _NON_SEMANTIC_OPTIONS = frozenset(
         "latency-seconds",
         "processes",
         "shm-processes",
-        "shm-states",
         "chunk-threshold",
         "deadline-seconds",
         "memory-budget-bytes",
@@ -158,8 +157,8 @@ def job_key(
 # order, after canonicalisation) hash into the sweep key.  What is
 # deliberately NOT in the key is everything about *how* the fan-out runs:
 # the fan-out width, the binding-range chunking, which lane (threads / shm
-# / shards) evaluates each range, and the multi-state shm residency count
-# are all routing decisions — every lane is bit-identical per binding at a
+# / shards) evaluates each range, and that lane's worker count are all
+# routing decisions — every lane is bit-identical per binding at a
 # given precision — so a sweep keeps one identity whether it runs on one
 # worker or thirty-two.  Shots stay out for the same reconciliation reason
 # as ``job_key``.

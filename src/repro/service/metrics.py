@@ -151,7 +151,7 @@ class MetricsSnapshot:
     shm_barrier_aborts: int = 0
     #: Bytes resident in shared-memory amplitude segments (state + scratch).
     shm_resident_bytes: int = 0
-    #: Resident shm state slots (gangs) live across this process's pools.
+    #: Resident shm state slots: one per open pool in this process.
     shm_resident_states: int = 0
     #: Shard-lane circuit-breaker state at snapshot time
     #: ("closed" / "open" / "half-open"; "closed" without sharding).

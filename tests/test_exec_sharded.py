@@ -9,6 +9,8 @@ warm worker plan caches, worker-death retry, and exception-safe teardown.
 
 import os
 import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,13 +22,14 @@ from repro.algorithms.shor import period_finding_circuit
 from repro.algorithms.vqe import deuteron_ansatz_circuit, deuteron_hamiltonian
 from repro.config import set_config
 from repro.exceptions import ExecutionError
-from repro.exec import LocalBackend, ShardedExecutor, get_sharded_executor
+from repro.exec import NO_RETRY, LocalBackend, ShardedExecutor, get_sharded_executor
 from repro.ir import gates as G
 from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
 from repro.ir.serialization import circuit_content_hash
 from repro.service import QuantumJobService
 from repro.simulator.parallel_engine import ParallelSimulationEngine
+from repro.testing import FaultSpec, clear_faults, install_faults
 
 
 def algorithm_suite():
@@ -233,12 +236,38 @@ class TestFailureRecovery:
             executor.close()
 
     def test_retry_budget_exhaustion_raises_execution_error(self):
-        executor = ShardedExecutor(1, name="budget", max_retries=0)
+        executor = ShardedExecutor(1, name="budget", retry_policy=NO_RETRY)
         try:
             os.kill(executor.shard_pids()[0], signal.SIGKILL)
             with pytest.raises(ExecutionError, match="failed"):
                 executor.execute(bell_circuit(2), 32, seed=0)
         finally:
+            executor.close()
+
+
+    def test_retries_bill_only_this_jobs_respawns(self):
+        """A job is billed for the respawns it paid for, not for another
+        job's: A runs (slowly) on shard 0 while B finds shard 1 dead."""
+        install_faults(
+            [FaultSpec(site="sharded.worker.replay", action="slow",
+                       seconds=0.5, times=None)]
+        )
+        executor = ShardedExecutor(2, name="retry-billing")
+        try:
+            victim = executor.shard_pids()[1]
+            with ThreadPoolExecutor(max_workers=1) as client:
+                job_a = client.submit(
+                    executor.execute, bell_circuit(2), 32, seed=1, shard=0
+                )
+                time.sleep(0.1)  # A is in flight on shard 0
+                os.kill(victim, signal.SIGKILL)
+                result_b = executor.execute(bell_circuit(2), 32, seed=2, shard=1)
+                result_a = job_a.result(timeout=60)
+            assert result_b.retries == 1
+            assert result_a.retries == 0
+            assert executor.total_retries == 1
+        finally:
+            clear_faults()
             executor.close()
 
 
@@ -260,8 +289,6 @@ class TestLifecycle:
         with pytest.raises(ExecutionError):
             ShardedExecutor(0)
         with pytest.raises(ExecutionError):
-            ShardedExecutor(1, max_retries=-1)
-        with pytest.raises(ExecutionError):
             get_sharded_executor(0)
 
     def test_shard_index_out_of_range(self, sharded2):
@@ -270,6 +297,12 @@ class TestLifecycle:
 
 
 class TestShardedBroker:
+    def test_shm_lane_cannot_ride_on_process_shards(self):
+        with pytest.raises(ExecutionError, match="shm-processes"):
+            QuantumJobService(
+                workers=1, processes=2, backend_options={"shm-processes": 2}
+            )
+
     def test_sharded_service_counts_match_in_process(self):
         set_config(seed=4321)
         circuit = qft_circuit(4)
@@ -452,7 +485,7 @@ class TestColdKeyWorkStealing:
         assert dict(stolen.counts) == dict(affine.counts)
 
     def test_owner_map_is_bounded(self):
-        with ShardedExecutor(2, name="owner-bound", warm_start=False) as executor:
+        with ShardedExecutor(2, name="owner-bound") as executor:
             executor._key_owner_capacity = 8
             for index in range(20):
                 executor._owner_for_key(f"{index:064x}")

@@ -355,169 +355,3 @@ class TestShmTeardown:
         for name in names:
             assert not os.path.exists(os.path.join("/dev/shm", name))
         assert "resource_tracker" not in result.stderr
-
-    def test_multi_state_concurrent_replays_distinct_gangs(self):
-        """A K-slot pool serves concurrent replays from *distinct* gangs —
-        each bit-identical to serial — and still closes spotless."""
-        import threading
-
-        plan = compile_plan(qft_circuit(9), 9, chunk_threshold=2)
-        serial = plan.execute(plan.new_state())
-        peak_states = []
-        errors = []
-        with SharedStatePool(4, max_states=2, name="shm-multi") as pool:
-            assert pool.gang_size == 2
-
-            def replay_loop():
-                try:
-                    for _ in range(3):
-                        shm = plan.execute(plan.new_state(), pool=pool)
-                        assert np.array_equal(serial, shm)
-                        peak_states.append(pool.resident_states)
-                except Exception as exc:  # surface into the main thread
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=replay_loop) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert errors == []
-            # Concurrent load spawned the second gang lazily.
-            assert max(peak_states) == 2
-            assert pool.resident_bytes > 0
-            assert len(pool.segment_names()) == 4  # 2 gangs × (state+scratch)
-        assert pool.segment_names() == ()
-
-    def test_multi_state_byte_budget_caps_residency(self):
-        """A byte budget too small for a second state keeps the pool at one
-        resident gang — replays serialize instead of over-allocating."""
-        import threading
-
-        plan = compile_plan(qft_circuit(8), 8, chunk_threshold=2)
-        serial = plan.execute(plan.new_state())
-        # 8 qubits complex128: 4096 B/segment, 8192 B/gang.  A 10 kB budget
-        # fits one gang but refuses the second.
-        with SharedStatePool(
-            4, max_states=2, byte_budget=10_000, name="shm-budget"
-        ) as pool:
-            errors = []
-
-            def replay_loop():
-                try:
-                    for _ in range(3):
-                        shm = plan.execute(plan.new_state(), pool=pool)
-                        assert np.array_equal(serial, shm)
-                        assert pool.resident_states == 1
-                except Exception as exc:
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=replay_loop) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-            assert errors == []
-            assert pool.resident_states == 1
-        assert pool.segment_names() == ()
-
-    def test_multi_state_sigkill_recovers_one_gang(self):
-        """Killing a worker breaks only its own gang: the pool respawns that
-        gang, the replay fails cleanly, later replays succeed, and close
-        leaves /dev/shm spotless and no orphan processes."""
-        plan = compile_plan(qft_circuit(7), 7, chunk_threshold=2)
-        serial = plan.execute(plan.new_state())
-        pool = SharedStatePool(4, max_states=2, name="shm-multi-kill")
-        pids_before = pool.worker_pids()
-        victim = pids_before[0]  # a gang-0 worker (the only eager gang)
-        os.kill(victim, signal.SIGKILL)
-        with pytest.raises(ExecutionError, match="mid-replay"):
-            plan.execute(plan.new_state(), pool=pool)
-        assert pool.respawns == 1
-        all_pids = pool.worker_pids()
-        assert victim not in all_pids
-        shm = plan.execute(plan.new_state(), pool=pool)
-        assert np.array_equal(serial, shm)
-        pool.close()
-        assert pool.segment_names() == ()
-        # No orphan worker processes: every pid is gone (or reaped).
-        for pid in set(pids_before) | set(all_pids):
-            with pytest.raises(OSError):
-                os.kill(pid, 0)
-
-    def test_multi_state_exit_without_close_sweeps_all_gangs(self):
-        """A multi-state pool abandoned at interpreter exit must sweep every
-        gang's segments, not just slot 0's."""
-        script = textwrap.dedent(
-            """
-            import threading
-            from repro.exec.shm import SharedStatePool
-            from repro.simulator.execution_plan import compile_plan
-            from repro.algorithms.qft import qft_circuit
-
-            plan = compile_plan(qft_circuit(8), 8, chunk_threshold=2)
-            pool = SharedStatePool(4, max_states=2, name="shm-multi-litter")
-
-            def loop():
-                for _ in range(3):
-                    plan.execute(plan.new_state(), pool=pool)
-
-            threads = [threading.Thread(target=loop) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            print("SEGMENTS:" + ",".join(pool.segment_names()))
-            # no close(): the exit sweep must handle every gang
-            """
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        assert result.returncode == 0, result.stderr
-        names = [
-            n
-            for n in result.stdout.split("SEGMENTS:", 1)[1].strip().split(",")
-            if n
-        ]
-        assert len(names) >= 2  # at least gang 0's state+scratch
-        for name in names:
-            assert not os.path.exists(os.path.join("/dev/shm", name))
-        assert "resource_tracker" not in result.stderr
-
-    def test_registry_keys_multi_state_pools_separately(self):
-        """``get_shared_state_pool(p, k)`` is keyed by (processes, states):
-        the multi-state pool does not displace the single-state one."""
-        single = get_shared_state_pool(2)
-        multi = get_shared_state_pool(4, 2)
-        try:
-            assert single is not multi
-            assert multi.gang_size == 2
-            assert get_shared_state_pool(4, 2) is multi
-            assert get_shared_state_pool(2) is single
-        finally:
-            shutdown_shared_state_pools()
-
-    def test_shard_borrowed_pool_cleans_on_executor_close(self):
-        """A shard worker that borrowed an shm pool exits through
-        multiprocessing's os._exit path (no atexit) — the finalizer sweep
-        must still release the worker-owned segments."""
-        shor = period_finding_circuit(15, 2)
-        reference = LocalBackend(engine=ParallelSimulationEngine(num_threads=1))
-        expected = reference.execute(shor, 128, seed=77, chunk_threshold=2)
-        reference.close()
-        with ShardedExecutor(1, name="shm-borrow", shm_processes=2) as sharded:
-            result = sharded.execute_for_key(
-                "feed" * 16, shor, 128, seed=77, chunk_threshold=2
-            )
-            assert dict(result.counts) == dict(expected.counts)
-        # ShardedExecutor.close() joined the shard worker; its finalizer
-        # already swept the borrowed pool's segments (asserted by the
-        # autouse no_segment_litter fixture).

@@ -429,7 +429,7 @@ class TestSweepKeys:
         routed = sweep_key(
             circuit,
             "qpp",
-            {"shm-states": 4, "chunk-threshold": 1 << 12, "processes": 8},
+            {"shm-processes": 4, "chunk-threshold": 1 << 12, "processes": 8},
             bindings,
         )
         assert base == routed

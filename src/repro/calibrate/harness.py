@@ -7,7 +7,7 @@ overhead, the tableau's per-gate cost) shipped as hand-set guesses.
 * **Kernel cost factors** — one dedicated micro-circuit per kernel class
   (single/controlled/diagonal/permutation/gather/dense/block), compiled
   with ``optimize=False`` and — except for ``block``, which *is* the fused
-  form of a single-qubit layer — ``fusion_max_qubits=0`` so every class
+  form of a window of gates — ``fusion_max_qubits=0`` so every class
   survives lowering, replayed serially under the
   :class:`~repro.obs.profiler.ReplayProfiler`; per-amplitude seconds
   normalise to the single-qubit kernel (the model's unit).

@@ -11,21 +11,23 @@ amortises gate application with fused OpenMP kernels:
   every gate matrix, classifies each step into a specialised kernel
   (single-qubit in-place, controlled-single, diagonal/phase, permutation
   for X/CX/SWAP-style moves, basis-gather for classical permutations,
-  fused ≤3-qubit dense blocks, and contiguous-window blocks) and
-  pre-resolves all reshape geometry.
-* **Layer fusion** (on unless ``fusion_max_qubits=0``): concrete
-  single-qubit gates on different qubits commute, so a run of them — a
-  whole rotation layer of an ansatz — is multiplied per qubit, cut into
-  windows of at most :data:`BLOCK_WINDOW_MAX_QUBITS` *adjacent* qubits and
-  each window becomes one :data:`KERNEL_BLOCK` step holding the Kronecker
-  product ``U``.  A window ``[lo, lo+k)`` is a plain reshape of the state
-  to ``(-1, 2^k, 2^lo)``, so the kernel is one batched GEMM pass
-  ping-ponged into the spare buffer: no index tables (the gather-based
-  :data:`KERNEL_DENSE` carries two ``2^n`` ``intp`` tables and makes three
-  passes) and one sweep of the state per *layer window* instead of one per
-  gate.  ``fusion_max_qubits=0`` switches off this pass together with the
-  overlapping-gate pass — the gate-for-gate plan the bit-exact tests and
-  the calibration micro-benchmarks need.
+  contiguous-window blocks, and a gather-based dense kernel for the gates
+  no window can hold) and pre-resolves all reshape geometry.
+* **The window pass** (on unless ``fusion_max_qubits=0``): the earliest
+  gate not yet placed anchors a window of at most
+  :data:`BLOCK_WINDOW_MAX_QUBITS` *adjacent* qubits — of the placements
+  that contain it, the one absorbing the most gates.  A gate joins when it
+  is concrete and unitary, lies inside the window, and every earlier gate
+  on its qubits is placed or has joined; parametric gates, resets,
+  measures and gates spanning more qubits never join and block their
+  qubits.  Windows may share qubits, so an RY layer plus a CX ladder on 16
+  qubits is five windows.  A window of two or more gates becomes one
+  :data:`KERNEL_BLOCK` step: a window ``[lo, lo+k)`` is a plain reshape of
+  the state to ``(-1, 2^k, 2^lo)``, so the kernel is one batched GEMM pass
+  ping-ponged into the spare buffer, with no index tables.  A window of
+  one gate, or of diagonals only, keeps each gate's specialised kernel.
+  ``fusion_max_qubits=0`` is the gate-for-gate plan the bit-exact tests
+  and the calibration micro-benchmarks need.
 * :class:`ExecutionPlan.execute` is then a tight loop over ready kernels
   with a reusable per-thread ping-pong scratch buffer instead of per-gate
   allocation.
@@ -33,11 +35,12 @@ amortises gate application with fused OpenMP kernels:
   is compiled once from the *symbolic* ansatz and only the rotation
   matrices are re-bound per parameter set (per thread, so concurrently
   bound plans never race).
-* **Diagonal batching** (``batch_diagonals=True``): adjacent runs of
-  diagonal kernels — QFT's CPHASE ladders, bound RZ layers — collapse at
-  compile time into one combined :data:`KERNEL_DIAGONAL` step holding the
-  precomputed product diagonal over the union of touched qubits, shrinking
-  step counts and full-state memory passes.
+* **Diagonal batching** (``batch_diagonals=True``): adjacent runs of the
+  diagonal kernels left outside windows — QFT's long-range CPHASEs, bound
+  RZ layers — collapse at compile time into one combined
+  :data:`KERNEL_DIAGONAL` step holding the precomputed product diagonal
+  over the union of touched qubits, shrinking step counts and full-state
+  memory passes.
 * **Chunk-parallel replay** (``execute(state, pool=...)``): for states
   of at least ``chunk_threshold`` amplitudes (default
   :data:`DEFAULT_CHUNK_THRESHOLD`, the *measured* crossover — below it
@@ -60,6 +63,7 @@ worker and every broker dispatcher consulting the plan cache.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 import time
@@ -127,7 +131,7 @@ KERNEL_CONTROLLED = 1  #: in-place 2x2 update on the control=1 subspace
 KERNEL_DIAGONAL = 2  #: strided in-place phase multiplies (no index arrays)
 KERNEL_PERMUTATION = 3  #: slice exchanges for X/CX/SWAP/CCX/CSWAP
 KERNEL_GATHER = 4  #: whole-state index gather for classical permutations
-KERNEL_DENSE = 5  #: fused <=3-qubit dense block (gather + matmul + scatter)
+KERNEL_DENSE = 5  #: dense gate no window holds (gather + matmul + scatter)
 KERNEL_RESET = 6  #: mid-circuit projective reset (needs an RNG)
 KERNEL_BLOCK = 7  #: contiguous-window dense block (one batched GEMM pass)
 
@@ -149,33 +153,34 @@ KERNEL_NAMES = {
 #: new out-of-place kernel cannot desynchronise a worker's bookkeeping.
 _SWAPPING_KERNELS = frozenset({KERNEL_GATHER, KERNEL_DENSE, KERNEL_BLOCK})
 
-#: Default ceiling for overlapping-gate dense-block fusion (3 is the max;
-#: below 2 only single-qubit layers fuse, and 0 switches all fusion off).
+#: Default ``fusion_max_qubits``: 0 is the gate-for-gate plan, any other
+#: accepted value (1–3) turns the window pass on.
 DEFAULT_FUSION_MAX_QUBITS = 2
 
 #: States below this many amplitudes are never chunk-parallelised: the
 #: smallest size from which splitting every kernel step across the engine's
 #: threads beat serial replay by >= 1.2x on *both* ``large_state`` circuit
-#: shapes.  Serial / thread-chunked wall time of fused plans, median of 5
-#: (``BENCH_chunked_replay.json``: 2-core Intel Xeon @ 2.10 GHz VM, 2
-#: workers, numpy 2.4.6, Python 3.11.7; ``bench_chunked_replay.py`` re-takes
-#: it on any host):
+#: shapes when plans fused single-qubit layers only (20 q 1.20 / 1.46, 21 q
+#: 1.55 / 1.92).  Windowed plans take fewer, heavier steps; serial /
+#: thread-chunked, median of 5 (``BENCH_chunked_replay.json``: 2-core Intel
+#: Xeon VM, 2 workers, numpy 2.4.6, Python 3.11.7; re-taken on any host by
+#: ``bench_chunked_replay.py``):
 #:
 #: ======  ============  =============
 #: qubits  RY/CX ansatz  QFT behind RY
 #: ======  ============  =============
-#: 16      0.61          0.35
-#: 17      0.49          0.58
-#: 18      0.93          0.98
-#: 20      1.20 (1.196)  1.46
-#: 21      1.55          1.92
-#: 22      1.80          1.84
+#: 16      1.43          0.70
+#: 17      0.88          0.82
+#: 18      0.83          0.89
+#: 20      0.90          0.91
+#: 21      0.95          0.84
+#: 22      1.23          1.44
 #: ======  ============  =============
 #:
-#: (20 qubits over three more runs: 1.03–1.10 / 1.11–1.55; 19 qubits 0.95 /
-#: 0.94.)  Below the crossover the lane *costs* up to 2.9x.  Block steps
-#: replay as one serial GEMM pass on every lane, so the more of a plan is
-#: fused, the higher its crossover.
+#: The crossover there is 2^22, but serial replay itself fell at 21 q from
+#: 505 to 252 ms (ansatz) and 1 510 to 891 ms (QFT) against layer-fused
+#: plans on the same host; the constant stays at 2^21 until the lane
+#: verdict (ROADMAP 3(a)).
 DEFAULT_CHUNK_THRESHOLD = 1 << 21
 
 #: The *hand-off band*, in amplitudes, half-open: the state sizes at which a
@@ -213,8 +218,8 @@ HANDOFF_BAND_STOP = 1 << 14
 #: to that many slice multiplies, so the cap bounds both).
 DEFAULT_DIAGONAL_BATCH_MAX_QUBITS = 6
 
-#: Widest contiguous window a fused single-qubit layer is cut into (the
-#: block holds one ``2**W x 2**W`` matrix: 4 KiB at W = 4).  Measured per
+#: Widest contiguous window the window pass builds (the block holds one
+#: ``2**W x 2**W`` matrix: 4 KiB at W = 4).  Measured per
 #: GEMM pass over a 16-qubit state: W = 3 0.25–0.35 ms, W = 4 0.41–0.53 ms,
 #: W = 5 0.55–0.80 ms — per fused qubit W = 4 is as fast as W = 5 at a
 #: quarter of the bytes per block, and takes fewer steps than W = 3.
@@ -270,12 +275,19 @@ def precision_dtype(precision: object) -> np.dtype:
 #: full plan cache pins a state-sized array per plan outside admission's count.
 _SCRATCH = threading.local()
 
-#: Gates realised as pure amplitude moves (never fused: moving is cheaper
-#: than any arithmetic a fused block would do).
-_PERMUTATION_GATES = frozenset({"X", "CX", "SWAP", "CCX", "CSWAP"})
+#: Gates realised as pure amplitude moves when no window holds them (inside
+#: a window they are exact row gathers of its matrix): the two basis states
+#: each one exchanges, as its qubits' bits in order.
+_TRANSPOSITIONS = {
+    "X": ((0,), (1,)),
+    "CX": ((1, 0), (1, 1)),
+    "SWAP": ((0, 1), (1, 0)),
+    "CCX": ((1, 1, 0), (1, 1, 1)),
+    "CSWAP": ((1, 0, 1), (1, 1, 0)),
+}
 
-#: Gates realised as strided phase multiplies (multi-qubit members are kept
-#: out of fusion for the same reason).
+#: Gates realised as strided phase multiplies (a window of these alone stays
+#: diagonal steps, which batching merges).
 _DIAGONAL_GATES = frozenset({"Z", "S", "SDG", "T", "TDG", "RZ", "CZ", "CPHASE", "CRZ"})
 
 #: Two-qubit gates applied as a controlled 2x2 payload (matches
@@ -432,7 +444,7 @@ class ExecutionPlan:
         self.n_gates = n_gates
         #: Unitary gate count of the circuit as submitted (pre-optimisation).
         self.source_gates = source_gates
-        #: Gates absorbed into fused dense/single blocks.
+        #: Gates absorbed into windows of two or more gates.
         self.fused_gates = fused_gates
         #: Diagonal steps absorbed into combined product-diagonal steps.
         self.batched_diagonals = batched_diagonals
@@ -587,29 +599,21 @@ class ExecutionPlan:
         apply_step = self._apply_step
         profiler = active_profiler()
         token = active_cancel_token()
-        if token is not None:
-            # Cancellable replay: one flag/clock check per step.  A tripped
-            # token raises the typed error between kernels — the state is
-            # abandoned, never left half-applied within a kernel.
-            check = token.check
-            perf_counter = time.perf_counter
-            for step in self._steps:
-                check()
-                if profiler is None:
-                    cur, spare = apply_step(step, cur, spare, shape, rng)
-                else:
-                    t0 = perf_counter()
-                    cur, spare = apply_step(step, cur, spare, shape, rng)
-                    profiler.record_kernel(step.kernel, perf_counter() - t0)
-        elif profiler is None:
+        if token is None and profiler is None:
             for step in self._steps:
                 cur, spare = apply_step(step, cur, spare, shape, rng)
         else:
+            # Cancellable replay: one flag/clock check per step.  A tripped
+            # token raises the typed error between kernels — the state is
+            # abandoned, never left half-applied within a kernel.
             perf_counter = time.perf_counter
             for step in self._steps:
+                if token is not None:
+                    token.check()
                 t0 = perf_counter()
                 cur, spare = apply_step(step, cur, spare, shape, rng)
-                profiler.record_kernel(step.kernel, perf_counter() - t0)
+                if profiler is not None:
+                    profiler.record_kernel(step.kernel, perf_counter() - t0)
         _SCRATCH.spare = spare
         return cur
 
@@ -649,32 +653,18 @@ class ExecutionPlan:
         shape = self._shape
         profiler = active_profiler()
         token = active_cancel_token()
-        if token is not None:
-            check = token.check
-            perf_counter = time.perf_counter
-            for step, chunked in zip(self._steps, program):
-                check()
-                t0 = perf_counter()
-                if chunked is None:
-                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
-                else:
-                    cur, spare = chunked.run(pool_map, cur, spare, shape)
-                if profiler is not None:
-                    profiler.record_kernel(step.kernel, perf_counter() - t0)
-        elif profiler is None:
-            for step, chunked in zip(self._steps, program):
-                if chunked is None:
-                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
-                else:
-                    cur, spare = chunked.run(pool_map, cur, spare, shape)
-        else:
-            perf_counter = time.perf_counter
-            for step, chunked in zip(self._steps, program):
-                t0 = perf_counter()
-                if chunked is None:
-                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
-                else:
-                    cur, spare = chunked.run(pool_map, cur, spare, shape)
+        perf_counter = time.perf_counter
+        # One loop for every mode: a chunked step is a pool round trip, so
+        # the two branches per step are noise beside it.
+        for step, chunked in zip(self._steps, program):
+            if token is not None:
+                token.check()
+            t0 = perf_counter()
+            if chunked is None:
+                cur, spare = self._apply_step(step, cur, spare, shape, rng)
+            else:
+                cur, spare = chunked.run(pool_map, cur, spare, shape)
+            if profiler is not None:
                 profiler.record_kernel(step.kernel, perf_counter() - t0)
         _SCRATCH.spare = spare
         return cur
@@ -926,8 +916,23 @@ class ParametricExecutionPlan:
 _MATMUL_BATCH_CAP = 1 << 15
 
 
+def _window_shape(k_dim: int, inner: int, size: int) -> tuple[tuple[int, ...], bool]:
+    """Shape of the state operand of :func:`_window_matmul`'s batched
+    product, and whether the state is the left operand.  Every axis but the
+    last two is a batch axis; a four-axis shape is the reshape
+    ``(outer, k_dim, tiles, span)`` transposed to ``(outer, tiles, k_dim,
+    span)``."""
+    span = _MATMUL_BATCH_CAP // (k_dim * k_dim)
+    if inner == 1:
+        rows = max(1, min(span, size // k_dim))
+        return (size // (rows * k_dim), rows, k_dim), True
+    if inner <= span or span == 0:
+        return (size // (k_dim * inner), k_dim, inner), False
+    return (size // (k_dim * inner), inner // span, k_dim, span), False
+
+
 def _window_matmul(
-    matrix: np.ndarray, src: np.ndarray, dst: np.ndarray, inner: int
+    matrix: np.ndarray, src: np.ndarray, dst: np.ndarray, inner: int, part: tuple = ()
 ) -> None:
     """``dst[a, :, b] = matrix @ src[a, :, b]`` over the ``(-1, K, inner)`` view.
 
@@ -936,7 +941,8 @@ def _window_matmul(
     window ``[lo, lo + log2 K)`` (``inner == 1`` right-multiplies by
     ``matrix.T`` instead — the same product without ``2^n / K``
     matrix-vector calls); with ``inner = 2^n / K`` it is the product inside
-    the gather-based dense kernel.
+    the gather-based dense kernel.  ``part`` indexes the batch axes of
+    :func:`_window_shape`: a chunk computes only those batches.
 
     **Every product stays single-threaded by shape.**  The rule: the call is
     a *batched* ``np.matmul`` whose per-batch ``M·N·K`` never exceeds
@@ -955,27 +961,23 @@ def _window_matmul(
     count to fit the cap — a ≥ 8-qubit unitary — goes through whole: there
     the threads earn their wake-up.)
 
-    The shapes depend only on ``(K, inner, state size)``, so every lane
-    issues the identical BLAS calls and stays bitwise identical.
+    The per-batch shapes depend only on ``(K, inner, state size)``, so every
+    lane — and every chunk of one — issues the identical BLAS calls and
+    stays bitwise identical.
     """
-    k_dim = matrix.shape[0]
-    span = _MATMUL_BATCH_CAP // (k_dim * k_dim)
-    if inner == 1:
-        rows = max(1, min(span, src.size // k_dim))
-        np.matmul(
-            src.reshape(-1, rows, k_dim), matrix.T, out=dst.reshape(-1, rows, k_dim)
-        )
-    elif inner <= span or span == 0:
-        np.matmul(
-            matrix, src.reshape(-1, k_dim, inner), out=dst.reshape(-1, k_dim, inner)
-        )
+    shape, state_left = _window_shape(matrix.shape[0], inner, src.size)
+    if len(shape) == 4:
+        outer, tiles, k_dim, span = shape
+        src = src.reshape(outer, k_dim, tiles, span).transpose(0, 2, 1, 3)
+        dst = dst.reshape(outer, k_dim, tiles, span).transpose(0, 2, 1, 3)
     else:
-        shape = (-1, k_dim, inner // span, span)
-        np.matmul(
-            matrix,
-            src.reshape(shape).transpose(0, 2, 1, 3),
-            out=dst.reshape(shape).transpose(0, 2, 1, 3),
-        )
+        src, dst = src.reshape(shape), dst.reshape(shape)
+    if part:
+        src, dst = src[part], dst[part]
+    if state_left:
+        np.matmul(src, matrix.T, out=dst)
+    else:
+        np.matmul(matrix, src, out=dst)
 
 
 # ---------------------------------------------------------------------------
@@ -1245,6 +1247,30 @@ class _ChunkDense(_ChunkSpec):
         return (spare, cur) if self.step.swaps else (cur, spare)
 
 
+class _ChunkBlock(_ChunkSpec):
+    """Window block: the batched GEMM pass split over its batch axes.
+
+    Each task computes a contiguous range of :func:`_window_matmul`'s
+    batches — the outer axis, or for a top window (one outer batch) the
+    column-tile axis — so every task issues the serial pass's per-batch
+    GEMM shapes and the lanes stay bitwise identical.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, step: PlanStep, dim: int, workers: int):
+        self.step = step
+        shape, _ = _window_shape(step.matrix.shape[0], step.block, dim)
+        axis = 0 if shape[0] >= workers or len(shape) == 3 else 1
+        self.tasks = [
+            (slice(None),) * axis + (slice(lo, hi),)
+            for lo, hi in _split_ranges(shape[axis], workers)
+        ]
+
+    def apply(self, task, cur, spare, shape):
+        _window_matmul(self.step.matrix, cur, spare, self.step.block, task)
+
+
 def _chunk_step(step: PlanStep, n_qubits: int, dim: int, workers: int):
     """Build the chunk spec for one step (``None`` = run it serially)."""
     tag = step.tag
@@ -1277,9 +1303,10 @@ def _chunk_step(step: PlanStep, n_qubits: int, dim: int, workers: int):
         return _ChunkGather(step, dim, workers)
     if tag == KERNEL_DENSE:
         return _ChunkDense(step, dim, workers)
-    # KERNEL_RESET: global reduction + RNG draw stays serial.  KERNEL_BLOCK:
-    # the GEMM pass runs as the identical serial call on every lane (same
-    # argument as _ChunkDense.matmul), which keeps lanes bitwise identical.
+    if tag == KERNEL_BLOCK:
+        spec = _ChunkBlock(step, dim, workers)
+        return spec if len(spec.tasks) > 1 else None
+    # KERNEL_RESET: global reduction + RNG draw stays serial.
     return None
 
 
@@ -1302,12 +1329,12 @@ def compile_plan(
 
     ``n_qubits`` widens the plan beyond the circuit's own width (the state
     register may be larger than the circuit).  ``optimize`` runs the default
-    IR pass pipeline first; ``fusion_max_qubits`` bounds the overlapping-gate
-    dense-block fusion (below 2 there is none, 3 is the maximum) and ``0``
-    switches **all** fusion off, single-qubit layer fusion included — the
-    gate-for-gate plan, bit-identical to the gate-by-gate path on exact
-    kernels; fused plans agree with it to ≤ 1e-12 on amplitudes (≤ 1e-4 in
-    single precision).  ``batch_diagonals`` collapses
+    IR pass pipeline first.  ``fusion_max_qubits=0`` is the gate-for-gate
+    plan, bit-identical to the gate-by-gate path on exact kernels; any other
+    accepted value (1–3) runs the window pass, whose plans agree with it to
+    ≤ 1e-12 on amplitudes (≤ 1e-4 in single precision) and have the same
+    support above :data:`~repro.simulator.sampling.SUPPORT_FLOOR`.
+    ``batch_diagonals`` collapses
     adjacent runs of diagonal steps into combined product-diagonal steps
     (distribution-equivalent; reassociating the products can shift
     amplitudes by ulps, so pass ``False`` when bit-exact equality with the
@@ -1394,23 +1421,22 @@ def _compile(
     measured = circuit.measured_qubits()
     optimized = default_pass_manager().run(circuit) if optimize else circuit
 
-    fused_seq, fused_gates = _fuse(list(optimized), fusion_max_qubits)
-
+    if fusion_max_qubits:
+        groups = _window_pass(list(optimized), width, requires_binding)
+    else:
+        groups = [[inst] for inst in optimized]
     perm_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
     steps: list[PlanStep] = []
-    for item in fused_seq:
-        if isinstance(item, _FusedBlock):
-            steps.append(
-                _dense_step("FUSED", item.targets, item.matrix, width, perm_cache)
-            )
+    fused_gates = 0
+    for group in groups:
+        if len(group) > 1 and any(inst.name not in _DIAGONAL_GATES for inst in group):
+            steps.append(_window_step(group, width))
+            fused_gates += len(group)
             continue
-        step = _classify(item, width, perm_cache)
-        if step is not None:
-            steps.append(step)
-
-    if fusion_max_qubits > 0:
-        steps, layered = _fuse_single_qubit_layers(steps, width)
-        fused_gates += layered
+        for inst in group:
+            step = _classify(inst, width, perm_cache)
+            if step is not None:
+                steps.append(step)
 
     batched_diagonals = 0
     if batch_diagonals:
@@ -1525,97 +1551,243 @@ def _merge_diagonal_run(
     return _diagonal_step("DIAG_BATCH", union, diag, n_qubits)
 
 
-# -- single-qubit layer fusion -----------------------------------------------
+# -- the window pass ---------------------------------------------------------
+
+#: Instructions no plan step realises and nothing needs ordering against.
+_NO_OPS = frozenset({"BARRIER", "I"})
 
 
-def _fuse_single_qubit_layers(
-    steps: Sequence[PlanStep], n_qubits: int
-) -> tuple[list[PlanStep], int]:
-    """Fold runs of concrete one-qubit steps into contiguous-window blocks.
+def _joinable(inst: Instruction, span: int, symbolic: bool) -> bool:
+    """Whether ``inst`` may join a window of ``span`` adjacent qubits
+    (``symbolic``: the circuit may hold unbound parameters)."""
+    qubits = inst.qubits
+    return (
+        bool(qubits)
+        and max(qubits) - min(qubits) < span
+        and inst.is_unitary
+        and not inst.is_composite
+        and not (symbolic and inst.is_parameterized)
+    )
 
-    One-qubit operators on different qubits commute, so a run of concrete
-    (non-parametric) one-qubit steps — broken by any other step — is
-    gathered per qubit (same-qubit steps multiply, in program order).  The
-    qubits carrying at least one non-diagonal gate are sorted and cut into
-    maximal runs of *adjacent* qubits, at most
-    :data:`BLOCK_WINDOW_MAX_QUBITS` wide; a run of two or more becomes one
-    :data:`KERNEL_BLOCK` step holding the Kronecker product, a lone qubit
-    with several steps one ``FUSED`` single step, and a lone step is kept as
-    it is.  Qubits whose steps are all diagonal are left alone: a broadcast
-    multiply is cheaper than a GEMM pass and :func:`_batch_diagonal_steps`
-    merges them next.  Each fused step takes the place of its earliest
-    member, so a run in which nothing fuses comes out in program order,
-    untouched.
 
-    Parametric steps break runs exactly as they do in diagonal batching —
-    they must stay individually rebindable.  Returns the new step list and
-    the number of source steps absorbed into fused steps.
+def _window_pass(
+    sequence: Sequence[Instruction], n_qubits: int, symbolic: bool
+) -> list[list[Instruction]]:
+    """Cut ``sequence`` into windows of at most :data:`BLOCK_WINDOW_MAX_QUBITS`
+    adjacent qubits; each window lists its gates in program order.
+
+    The earliest gate not yet placed anchors the next window; of the
+    placements of the window that contain it, the one absorbing the most
+    gates wins (the lowest on a tie).  A gate that cannot join
+    (:func:`_joinable`) is a window of its own.  The placed gates are
+    always a prefix of each qubit's gate list, so one cursor per qubit is
+    the whole search state.  Deterministic in ``(sequence, n_qubits)``.
     """
-    out: list[PlanStep] = []
-    run: list[PlanStep] = []
-    absorbed = 0
+    span = min(BLOCK_WINDOW_MAX_QUBITS, n_qubits)
+    gates = [inst for inst in sequence if inst.name not in _NO_OPS]
+    qubits_of = [inst.qubits for inst in gates]
+    lanes: list[list[int]] = [[] for _ in range(n_qubits)]
+    # Per gate, the qubit mask a window must cover: -1 if it cannot join.
+    masks = []
+    for index, inst in enumerate(gates):
+        mask = 0
+        for q in qubits_of[index]:
+            lanes[q].append(index)
+            mask |= 1 << q
+        masks.append(mask if _joinable(inst, span, symbolic) else -1)
+    head = [0] * n_qubits
+    placed = [False] * len(gates)
+    groups: list[list[Instruction]] = []
+    anchor = 0
+    while True:
+        while anchor < len(gates) and placed[anchor]:
+            anchor += 1
+        if anchor == len(gates):
+            return groups
+        qubits = gates[anchor].qubits
+        members = [anchor]
+        if masks[anchor] != -1:
+            first = max(0, max(qubits) - span + 1)
+            last = min(min(qubits), n_qubits - span)
+            for lo in range(first, last + 1):
+                # A window whose lowest qubit can take nothing (its next gate
+                # is missing, cannot join or leaves the window) absorbs a
+                # subset of the next one's gates, and an equal count is the
+                # same gates: skipping it cannot move the choice.
+                at = head[lo]
+                if lo < last and (
+                    at == len(lanes[lo]) or masks[lanes[lo][at]] & ~(((1 << span) - 1) << lo)
+                ):
+                    continue
+                found = _absorb(lo, span, qubits_of, masks, lanes, head)
+                if len(found) > len(members):
+                    members = found
+        for index in members:
+            placed[index] = True
+            for q in qubits_of[index]:
+                head[q] += 1
+        # Program order is one the window's product may take, and it keeps
+        # a layer's one-qubit gates together: one Kronecker flush per layer.
+        groups.append([gates[index] for index in sorted(members)])
 
-    def flush() -> None:
-        nonlocal absorbed
-        if len(run) < 2:
-            out.extend(run)
-            run.clear()
-            return
-        per_qubit: dict[int, list[int]] = {}
-        for position, step in enumerate(run):
-            per_qubit.setdefault(step.targets[0], []).append(position)
-        mixing = sorted(
-            q
-            for q, positions in per_qubit.items()
-            if any(run[p].tag == KERNEL_SINGLE for p in positions)
-        )
-        placed: dict[int, PlanStep | None] = {}
-        start = 0
-        while start < len(mixing):
-            stop = start + 1
-            while (
-                stop < len(mixing)
-                and stop - start < BLOCK_WINDOW_MAX_QUBITS
-                and mixing[stop] == mixing[stop - 1] + 1
-            ):
-                stop += 1
-            qubits = mixing[start:stop]
-            start = stop
-            positions = sorted(p for q in qubits for p in per_qubit[q])
-            if len(positions) == 1:
-                continue
-            matrix = None
-            for q in qubits:
-                factor = None
-                for p in per_qubit[q]:
-                    gate = _one_qubit_matrix(run[p])
-                    factor = gate if factor is None else gate @ factor
-                matrix = factor if matrix is None else _kron(factor, matrix)
-            absorbed += len(positions)
-            placed.update(dict.fromkeys(positions))
-            placed[positions[0]] = (
-                _single_step("FUSED", qubits[0], matrix, n_qubits)
-                if len(qubits) == 1
-                else _block_step("FUSED", qubits[0], matrix)
-            )
-        for position, step in enumerate(run):
-            step = placed.get(position, step)
-            if step is not None:
-                out.append(step)
-        run.clear()
 
-    for step in steps:
-        if (
-            step.parametric is None
-            and len(step.targets) == 1
-            and step.tag in (KERNEL_SINGLE, KERNEL_DIAGONAL)
-        ):
-            run.append(step)
-        else:
-            flush()
-            out.append(step)
-    flush()
-    return out, absorbed
+def _absorb(lo: int, span: int, qubits_of, masks, lanes, head) -> list[int]:
+    """The gates the window ``[lo, lo + span)`` absorbs, each after every
+    earlier gate on its qubits: a gate joins once it is the first unplaced
+    gate of each of its qubits, all inside the window; one that cannot join
+    blocks its qubits."""
+    outside = ~(((1 << span) - 1) << lo)
+    front = list(head)
+    members: list[int] = []
+    grew = True
+    while grew:
+        grew = False
+        for q in range(lo, lo + span):
+            lane, at = lanes[q], front[q]
+            while at < len(lane):
+                index = lane[at]
+                if masks[index] & outside:
+                    break
+                qubits = qubits_of[index]
+                if len(qubits) == 1:
+                    at += 1
+                elif all(lanes[p][front[p]] == index for p in qubits):
+                    for p in qubits:
+                        front[p] += 1
+                    grew = True
+                    at += 1
+                else:
+                    break
+                front[q] = at
+                members.append(index)
+    return members
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """A shared read-only ``dim x dim`` identity (every use makes a new array)."""
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
+def _window_step(group: Sequence[Instruction], n_qubits: int) -> PlanStep:
+    """One ``FUSED`` step applying ``group`` in order: a single step when the
+    group touches one qubit, else a block over the span it touches.
+
+    Cheap by construction: one-qubit gates multiply per qubit as 2x2
+    products, held back until a wider gate touches their qubit (the first
+    time, all of them are Kronecker-expanded at once); permutations are
+    exact row gathers of the matrix, diagonals row scalings, and only any
+    other gate costs a ``tensordot``.
+    """
+    touched = {q for inst in group for q in inst.qubits}
+    lo = min(touched)
+    k = max(touched) - lo + 1
+    pending: dict[int, np.ndarray] = {}
+    matrix = None
+    for inst in group:
+        if len(inst.qubits) == 1:
+            bit = inst.qubits[0] - lo
+            gate = inst.matrix()
+            before = pending.get(bit)
+            pending[bit] = gate if before is None else gate @ before
+            continue
+        local = tuple(q - lo for q in inst.qubits)
+        if matrix is None:
+            matrix = _kron_pending(pending, k)
+        for bit in local:
+            if bit in pending:
+                matrix = _apply_one(matrix, pending.pop(bit), bit, k)
+        matrix = _apply_local(matrix, inst, local, k)
+    if matrix is None:
+        matrix = _kron_pending(pending, k)
+    for bit, gate in pending.items():
+        matrix = _apply_one(matrix, gate, bit, k)
+    if k == 1:
+        return _single_step("FUSED", lo, matrix, n_qubits)
+    return _block_step("FUSED", lo, matrix)
+
+
+def _kron_pending(pending: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """The Kronecker product of the pending one-qubit products (identity on
+    the other bits); empties ``pending``."""
+    eye = _identity(2)
+    factor = pending.get(k - 1, eye)
+    for bit in range(k - 2, -1, -1):
+        factor = _kron(factor, pending.get(bit, eye))
+    pending.clear()
+    return factor
+
+
+def _apply_one(matrix: np.ndarray, gate: np.ndarray, bit: int, k: int) -> np.ndarray:
+    """``gate`` on window bit ``bit``, applied after ``matrix``."""
+    rows = matrix.reshape(1 << (k - 1 - bit), 2, -1)
+    return np.matmul(gate, rows).reshape(1 << k, 1 << k)
+
+
+@functools.lru_cache(maxsize=None)
+def _local_index(k: int, local: tuple[int, ...]) -> np.ndarray:
+    """Gate-local index of every basis index of a ``k``-qubit window, for a
+    gate whose bit ``j`` is window bit ``local[j]``."""
+    idx = np.arange(1 << k)
+    out = np.zeros(1 << k, dtype=np.intp)
+    for j, bit in enumerate(local):
+        out |= ((idx >> bit) & 1) << j
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_rows(k: int, local: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """Rows ``r`` with ``P @ U == U[r]`` for the window lift of ``|x> -> |perm[x]>``."""
+    idx = np.arange(1 << k)
+    moved = np.asarray(perm, dtype=np.intp)[_local_index(k, local)]
+    dst = idx & ~sum(1 << bit for bit in local)
+    for j, bit in enumerate(local):
+        dst |= ((moved >> j) & 1) << bit
+    rows = np.empty_like(idx)
+    rows[dst] = idx
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _named_permutation(name: str) -> tuple[int, ...]:
+    """``|x> -> |perm[x]>`` of a gate in :data:`_TRANSPOSITIONS`."""
+    a, b = (sum(bit << j for j, bit in enumerate(bits)) for bits in _TRANSPOSITIONS[name])
+    perm = list(range(1 << len(_TRANSPOSITIONS[name][0])))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+def _apply_local(
+    matrix: np.ndarray, inst: Instruction, local: tuple[int, ...], k: int
+) -> np.ndarray:
+    """``G @ matrix`` for the gate ``inst`` on window bits ``local``."""
+    name = inst.name
+    if name in _DIAGONAL_GATES:
+        return matrix * np.diag(inst.matrix())[_local_index(k, local), None]
+    if name in _TRANSPOSITIONS:
+        perm = _named_permutation(name)
+    elif isinstance(inst, PermutationGate):
+        perm = inst.permutation
+    elif isinstance(inst, UnitaryGate):
+        perm = _permutation_from_matrix(inst.matrix())
+    else:
+        perm = None
+    if perm is not None:
+        return matrix[_gather_rows(k, local, tuple(perm))]
+    m = len(local)
+    # Window bit b is axis k-1-b of the (2,)*k row tensor; gate bit j is
+    # output axis m-1-j and input axis 2m-1-j of the gate tensor.
+    product = np.tensordot(
+        inst.matrix().reshape((2,) * (2 * m)),
+        matrix.reshape((2,) * k + (1 << k,)),
+        axes=([2 * m - 1 - j for j in range(m)], [k - 1 - bit for bit in local]),
+    )
+    product = np.moveaxis(
+        product, [m - 1 - j for j in range(m)], [k - 1 - bit for bit in local]
+    )
+    return product.reshape(1 << k, 1 << k)
 
 
 def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -1624,131 +1796,6 @@ def _kron(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     compiled ansatz)."""
     a, b = high.shape[0], low.shape[0]
     return (high[:, None, :, None] * low[None, :, None, :]).reshape(a * b, a * b)
-
-
-def _one_qubit_matrix(step: PlanStep) -> np.ndarray:
-    """The 2x2 matrix of a concrete single / one-qubit diagonal step."""
-    if step.tag == KERNEL_DIAGONAL:
-        return np.diag(np.asarray(step.diag, dtype=complex))
-    return np.array([[step.m00, step.m01], [step.m10, step.m11]], dtype=complex)
-
-
-# -- dense-block fusion ------------------------------------------------------
-
-
-class _FusedBlock:
-    """A run of adjacent overlapping gates folded into one dense matrix."""
-
-    __slots__ = ("targets", "matrix", "count")
-
-    def __init__(
-        self, targets: tuple[int, ...], matrix: np.ndarray | None, count: int
-    ):
-        self.targets = targets
-        self.matrix = matrix  # None until a second gate joins (see _fuse)
-        self.count = count
-
-
-def _fusable(inst: Instruction, max_qubits: int) -> bool:
-    if inst.is_parameterized or not inst.is_unitary or inst.is_composite:
-        return False
-    k = len(inst.qubits)
-    if k == 0 or k > max_qubits:
-        return False
-    if inst.name in _PERMUTATION_GATES or isinstance(inst, PermutationGate):
-        return False
-    if k >= 2 and inst.name in _DIAGONAL_GATES:
-        return False
-    return True
-
-
-def _fuse(
-    sequence: list[Instruction], max_qubits: int
-) -> tuple[list[Instruction | _FusedBlock], int]:
-    """Greedily fold adjacent overlapping fusable gates into dense blocks.
-
-    Only *contiguous* gates whose target sets overlap are fused, so this
-    pass preserves program order exactly.  A group that holds one gate, or
-    never grows past one qubit, is emitted as its original instructions:
-    each still reaches its specialised kernel, and multiplying single-qubit
-    gates together is :func:`_fuse_single_qubit_layers`' job alone.
-    """
-    if max_qubits < 2:
-        return list(sequence), 0
-
-    out: list[Instruction | _FusedBlock] = []
-    group: _FusedBlock | None = None
-    members: list[Instruction] = []
-    fused_gates = 0
-
-    def flush() -> None:
-        nonlocal group, fused_gates
-        if group is None:
-            return
-        if group.count == 1 or len(group.targets) == 1:
-            out.extend(members)
-        else:
-            fused_gates += group.count
-            out.append(group)
-        group = None
-
-    for inst in sequence:
-        if _fusable(inst, max_qubits):
-            if group is not None:
-                union = group.targets + tuple(
-                    q for q in inst.qubits if q not in group.targets
-                )
-                if len(union) <= max_qubits and set(inst.qubits) & set(group.targets):
-                    if group.matrix is None:
-                        group.matrix = np.asarray(members[0].matrix(), dtype=complex)
-                    lifted_g = _expand_matrix(group.matrix, group.targets, union)
-                    lifted_i = _expand_matrix(inst.matrix(), inst.qubits, union)
-                    group = _FusedBlock(union, lifted_i @ lifted_g, group.count + 1)
-                    members.append(inst)
-                    continue
-                flush()
-            # The matrix is only built once a second gate joins: most groups
-            # (every gate of a rotation layer) end as their lone member.
-            group = _FusedBlock(tuple(inst.qubits), None, 1)
-            members = [inst]
-        else:
-            flush()
-            out.append(inst)
-    flush()
-    return out, fused_gates
-
-
-def _expand_matrix(
-    matrix: np.ndarray, targets: Sequence[int], union: tuple[int, ...]
-) -> np.ndarray:
-    """Lift ``matrix`` over ``targets`` to the basis of ``union`` qubits.
-
-    Local bit ``i`` of the result corresponds to ``union[i]`` (LSB first),
-    matching the gate-matrix convention used throughout the IR.
-    """
-    targets = tuple(targets)
-    if targets == union:
-        return np.asarray(matrix, dtype=complex)
-    k_u = len(union)
-    positions = [union.index(t) for t in targets]
-    dim = 1 << k_u
-    result = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        src_local = 0
-        for bit, pos in enumerate(positions):
-            src_local |= ((col >> pos) & 1) << bit
-        rest = col
-        for pos in positions:
-            rest &= ~(1 << pos)
-        for row_local in range(matrix.shape[0]):
-            value = matrix[row_local, src_local]
-            if value == 0:
-                continue
-            row = rest
-            for bit, pos in enumerate(positions):
-                row |= ((row_local >> bit) & 1) << pos
-            result[row, col] = value
-    return result
 
 
 # -- classification ----------------------------------------------------------
@@ -1840,12 +1887,6 @@ def _controlled_step(name, control, target, payload, n_qubits, parametric=None) 
     return step
 
 
-def _exchange_step(name, targets, pairs, n_qubits) -> PlanStep:
-    step = PlanStep(KERNEL_PERMUTATION, name, tuple(targets))
-    step.pairs = tuple(pairs)
-    return step
-
-
 def _target_geometry(
     targets: tuple[int, ...], n_qubits: int, cache: dict
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1905,7 +1946,7 @@ def _block_step(name, lo, matrix) -> PlanStep:
     k = matrix.shape[0].bit_length() - 1
     step = PlanStep(KERNEL_BLOCK, name, tuple(range(lo, lo + k)))
     if 0 < lo and lo + k <= _BLOCK_PAD_BELOW:
-        matrix = _kron(matrix, np.eye(1 << lo))
+        matrix = _kron(matrix, _identity(1 << lo))
         lo = 0
     step.matrix = np.ascontiguousarray(matrix, dtype=complex)
     step.block = 1 << lo
@@ -1985,70 +2026,12 @@ def _classify(inst: Instruction, n_qubits: int, perm_cache: dict) -> PlanStep | 
         return step
     if inst.is_parameterized:
         return _classify_parametric(inst, n_qubits, perm_cache)
-    if name == "X":
-        return _exchange_step(
-            name,
-            qubits,
-            [
-                (
-                    _axis_index(n_qubits, {qubits[0]: 0}),
-                    _axis_index(n_qubits, {qubits[0]: 1}),
-                )
-            ],
-            n_qubits,
+    if name in _TRANSPOSITIONS:
+        step = PlanStep(KERNEL_PERMUTATION, name, qubits)
+        step.pairs = (
+            tuple(_axis_index(n_qubits, dict(zip(qubits, bits))) for bits in _TRANSPOSITIONS[name]),
         )
-    if name == "CX":
-        control, target = qubits
-        return _exchange_step(
-            name,
-            qubits,
-            [
-                (
-                    _axis_index(n_qubits, {control: 1, target: 0}),
-                    _axis_index(n_qubits, {control: 1, target: 1}),
-                )
-            ],
-            n_qubits,
-        )
-    if name == "SWAP":
-        a, b = qubits
-        return _exchange_step(
-            name,
-            qubits,
-            [
-                (
-                    _axis_index(n_qubits, {a: 0, b: 1}),
-                    _axis_index(n_qubits, {a: 1, b: 0}),
-                )
-            ],
-            n_qubits,
-        )
-    if name == "CCX":
-        c0, c1, target = qubits
-        return _exchange_step(
-            name,
-            qubits,
-            [
-                (
-                    _axis_index(n_qubits, {c0: 1, c1: 1, target: 0}),
-                    _axis_index(n_qubits, {c0: 1, c1: 1, target: 1}),
-                )
-            ],
-            n_qubits,
-        )
-    if name == "CSWAP":
-        control, a, b = qubits
-        return _exchange_step(
-            name,
-            qubits,
-            [
-                (
-                    _axis_index(n_qubits, {control: 1, a: 0, b: 1}),
-                    _axis_index(n_qubits, {control: 1, a: 1, b: 0}),
-                )
-            ],
-            n_qubits,
-        )
+        return step
     if name in _DIAGONAL_GATES:
         return _diagonal_step(name, qubits, np.diag(inst.matrix()), n_qubits)
     if isinstance(inst, PermutationGate):

@@ -18,6 +18,7 @@ from .gate_application import _local_index_map
 
 __all__ = [
     "SAMPLING_STREAM",
+    "SUPPORT_FLOOR",
     "sample_counts",
     "counts_from_statevector",
     "format_bitstring",
@@ -43,8 +44,16 @@ __all__ = [
 #:   backend vs another (dense, density, tableau), agree only in law.
 #:
 #: Stream 1 drew every chunk with ``Generator.multinomial``.  Stream 2 draws
-#: a chunk by inverse CDF where :func:`_inverse_cdf_wins` says so.
-SAMPLING_STREAM = 2
+#: a chunk by inverse CDF where :func:`_inverse_cdf_wins` says so.  Stream 3
+#: is stream 2 minus the bins at or below :data:`SUPPORT_FLOOR`: they are
+#: not in the support, so exact cancellation that one plan's arithmetic
+#: leaves as a ~1e-33 residue no longer shifts a ``multinomial`` stream.
+SAMPLING_STREAM = 3
+
+#: A marginal bin at or below this probability is not in the support:
+#: ``(1e-12)**2``, the amplitude tier fused and unfused plans agree to (an
+#: exact cancellation's residue in a windowed plan is ~2e-33 at most seen).
+SUPPORT_FLOOR = 1e-24
 
 #: Fewest positive marginal bins at which a chunk with fewer shots than
 #: bins is drawn by inverse CDF (one ``random`` per shot, located in the
@@ -106,7 +115,8 @@ def _marginal(
     probabilities: np.ndarray, qubits: tuple[int, ...], n_qubits: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal onto ``qubits`` (bin bit ``i`` = ``qubits[i]``): the ascending
-    bins with positive probability and their unnormalised sums."""
+    bins with probability above :data:`SUPPORT_FLOOR` and their
+    unnormalised sums."""
     probabilities = np.asarray(probabilities, dtype=float).reshape(-1)
     if probabilities.size != (1 << n_qubits):
         raise ExecutionError(
@@ -123,8 +133,8 @@ def _marginal(
         # (trajectory sampling hits this once per shot).
         reduced = _local_index_map(probabilities.size, qubits)
         sums = np.bincount(reduced, weights=probabilities, minlength=1 << len(qubits))
-    # Everything but p <= 0: a NaN bin survives to fail the total check.
-    positive = ~(sums <= 0.0)
+    # Everything but p <= floor: a NaN bin survives to fail the total check.
+    positive = ~(sums <= SUPPORT_FLOOR)
     if positive.all():  # the usual dense state: no index pass, no gather
         return np.arange(sums.size), sums
     bins = np.flatnonzero(positive)
@@ -186,7 +196,7 @@ def sample_chunks(
         raise ExecutionError("at least one qubit must be measured")
     bins, probs = _marginal(probabilities, qubits, n_qubits)
     # Float drift can push |amplitude|^2 a few ulp below 0: those bins are
-    # dropped with the zero bins.
+    # dropped with the sub-floor ones.
     total = probs.sum()
     if total <= 0.0 or not math.isfinite(total):
         raise ExecutionError(f"probability vector sums to {total}, cannot sample")

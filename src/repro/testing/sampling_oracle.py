@@ -5,7 +5,8 @@ formats a bitstring key for every one of the 2^k marginal bins before
 drawing, and draws inverse-CDF chunks with a Python running sum and
 ``bisect``, so it is O(2^k) Python and only fit for tests.  The production
 sampler must reproduce its fixed-seed histograms exactly, at
-:data:`~repro.simulator.sampling.SAMPLING_STREAM` 2.
+:data:`~repro.simulator.sampling.SAMPLING_STREAM` 3 (bins at or below
+:data:`~repro.simulator.sampling.SUPPORT_FLOOR` are not in the support).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from ..exceptions import ExecutionError
-from ..simulator.sampling import INVERSE_CDF_MIN_BINS
+from ..simulator.sampling import INVERSE_CDF_MIN_BINS, SUPPORT_FLOOR
 
 __all__ = ["reference_marginal_probabilities", "reference_sample_counts"]
 
@@ -47,7 +48,7 @@ def reference_marginal_probabilities(
     sums = np.bincount(reduced, weights=probabilities, minlength=1 << len(qubits))
     result: dict[str, float] = {}
     for local_index, p in enumerate(sums):
-        if p <= 0.0:
+        if p <= SUPPORT_FLOOR:
             continue
         bits = "".join("1" if (local_index >> i) & 1 else "0" for i in range(len(qubits)))
         result[bits] = float(p)

@@ -77,14 +77,15 @@ def chaos_circuit(tag: str, n_qubits: int = 3):
 
 
 def chaos_plan(tag: str):
-    """A chunked plan for the shared-memory lane (7 qubits, 4 chunks)."""
+    """A chunked plan for the shared-memory lane (7 qubits, 4 chunks),
+    gate for gate so its steps stay the ones the matrix was written for."""
     builder = CircuitBuilder(7, name=f"chaosplan_{tag}")
     for q in range(7):
         builder.h(q)
     builder.rz(0, 0.001 + (hash(tag) % 9973) / 9973.0)
     for q in range(6):
         builder.cx(q, q + 1)
-    return compile_plan(builder.build(), 7, chunk_threshold=2)
+    return compile_plan(builder.build(), 7, chunk_threshold=2, fusion_max_qubits=0)
 
 
 # ---------------------------------------------------------------------------

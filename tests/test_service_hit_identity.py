@@ -143,7 +143,7 @@ GOLDEN: dict[int, dict[str, str]] = {
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_served_histograms_match_the_recorded_digests(seed):
-    assert SAMPLING_STREAM == 2  # recorded at stream 1, unmoved by stream 2
+    assert SAMPLING_STREAM == 3  # recorded at stream 1, unmoved by streams 2 and 3
     assert scenario(seed) == GOLDEN[seed]
 
 

@@ -156,7 +156,8 @@ def test_kernel_classification_covers_all_classes():
     circuit.add(G.PermutationGate([1, 0, 2, 3], [2, 3]))  # gather
     circuit.add(G.ISwap([0, 3]))  # dense
     circuit.add(G.Reset([1]))  # reset
-    plan = compile_plan(circuit, 4, optimize=False)
+    # Gate for gate: windows would fold the first five into one block.
+    plan = compile_plan(circuit, 4, optimize=False, fusion_max_qubits=0)
     assert set(plan.kernel_counts()) == {
         "single",
         "diagonal",
@@ -179,12 +180,12 @@ def test_fusion_fuses_single_qubit_runs_and_overlapping_blocks():
 
 
 def test_fusion_merges_disjoint_singles_and_keeps_non_commuting_order():
-    """What is true since layer fusion (this test used to assert that
+    """What is true since the window pass (this test used to assert that
     disjoint rotations never merge — the old pass's limitation): concrete
     single-qubit gates on different qubits commute, so a run of them folds
     into one contiguous-window block and ``fused_gates`` counts them; a
-    step that does not commute with the run (here a CX) is never crossed,
-    so program order is preserved around it.
+    step that does not commute with the run (here a CX) joins the same
+    window, whose product keeps every qubit's program order.
     """
     circuit = CircuitBuilder(3).ry(0, 0.3).ry(1, 0.7).ry(2, 1.1).build()
     plan = compile_plan(circuit, 3, fusion_max_qubits=3)
@@ -197,9 +198,9 @@ def test_fusion_merges_disjoint_singles_and_keeps_non_commuting_order():
         CircuitBuilder(3).ry(0, 0.3).ry(1, 0.7).cx(0, 1).ry(0, 0.5).ry(1, 0.9).ry(2, 1.1)
     ).build()
     plan = compile_plan(ordered, 3, optimize=False)
-    assert [step.kernel for step in plan.steps] == ["block", "permutation", "block"]
-    assert [step.targets for step in plan.steps] == [(0, 1), (0, 1), (0, 1, 2)]
-    assert plan.fused_gates == 5
+    assert [step.kernel for step in plan.steps] == ["block"]
+    assert [step.targets for step in plan.steps] == [(0, 1, 2)]
+    assert plan.fused_gates == 6
     assert np.allclose(plan.execute(plan.new_state()), naive_state(ordered, 3), atol=1e-12)
 
     # fusion_max_qubits=0 is the gate-for-gate plan: nothing merges at all.

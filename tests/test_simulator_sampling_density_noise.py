@@ -233,6 +233,23 @@ class TestSamplerMatchesReference:
         after = sample_counts(probs, 300, range(10), 10, np.random.default_rng(17))
         assert after == before
 
+    @pytest.mark.parametrize("position", [0, 6, 11])
+    def test_a_sub_floor_bin_leaves_multinomial_counts_unchanged(self, position):
+        """One more bin of 1e-34 — the residue a windowed plan's GEMM leaves
+        where gate-for-gate arithmetic cancels exactly — is not in the
+        support, so it cannot shift a ``multinomial`` stream (at stream 2 it
+        cost one more binomial draw and moved every bin after it)."""
+        probs = np.random.default_rng(9).random(16)
+        probs[position] = 0.0
+        probs /= probs.sum()
+        assert not _inverse_cdf_wins(1000, 16)
+        before = sample_counts(probs, 1000, range(4), 4, np.random.default_rng(17))
+        probs[position] = 1e-34
+        after = sample_counts(probs, 1000, range(4), 4, np.random.default_rng(17))
+        assert after == before
+        oracle = reference_sample_counts(probs, 1000, range(4), 4, np.random.default_rng(17))
+        assert oracle == before
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_engine_chunks_equal_the_oracle_on_a_large_state(self, threads):
         """The benchmark's large_state shape: 2^16 bins, several seeded chunks."""
@@ -301,7 +318,7 @@ class TestGoldenHistograms:
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     @pytest.mark.parametrize("threads", [1, 2])
     def test_local_backend(self, name, threads):
-        assert SAMPLING_STREAM == 2  # recorded at stream 1, unmoved by stream 2
+        assert SAMPLING_STREAM == 3  # recorded at stream 1, unmoved by streams 2 and 3
         circuit, shots, seed, *expected = _GOLDEN[name]
         with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as backend:
             assert dict(backend.execute(circuit, shots, seed=seed).counts) == expected[threads - 1]

@@ -63,14 +63,6 @@ class CompositeInstruction(Instruction):
         for inst in instructions:
             self.add(inst)
 
-    @classmethod
-    def _of_checked(cls, name: str, n_qubits: int, instructions: list) -> "CompositeInstruction":
-        """A circuit over ``instructions`` that :meth:`add` has already checked
-        against ``n_qubits`` (a pass's output, taken from its input circuit)."""
-        circuit = cls(name, n_qubits)
-        circuit._instructions = instructions
-        return circuit
-
     # -- validation overrides -------------------------------------------------
     def _validate(self) -> None:  # composites carry no qubits/parameters
         return None

@@ -58,9 +58,10 @@ class InverseCancellationPass(BasePass):
                 result.append(inst)
                 i += 1
             instructions = result if not removed else instructions
-        return CompositeInstruction._of_checked(
-            circuit.name, circuit.n_qubits, [inst.copy() for inst in instructions]
-        )
+        out = CompositeInstruction(circuit.name, circuit.n_qubits)
+        for inst in instructions:
+            out.add(inst.copy())
+        return out
 
     @staticmethod
     def _find_adjacent_partner(instructions: list[Instruction], index: int) -> int | None:
@@ -75,7 +76,7 @@ class InverseCancellationPass(BasePass):
         qubits = set(inst.qubits)
         for j in range(index + 1, len(instructions)):
             other = instructions[j]
-            if qubits.isdisjoint(other.qubits):
+            if not qubits & set(other.qubits):
                 continue
             if _cancels(inst, other):
                 return j

@@ -55,9 +55,10 @@ class RotationMergingPass(BasePass):
                 and abs(math.remainder(inst.bound_parameters()[0], _PERIOD)) <= self.tolerance
             )
         ]
-        return CompositeInstruction._of_checked(
-            circuit.name, circuit.n_qubits, [inst.copy() for inst in filtered]
-        )
+        out = CompositeInstruction(circuit.name, circuit.n_qubits)
+        for inst in filtered:
+            out.add(inst.copy())
+        return out
 
     @staticmethod
     def _mergeable(a: Instruction, b: Instruction) -> bool:

@@ -16,18 +16,18 @@ amortises gate application with fused OpenMP kernels:
 * **The window pass** (on unless ``fusion_max_qubits=0``): the earliest
   gate not yet placed anchors a window of at most
   :data:`BLOCK_WINDOW_MAX_QUBITS` *adjacent* qubits — of the placements
-  that contain it, the one absorbing the most gates.  A gate joins when it
-  is concrete and unitary, lies inside the window, and every earlier gate
-  on its qubits is placed or has joined; parametric gates, resets,
-  measures and gates spanning more qubits never join and block their
-  qubits.  Windows may share qubits, so an RY layer plus a CX ladder on 16
-  qubits is five windows.  A window of two or more gates becomes one
-  :data:`KERNEL_BLOCK` step: a window ``[lo, lo+k)`` is a plain reshape of
-  the state to ``(-1, 2^k, 2^lo)``, so the kernel is one batched GEMM pass
-  ping-ponged into the spare buffer, with no index tables.  A window of
-  one gate, or of diagonals only, keeps each gate's specialised kernel.
-  ``fusion_max_qubits=0`` is the gate-for-gate plan the bit-exact tests
-  and the calibration micro-benchmarks need.
+  that contain it (none at qubit 1), the one absorbing the most gates.
+  A gate joins when it is concrete and unitary, lies inside the window,
+  and every earlier gate on its qubits is placed or has joined;
+  parametric gates, resets, measures and gates spanning more qubits never
+  join and block their qubits.  Windows may share qubits, so an RY layer
+  plus a CX ladder on 16 qubits is five windows.  A window of two or more
+  gates becomes one :data:`KERNEL_BLOCK` step: a window ``[lo, lo+k)`` is
+  a plain reshape of the state to ``(-1, 2^k, 2^lo)``, so the kernel is
+  one batched GEMM pass ping-ponged into the spare buffer, with no index
+  tables.  A window of one gate, or of diagonals only, keeps each gate's
+  specialised kernel.  ``fusion_max_qubits=0`` is the gate-for-gate plan
+  the bit-exact tests and the calibration micro-benchmarks need.
 * :class:`ExecutionPlan.execute` is then a tight loop over ready kernels
   with a reusable per-thread ping-pong scratch buffer instead of per-gate
   allocation.
@@ -43,8 +43,8 @@ amortises gate application with fused OpenMP kernels:
   memory passes.
 * **Chunk-parallel replay** (``execute(state, pool=...)``): for states
   of at least ``chunk_threshold`` amplitudes (default
-  :data:`DEFAULT_CHUNK_THRESHOLD`, the *measured* crossover — below it
-  serial replay is faster), every kernel splits into
+  :data:`DEFAULT_CHUNK_THRESHOLD`, held where layer-fused plans put the
+  crossover; see its comment), every kernel splits into
   contiguous/disjoint sub-views dispatched on a :class:`ChunkPool` — the
   thread-pool :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
   (NumPy releases the GIL inside the vectorised inner loops, so chunks
@@ -157,30 +157,18 @@ _SWAPPING_KERNELS = frozenset({KERNEL_GATHER, KERNEL_DENSE, KERNEL_BLOCK})
 #: accepted value (1–3) turns the window pass on.
 DEFAULT_FUSION_MAX_QUBITS = 2
 
-#: States below this many amplitudes are never chunk-parallelised: the
-#: smallest size from which splitting every kernel step across the engine's
-#: threads beat serial replay by >= 1.2x on *both* ``large_state`` circuit
-#: shapes when plans fused single-qubit layers only (20 q 1.20 / 1.46, 21 q
-#: 1.55 / 1.92).  Windowed plans take fewer, heavier steps; serial /
-#: thread-chunked, median of 5 (``BENCH_chunked_replay.json``: 2-core Intel
-#: Xeon VM, 2 workers, numpy 2.4.6, Python 3.11.7; re-taken on any host by
-#: ``bench_chunked_replay.py``):
-#:
-#: ======  ============  =============
-#: qubits  RY/CX ansatz  QFT behind RY
-#: ======  ============  =============
-#: 16      1.43          0.70
-#: 17      0.88          0.82
-#: 18      0.83          0.89
-#: 20      0.90          0.91
-#: 21      0.95          0.84
-#: 22      1.23          1.44
-#: ======  ============  =============
-#:
-#: The crossover there is 2^22, but serial replay itself fell at 21 q from
-#: 505 to 252 ms (ansatz) and 1 510 to 891 ms (QFT) against layer-fused
-#: plans on the same host; the constant stays at 2^21 until the lane
-#: verdict (ROADMAP 3(a)).
+#: States below this many amplitudes are never chunk-parallelised.  This is
+#: a *held* value, not a measured crossover: 2^21 was the smallest size at
+#: which the thread lane beat serial replay by >= 1.2x on *both*
+#: ``large_state`` circuit shapes when plans fused single-qubit layers only
+#: (20 q 1.20 / 1.46, 21 q 1.55 / 1.92).  Windowed plans take fewer,
+#: heavier steps, and their crossover moves with host load:
+#: ``BENCH_chunked_replay.json`` (2-core Intel Xeon VM, 2 workers;
+#: ``bench_chunked_replay.py`` re-takes it on any host) puts it at 2^20
+#: (serial / thread-chunked 1.67 / 1.93 at 21 q), and an earlier run on
+#: the same host the same day at 2^22 (0.95 / 0.84 at 21 q).  The value
+#: moves with the lane verdict of ROADMAP 3(a): its shm / threads / serial
+#: sweep at 20–22 q decides it.
 DEFAULT_CHUNK_THRESHOLD = 1 << 21
 
 #: The *hand-off band*, in amplitudes, half-open: the state sizes at which a
@@ -224,10 +212,6 @@ DEFAULT_DIAGONAL_BATCH_MAX_QUBITS = 6
 #: W = 5 0.55–0.80 ms — per fused qubit W = 4 is as fast as W = 5 at a
 #: quarter of the bytes per block, and takes fewer steps than W = 3.
 BLOCK_WINDOW_MAX_QUBITS = 4
-
-#: Windows ending at or below this qubit are widened down to qubit 0 (see
-#: :func:`_block_step`).
-_BLOCK_PAD_BELOW = 5
 
 #: Amplitude precision tiers.  ``"double"`` (complex128) is the bit-exact
 #: reference every identity guarantee is stated against; ``"single"``
@@ -599,21 +583,29 @@ class ExecutionPlan:
         apply_step = self._apply_step
         profiler = active_profiler()
         token = active_cancel_token()
-        if token is None and profiler is None:
-            for step in self._steps:
-                cur, spare = apply_step(step, cur, spare, shape, rng)
-        else:
+        if token is not None:
             # Cancellable replay: one flag/clock check per step.  A tripped
             # token raises the typed error between kernels — the state is
             # abandoned, never left half-applied within a kernel.
+            check = token.check
             perf_counter = time.perf_counter
             for step in self._steps:
-                if token is not None:
-                    token.check()
+                check()
+                if profiler is None:
+                    cur, spare = apply_step(step, cur, spare, shape, rng)
+                else:
+                    t0 = perf_counter()
+                    cur, spare = apply_step(step, cur, spare, shape, rng)
+                    profiler.record_kernel(step.kernel, perf_counter() - t0)
+        elif profiler is None:
+            for step in self._steps:
+                cur, spare = apply_step(step, cur, spare, shape, rng)
+        else:
+            perf_counter = time.perf_counter
+            for step in self._steps:
                 t0 = perf_counter()
                 cur, spare = apply_step(step, cur, spare, shape, rng)
-                if profiler is not None:
-                    profiler.record_kernel(step.kernel, perf_counter() - t0)
+                profiler.record_kernel(step.kernel, perf_counter() - t0)
         _SCRATCH.spare = spare
         return cur
 
@@ -653,18 +645,32 @@ class ExecutionPlan:
         shape = self._shape
         profiler = active_profiler()
         token = active_cancel_token()
-        perf_counter = time.perf_counter
-        # One loop for every mode: a chunked step is a pool round trip, so
-        # the two branches per step are noise beside it.
-        for step, chunked in zip(self._steps, program):
-            if token is not None:
-                token.check()
-            t0 = perf_counter()
-            if chunked is None:
-                cur, spare = self._apply_step(step, cur, spare, shape, rng)
-            else:
-                cur, spare = chunked.run(pool_map, cur, spare, shape)
-            if profiler is not None:
+        if token is not None:
+            check = token.check
+            perf_counter = time.perf_counter
+            for step, chunked in zip(self._steps, program):
+                check()
+                t0 = perf_counter()
+                if chunked is None:
+                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
+                else:
+                    cur, spare = chunked.run(pool_map, cur, spare, shape)
+                if profiler is not None:
+                    profiler.record_kernel(step.kernel, perf_counter() - t0)
+        elif profiler is None:
+            for step, chunked in zip(self._steps, program):
+                if chunked is None:
+                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
+                else:
+                    cur, spare = chunked.run(pool_map, cur, spare, shape)
+        else:
+            perf_counter = time.perf_counter
+            for step, chunked in zip(self._steps, program):
+                t0 = perf_counter()
+                if chunked is None:
+                    cur, spare = self._apply_step(step, cur, spare, shape, rng)
+                else:
+                    cur, spare = chunked.run(pool_map, cur, spare, shape)
                 profiler.record_kernel(step.kernel, perf_counter() - t0)
         _SCRATCH.spare = spare
         return cur
@@ -972,12 +978,10 @@ def _window_matmul(
         dst = dst.reshape(outer, k_dim, tiles, span).transpose(0, 2, 1, 3)
     else:
         src, dst = src.reshape(shape), dst.reshape(shape)
-    if part:
-        src, dst = src[part], dst[part]
     if state_left:
-        np.matmul(src, matrix.T, out=dst)
+        np.matmul(src[part], matrix.T, out=dst[part])
     else:
-        np.matmul(matrix, src, out=dst)
+        np.matmul(matrix, src[part], out=dst[part])
 
 
 # ---------------------------------------------------------------------------
@@ -1332,8 +1336,10 @@ def compile_plan(
     IR pass pipeline first.  ``fusion_max_qubits=0`` is the gate-for-gate
     plan, bit-identical to the gate-by-gate path on exact kernels; any other
     accepted value (1–3) runs the window pass, whose plans agree with it to
-    ≤ 1e-12 on amplitudes (≤ 1e-4 in single precision) and have the same
-    support above :data:`~repro.simulator.sampling.SUPPORT_FLOOR`.
+    ≤ 1e-12 on amplitudes (≤ 1e-4 in single precision) and, in double
+    precision, have the same support above
+    :data:`~repro.simulator.sampling.SUPPORT_FLOOR` (a single-precision
+    GEMM residue, ~1e-16 in probability, is far above the floor).
     ``batch_diagonals`` collapses
     adjacent runs of diagonal steps into combined product-diagonal steps
     (distribution-equivalent; reassociating the products can shift
@@ -1422,7 +1428,7 @@ def _compile(
     optimized = default_pass_manager().run(circuit) if optimize else circuit
 
     if fusion_max_qubits:
-        groups = _window_pass(list(optimized), width, requires_binding)
+        groups = _window_pass(optimized, width, requires_binding)
     else:
         groups = [[inst] for inst in optimized]
     perm_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -1541,13 +1547,9 @@ def _merge_diagonal_run(
     """One product-diagonal step equivalent to applying ``run`` in order."""
     k = len(union)
     diag = np.ones(1 << k, dtype=complex)
-    idx = np.arange(1 << k)
     for step in run:
-        positions = [union.index(q) for q in step.targets]
-        local = np.zeros(1 << k, dtype=np.intp)
-        for bit, pos in enumerate(positions):
-            local |= ((idx >> pos) & 1) << bit
-        diag *= np.asarray(step.diag, dtype=complex)[local]
+        positions = tuple(union.index(q) for q in step.targets)
+        diag *= np.asarray(step.diag, dtype=complex)[_local_index(k, positions)]
     return _diagonal_step("DIAG_BATCH", union, diag, n_qubits)
 
 
@@ -1577,25 +1579,25 @@ def _window_pass(
     adjacent qubits; each window lists its gates in program order.
 
     The earliest gate not yet placed anchors the next window; of the
-    placements of the window that contain it, the one absorbing the most
-    gates wins (the lowest on a tie).  A gate that cannot join
-    (:func:`_joinable`) is a window of its own.  The placed gates are
-    always a prefix of each qubit's gate list, so one cursor per qubit is
-    the whole search state.  Deterministic in ``(sequence, n_qubits)``.
+    placements of the window that contain it, bar the one at qubit 1, the
+    one absorbing the most gates wins (the lowest on a tie).  An anchor
+    with no placement left, or one that cannot join (:func:`_joinable`), is
+    a window of its own.  The placed gates are always a prefix of each
+    qubit's gate list, so a window's search starts at its anchor.
+    Deterministic in ``(sequence, n_qubits, symbolic)``.
     """
     span = min(BLOCK_WINDOW_MAX_QUBITS, n_qubits)
     gates = [inst for inst in sequence if inst.name not in _NO_OPS]
-    qubits_of = [inst.qubits for inst in gates]
-    lanes: list[list[int]] = [[] for _ in range(n_qubits)]
-    # Per gate, the qubit mask a window must cover: -1 if it cannot join.
+    # Per gate, the qubit mask a window must cover; a gate that cannot join
+    # also carries bit n_qubits, which no window covers.
     masks = []
+    last = [-1] * n_qubits
     for index, inst in enumerate(gates):
-        mask = 0
-        for q in qubits_of[index]:
-            lanes[q].append(index)
+        mask = 0 if _joinable(inst, span, symbolic) else 1 << n_qubits
+        for q in inst.qubits:
+            last[q] = index
             mask |= 1 << q
-        masks.append(mask if _joinable(inst, span, symbolic) else -1)
-    head = [0] * n_qubits
+        masks.append(mask)
     placed = [False] * len(gates)
     groups: list[list[Instruction]] = []
     anchor = 0
@@ -1606,60 +1608,40 @@ def _window_pass(
             return groups
         qubits = gates[anchor].qubits
         members = [anchor]
-        if masks[anchor] != -1:
+        if masks[anchor] >> n_qubits == 0:
             first = max(0, max(qubits) - span + 1)
-            last = min(min(qubits), n_qubits - span)
-            for lo in range(first, last + 1):
-                # A window whose lowest qubit can take nothing (its next gate
-                # is missing, cannot join or leaves the window) absorbs a
-                # subset of the next one's gates, and an equal count is the
-                # same gates: skipping it cannot move the choice.
-                at = head[lo]
-                if lo < last and (
-                    at == len(lanes[lo]) or masks[lanes[lo][at]] & ~(((1 << span) - 1) << lo)
-                ):
-                    continue
-                found = _absorb(lo, span, qubits_of, masks, lanes, head)
-                if len(found) > len(members):
-                    members = found
+            for lo in range(first, min(min(qubits), n_qubits - span) + 1):
+                # Never at qubit 1: its block cannot widen down to qubit 0
+                # and its GEMM pass costs ~5x one at qubit 0.
+                if lo != 1:
+                    stop = max(last[lo : lo + span]) + 1
+                    found = _absorb(lo, span, anchor, stop, masks, placed)
+                    if len(found) > len(members):
+                        members = found
         for index in members:
             placed[index] = True
-            for q in qubits_of[index]:
-                head[q] += 1
         # Program order is one the window's product may take, and it keeps
         # a layer's one-qubit gates together: one Kronecker flush per layer.
-        groups.append([gates[index] for index in sorted(members)])
+        groups.append([gates[index] for index in members])
 
 
-def _absorb(lo: int, span: int, qubits_of, masks, lanes, head) -> list[int]:
-    """The gates the window ``[lo, lo + span)`` absorbs, each after every
-    earlier gate on its qubits: a gate joins once it is the first unplaced
-    gate of each of its qubits, all inside the window; one that cannot join
-    blocks its qubits."""
-    outside = ~(((1 << span) - 1) << lo)
-    front = list(head)
+def _absorb(lo: int, span: int, anchor: int, stop: int, masks, placed) -> list[int]:
+    """The gates the window ``[lo, lo + span)`` absorbs, in program order: a
+    gate joins when it lies inside the window and no earlier unplaced gate
+    on its qubits failed to; one that cannot join blocks its qubits."""
+    window = ((1 << span) - 1) << lo
+    blocked = 0
     members: list[int] = []
-    grew = True
-    while grew:
-        grew = False
-        for q in range(lo, lo + span):
-            lane, at = lanes[q], front[q]
-            while at < len(lane):
-                index = lane[at]
-                if masks[index] & outside:
-                    break
-                qubits = qubits_of[index]
-                if len(qubits) == 1:
-                    at += 1
-                elif all(lanes[p][front[p]] == index for p in qubits):
-                    for p in qubits:
-                        front[p] += 1
-                    grew = True
-                    at += 1
-                else:
-                    break
-                front[q] = at
-                members.append(index)
+    for index in range(anchor, stop):
+        mask = masks[index]
+        if placed[index] or not mask & window:
+            continue
+        if mask & (blocked | ~window):
+            blocked |= mask & window
+            if blocked == window:
+                break
+        else:
+            members.append(index)
     return members
 
 
@@ -1765,7 +1747,7 @@ def _apply_local(
     """``G @ matrix`` for the gate ``inst`` on window bits ``local``."""
     name = inst.name
     if name in _DIAGONAL_GATES:
-        return matrix * np.diag(inst.matrix())[_local_index(k, local), None]
+        return matrix * inst.matrix().diagonal()[_local_index(k, local)][:, None]
     if name in _TRANSPOSITIONS:
         perm = _named_permutation(name)
     elif isinstance(inst, PermutationGate):
@@ -1939,13 +1921,14 @@ def _block_step(name, lo, matrix) -> PlanStep:
     index tables (see :func:`_window_matmul`).  A window that starts just
     above qubit 0 would issue ``2^n / 2^(lo+k)`` tiny GEMMs — at ``k = 2,
     lo = 1`` on 16 qubits 2.2–3.0 ms against ~1.5 ms for the two
-    single-qubit steps it replaces — so windows ending at or below qubit 5
-    are widened down to qubit 0 with identities (0.2–0.3 ms for that case;
-    the matrix stays ≤ 16 KiB).
+    single-qubit steps it replaces — so a window that fits is widened down
+    to qubit 0 with identities (0.2–0.3 ms for that case).  Widening never
+    passes :data:`BLOCK_WINDOW_MAX_QUBITS` qubits, so every block holds at
+    most a ``2^W x 2^W`` matrix (4 KiB).
     """
     k = matrix.shape[0].bit_length() - 1
     step = PlanStep(KERNEL_BLOCK, name, tuple(range(lo, lo + k)))
-    if 0 < lo and lo + k <= _BLOCK_PAD_BELOW:
+    if 0 < lo and lo + k <= BLOCK_WINDOW_MAX_QUBITS:
         matrix = _kron(matrix, _identity(1 << lo))
         lo = 0
     step.matrix = np.ascontiguousarray(matrix, dtype=complex)

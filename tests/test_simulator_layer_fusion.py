@@ -429,9 +429,20 @@ def test_fused_plans_stay_small():
             getattr(step, slot) for slot in type(step).__slots__
             if isinstance(getattr(step, slot, None), np.ndarray)
         ]
-        # (32, 32): the CX window on qubits 1-4, widened down to qubit 0.
-        assert [a.shape for a in arrays] in ([(16, 16)], [(32, 32)], [(4, 4)])
+        assert [a.shape for a in arrays] in ([(16, 16)], [(4, 4)])
         assert all(a.size < (1 << 14) for a in arrays)
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 12, 16])
+def test_no_block_is_wider_than_the_window(n):
+    """Every block holds at most a 2^W x 2^W matrix.  A window on qubits
+    1-4 cannot be widened down to qubit 0 within W qubits, so the window
+    pass places none there."""
+    for circuit in (ansatz(n, 3), qft_circuit(n)):
+        for step in compile_plan(circuit, n).steps:
+            if step.kernel == "block":
+                assert step.matrix.shape[0] <= 1 << BLOCK_WINDOW_MAX_QUBITS, step.targets
+                assert step.block == 1 or step.targets[0] > 1
 
 
 def test_qft_compile_builds_index_tuples_only_for_touched_slots(monkeypatch):

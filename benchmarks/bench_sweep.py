@@ -3,9 +3,9 @@
 The workload is the paper's dominant variational shape: one hardware-
 efficient VQE ansatz, many parameter bindings (an optimiser sweep or a
 parameter-shift gradient batch).  ``submit_sweep`` compiles the parametric
-plan once and fans the bindings out with in-place trig rebinds; the
-baseline binds and submits each point as its own job, recompiling and
-re-dispatching every time.
+plan once and fans the bindings out with in-place rebinds; the baseline
+binds and submits each point as its own job, recompiling and re-dispatching
+every time.
 
 Acceptance:
 
@@ -19,7 +19,11 @@ Acceptance:
 * the compiled exact expectation of the 10- and 12-qubit transverse-field
   Ising observables (the expectation under every gradient binding) agrees
   with the per-term basis-rotation reference to 1e-12 — gated on every
-  host — and takes ≤150 µs per call at 10 qubits, gated on full runs only.
+  host — and takes ≤150 µs per call at 10 qubits, gated on full runs only;
+* a bound parametric plan replays bit for bit the amplitudes of the bound
+  circuit's concrete plan (the ``rebind`` case: bind and bind + replay µs
+  of the 10-qubit gradient and 12/16-qubit sweep ansätze) — gated on every
+  host.
 
 Run standalone (writes the ``BENCH_sweep.json`` trajectory file)::
 
@@ -43,6 +47,7 @@ from repro.core.objective import createObjectiveFunction
 from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.operators import X, Z
+from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.statevector import StateVector
 from repro.runtime.service_registry import reset_registry
 from repro.service import QuantumJobService
@@ -263,10 +268,87 @@ def expectation_ok(report: dict) -> bool:
     return ok
 
 
+def _bare_ansatz(n_qubits: int, layers: int, closing: bool):
+    """The e2e ``vqe_sweep`` shapes, unmeasured: RY layers between CX
+    ladders, plus a closing RY layer for the gradient ansatz."""
+    circuit, _ = vqe_ansatz(n_qubits, layers)
+    circuit = circuit.without_measurements()
+    if closing:
+        builder = CircuitBuilder(n_qubits, name=circuit.name)
+        builder.append(circuit)
+        start = layers * n_qubits
+        for qubit in range(n_qubits):
+            builder.ry(qubit, Parameter(f"t{start + qubit:03d}"))
+        circuit = builder.build()
+    return circuit
+
+
+def bench_rebind(quick: bool) -> dict:
+    """µs per ``bind`` and per bind + replay of one thread's parametric plan,
+    over fresh random bindings (a sweep) and, for the gradient ansatz, the
+    parameter-shift pattern (one angle moves per binding).  Every binding
+    measured is checked against ``compile_plan(circuit.bind(values))``."""
+    bindings_per_repeat = 20 if quick else 200
+    rows = []
+    for n_qubits, layers, closing in ((10, 1, True), (12, 2, False), (16, 2, False)):
+        circuit = _bare_ansatz(n_qubits, layers, closing)
+        parametric = compile_parametric_plan(circuit, n_qubits)
+        names = parametric.parameter_names
+        rng = np.random.default_rng(SEED + n_qubits)
+        patterns = {"random": [
+            dict(zip(names, rng.uniform(-np.pi, np.pi, len(names))))
+            for _ in range(bindings_per_repeat)
+        ]}
+        if closing:
+            theta = dict(zip(names, rng.uniform(-np.pi, np.pi, len(names))))
+            shifted = []
+            for name in names:
+                for sign in (1.0, -1.0):
+                    shifted.append({**theta, name: theta[name] + sign * np.pi / 2})
+            patterns["parameter_shift"] = shifted
+        bitwise = True
+        for values in patterns["random"][:3]:
+            bound = parametric.bind(values)
+            concrete = compile_plan(circuit.bind(values), n_qubits)
+            bitwise = bitwise and np.array_equal(
+                bound.execute(bound.new_state()), concrete.execute(concrete.new_state())
+            )
+        for pattern, bindings in patterns.items():
+            def bind_all():
+                for values in bindings:
+                    parametric.bind(values)
+
+            def bind_and_replay():
+                for values in bindings:
+                    plan = parametric.bind(values)
+                    plan.execute(plan.new_state())
+
+            rows.append({
+                "n_qubits": n_qubits,
+                "layers": layers,
+                "closing_layer": closing,
+                "bindings": pattern,
+                "parametric_steps": parametric.n_steps,
+                "concrete_steps": compile_plan(
+                    circuit.bind(bindings[0]), n_qubits
+                ).n_steps,
+                "bind_us": _us_per_call(bind_all, 1) / len(bindings),
+                "bind_replay_us": _us_per_call(bind_and_replay, 1) / len(bindings),
+                "bitwise_equal_to_concrete": bitwise,
+            })
+    return {"case": "rebind", "rows": rows}
+
+
+def rebind_ok(report: dict) -> bool:
+    """The bound plan is the concrete plan, bitwise, on every host."""
+    return all(row["bitwise_equal_to_concrete"] for row in report["rows"])
+
+
 def run_suite(quick: bool = False) -> dict:
     fanout = bench_sweep_fanout(quick)
     gradient = bench_gradient(quick)
     expectation = bench_compiled_expectation(quick)
+    rebind = bench_rebind(quick)
     set_config(seed=None)
     reset_registry()
     return {
@@ -278,7 +360,7 @@ def run_suite(quick: bool = False) -> dict:
         "cpu_model": cpu_model(),
         "numpy": np.__version__,
         "cpu_count": host_cores(),
-        "results": [fanout, gradient, expectation],
+        "results": [fanout, gradient, expectation, rebind],
     }
 
 
@@ -296,11 +378,12 @@ def test_sweep_identity_gradient_and_speedup(tmp_path):
     ≥3x fan-out speedup on ≥4-core hosts.  The JSON file lands either way."""
     report = run_suite(quick=True)
     write_trajectory_file(report, tmp_path / "BENCH_sweep.json")
-    fanout, gradient, expectation = report["results"]
+    fanout, gradient, expectation, rebind = report["results"]
     assert fanout["counts_bit_identical"], fanout
     assert gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"], gradient
     assert gradient["max_error_vs_serial_shift"] < 1e-9, gradient
     assert expectation_ok(expectation), expectation
+    assert rebind_ok(rebind), rebind
     print(
         f"\nsweep fan-out {fanout['speedup']:.2f}x over independent submits "
         f"({fanout['n_bindings']} bindings, {fanout['n_qubits']} qubits, "
@@ -328,7 +411,7 @@ def main() -> int:
     args = parser.parse_args()
     report = run_suite(quick=args.quick)
     write_trajectory_file(report, args.output)
-    fanout, gradient, expectation = report["results"]
+    fanout, gradient, expectation, rebind = report["results"]
     enforced = "enforced" if fanout["target_enforced"] else "recorded only"
     print(
         f"sweep fan-out: {fanout['speedup']:.2f}x vs independent submits "
@@ -344,10 +427,19 @@ def main() -> int:
             f"{row['rotated_us_per_call']:.1f} us/call "
             f"(|diff| {row['abs_error_vs_rotated']:.1e})"
         )
+    for row in rebind["rows"]:
+        print(
+            f"rebind {row['n_qubits']}q ({row['bindings']}): bind "
+            f"{row['bind_us']:.0f} us, bind + replay {row['bind_replay_us']:.0f} us, "
+            f"{row['parametric_steps']} steps (bound circuit "
+            f"{row['concrete_steps']}); bitwise == concrete: "
+            f"{row['bitwise_equal_to_concrete']}"
+        )
     ok = (
         fanout["counts_bit_identical"]
         and gradient["max_error_vs_central_fd"] < gradient["fd_tolerance"]
         and expectation_ok(expectation)
+        and rebind_ok(rebind)
     )
     if fanout["target_enforced"]:
         ok = ok and fanout["speedup"] >= SPEEDUP_TARGET

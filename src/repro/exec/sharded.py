@@ -171,9 +171,9 @@ def _run_bindings(
             # evaluations instead of draining the whole range.
             token.check()
         started = time.perf_counter()
-        # Rebind mutates this worker's thread-local plan clone in place
-        # (PR 2's trig-rebind path); the previous binding has fully
-        # executed by the time the next bind runs, so reuse is safe.
+        # Rebind mutates this worker's thread-local plan clone in place;
+        # the previous binding has fully executed by the time the next
+        # bind runs, so reuse is safe.
         bound = plan
         if plan.is_parametric:
             bound = plan.bind(() if values is None else values)

@@ -59,10 +59,21 @@ __all__ = [
 
 
 class Gate(Instruction):
-    """Base class for unitary gates (adds default name from the class)."""
+    """Base class for unitary gates (adds default name from the class).
+
+    A gate whose matrix is a function of its parameters defines it once, as
+    the static ``_matrix_of(*parameters)``; :meth:`matrix` and
+    :meth:`~repro.ir.instruction.Instruction.bound_matrix` both call it.
+    """
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
         super().__init__(type(self).__name__.upper(), qubits, parameters)
+
+    def matrix(self) -> np.ndarray:
+        matrix_of = getattr(self, "_matrix_of", None)
+        if matrix_of is None:
+            return super().matrix()
+        return matrix_of(*self.bound_parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +206,10 @@ class RX(Gate):
     num_qubits = 1
     num_parameters = 1
 
-    def matrix(self) -> np.ndarray:
-        (theta,) = self.bound_parameters()
+    @staticmethod
+    def _matrix_of(theta: float) -> np.ndarray:
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+        return np.array([c, -1j * s, -1j * s, c], dtype=complex).reshape(2, 2)
 
     def inverse(self) -> Instruction:
         return RX(self.qubits, [_negate(self.parameters[0])])
@@ -210,10 +221,10 @@ class RY(Gate):
     num_qubits = 1
     num_parameters = 1
 
-    def matrix(self) -> np.ndarray:
-        (theta,) = self.bound_parameters()
+    @staticmethod
+    def _matrix_of(theta: float) -> np.ndarray:
         c, s = math.cos(theta / 2), math.sin(theta / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
+        return np.array([c, -s, s, c], dtype=complex).reshape(2, 2)
 
     def inverse(self) -> Instruction:
         return RY(self.qubits, [_negate(self.parameters[0])])
@@ -225,8 +236,8 @@ class RZ(Gate):
     num_qubits = 1
     num_parameters = 1
 
-    def matrix(self) -> np.ndarray:
-        (theta,) = self.bound_parameters()
+    @staticmethod
+    def _matrix_of(theta: float) -> np.ndarray:
         return np.array(
             [[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]], dtype=complex
         )
@@ -241,8 +252,8 @@ class U3(Gate):
     num_qubits = 1
     num_parameters = 3
 
-    def matrix(self) -> np.ndarray:
-        theta, phi, lam = self.bound_parameters()
+    @staticmethod
+    def _matrix_of(theta: float, phi: float, lam: float) -> np.ndarray:
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         return np.array(
             [
@@ -351,9 +362,9 @@ class CRZ(Gate):
     num_qubits = 2
     num_parameters = 1
 
-    def matrix(self) -> np.ndarray:
-        (theta,) = self.bound_parameters()
-        return _controlled(RZ([0], [theta]).matrix())
+    @staticmethod
+    def _matrix_of(theta: float) -> np.ndarray:
+        return _controlled(RZ._matrix_of(theta))
 
     def inverse(self) -> Instruction:
         return CRZ(self.qubits, [_negate(self.parameters[0])])
@@ -369,8 +380,8 @@ class CPhase(Gate):
         super().__init__(qubits, parameters)
         self.name = "CPHASE"
 
-    def matrix(self) -> np.ndarray:
-        (theta,) = self.bound_parameters()
+    @staticmethod
+    def _matrix_of(theta: float) -> np.ndarray:
         mat = np.eye(4, dtype=complex)
         mat[3, 3] = cmath.exp(1j * theta)
         return mat

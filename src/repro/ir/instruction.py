@@ -110,6 +110,17 @@ class Instruction:
         """
         raise InvalidGateError(f"instruction {self.name} has no matrix form")
 
+    def bound_matrix(self, values: Mapping[str, float]) -> np.ndarray:
+        """``self.bind(values).matrix()``, bit for bit, without the copy.
+
+        A gate with a ``_matrix_of(*parameters)`` (the rotations) is handed
+        the bound floats directly; any other instruction is bound and asked.
+        """
+        matrix_of = getattr(self, "_matrix_of", None)
+        if matrix_of is None:
+            return self.bind(values).matrix()
+        return matrix_of(*self.bound_parameters(values))
+
     # -- rewriting ------------------------------------------------------------
     def bind(self, values: Mapping[str, float]) -> "Instruction":
         """Return a copy with all symbolic parameters replaced by floats."""

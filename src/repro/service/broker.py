@@ -405,7 +405,7 @@ class QuantumJobService:
 
         The circuit is compiled **once** and shipped to the execution lane
         once (by content hash); each binding is evaluated by an in-place
-        trig rebind of the cached parametric plan, with per-binding counts
+        rebind of the cached parametric plan, with per-binding counts
         bit-identical to submitting the pre-bound circuits independently at
         the same seed.  Results stream through the returned
         :class:`~repro.service.sweep.SweepHandle` as bindings complete.

@@ -234,7 +234,7 @@ class SimulationCostModel:
         :meth:`circuit_cost` assumes), fusion shows up as fewer steps, and
         the per-step dispatch overhead reflects plan replay rather than the
         per-gate IR walk.  Accepts parametric plans (the kernel sequence is
-        the template's; rebinding cost is a handful of 2x2 rebuilds and is
+        the template's; rebinding its windows costs microseconds and is
         folded into the step dispatch constant).
         """
         steps = getattr(plan, "steps", None)

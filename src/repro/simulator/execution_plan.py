@@ -17,10 +17,10 @@ amortises gate application with fused OpenMP kernels:
   gate not yet placed anchors a window of at most
   :data:`BLOCK_WINDOW_MAX_QUBITS` *adjacent* qubits — of the placements
   that contain it (none at qubit 1), the one absorbing the most gates.
-  A gate joins when it is concrete and unitary, lies inside the window,
-  and every earlier gate on its qubits is placed or has joined;
-  parametric gates, resets, measures and gates spanning more qubits never
-  join and block their qubits.  Windows may share qubits, so an RY layer
+  A gate joins when it is unitary, lies inside the window, and every
+  earlier gate on its qubits is placed or has joined; resets, measures and
+  gates spanning more qubits never join and block their qubits.  Symbolic
+  gates join like concrete ones.  Windows may share qubits, so an RY layer
   plus a CX ladder on 16 qubits is five windows.  A window of two or more
   gates becomes one :data:`KERNEL_BLOCK` step: a window ``[lo, lo+k)`` is
   a plain reshape of the state to ``(-1, 2^k, 2^lo)``, so the kernel is
@@ -32,9 +32,11 @@ amortises gate application with fused OpenMP kernels:
   with a reusable per-thread ping-pong scratch buffer instead of per-gate
   allocation.
 * :func:`compile_parametric_plan` handles the VQE/QAOA hot loop: the plan
-  is compiled once from the *symbolic* ansatz and only the rotation
-  matrices are re-bound per parameter set (per thread, so concurrently
-  bound plans never race).
+  is compiled once from the *symbolic* ansatz, with the windows and
+  batches its binding would get, and only the payloads of steps holding a
+  symbolic gate are rebuilt per parameter set — by compile's own builders,
+  so a bound plan is the bound circuit's plan bit for bit (per thread, so
+  concurrently bound plans never race).
 * **Diagonal batching** (``batch_diagonals=True``): adjacent runs of the
   diagonal kernels left outside windows — QFT's long-range CPHASEs, bound
   RZ layers — collapse at compile time into one combined
@@ -62,7 +64,6 @@ worker and every broker dispatcher consulting the plan cache.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import threading
@@ -78,7 +79,6 @@ from ..obs.profiler import active_profiler
 from ..ir.composite import CompositeInstruction
 from ..ir.gates import PermutationGate, UnitaryGate
 from ..ir.instruction import Instruction
-from ..ir.parameter import bind_value
 from ..ir.transforms import default_pass_manager
 
 __all__ = [
@@ -88,6 +88,7 @@ __all__ = [
     "PlanStep",
     "compile_plan",
     "compile_parametric_plan",
+    "resolve_fusion",
     "resolve_precision",
     "precision_dtype",
     "DEFAULT_FUSION_MAX_QUBITS",
@@ -154,7 +155,8 @@ KERNEL_NAMES = {
 _SWAPPING_KERNELS = frozenset({KERNEL_GATHER, KERNEL_DENSE, KERNEL_BLOCK})
 
 #: Default ``fusion_max_qubits``: 0 is the gate-for-gate plan, any other
-#: accepted value (1–3) turns the window pass on.
+#: accepted value (1–3) turns the window pass on and is read as this one
+#: (see :func:`resolve_fusion`).
 DEFAULT_FUSION_MAX_QUBITS = 2
 
 #: States below this many amplitudes are never chunk-parallelised.  This is
@@ -250,6 +252,17 @@ def resolve_precision(precision: object) -> str:
     return tier
 
 
+def resolve_fusion(fusion_max_qubits: int) -> int:
+    """Normalise ``fusion_max_qubits`` to its meaning: ``0`` (gate for gate)
+    or :data:`DEFAULT_FUSION_MAX_QUBITS` (the window pass), so 1, 2 and 3
+    compile, cache and ship as one plan."""
+    if not 0 <= fusion_max_qubits <= 3:
+        raise ExecutionError(
+            f"fusion_max_qubits must be between 0 and 3, got {fusion_max_qubits}"
+        )
+    return DEFAULT_FUSION_MAX_QUBITS if fusion_max_qubits else 0
+
+
 def precision_dtype(precision: object) -> np.dtype:
     """The numpy complex dtype for a precision tier spelling."""
     return np.dtype(PRECISION_DTYPES[resolve_precision(precision)])
@@ -303,7 +316,8 @@ class PlanStep:
         "inv_perm",
         "dim_k",
         "parametric",
-        "rebind_fast",
+        "fixed",
+        "depends",
         "swaps",
     )
 
@@ -311,8 +325,18 @@ class PlanStep:
         self.tag = tag
         self.name = name
         self.targets = targets
+        #: The symbolic gates that went into this step, each as
+        #: ``(position among the step's gates, gate)``; ``None`` on a
+        #: concrete step.  :meth:`rebind` rebuilds the payload from them.
         self.parametric = None
-        self.rebind_fast = None
+        #: What compile built for the step's other gates: a window's
+        #: ``(program, matrices)`` (see :func:`_window_program`), a
+        #: ``DIAG_BATCH``'s ``(targets, diagonal)`` per merged gate.  The
+        #: symbolic gates' entries are ``None``.
+        self.fixed = None
+        #: The parameter names the payload depends on: a bind that moves
+        #: none of them leaves the step as it is.
+        self.depends = None
         #: True when the kernel leaves its result in the spare buffer.
         self.swaps = tag in _SWAPPING_KERNELS
 
@@ -329,64 +353,33 @@ class PlanStep:
                 pass
         return copy
 
-    def rebind(self, values: Mapping[str, float]) -> None:
-        """Recompute this step's matrices from its symbolic instruction.
+    def rebind(self, values: Mapping[str, float], n_qubits: int, dtype) -> None:
+        """Rebuild this step's payload for ``values`` exactly as compiling the
+        bound gates would: every symbolic gate's matrix comes from
+        :meth:`~repro.ir.instruction.Instruction.bound_matrix`, and the
+        compile's own builders assemble the payload from it.
 
-        The named rotation gates (the entire VQE/QAOA hot loop) have direct
-        trig fast paths that reproduce their ``matrix()`` definitions bit
-        for bit without building an instruction copy or a matrix array.
+        Only assigns: :meth:`clone` shares every array slot with the template
+        and with other threads' clones, so a rebind never writes into one.
         """
-        instruction = self.parametric
-        if instruction is None:
-            return
-        if self.rebind_fast is not None:
-            kind = self.rebind_fast
-            bound = tuple(bind_value(p, values) for p in instruction.parameters)
-            if kind == "RY":
-                c, s = math.cos(bound[0] / 2), math.sin(bound[0] / 2)
-                self.m00, self.m01, self.m10, self.m11 = complex(c), complex(-s), complex(s), complex(c)
-            elif kind == "RX":
-                c, s = math.cos(bound[0] / 2), math.sin(bound[0] / 2)
-                self.m00, self.m01, self.m10, self.m11 = complex(c), -1j * s, -1j * s, complex(c)
-            elif kind == "RZ":
-                self.diag = (cmath.exp(-1j * bound[0] / 2), cmath.exp(1j * bound[0] / 2))
-            elif kind == "CPHASE":
-                self.diag = (1.0, 1.0, 1.0, cmath.exp(1j * bound[0]))
-            elif kind == "CRZ":
-                self.diag = (
-                    1.0,
-                    cmath.exp(-1j * bound[0] / 2),
-                    1.0,
-                    cmath.exp(1j * bound[0] / 2),
-                )
-            else:  # U3
-                theta, phi, lam = bound
-                c, s = math.cos(theta / 2), math.sin(theta / 2)
-                self.m00 = complex(c)
-                self.m01 = -cmath.exp(1j * lam) * s
-                self.m10 = cmath.exp(1j * phi) * s
-                self.m11 = cmath.exp(1j * (phi + lam)) * c
-            return
-        matrix = instruction.bind(values).matrix()
-        if self.tag == KERNEL_SINGLE:
-            self.m00 = complex(matrix[0, 0])
-            self.m01 = complex(matrix[0, 1])
-            self.m10 = complex(matrix[1, 0])
-            self.m11 = complex(matrix[1, 1])
-        elif self.tag == KERNEL_DIAGONAL:
-            self.diag = tuple(complex(v) for v in np.diag(matrix))
-        elif self.tag == KERNEL_CONTROLLED:
-            payload = matrix[np.ix_([1, 3], [1, 3])]
-            self.m00 = complex(payload[0, 0])
-            self.m01 = complex(payload[0, 1])
-            self.m10 = complex(payload[1, 0])
-            self.m11 = complex(payload[1, 1])
-        else:  # dense fallback
-            # Keep the step's compiled dtype: a single-precision plan's
-            # dense payloads stay complex64 across rebinds.
-            previous = getattr(self, "matrix", None)
-            dtype = previous.dtype if isinstance(previous, np.ndarray) else complex
-            self.matrix = np.ascontiguousarray(matrix, dtype=dtype)
+        tag = self.tag
+        if tag == KERNEL_DIAGONAL:
+            if self.fixed is None:
+                ((_, inst),) = self.parametric
+                self.diag = _gate_diag(inst.bound_matrix(values))
+            else:
+                members = list(self.fixed)
+                for index, inst in self.parametric:
+                    members[index] = (inst.qubits, _gate_diag(inst.bound_matrix(values)))
+                diag = _diagonal_product(members, self.targets)
+                self.diag = tuple(complex(v) for v in diag)
+            _finish_diagonal_step(self, n_qubits, dtype)
+        else:
+            program, fixed = self.fixed
+            matrices = list(fixed)
+            for index, inst in self.parametric:
+                matrices[index] = inst.bound_matrix(values)
+            _fill_window(self, _window_matrix(program, matrices), dtype)
 
     def __repr__(self) -> str:
         return f"PlanStep({self.kernel}, {self.name}, targets={self.targets})"
@@ -442,6 +435,11 @@ class ExecutionPlan:
         self.dtype = np.dtype(PRECISION_DTYPES[self.precision])
         self._steps = tuple(steps)
         self._parametric_steps = tuple(s for s in self._steps if s.parametric is not None)
+        #: A rebound diagonal step may change kernel geometry (broadcast or
+        #: strided, which slots), so binding drops memoised chunk programs.
+        self._rebinds_geometry = any(
+            s.tag == KERNEL_DIAGONAL for s in self._parametric_steps
+        )
         self._shape = (2,) * self.n_qubits
         self._dim = 1 << self.n_qubits
         self._requires_binding = requires_binding
@@ -615,7 +613,8 @@ class ExecutionPlan:
 
         Memoised per worker count (benign if two threads race to build
         one); chunk specs hold only geometry and read the step's matrices /
-        diagonals at run time, so parametric rebinding keeps working.  A
+        diagonals at run time, so rebinding a window keeps them valid (a
+        rebound diagonal may change geometry: ``bind`` drops the memo).  A
         ``None`` entry means that step runs serially.  The decomposition is
         deterministic in ``(plan, workers)``, which is what lets every
         shared-memory worker process rebuild the identical program from its
@@ -763,11 +762,11 @@ class ExecutionPlan:
 class ParametricExecutionPlan:
     """A compiled plan for a *symbolic* circuit, re-bound per parameter set.
 
-    Compilation (IR passes, kernel classification, geometry) happens once;
-    :meth:`bind` only recomputes the matrices of parametric steps — in
-    place, on a per-thread copy of the step list, so the VQE/QAOA hot loop
-    pays a handful of 2x2 rebuilds per iteration while concurrent binders
-    on other threads never interfere.
+    Compilation (IR passes, the window pass, kernel classification,
+    geometry) happens once; :meth:`bind` only rebuilds the payloads of the
+    steps a symbolic gate went into — each window's matrix, each diagonal —
+    with the builders compile uses, on a per-thread copy of those steps, so
+    concurrent binders on other threads never interfere.
     """
 
     is_parametric = True
@@ -835,7 +834,8 @@ class ParametricExecutionPlan:
         return self._template.kernel_counts()
 
     def memory_bytes(self) -> int:
-        """Template payload bytes (per-thread bound copies share ndarrays)."""
+        """Template payload bytes (each thread's bound copy shares them and
+        adds the payloads of its rebindable steps)."""
         return self._template.memory_bytes()
 
     # Binding ----------------------------------------------------------------
@@ -882,8 +882,22 @@ class ParametricExecutionPlan:
         """
         mapping = self._normalize(values)
         plan = self._thread_plan()
+        # Only the steps whose parameters moved since the last binding are
+        # rebuilt (a parameter-shift batch moves one or two per binding).
+        previous = plan.bound_params
+        moved = None if previous is None else {
+            name for name, value in mapping.items()
+            if not _same_value(value, previous.get(name))
+        }
+        # Unbound until every step has rebound: a rebind that raises leaves
+        # a plan that refuses to execute or ship, not a half-bound one.
+        plan._requires_binding = True
+        plan.bound_params = None
         for step in plan._parametric_steps:
-            step.rebind(mapping)
+            if moved is None or not moved.isdisjoint(step.depends):
+                step.rebind(mapping, plan.n_qubits, plan.dtype)
+        if plan._rebinds_geometry:
+            plan._chunk_programs.clear()
         plan._requires_binding = False
         plan.bound_params = mapping
         return plan
@@ -897,7 +911,14 @@ class ParametricExecutionPlan:
                 f"{list(self.parameter_names)}; provide values"
             )
         if isinstance(values, Mapping):
-            return {str(k): float(v) for k, v in values.items()}
+            mapping = {str(k): float(v) for k, v in values.items()}
+            missing = [name for name in self.parameter_names if name not in mapping]
+            if missing:
+                raise ExecutionError(
+                    f"plan {self.name!r} needs a value for every parameter; "
+                    f"missing {missing}"
+                )
+            return mapping
         values_seq = [float(v) for v in values]
         if len(values_seq) != len(self.parameter_names):
             raise ExecutionError(
@@ -911,6 +932,12 @@ class ParametricExecutionPlan:
             f"ParametricExecutionPlan(name={self.name!r}, "
             f"parameters={list(self.parameter_names)}, n_steps={self.n_steps})"
         )
+
+
+def _same_value(value: float, previous: float | None) -> bool:
+    """Whether a rebind to ``value`` rebuilds what ``previous`` built: equal
+    and of the same sign (``-0.0`` is not ``0.0`` to a trig function)."""
+    return value == previous and math.copysign(1.0, value) == math.copysign(1.0, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -1335,7 +1362,8 @@ def compile_plan(
     register may be larger than the circuit).  ``optimize`` runs the default
     IR pass pipeline first.  ``fusion_max_qubits=0`` is the gate-for-gate
     plan, bit-identical to the gate-by-gate path on exact kernels; any other
-    accepted value (1–3) runs the window pass, whose plans agree with it to
+    accepted value (1–3, all one setting: see :func:`resolve_fusion`) runs
+    the window pass, whose plans agree with it to
     ≤ 1e-12 on amplitudes (≤ 1e-4 in single precision) and, in double
     precision, have the same support above
     :data:`~repro.simulator.sampling.SUPPORT_FLOOR` (a single-precision
@@ -1378,10 +1406,19 @@ def compile_parametric_plan(
     chunk_threshold: int | None = None,
     precision: str = DEFAULT_PRECISION,
 ) -> ParametricExecutionPlan:
-    """Compile a symbolic circuit once; re-bind rotation matrices per call.
+    """Compile a symbolic circuit once; :meth:`ParametricExecutionPlan.bind`
+    rebinds it per parameter set.
 
-    Diagonal batching only merges *concrete* diagonal steps — parametric
-    rotations keep their own steps so in-place rebinding stays possible.
+    Symbolic gates go through the same window pass and diagonal batching as
+    concrete ones, so the template has the steps the bound circuit's plan
+    would have; compile builds no matrix for a step a symbolic gate went
+    into.  ``bind`` rebuilds those payloads with the builders
+    :func:`compile_plan` uses — each window's matrix from its gates'
+    matrices, each product diagonal from its gates' diagonals — so a bound
+    plan replays bit for bit what ``compile_plan(circuit.bind(values))``
+    does wherever the IR passes leave both circuits the same gate sequence.
+    (They may not: a pass can drop or merge a bound gate, e.g. ``RZ(0)``,
+    that it must keep symbolic.)
     """
     if not circuit.is_parameterized:
         raise ExecutionError(
@@ -1419,16 +1456,13 @@ def _compile(
             f"circuit uses {circuit.n_qubits} qubit(s) but the plan is "
             f"compiled for {width}"
         )
-    if fusion_max_qubits < 0 or fusion_max_qubits > 3:
-        raise ExecutionError(
-            f"fusion_max_qubits must be between 0 and 3, got {fusion_max_qubits}"
-        )
+    fusion_max_qubits = resolve_fusion(fusion_max_qubits)
     source_gates = circuit.n_gates
     measured = circuit.measured_qubits()
     optimized = default_pass_manager().run(circuit) if optimize else circuit
 
     if fusion_max_qubits:
-        groups = _window_pass(optimized, width, requires_binding)
+        groups = _window_pass(optimized, width)
     else:
         groups = [[inst] for inst in optimized]
     perm_cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
@@ -1436,7 +1470,7 @@ def _compile(
     fused_gates = 0
     for group in groups:
         if len(group) > 1 and any(inst.name not in _DIAGONAL_GATES for inst in group):
-            steps.append(_window_step(group, width))
+            steps.append(_window_step(group))
             fused_gates += len(group)
             continue
         for inst in group:
@@ -1448,23 +1482,22 @@ def _compile(
     if batch_diagonals:
         steps, batched_diagonals = _batch_diagonal_steps(steps, width)
     # Only now, on the diagonal steps that survived batching, build the
-    # broadcast tensor / index tuples their kernel reads.
+    # broadcast tensor / index tuples their kernel reads.  In single
+    # precision the ndarray payloads are downcast so the hot sweeps move
+    # half the bytes; scalar payloads stay Python complex (NumPy's weak
+    # scalar promotion keeps complex64 arrays complex64 under them).  A
+    # rebindable step gets both at bind.
+    dtype = PRECISION_DTYPES[precision]
     for step in steps:
+        if step.parametric is not None:
+            step.depends = tuple(
+                sorted({p.name for _, inst in step.parametric for p in inst.free_parameters})
+            )
+            continue
         if step.tag == KERNEL_DIAGONAL:
-            _finish_diagonal_step(step, width)
-
-    if precision == "single":
-        # Downcast the ndarray kernel payloads so the hot sweeps move half
-        # the bytes; scalar payloads stay Python complex (NumPy's weak
-        # scalar promotion keeps complex64 arrays complex64 under them).
-        dtype = PRECISION_DTYPES["single"]
-        for step in steps:
-            matrix = getattr(step, "matrix", None)
-            if isinstance(matrix, np.ndarray):
-                step.matrix = np.ascontiguousarray(matrix, dtype=dtype)
-            diag_nd = getattr(step, "diag_nd", None)
-            if isinstance(diag_nd, np.ndarray):
-                step.diag_nd = np.ascontiguousarray(diag_nd, dtype=dtype)
+            _finish_diagonal_step(step, width, dtype)
+        elif precision == "single" and isinstance(getattr(step, "matrix", None), np.ndarray):
+            step.matrix = np.ascontiguousarray(step.matrix, dtype=dtype)
 
     plan = ExecutionPlan(
         width,
@@ -1486,7 +1519,7 @@ def _compile(
     plan.source_circuit = circuit
     plan.compile_options = {
         "optimize": bool(optimize),
-        "fusion_max_qubits": int(fusion_max_qubits),
+        "fusion_max_qubits": fusion_max_qubits,
         "batch_diagonals": bool(batch_diagonals),
         "chunk_threshold": chunk_threshold,
         "precision": precision,
@@ -1502,14 +1535,15 @@ def _batch_diagonal_steps(
     n_qubits: int,
     max_qubits: int = DEFAULT_DIAGONAL_BATCH_MAX_QUBITS,
 ) -> tuple[list[PlanStep], int]:
-    """Collapse adjacent runs of concrete diagonal steps into one step each.
+    """Collapse adjacent runs of diagonal steps into one step each.
 
     Diagonal operators commute, so a contiguous run multiplies into a
     single product diagonal over the union of touched qubits (capped at
     ``max_qubits`` so neither the diagonal table nor the strided kernel
-    blows up).  Parametric diagonal steps (symbolic RZ/CPHASE/CRZ) break
-    runs: they must stay individually rebindable.  Returns the new step
-    list and the number of source steps absorbed into batches.
+    blows up).  Runs depend on targets only, so a symbolic circuit batches
+    as its binding does; a run holding a symbolic step rebuilds its product
+    at bind.  Returns the new step list and the number of source steps
+    absorbed into batches.
     """
     out: list[PlanStep] = []
     run: list[PlanStep] = []
@@ -1527,7 +1561,7 @@ def _batch_diagonal_steps(
         union.clear()
 
     for step in steps:
-        if step.tag == KERNEL_DIAGONAL and step.parametric is None:
+        if step.tag == KERNEL_DIAGONAL:
             fresh = [q for q in step.targets if q not in union]
             if run and len(union) + len(fresh) > max_qubits:
                 flush()
@@ -1545,12 +1579,32 @@ def _merge_diagonal_run(
     run: Sequence[PlanStep], union: tuple[int, ...], n_qubits: int
 ) -> PlanStep:
     """One product-diagonal step equivalent to applying ``run`` in order."""
+    if any(step.parametric is not None for step in run):
+        step = PlanStep(KERNEL_DIAGONAL, "DIAG_BATCH", union)
+        step.parametric = tuple(
+            (index, member.parametric[0][1])
+            for index, member in enumerate(run)
+            if member.parametric is not None
+        )
+        step.fixed = tuple(
+            (member.targets, member.diag if member.parametric is None else None)
+            for member in run
+        )
+        return step
+    diag = _diagonal_product([(step.targets, step.diag) for step in run], union)
+    return _diagonal_step("DIAG_BATCH", union, diag, n_qubits)
+
+
+def _diagonal_product(
+    members: Sequence[tuple[tuple[int, ...], Sequence[complex]]], union: tuple[int, ...]
+) -> np.ndarray:
+    """The product over ``union`` of each ``(targets, diagonal)``, in order."""
     k = len(union)
     diag = np.ones(1 << k, dtype=complex)
-    for step in run:
-        positions = tuple(union.index(q) for q in step.targets)
-        diag *= np.asarray(step.diag, dtype=complex)[_local_index(k, positions)]
-    return _diagonal_step("DIAG_BATCH", union, diag, n_qubits)
+    for targets, values in members:
+        positions = tuple(union.index(q) for q in targets)
+        diag *= np.asarray(values, dtype=complex)[_local_index(k, positions)]
+    return diag
 
 
 # -- the window pass ---------------------------------------------------------
@@ -1559,21 +1613,20 @@ def _merge_diagonal_run(
 _NO_OPS = frozenset({"BARRIER", "I"})
 
 
-def _joinable(inst: Instruction, span: int, symbolic: bool) -> bool:
+def _joinable(inst: Instruction, span: int) -> bool:
     """Whether ``inst`` may join a window of ``span`` adjacent qubits
-    (``symbolic``: the circuit may hold unbound parameters)."""
+    (symbolic or not: a window holding a symbolic gate is rebuilt at bind)."""
     qubits = inst.qubits
     return (
         bool(qubits)
         and max(qubits) - min(qubits) < span
         and inst.is_unitary
         and not inst.is_composite
-        and not (symbolic and inst.is_parameterized)
     )
 
 
 def _window_pass(
-    sequence: Sequence[Instruction], n_qubits: int, symbolic: bool
+    sequence: Sequence[Instruction], n_qubits: int
 ) -> list[list[Instruction]]:
     """Cut ``sequence`` into windows of at most :data:`BLOCK_WINDOW_MAX_QUBITS`
     adjacent qubits; each window lists its gates in program order.
@@ -1584,7 +1637,8 @@ def _window_pass(
     with no placement left, or one that cannot join (:func:`_joinable`), is
     a window of its own.  The placed gates are always a prefix of each
     qubit's gate list, so a window's search starts at its anchor.
-    Deterministic in ``(sequence, n_qubits, symbolic)``.
+    Deterministic in ``(sequence, n_qubits)``: a symbolic circuit and its
+    binding get the same windows.
     """
     span = min(BLOCK_WINDOW_MAX_QUBITS, n_qubits)
     gates = [inst for inst in sequence if inst.name not in _NO_OPS]
@@ -1593,7 +1647,7 @@ def _window_pass(
     masks = []
     last = [-1] * n_qubits
     for index, inst in enumerate(gates):
-        mask = 0 if _joinable(inst, span, symbolic) else 1 << n_qubits
+        mask = 0 if _joinable(inst, span) else 1 << n_qubits
         for q in inst.qubits:
             last[q] = index
             mask |= 1 << q
@@ -1653,42 +1707,158 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-def _window_step(group: Sequence[Instruction], n_qubits: int) -> PlanStep:
+def _window_step(group: Sequence[Instruction]) -> PlanStep:
     """One ``FUSED`` step applying ``group`` in order: a single step when the
-    group touches one qubit, else a block over the span it touches.
+    group touches one qubit, else a block over the span it touches.  A group
+    holding a symbolic gate gets its geometry and program now and its matrix
+    at bind."""
+    lo = min(q for inst in group for q in inst.qubits)
+    k = max(q for inst in group for q in inst.qubits) - lo + 1
+    if k == 1:
+        step = PlanStep(KERNEL_SINGLE, "FUSED", (lo,))
+        step.block = 1 << lo
+    else:
+        # A window that fits is widened down to qubit 0 (see _fill_window).
+        step = PlanStep(KERNEL_BLOCK, "FUSED", tuple(range(lo, lo + k)))
+        step.block = 1 if 0 < lo and lo + k <= BLOCK_WINDOW_MAX_QUBITS else 1 << lo
+    program = _window_program(group, lo, k)
+    symbolic = tuple((i, inst) for i, inst in enumerate(group) if inst.is_parameterized)
+    matrices = [
+        None if inst.is_parameterized or _moves_rows(inst) else inst.matrix()
+        for inst in group
+    ]
+    if symbolic:
+        step.parametric = symbolic
+        step.fixed = (program, tuple(matrices))
+    else:
+        _fill_window(step, _window_matrix(program, matrices), complex)
+    return step
+
+
+def _moves_rows(inst: Instruction) -> bool:
+    """Whether a window applies ``inst`` as a row gather, needing no matrix."""
+    return len(inst.qubits) > 1 and (
+        inst.name in _TRANSPOSITIONS or isinstance(inst, PermutationGate)
+    )
+
+
+#: Window program ops (see :func:`_window_program`).
+_OP_PEND, _OP_KRON, _OP_ONE, _OP_ROWS, _OP_DIAG, _OP_DENSE = range(6)
+
+
+def _window_program(group: Sequence[Instruction], lo: int, k: int) -> tuple:
+    """How to build ``group``'s matrix over window ``[lo, lo + k)`` from its
+    gates' matrices: everything that does not depend on their values, so a
+    symbolic window pays for it once, at compile.
 
     Cheap by construction: one-qubit gates multiply per qubit as 2x2
-    products, held back until a wider gate touches their qubit (the first
-    time, all of them are Kronecker-expanded at once); permutations are
-    exact row gathers of the matrix, diagonals row scalings, and only any
-    other gate costs a ``tensordot``.
+    products (``PEND``), held back until a wider gate touches their qubit
+    (the first time, all of them are Kronecker-expanded at once: ``KRON``;
+    later, one at a time: ``ONE``); permutations are exact row gathers of
+    the matrix (``ROWS``, consecutive ones composed into one), diagonals row
+    scalings (``DIAG``), and only any other gate costs a ``tensordot``
+    (``DENSE``).  Each op is ``(op, gate index, argument)``.
     """
-    touched = {q for inst in group for q in inst.qubits}
-    lo = min(touched)
-    k = max(touched) - lo + 1
-    pending: dict[int, np.ndarray] = {}
-    matrix = None
-    for inst in group:
+    ops: list[tuple] = []
+    pending: dict[int, None] = {}  # insertion-ordered, as the executor's
+    expanded = False
+    for index, inst in enumerate(group):
         if len(inst.qubits) == 1:
             bit = inst.qubits[0] - lo
-            gate = inst.matrix()
-            before = pending.get(bit)
-            pending[bit] = gate if before is None else gate @ before
+            ops.append((_OP_PEND, index, bit))
+            pending.setdefault(bit)
             continue
         local = tuple(q - lo for q in inst.qubits)
-        if matrix is None:
-            matrix = _kron_pending(pending, k)
+        if not expanded:
+            ops.append((_OP_KRON, None, k))
+            pending.clear()
+            expanded = True
         for bit in local:
             if bit in pending:
-                matrix = _apply_one(matrix, pending.pop(bit), bit, k)
-        matrix = _apply_local(matrix, inst, local, k)
-    if matrix is None:
-        matrix = _kron_pending(pending, k)
-    for bit, gate in pending.items():
-        matrix = _apply_one(matrix, gate, bit, k)
-    if k == 1:
-        return _single_step("FUSED", lo, matrix, n_qubits)
-    return _block_step("FUSED", lo, matrix)
+                ops.append((_OP_ONE, None, bit))
+                del pending[bit]
+        ops.append(_gate_op(inst, index, local, k))
+        if ops[-1][0] == _OP_ROWS and ops[-2][0] == _OP_ROWS:
+            # matrix[a][b] is matrix[a[b]]: one gather, the same values.
+            rows = ops.pop()[2]
+            ops[-1] = (_OP_ROWS, None, ops[-1][2][rows])
+    if expanded:
+        ops.extend((_OP_ONE, None, bit) for bit in pending)
+    else:
+        ops.append((_OP_KRON, None, k))
+    return tuple(ops)
+
+
+def _gate_op(inst: Instruction, index: int, local: tuple[int, ...], k: int) -> tuple:
+    """The program op applying the multi-qubit gate ``inst`` on window bits
+    ``local``."""
+    name = inst.name
+    if name in _DIAGONAL_GATES:
+        return (_OP_DIAG, index, _local_index(k, local))
+    if name in _TRANSPOSITIONS:
+        perm = _named_permutation(name)
+    elif isinstance(inst, PermutationGate):
+        perm = inst.permutation
+    elif isinstance(inst, UnitaryGate):
+        perm = _permutation_from_matrix(inst.matrix())
+    else:
+        perm = None
+    if perm is not None:
+        return (_OP_ROWS, index, _gather_rows(k, local, tuple(perm)))
+    return (_OP_DENSE, index, local)
+
+
+def _window_matrix(program: tuple, matrices: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Run a :func:`_window_program` over its gates' ``matrices`` (``None``
+    where a gate needs none).  Compile and bind both build every window's
+    matrix through here."""
+    k = 0
+    pending: dict[int, np.ndarray] = {}
+    matrix = None
+    for op, index, arg in program:
+        if op == _OP_PEND:
+            gate = matrices[index]
+            before = pending.get(arg)
+            pending[arg] = gate if before is None else gate @ before
+        elif op == _OP_KRON:
+            k = arg
+            matrix = _kron_pending(pending, k)
+        elif op == _OP_ONE:
+            matrix = _apply_one(matrix, pending.pop(arg), arg, k)
+        elif op == _OP_ROWS:
+            matrix = matrix[arg]
+        elif op == _OP_DIAG:
+            matrix = matrix * matrices[index].diagonal()[arg][:, None]
+        else:
+            matrix = _apply_dense(matrix, matrices[index], arg, k)
+    return matrix
+
+
+def _fill_window(step: PlanStep, matrix: np.ndarray, dtype) -> None:
+    """Install a window's ``matrix`` as ``step``'s payload: four scalars on
+    a single step, a ``dtype`` matrix on a block.
+
+    Local bit ``i`` of a block's matrix is qubit ``lo + i``, so the window
+    is the middle axis of ``state.reshape(-1, 2^k, 2^lo)`` and the step
+    needs no index tables (see :func:`_window_matmul`).  A window that
+    starts just above qubit 0 would issue ``2^n / 2^(lo+k)`` tiny GEMMs — at
+    ``k = 2, lo = 1`` on 16 qubits 2.2–3.0 ms against ~1.5 ms for the two
+    single-qubit steps it replaces — so a window that fits is widened down
+    to qubit 0 with identities (0.2–0.3 ms for that case), which
+    :func:`_window_step` records as ``block == 1``.  Widening never passes
+    :data:`BLOCK_WINDOW_MAX_QUBITS` qubits, so every block holds at most a
+    ``2^W x 2^W`` matrix (4 KiB).
+    """
+    if step.tag == KERNEL_SINGLE:
+        step.m00 = complex(matrix[0, 0])
+        step.m01 = complex(matrix[0, 1])
+        step.m10 = complex(matrix[1, 0])
+        step.m11 = complex(matrix[1, 1])
+        return
+    lo = step.targets[0]
+    if step.block != 1 << lo:
+        matrix = _kron(matrix, _identity(1 << lo))
+    step.matrix = np.ascontiguousarray(matrix, dtype=dtype)
 
 
 def _kron_pending(pending: dict[int, np.ndarray], k: int) -> np.ndarray:
@@ -1741,28 +1911,15 @@ def _named_permutation(name: str) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _apply_local(
-    matrix: np.ndarray, inst: Instruction, local: tuple[int, ...], k: int
+def _apply_dense(
+    matrix: np.ndarray, gate: np.ndarray, local: tuple[int, ...], k: int
 ) -> np.ndarray:
-    """``G @ matrix`` for the gate ``inst`` on window bits ``local``."""
-    name = inst.name
-    if name in _DIAGONAL_GATES:
-        return matrix * inst.matrix().diagonal()[_local_index(k, local)][:, None]
-    if name in _TRANSPOSITIONS:
-        perm = _named_permutation(name)
-    elif isinstance(inst, PermutationGate):
-        perm = inst.permutation
-    elif isinstance(inst, UnitaryGate):
-        perm = _permutation_from_matrix(inst.matrix())
-    else:
-        perm = None
-    if perm is not None:
-        return matrix[_gather_rows(k, local, tuple(perm))]
+    """``G @ matrix`` for a gate with matrix ``gate`` on window bits ``local``."""
     m = len(local)
     # Window bit b is axis k-1-b of the (2,)*k row tensor; gate bit j is
     # output axis m-1-j and input axis 2m-1-j of the gate tensor.
     product = np.tensordot(
-        inst.matrix().reshape((2,) * (2 * m)),
+        gate.reshape((2,) * (2 * m)),
         matrix.reshape((2,) * k + (1 << k,)),
         axes=([2 * m - 1 - j for j in range(m)], [k - 1 - bit for bit in local]),
     )
@@ -1791,41 +1948,43 @@ def _axis_index(n_qubits: int, assignments: dict[int, int]) -> tuple:
     return tuple(index)
 
 
-def _single_step(name, target, matrix, n_qubits, parametric=None) -> PlanStep:
+def _single_step(name, target, matrix, n_qubits) -> PlanStep:
     step = PlanStep(KERNEL_SINGLE, name, (target,))
     step.block = 1 << target
-    step.m00 = complex(matrix[0, 0])
-    step.m01 = complex(matrix[0, 1])
-    step.m10 = complex(matrix[1, 0])
-    step.m11 = complex(matrix[1, 1])
-    step.parametric = parametric
+    _fill_window(step, matrix, complex)
     return step
 
 
-def _diagonal_step(name, targets, diag, n_qubits, parametric=None) -> PlanStep:
+def _diagonal_step(name, targets, diag, n_qubits) -> PlanStep:
     """A diagonal step holding its values only; :func:`_finish_diagonal_step`
     adds the kernel geometry once batching has decided which steps survive."""
     step = PlanStep(KERNEL_DIAGONAL, name, tuple(targets))
     step.diag = tuple(complex(v) for v in diag)
-    step.diag_idx = step.diag_nd = None
-    step.parametric = parametric
     return step
 
 
-def _finish_diagonal_step(step: PlanStep, n_qubits: int) -> None:
-    """Build what the diagonal kernel reads: ``diag_nd`` or ``diag_idx``.
+def _gate_diag(matrix: np.ndarray) -> tuple[complex, ...]:
+    """A diagonal gate's values, as its diagonal step holds them."""
+    return tuple(complex(v) for v in np.diag(matrix))
+
+
+def _finish_diagonal_step(step: PlanStep, n_qubits: int, dtype) -> None:
+    """Build what the diagonal kernel reads: ``diag_nd`` (in ``dtype``) or
+    ``diag_idx``; the other is ``None``.
 
     Mostly-non-unit diagonals (RZ, batched products) apply fastest as one
     broadcast multiply over the whole state; mostly-unit ones (CPHASE, CZ,
     S, T) keep the strided path that skips untouched subspaces, with
     ``diag_idx`` holding ``(slot, index tuple)`` for the non-unit slots
-    only.  Parametric steps rebind ``diag`` in place, so they always stay on
-    the strided path, which reads ``diag`` at execution time, and keep
-    every slot.
+    only.  The choice reads the values, so a rebindable step makes it at
+    every bind.
     """
     targets, diag = step.targets, step.diag
-    if step.parametric is None and sum(1 for v in diag if v != 1.0) > len(diag) // 2:
-        step.diag_nd = _diag_broadcast(diag, targets, n_qubits)
+    step.diag_idx = step.diag_nd = None
+    if sum(1 for v in diag if v != 1.0) > len(diag) // 2:
+        step.diag_nd = np.ascontiguousarray(
+            _diag_broadcast(diag, targets, n_qubits), dtype=dtype
+        )
         return
     step.diag_idx = tuple(
         (
@@ -1835,7 +1994,7 @@ def _finish_diagonal_step(step: PlanStep, n_qubits: int) -> None:
             ),
         )
         for slot, value in enumerate(diag)
-        if value != 1.0 or step.parametric is not None
+        if value != 1.0
     )
 
 
@@ -1855,7 +2014,7 @@ def _diag_broadcast(
     return out
 
 
-def _controlled_step(name, control, target, payload, n_qubits, parametric=None) -> PlanStep:
+def _controlled_step(name, control, target, payload, n_qubits) -> PlanStep:
     step = PlanStep(KERNEL_CONTROLLED, name, (control, target))
     control_axis = n_qubits - 1 - control
     target_axis = n_qubits - 1 - target
@@ -1865,7 +2024,6 @@ def _controlled_step(name, control, target, payload, n_qubits, parametric=None) 
     step.m01 = complex(payload[0, 1])
     step.m10 = complex(payload[1, 0])
     step.m11 = complex(payload[1, 1])
-    step.parametric = parametric
     return step
 
 
@@ -1903,36 +2061,12 @@ def _target_geometry(
     return perm, pos
 
 
-def _dense_step(name, targets, matrix, n_qubits, perm_cache, parametric=None) -> PlanStep:
+def _dense_step(name, targets, matrix, n_qubits, perm_cache) -> PlanStep:
     targets = tuple(targets)
     step = PlanStep(KERNEL_DENSE, name, targets)
     step.matrix = np.ascontiguousarray(matrix, dtype=complex)
     step.perm, step.inv_perm = _target_geometry(targets, n_qubits, perm_cache)
     step.dim_k = 1 << len(targets)
-    step.parametric = parametric
-    return step
-
-
-def _block_step(name, lo, matrix) -> PlanStep:
-    """Dense ``matrix`` on the contiguous window ``[lo, lo + k)``.
-
-    Local bit ``i`` of ``matrix`` is qubit ``lo + i``, so the window is the
-    middle axis of ``state.reshape(-1, 2^k, 2^lo)`` and the step needs no
-    index tables (see :func:`_window_matmul`).  A window that starts just
-    above qubit 0 would issue ``2^n / 2^(lo+k)`` tiny GEMMs — at ``k = 2,
-    lo = 1`` on 16 qubits 2.2–3.0 ms against ~1.5 ms for the two
-    single-qubit steps it replaces — so a window that fits is widened down
-    to qubit 0 with identities (0.2–0.3 ms for that case).  Widening never
-    passes :data:`BLOCK_WINDOW_MAX_QUBITS` qubits, so every block holds at
-    most a ``2^W x 2^W`` matrix (4 KiB).
-    """
-    k = matrix.shape[0].bit_length() - 1
-    step = PlanStep(KERNEL_BLOCK, name, tuple(range(lo, lo + k)))
-    if 0 < lo and lo + k <= BLOCK_WINDOW_MAX_QUBITS:
-        matrix = _kron(matrix, _identity(1 << lo))
-        lo = 0
-    step.matrix = np.ascontiguousarray(matrix, dtype=complex)
-    step.block = 1 << lo
     return step
 
 
@@ -1969,27 +2103,21 @@ def _permutation_from_matrix(matrix: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(d) for d in np.argmax(real, axis=0))
 
 
-#: Parametric gates with direct trig rebind paths (see PlanStep.rebind).
-_FAST_REBIND = frozenset({"RX", "RY", "RZ", "U3", "CPHASE", "CRZ"})
-
-
-def _classify_parametric(inst: Instruction, n_qubits: int, perm_cache: dict) -> PlanStep:
-    name = inst.name
-    qubits = inst.qubits
-    if name in ("RZ", "CPHASE", "CRZ"):
-        placeholder = (1.0,) * (1 << len(qubits))
-        step = _diagonal_step(name, qubits, placeholder, n_qubits, parametric=inst)
-    elif len(qubits) == 1:
-        step = _single_step(name, qubits[0], np.eye(2), n_qubits, parametric=inst)
-    elif len(qubits) == 2 and name in _CONTROLLED_GATES:
-        step = _controlled_step(name, qubits[0], qubits[1], np.eye(2), n_qubits, parametric=inst)
-    else:
-        step = _dense_step(
-            name, qubits, np.eye(1 << len(qubits)), n_qubits, perm_cache, parametric=inst
-        )
-    if name in _FAST_REBIND:
-        step.rebind_fast = name
-    return step
+def _classify_parametric(inst: Instruction) -> PlanStep:
+    """A symbolic gate no window holds: the step its binding would classify
+    to, with geometry only (a rebind builds the payload)."""
+    if inst.name in _DIAGONAL_GATES:
+        step = PlanStep(KERNEL_DIAGONAL, inst.name, inst.qubits)
+        step.parametric = ((0, inst),)
+        return step
+    if len(inst.qubits) == 1:
+        step = _window_step([inst])
+        step.name = inst.name
+        return step
+    raise ExecutionError(
+        f"symbolic {inst.name} on {len(inst.qubits)} qubits has no rebindable "
+        "kernel; bind the circuit before compiling it"
+    )
 
 
 def _classify(inst: Instruction, n_qubits: int, perm_cache: dict) -> PlanStep | None:
@@ -2008,7 +2136,7 @@ def _classify(inst: Instruction, n_qubits: int, perm_cache: dict) -> PlanStep | 
         )
         return step
     if inst.is_parameterized:
-        return _classify_parametric(inst, n_qubits, perm_cache)
+        return _classify_parametric(inst)
     if name in _TRANSPOSITIONS:
         step = PlanStep(KERNEL_PERMUTATION, name, qubits)
         step.pairs = (

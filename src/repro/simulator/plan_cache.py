@@ -32,6 +32,7 @@ from .execution_plan import (
     ParametricExecutionPlan,
     compile_parametric_plan,
     compile_plan,
+    resolve_fusion,
     resolve_precision,
 )
 
@@ -96,6 +97,7 @@ class PlanCache:
         never changes results, but it is baked into the compiled plan, so
         distinct thresholds must not share an entry; ``precision`` *does*
         change results (complex64 plans hold complex64 payloads).
+        ``fusion_max_qubits`` keys on its meaning (window pass on or off).
         """
         width = max(circuit.n_qubits, 1 if n_qubits is None else int(n_qubits), 1)
         threshold = (
@@ -106,7 +108,7 @@ class PlanCache:
             circuit_content_hash(circuit),
             width,
             bool(optimize),
-            int(fusion_max_qubits),
+            resolve_fusion(fusion_max_qubits),
             threshold,
             precision,
         )

@@ -105,7 +105,7 @@ def random_circuit(rng, n_qubits, length):
     return circuit
 
 
-@pytest.mark.parametrize("fusion_max_qubits", [0, 2, 3])
+@pytest.mark.parametrize("fusion_max_qubits", [0, 2])
 @pytest.mark.parametrize("optimize", [False, True])
 def test_random_circuits_plan_matches_naive(optimize, fusion_max_qubits):
     rng = np.random.default_rng(20260728)

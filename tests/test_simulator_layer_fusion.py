@@ -270,22 +270,26 @@ def test_nothing_to_fuse_leaves_the_steps_in_program_order():
     assert fused.fused_gates == 0
 
 
-def test_parametric_steps_break_layers_and_stay_rebindable():
+def test_symbolic_gates_join_windows_and_rebind():
     from repro.ir.parameter import Parameter
     from repro.simulator.execution_plan import compile_parametric_plan
 
     builder = CircuitBuilder(4)
     builder.ry(0, 0.3).ry(1, Parameter("a")).ry(2, 0.5).ry(3, 0.7)
     parametric = compile_parametric_plan(builder.build(), 4)
-    kernels = [(s.kernel, s.targets) for s in parametric.template_steps]
-    # The symbolic RY never joins: the window takes the concrete RYs around
-    # it (the identity on qubit 1) and the rebindable step follows.
-    assert kernels == [("block", (0, 1, 2, 3)), ("single", (1,))]
-    assert parametric.template_steps[1].parametric is not None
+    # The symbolic RY joins the window like the concrete ones: one block,
+    # whose matrix compile leaves to bind.
+    (step,) = parametric.template_steps
+    assert (step.kernel, step.targets) == ("block", (0, 1, 2, 3))
+    assert [index for index, _ in step.parametric] == [1]
+    assert getattr(step, "matrix", None) is None
     for value in (0.1, 2.2):
         bound = parametric.bind([value])
         expected = oracle_state(builder.build().bind([value]), 4, 0)
         assert np.allclose(bound.execute(bound.new_state()), expected, atol=1e-12)
+        concrete = compile_plan(builder.build().bind([value]), 4)
+        assert np.array_equal(bound.steps[0].matrix, concrete.steps[0].matrix)
+
 
 
 @pytest.mark.parametrize("lo", [0, 3, 9, 10])

@@ -292,3 +292,36 @@ def test_a_bind_rebuilds_only_the_steps_whose_parameters_moved(monkeypatch):
     # trailing RZ on qubit 4 joins, as does t005's RY.  An unchanged
     # binding rebuilds nothing.
     assert counts == [1, 1, 3, 2, 1, 0]
+
+
+def test_threads_binding_one_plan_each_replay_their_own_binding():
+    """Each thread rebinds its own clone of the rebindable steps; the
+    clones share the template's arrays, so a rebind that wrote into one
+    would leak across threads."""
+    import threading
+
+    circuit = parametric_ansatz(8, 2, True)
+    circuit.add(G.CPhase([0, 7], [Parameter("t003")]))
+    parametric = compile_parametric_plan(circuit, 8)
+    names = parametric.parameter_names
+    barrier = threading.Barrier(4)
+    failures = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        bindings = [dict(zip(names, rng.uniform(-np.pi, np.pi, len(names)))) for _ in range(30)]
+        concrete = [compile_plan(circuit.bind(values), 8) for values in bindings]
+        expected = [plan.execute(plan.new_state()) for plan in concrete]
+        barrier.wait()
+        for values, want in zip(bindings, expected):
+            plan = parametric.bind(values)
+            if not np.array_equal(plan.execute(plan.new_state()), want):
+                failures.append(seed)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert failures == []

@@ -341,10 +341,10 @@ class LocalBackend(ExecutionBackend):
                 )
             plan = plan.bind(params)
         if plan.has_reset:
-            with tracer.span("replay", attrs={"mode": "trajectories", "shots": shots}):
-                counts = self._engine.run_trajectories(
-                    width, circuit, shots, seed=seed, plan=plan
-                )
+            # Opens the ``replay`` span (mode "trajectories") itself.
+            counts = self._engine.run_trajectories(
+                width, circuit, shots, seed=seed, plan=plan
+            )
         else:
             # One interpreter-bound dense kernel at a time (module docstring).
             gated = HANDOFF_BAND_START <= (1 << width) < HANDOFF_BAND_STOP

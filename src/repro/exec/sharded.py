@@ -57,6 +57,7 @@ from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .workers import Envelope, circuit_payload, plan_cache_size, worker_plan
 from ..simulator.execution_plan import DEFAULT_PRECISION
 from ..simulator.parallel_engine import (
+    BranchTree,
     merge_counts,
     replay_trajectory_chunk,
     split_shots,
@@ -144,8 +145,8 @@ def _run_bindings(
     in-process paths operation for operation so fixed-seed results reduce
     bit-identically: non-reset circuits replay the plan once and sample
     (:meth:`ParallelSimulationEngine.sample_parallel`'s per-chunk body);
-    reset circuits — or ``trajectories=True`` — run one trajectory per
-    shot with the RNG shared between collapses and sampling
+    reset circuits — or ``trajectories=True`` — walk one branch tree per
+    binding with the RNG shared between collapses and sampling
     (:meth:`run_trajectories`'s chunk body).  Large states chunk-parallelise
     each replay on the worker's own engine — chunked replay is bitwise
     identical to serial.
@@ -190,10 +191,13 @@ def _run_bindings(
         else:
             rng = np.random.default_rng(seed_seq)
             if bound.has_reset or trajectories:
-                with tracer.span("replay", attrs={"mode": "trajectories", "shots": shots}):
-                    value = replay_trajectory_chunk(
-                        bound, shots, rng, measured, width, pool=engine
-                    )
+                tree = BranchTree(bound, measured, width, pool=engine)
+                with tracer.span(
+                    "replay", attrs={"mode": "trajectories", "shots": shots}
+                ) as span:
+                    value = replay_trajectory_chunk(tree, shots, rng)
+                    span.set_attribute("branches", tree.branches)
+                    span.set_attribute("segment_replays", tree.segment_replays)
             else:
                 with tracer.span("replay", attrs={"n_qubits": width}):
                     data = bound.execute(bound.new_state(), pool=engine)
@@ -554,9 +558,9 @@ class ShardedExecutor(ExecutionBackend):
         pays off when shots/trajectories dominate — trajectory workloads,
         high shot counts, small-to-mid states.  For deep circuits at low
         shot counts prefer key affinity, which evolves once on one shard.
-        ``trajectories=True`` forces one-simulation-per-shot replay even
-        without mid-circuit resets (matching the engine's trajectory path
-        RNG-draw for RNG-draw).  Results reduce deterministically: chunks
+        ``trajectories=True`` forces the trajectory path even without
+        mid-circuit resets (matching the engine's trajectory path RNG-draw
+        for RNG-draw; a reset-free plan is one branch).  Results reduce deterministically: chunks
         are merged in shard order and the per-chunk seeds derive from
         ``SeedSequence(seed)`` exactly as the in-process engine derives its
         per-thread streams.

@@ -24,8 +24,9 @@ refactor it is a *thin adapter* over the unified
   shards *one state*; when both are set, ``processes`` wins.
 
 Circuits containing mid-circuit ``RESET`` instructions fall back to
-trajectory simulation (one plan replay per shot), distributed the same way.
-``optimize=False`` skips the IR pass pipeline.  The gate-by-gate reference is
+trajectory simulation (one replay per reset-outcome branch), distributed the
+same way.  ``optimize=False`` skips the IR pass pipeline.  The gate-by-gate
+reference is
 :meth:`~repro.simulator.statevector.StateVector.apply_circuit` plus the
 engine's ``sample_parallel`` / ``run_trajectories``; plans are checked
 against it in the test suite rather than selectable here.

@@ -29,6 +29,7 @@ import time
 from typing import Callable
 
 from ..exceptions import AdmissionRejected
+from ..simulator.parallel_engine import branch_memo_bytes
 
 __all__ = ["AdmissionController", "AdmissionTicket", "estimate_job_bytes"]
 
@@ -42,6 +43,7 @@ def estimate_job_bytes(
     precision: str = "double",
     *,
     method: str = "statevector",
+    resets: int = 0,
 ) -> int:
     """Working-set estimate for one job of ``n_qubits``.
 
@@ -56,6 +58,10 @@ def estimate_job_bytes(
     (``method="stabilizer"``), the working set is the O(n²) binary tableau
     instead — this is what lets a 500-qubit Clifford job through a budget
     that would reject its 2**500-amplitude dense estimate outright.
+
+    A dense job with ``resets`` mid-circuit resets also holds its trajectory
+    branch tree: up to
+    :func:`~repro.simulator.parallel_engine.branch_memo_bytes` more.
     """
     if str(method).strip().lower() == "stabilizer":
         from ..exec.stabilizer import estimate_tableau_bytes
@@ -63,7 +69,8 @@ def estimate_job_bytes(
         return estimate_tableau_bytes(max(0, int(n_qubits)), int(shots))
     itemsize = _AMPLITUDE_ITEMSIZE.get(str(precision), 16)
     amplitudes = 1 << max(0, int(n_qubits))
-    return amplitudes * itemsize * 2 + int(shots) * 8
+    memo = branch_memo_bytes(n_qubits, resets, itemsize)
+    return amplitudes * itemsize * 2 + int(shots) * 8 + memo
 
 
 class AdmissionTicket:

@@ -93,6 +93,11 @@ def _shm_resident_bytes() -> int:
     return shm_health()["resident_bytes"]
 
 
+def _reset_count(circuit) -> int:
+    """Mid-circuit resets in ``circuit`` (what its branch tree may hold)."""
+    return circuit.memoised("resets", lambda: circuit.gate_counts()["RESET"])
+
+
 class QuantumJobService:
     """High-throughput broker dispatching quantum jobs to a worker pool."""
 
@@ -962,7 +967,11 @@ class QuantumJobService:
             target_shots = batch.target_shots
             method = self._method_for(spec)
             requested_bytes = estimate_job_bytes(
-                spec.n_qubits, target_shots, precision=self.precision, method=method
+                spec.n_qubits,
+                target_shots,
+                precision=self.precision,
+                method=method,
+                resets=_reset_count(spec.circuit),
             )
             with tracer.span(
                 "admission",
@@ -1094,7 +1103,11 @@ class QuantumJobService:
                 )
                 method = self._sweep_method(spec, bindings)
                 requested_bytes = estimate_job_bytes(
-                    spec.n_qubits, spec.shots, precision=self.precision, method=method
+                    spec.n_qubits,
+                    spec.shots,
+                    precision=self.precision,
+                    method=method,
+                    resets=_reset_count(spec.circuit),
                 ) * max(1, width)
                 with tracer.span(
                     "admission",

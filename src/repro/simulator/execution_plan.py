@@ -736,12 +736,19 @@ class ExecutionPlan:
     ) -> np.ndarray:
         # Mirrors StateVector.measure + conditional X, operation for operation,
         # so trajectory streams stay bit-identical to the gate-by-gate path.
-        view = cur.reshape(-1, 2, step.block)
-        p1 = float(np.sum(np.abs(view[:, 1, :]) ** 2))
-        outcome = int(rng.random() < p1)
+        p1 = reset_probability(cur, step)
+        return self._collapse(cur, step, int(rng.random() < p1), p1)
+
+    def _collapse(
+        self, cur: np.ndarray, step: PlanStep, outcome: int, p1: float
+    ) -> np.ndarray:
+        """Project reset ``step``'s qubit onto ``outcome`` (drawn against
+        ``p1``), renormalise and return it to |0>, in place — the one
+        definition shared by :meth:`_reset` and the trajectory branch tree."""
         prob = p1 if outcome == 1 else 1.0 - p1
         if prob <= 0.0:
             raise ExecutionError("measurement outcome has zero probability")
+        view = cur.reshape(-1, 2, step.block)
         view[:, 1 - outcome, :] = 0.0
         cur /= np.sqrt(prob)
         if outcome == 1:
@@ -752,11 +759,40 @@ class ExecutionPlan:
                 psi[b] = tmp
         return cur
 
+    def segments(self) -> tuple[tuple["ExecutionPlan", ...], tuple[PlanStep, ...]]:
+        """``(segments, resets)``: the reset-free runs of steps between this
+        plan's resets, each as a plan sharing these step objects, and the
+        reset steps that separate them (``len(segments) == len(resets) + 1``).
+        A plan without a reset is its own single segment."""
+        cuts = [i for i, step in enumerate(self._steps) if step.tag == KERNEL_RESET]
+        if not cuts:
+            return (self,), ()
+        bounds = zip([-1] + cuts, cuts + [len(self._steps)])
+        segments = tuple(
+            ExecutionPlan(
+                self.n_qubits,
+                self._steps[lo + 1 : hi],
+                name=self.name,
+                measured_qubits=self.measured_qubits,
+                chunk_threshold=self.chunk_threshold,
+                requires_binding=self._requires_binding,
+                precision=self.precision,
+            )
+            for lo, hi in bounds
+        )
+        return segments, tuple(self._steps[i] for i in cuts)
+
     def __repr__(self) -> str:
         return (
             f"ExecutionPlan(name={self.name!r}, n_qubits={self.n_qubits}, "
             f"n_steps={self.n_steps})"
         )
+
+
+def reset_probability(cur: np.ndarray, step: PlanStep) -> float:
+    """Probability that reset ``step``'s qubit reads 1 in state ``cur``."""
+    view = cur.reshape(-1, 2, step.block)
+    return float(np.sum(np.abs(view[:, 1, :]) ** 2))
 
 
 class ParametricExecutionPlan:

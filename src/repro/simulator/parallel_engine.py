@@ -21,8 +21,9 @@ Python analogue used by :class:`repro.runtime.qpp_accelerator.QppAccelerator`:
   avoid pool overhead.
 
 Trajectory workloads compile the circuit into one
-:class:`~repro.simulator.execution_plan.ExecutionPlan` and replay it per
-shot — the plan is immutable, so every worker shares it without copying.
+:class:`~repro.simulator.execution_plan.ExecutionPlan` and walk it as a
+:class:`BranchTree` that replays each reset-outcome branch once — the plan
+is immutable, so every worker shares it without copying.
 
 The engine is purely thread-local: each accelerator clone owns its own
 engine, so two kernels running on different user threads never contend on
@@ -34,24 +35,31 @@ The worker pool is created lazily on first use and *reused* across calls;
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, Iterable, Sequence
+import threading
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..cancellation import active_cancel_token
 from ..config import get_config
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
+from ..obs.trace import get_tracer
 from .execution_plan import (
     DEFAULT_CHUNK_THRESHOLD,
     HANDOFF_BAND_STOP,
     ExecutionPlan,
     compile_plan,
+    reset_probability,
 )
-from .sampling import sample_chunks, sample_counts
+from .sampling import OneShotSampler, keyed_bin_counts, sample_chunks
 from .statevector import StateVector
 
 __all__ = [
+    "BRANCH_MEMO_MAX_BYTES",
+    "BranchTree",
     "ParallelSimulationEngine",
+    "branch_memo_bytes",
     "merge_counts",
     "replay_trajectory_chunk",
     "split_shots",
@@ -82,46 +90,171 @@ def merge_counts(histograms: Iterable[dict[str, int]]) -> dict[str, int]:
     return merged
 
 
+#: Bytes of branch states and leaf samplers one trajectory job keeps in its
+#: :class:`BranchTree`; past it a branch is replayed from its nearest
+#: memoised ancestor by every shot that takes it.  Full trees of 512-shot
+#: jobs (RY layer + CX ladder between resets) peak at: 16 q x 3 resets
+#: 4.5 MiB, 16 q x 4 8 MiB, 18 q x 3 20 MiB, 20 q x 2 40 MiB.  At a 16 MiB
+#: bound the 18-q job replayed 76 segments instead of 12 (1.27 s vs 0.22 s)
+#: and the 20-q one 1 025 instead of 7 (64.6 s vs 0.63 s) — no better than
+#: one full replay per shot; 64 MiB holds all four trees (2-core Intel Xeon
+#: @ 2.10 GHz VM, numpy 2.4.6).  :func:`branch_memo_bytes` is what the
+#: broker's admission control reserves for it.
+BRANCH_MEMO_MAX_BYTES = 64 << 20
+
+
+def branch_memo_bytes(n_qubits: int, resets: int, itemsize: int = 16) -> int:
+    """Most bytes a :class:`BranchTree` of a job with ``resets`` resets can
+    hold: every inner state and every leaf sampler (a float64 draw table and
+    an int64 bin index per bin) of its full tree, capped at
+    :data:`BRANCH_MEMO_MAX_BYTES`; 0 without a reset."""
+    if resets <= 0:
+        return 0
+    amplitudes = 1 << max(0, int(n_qubits))
+    leaves = 1 << min(int(resets), 64)
+    full = (leaves - 1) * amplitudes * int(itemsize) + leaves * amplitudes * 16
+    return min(full, BRANCH_MEMO_MAX_BYTES)
+
+
+class _Branch:
+    """One node of a :class:`BranchTree` at ``depth`` resets: the state just
+    before reset ``depth`` and its ``p1`` (an inner node), or the final
+    marginal's sampler (a leaf)."""
+
+    __slots__ = ("depth", "state", "p1", "sampler", "children", "memoised", "nbytes")
+
+    def __init__(self, depth: int, state=None, p1: float = 0.0, sampler=None):
+        self.depth = depth
+        self.state = state
+        self.p1 = p1
+        self.sampler = sampler
+        self.children: list[_Branch | None] = [None, None]
+        self.memoised = False
+        self.nbytes = sampler.nbytes if sampler is not None else state.nbytes
+
+
+class BranchTree:
+    """The reset-outcome branches of one trajectory job, built lazily.
+
+    Between resets a plan is deterministic, so after ``k`` resets the state
+    depends only on the ``k`` outcomes drawn so far.  The tree replays the
+    segment before the first reset once; the first shot to take an outcome
+    at a reset builds that child (copy the parent's state, collapse it,
+    replay the next segment); a leaf keeps its marginal's
+    :class:`~repro.simulator.sampling.OneShotSampler`.  A plan without a
+    reset is one root leaf.  Nodes are memoised while their bytes fit in
+    :data:`BRANCH_MEMO_MAX_BYTES` (an inner node's state is dropped once
+    both its children are); a branch past the bound is replayed from its
+    nearest memoised ancestor — or from |0...0> — by every shot taking it.
+
+    Every chunk of a job shares one tree (building is locked, walking is
+    not).  ``pool`` chunk-parallelises segment replays: pass it only when
+    no chunk runs on that pool's own threads.  ``branches`` counts memoised
+    nodes, ``segment_replays`` every segment the tree replayed.  The ambient
+    cancel token is checked once per shot and once per node build (segment
+    replays check it per step).
+    """
+
+    def __init__(
+        self,
+        plan: ExecutionPlan,
+        measured: Sequence[int],
+        n_qubits: int,
+        pool: "ParallelSimulationEngine | None" = None,
+    ):
+        self._plan = plan
+        self._segments, self._resets = plan.segments()
+        self._measured = tuple(measured)
+        self._n_qubits = n_qubits
+        self._pool = pool
+        self._token = active_cancel_token()
+        self._lock = threading.Lock()
+        self._root: _Branch | None = None
+        #: Histogram key width (every leaf marginalises onto ``measured``).
+        self.width = len(set(self._measured))
+        self.memo_bytes = 0
+        self.branches = 0
+        self.segment_replays = 0
+
+    def sample(self, rng: np.random.Generator) -> int:
+        """One shot: a ``random`` per reset against its cached ``p1``, then
+        the leaf's one-shot draw; returns the drawn marginal bin."""
+        if self._token is not None:
+            self._token.check()
+        node = self._root or self._child(None, 0)
+        for _ in self._resets:
+            outcome = int(rng.random() < node.p1)
+            node = node.children[outcome] or self._child(node, outcome)
+        return node.sampler.draw(rng)
+
+    def _child(self, parent: _Branch | None, outcome: int) -> _Branch:
+        """``parent``'s ``outcome`` child (the root for ``None``), built and
+        memoised if it fits — else a node for this shot alone."""
+        with self._lock:
+            existing = self._root if parent is None else parent.children[outcome]
+            if existing is not None:
+                return existing
+            if self._token is not None:
+                self._token.check()
+            if parent is None:
+                node = self._replay(0, self._plan.new_state())
+            else:
+                # A transient parent is this shot's alone: collapse in place.
+                data = parent.state.copy() if parent.memoised else parent.state
+                reset = self._resets[parent.depth]
+                data = self._plan._collapse(data, reset, outcome, parent.p1)
+                node = self._replay(parent.depth + 1, data)
+            if parent is not None and not parent.memoised:
+                return node
+            if self.memo_bytes + node.nbytes > BRANCH_MEMO_MAX_BYTES:
+                return node
+            node.memoised = True
+            self.memo_bytes += node.nbytes
+            self.branches += 1
+            if parent is None:
+                self._root = node
+            else:
+                parent.children[outcome] = node
+                if parent.children[1 - outcome] is not None:
+                    self.memo_bytes -= parent.nbytes
+                    parent.state = None
+            return node
+
+    def _replay(self, depth: int, data: np.ndarray) -> _Branch:
+        """Replay segment ``depth`` over ``data`` into a new node."""
+        self.segment_replays += 1
+        data = self._segments[depth].execute(data, pool=self._pool)
+        if depth == len(self._resets):
+            sampler = OneShotSampler(np.abs(data) ** 2, self._measured, self._n_qubits)
+            return _Branch(depth, sampler=sampler)
+        return _Branch(depth, data, reset_probability(data, self._resets[depth]))
+
+
 def replay_trajectory_chunk(
-    plan: "ExecutionPlan",
-    shots: int,
-    rng: np.random.Generator,
-    measured: Sequence[int],
-    n_qubits: int,
-    prepare: Callable[[], "StateVector"] | None = None,
-    pool: "ParallelSimulationEngine | None" = None,
+    tree: BranchTree, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
-    """One worker's trajectory chunk: ``shots`` full plan replays on ``rng``.
+    """One worker's trajectory chunk: ``shots`` shots of ``tree``'s job on ``rng``.
 
     RNG-critical and therefore shared verbatim by the engine's thread
-    workers and the process shards (:mod:`repro.exec.sharded`): both paths
-    must consume ``rng`` draw for draw — one reset/sample sequence per
-    trajectory, recycling the previous trajectory's buffer — or the
-    fixed-seed bit-identity between threaded and sharded execution breaks.
-
-    ``pool`` chunk-parallelises each replay across an engine's worker
-    threads (safe because chunked replay is bitwise identical to serial, so
-    RNG consumption never changes).  Only pass a pool when this chunk runs
-    *outside* that pool's own threads — the single-chunk engine path and
-    the sharded workers; nested submission would deadlock.
+    workers and the process shards (:mod:`repro.exec.sharded`).  Each shot
+    consumes ``rng`` draw for draw as a full per-shot replay would: one
+    ``random()`` per reset, compared with that branch's cached ``p1``, then
+    one draw from the leaf's marginal — ``multinomial(1, p)`` over the
+    normalised vector :func:`~repro.simulator.sampling.sample_chunks`
+    builds, or one inverse-CDF ``random`` where
+    :func:`~repro.simulator.sampling._inverse_cdf_wins` holds for one shot
+    (:class:`~repro.simulator.sampling.OneShotSampler`).  Drawn bins count
+    in first-drawn order and are keyed once, so the histogram — key order
+    included — is the per-shot loop's (:mod:`repro.testing.trajectory_oracle`
+    keeps that loop as the reference this is tested against).  Threaded and
+    sharded execution therefore stay bit-identical at a fixed seed.
     """
-    histogram: dict[str, int] = {}
-    data: np.ndarray | None = None
+    counts: dict[int, int] = {}
+    sample = tree.sample
     for _ in range(shots):
-        if prepare is not None:
-            data = prepare().data.copy()
-        elif data is None:
-            data = plan.new_state()
-        else:
-            # Recycle the previous trajectory's buffer instead of
-            # allocating a fresh 2^n array per shot.
-            data.fill(0.0)
-            data[0] = 1.0
-        data = plan.execute(data, rng=rng, pool=pool)
-        sample = sample_counts(np.abs(data) ** 2, 1, measured, n_qubits, rng)
-        for key, value in sample.items():
-            histogram[key] = histogram.get(key, 0) + value
-    return histogram
+        drawn = sample(rng)
+        counts[drawn] = counts.get(drawn, 0) + 1
+    return keyed_bin_counts(counts, tree.width)
 
 
 class ParallelSimulationEngine:
@@ -250,19 +383,20 @@ class ParallelSimulationEngine:
         circuit: CompositeInstruction,
         shots: int,
         seed: int | None = None,
-        prepare: Callable[[], StateVector] | None = None,
         plan: ExecutionPlan | None = None,
         processes: int | None = None,
     ) -> dict[str, int]:
-        """Run ``shots`` independent trajectories (one full simulation each).
+        """Sample ``shots`` trajectories of a circuit with mid-circuit resets.
 
         Used when the circuit contains mid-circuit resets (which make a
         single-state + multinomial sampling approach incorrect).  The
         circuit is compiled once into an execution plan (or use a
-        pre-compiled ``plan``) and replayed per trajectory; trajectory
-        counts are split into one chunk per worker (run on the pool at or
-        above ``HANDOFF_BAND_STOP`` amplitudes, inline below it — the
-        counts are the same either way).
+        pre-compiled ``plan``) and walked as one :class:`BranchTree` per
+        job, each reset-outcome branch replayed once; shots are split into
+        one chunk per worker (run on the pool at or above
+        ``HANDOFF_BAND_STOP`` amplitudes, inline below it — the counts are
+        the same either way).  The ``replay`` span records the tree's
+        ``branches`` and ``segment_replays``.
 
         ``processes=N`` (N > 1) shards the trajectories across the shared
         :class:`~repro.exec.sharded.ShardedExecutor` worker *processes*
@@ -271,11 +405,6 @@ class ParallelSimulationEngine:
         are bit-identical to the in-process run with ``num_threads == N``.
         """
         if processes is not None and processes > 1:
-            if prepare is not None:
-                raise ExecutionError(
-                    "prepare callbacks cannot cross process boundaries; "
-                    "use the in-process (thread) trajectory path"
-                )
             if plan is not None:
                 raise ExecutionError(
                     "pre-compiled plans cannot cross process boundaries; "
@@ -305,28 +434,30 @@ class ParallelSimulationEngine:
             plan = compile_plan(circuit, n_qubits, optimize=False)
         chunks = split_shots(shots, threads)
         seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-
-        if len(chunks) == 1:
-            # Single chunk: it replays on the calling thread, so the engine's
-            # idle pool can chunk-parallelise each large-state replay instead
-            # (bitwise identical, so the RNG stream is unaffected).
-            return replay_trajectory_chunk(
-                plan, chunks[0], np.random.default_rng(seeds[0]), measured,
-                n_qubits, prepare, pool=self,
-            )
-
-        def run_chunk(chunk_and_seed: tuple[int, np.random.SeedSequence]) -> dict[str, int]:
-            chunk, seq = chunk_and_seed
-            return replay_trajectory_chunk(
-                plan, chunk, np.random.default_rng(seq), measured, n_qubits, prepare
-            )
-
         # Below the hand-off band's upper edge the chunks run back to back
         # here: same streams, same chunk function, same merge order — so
-        # identical counts — and no pool is created.
-        inline = (1 << n_qubits) < HANDOFF_BAND_STOP
-        mapper = map if inline else self._executor(len(chunks)).map
-        return merge_counts(mapper(run_chunk, zip(chunks, seeds)))
+        # identical counts — and no pool is created.  A single chunk also
+        # runs here, so the engine's idle pool can chunk-parallelise each
+        # large-state segment replay instead (bitwise identical).
+        single = len(chunks) == 1
+        inline = single or (1 << n_qubits) < HANDOFF_BAND_STOP
+        tree = BranchTree(plan, measured, n_qubits, pool=self if single else None)
+        with get_tracer().span(
+            "replay", attrs={"mode": "trajectories", "shots": shots}
+        ) as span:
+            mapper = map if inline else self._executor(len(chunks)).map
+            counts = merge_counts(
+                mapper(
+                    lambda chunk, seq: replay_trajectory_chunk(
+                        tree, chunk, np.random.default_rng(seq)
+                    ),
+                    chunks,
+                    seeds,
+                )
+            )
+            span.set_attribute("branches", tree.branches)
+            span.set_attribute("segment_replays", tree.segment_replays)
+        return counts
 
     # -- chunk-level parallelism ----------------------------------------------------
     def apply_single_qubit_chunked(

@@ -18,12 +18,14 @@ from ..exceptions import ExecutionError
 from .gate_application import _local_index_map
 
 __all__ = [
+    "OneShotSampler",
     "SAMPLING_STREAM",
     "SUPPORT_FLOOR",
     "sample_counts",
     "counts_from_statevector",
     "format_bitstring",
     "format_packed_keys",
+    "keyed_bin_counts",
     "sample_chunks",
 ]
 
@@ -68,20 +70,20 @@ SUPPORT_FLOOR = 1e-24
 #: =======  ====  ====  ====  ====  ====
 #: bins     1     64    512   1024  4096  shots
 #: =======  ====  ====  ====  ====  ====
-#: 128      1.35  1.45  1.97  2.30  4.45
-#: 256      1.17  1.05  1.39  1.52  2.60
-#: 512      0.87  0.82  1.01  1.28  2.23
-#: 1024     0.66  0.57  0.81  1.04  2.06
-#: 4096     0.26  0.25  0.39  0.51  0.96
-#: 65536    0.13  0.12  0.12  0.15  0.22
-#: 131072   0.10  0.09  0.12  0.12  0.17
+#: 128      1.13  1.50  1.41  2.07  3.95
+#: 256      1.47  1.37  1.36  2.13  2.40
+#: 512      0.74  0.99  1.34  1.42  2.32
+#: 1024     0.96  0.65  0.74  0.88  1.71
+#: 4096     0.26  0.29  0.47  0.52  0.96
+#: 65536    0.17  0.09  0.13  0.15  0.22
+#: 131072   0.12  0.10  0.11  0.10  0.14
 #: =======  ====  ====  ====  ====  ====
 #:
 #: Below 512 bins ``multinomial`` wins at every shot count (a 1-shot
 #: trajectory draw over 256 bins included); from 512 bins inverse CDF wins
 #: wherever shots < bins.  Across all 238 cells the rule's pick is at most
-#: 1.12x slower than the faster draw.  2^17 bins, 512 shots: 0.74 ms vs
-#: 6.3 ms.
+#: 1.16x slower than the faster draw (1.12x in the run before).  2^17 bins,
+#: 512 shots: 0.68 ms vs 6.1 ms.
 INVERSE_CDF_MIN_BINS = 1 << 9
 
 
@@ -131,7 +133,7 @@ def _marginal(
         sums = probabilities  # identity index map: one term per bin, exact
     else:
         # Memoised on (size, qubits) and shared with the diagonal gate kernel
-        # (trajectory sampling hits this once per shot).
+        # (trajectory sampling hits this once per branch).
         reduced = _local_index_map(probabilities.size, qubits)
         sums = np.bincount(reduced, weights=probabilities, minlength=1 << len(qubits))
     # Everything but p <= floor: a NaN bin survives to fail the total check.
@@ -175,14 +177,20 @@ def _keyed(bins: np.ndarray, values: np.ndarray, width: int) -> dict:
     return dict(zip(keys, values.tolist()))
 
 
-def _multinomial_draws(
-    probs: np.ndarray, total: float, draws: Sequence[tuple[int, np.random.Generator]]
-) -> np.ndarray:
-    """Counts per positive bin: one ``multinomial`` per ``(shots, rng)``."""
+def _normalised(probs: np.ndarray, total: float) -> np.ndarray:
+    """The vector every ``multinomial`` draw over a marginal is given."""
     # ``multinomial`` rejects probabilities off by even one ulp: normalise,
     # then let the last bin absorb the residual exactly.
     probs = probs / total
     probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
+    return probs
+
+
+def _multinomial_draws(
+    probs: np.ndarray, total: float, draws: Sequence[tuple[int, np.random.Generator]]
+) -> np.ndarray:
+    """Counts per positive bin: one ``multinomial`` per ``(shots, rng)``."""
+    probs = _normalised(probs, total)
     (shots, rng), *rest = draws
     counts = rng.multinomial(shots, probs)
     for shots, rng in rest:
@@ -204,6 +212,67 @@ def _inverse_cdf_draws(
     return np.unique(np.searchsorted(cdf, uniforms, side="right"), return_counts=True)
 
 
+def _support(
+    probabilities: np.ndarray, measured_qubits: Iterable[int], n_qubits: int
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, float]:
+    """``(qubits, bins, probs, total)``: the sorted measured qubits, their
+    marginal's positive bins with unnormalised sums, and the sums' total."""
+    qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
+    if not qubits:
+        raise ExecutionError("at least one qubit must be measured")
+    bins, probs = _marginal(probabilities, qubits, n_qubits)
+    # Float drift can push |amplitude|^2 a few ulp below 0: those bins are
+    # dropped with the sub-floor ones.
+    total = probs.sum()
+    if total <= 0.0 or not math.isfinite(total):
+        raise ExecutionError(f"probability vector sums to {total}, cannot sample")
+    return qubits, bins, probs, total
+
+
+class OneShotSampler:
+    """A marginal prepared once for many one-shot draws.
+
+    :meth:`draw` consumes ``rng`` exactly as ``sample_counts(probabilities,
+    1, …)`` would and returns the drawn bin: one ``multinomial(1, p)`` over
+    the normalised vector :func:`sample_chunks` builds, or, where
+    :func:`_inverse_cdf_wins` holds for one shot, one ``random`` located in
+    the running sum.
+    """
+
+    __slots__ = ("bins", "table", "inverse", "nbytes")
+
+    def __init__(
+        self, probabilities: np.ndarray, measured_qubits: Iterable[int], n_qubits: int
+    ):
+        qubits, bins, probs, total = _support(probabilities, measured_qubits, n_qubits)
+        # Every bin positive: a drawn index is its bin, so no index table.
+        self.bins = None if bins.size == 1 << len(qubits) else bins
+        self.inverse = _inverse_cdf_wins(1, bins.size)
+        self.table = np.cumsum(probs) if self.inverse else _normalised(probs, total)
+        #: Bytes this sampler keeps (its draw table and bin index).
+        self.nbytes = self.table.nbytes + (0 if self.bins is None else bins.nbytes)
+
+    def draw(self, rng: np.random.Generator) -> int:
+        table = self.table
+        if self.inverse:
+            # ``_inverse_cdf_draws`` for one uniform: sorting it is a no-op.
+            uniform = rng.random(1)
+            uniform *= table[-1]
+            index = int(np.searchsorted(table, uniform, side="right")[0])
+        else:
+            index = int(rng.multinomial(1, table).argmax())
+        return index if self.bins is None else int(self.bins[index])
+
+
+def keyed_bin_counts(counts: dict[int, int], width: int) -> dict[str, int]:
+    """``{bitstring: count}`` for ``{bin: count}``, keys in its order."""
+    return _keyed(
+        np.fromiter(counts, dtype=np.int64, count=len(counts)),
+        np.fromiter(counts.values(), dtype=np.int64, count=len(counts)),
+        width,
+    )
+
+
 def sample_chunks(
     probabilities: np.ndarray,
     chunks: Sequence[int],
@@ -219,15 +288,7 @@ def sample_chunks(
     ``multinomial`` over the marginal; keys are built only for outcomes
     that were drawn.
     """
-    qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
-    if not qubits:
-        raise ExecutionError("at least one qubit must be measured")
-    bins, probs = _marginal(probabilities, qubits, n_qubits)
-    # Float drift can push |amplitude|^2 a few ulp below 0: those bins are
-    # dropped with the sub-floor ones.
-    total = probs.sum()
-    if total <= 0.0 or not math.isfinite(total):
-        raise ExecutionError(f"probability vector sums to {total}, cannot sample")
+    qubits, bins, probs, total = _support(probabilities, measured_qubits, n_qubits)
     inverse, multinomial = [], []
     for draw in zip(chunks, rngs):
         (inverse if _inverse_cdf_wins(draw[0], bins.size) else multinomial).append(draw)

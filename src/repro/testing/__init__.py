@@ -10,6 +10,7 @@ from .faults import (
     installed_faults,
 )
 from .sampling_oracle import reference_marginal_probabilities, reference_sample_counts
+from .trajectory_oracle import reference_trajectory_chunk, reference_trajectory_counts
 
 __all__ = [
     "FaultSpec",
@@ -20,4 +21,6 @@ __all__ = [
     "installed_faults",
     "reference_marginal_probabilities",
     "reference_sample_counts",
+    "reference_trajectory_chunk",
+    "reference_trajectory_counts",
 ]

@@ -154,13 +154,6 @@ class TestDeterministicEquivalence:
         assert sharded == threaded
         engine.close()
 
-    def test_trajectory_process_mode_rejects_prepare(self):
-        engine = ParallelSimulationEngine(num_threads=1)
-        with pytest.raises(ExecutionError, match="prepare"):
-            engine.run_trajectories(
-                2, bell_circuit(2), 8, seed=0, prepare=lambda: None, processes=2
-            )
-
     def test_trajectory_process_mode_rejects_precompiled_plan(self):
         # Plans cannot cross process boundaries; silently recompiling could
         # change the kernel sequence (and RNG draws) vs the caller's plan.

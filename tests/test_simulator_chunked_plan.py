@@ -167,11 +167,11 @@ class TestChunkedBitwiseIdentity:
         # trajectory path through a low-threshold plan + single-chunk engine.
         plan = compile_plan(circuit, 4, optimize=False, chunk_threshold=2)
         with ParallelSimulationEngine(num_threads=3) as eng:
-            from repro.simulator.parallel_engine import replay_trajectory_chunk
+            from repro.simulator.parallel_engine import BranchTree, replay_trajectory_chunk
 
             rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
-            measured = circuit.measured_qubits()
-            chunked = replay_trajectory_chunk(plan, 64, rng, measured, 4, pool=eng)
+            tree = BranchTree(plan, circuit.measured_qubits(), 4, pool=eng)
+            chunked = replay_trajectory_chunk(tree, 64, rng)
         assert serial == chunked
 
 

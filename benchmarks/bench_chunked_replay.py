@@ -109,6 +109,20 @@ def qft_behind_ry_circuit(n_qubits: int):
     return builder.build()
 
 
+def deep_circuit(n_qubits: int, layers: int):
+    """RY layers + CX ladder + CPHASE ladder: hits the single, permutation
+    and diagonal kernels (the CPHASE runs also exercise batching)."""
+    builder = CircuitBuilder(n_qubits, name=f"deep_{n_qubits}q")
+    for layer in range(layers):
+        for qubit in range(n_qubits):
+            builder.ry(qubit, 0.1 + 0.2 * layer + 0.05 * qubit)
+        for qubit in range(n_qubits - 1):
+            builder.cx(qubit, qubit + 1)
+        for qubit in range(n_qubits - 1):
+            builder.cphase(qubit, qubit + 1, 0.3 + 0.02 * qubit)
+    return builder.build()
+
+
 def _median_of(rounds: int, fn) -> float:
     samples = []
     for _ in range(rounds):

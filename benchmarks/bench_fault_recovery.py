@@ -39,7 +39,7 @@ from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.testing import FaultSpec, clear_faults, install_faults
 from repro.testing import faults as faults_module
 
-from bench_shm_replay import deep_circuit
+from bench_chunked_replay import deep_circuit
 
 #: Replay latency with disarmed hooks vs hooks compiled out entirely.
 OVERHEAD_LIMIT = 1.05

@@ -43,7 +43,7 @@ from repro.obs import (
 )
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 
-from bench_shm_replay import deep_circuit
+from bench_chunked_replay import deep_circuit
 
 #: Enabled-observability overhead ceiling vs the disabled baseline.
 OVERHEAD_LIMIT = 1.05

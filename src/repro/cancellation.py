@@ -5,7 +5,7 @@ decide whether to keep going: the broker creates one per job (carrying the
 job's absolute deadline), installs it as the *ambient* token around the
 batch execution, and every layer below — plan compilation, the serial and
 chunk-parallel replay loops, the sharded workers (the deadline ships with
-the chunk), the shm ack loop — calls :meth:`CancelToken.check` at its
+the chunk) — calls :meth:`CancelToken.check` at its
 natural boundaries.  A tripped token raises a typed error
 (:class:`~repro.exceptions.JobCancelled` or
 :class:`~repro.exceptions.DeadlineExceeded`), never kills a worker, and
@@ -17,7 +17,7 @@ a thread-local slot read once per replay, so the disabled path costs one
 attribute load and a ``None`` check — nothing on the per-step hot path.
 
 Deadlines are **wall-clock** (``time.time``) because they cross process
-boundaries: a shard or shm worker on the same host compares against the
+boundaries: a shard worker on the same host compares against the
 same clock the broker stamped.
 """
 

@@ -127,7 +127,7 @@ class NoiseModelError(ExecutionError):
 # callers can distinguish *why* a job failed — the distinction drives retry
 # decisions, circuit-breaker accounting and client-side backoff.  They keep
 # single-string constructor signatures so instances survive pickling across
-# the process boundary (shard and shm workers raise them too).
+# the process boundary (shard workers raise them too).
 
 
 class JobCancelled(ExecutionError):

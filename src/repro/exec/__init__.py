@@ -14,15 +14,10 @@ One protocol (:class:`ExecutionBackend`) behind every execution path:
 * :class:`StabilizerBackend` — CHP-style tableau execution for Clifford
   circuits: O(n²) per measurement instead of O(2^n) amplitudes, the lane
   the cost model routes Clifford-only jobs to automatically.
-* :class:`SharedStatePool` — not a backend but the shared-memory
-  :class:`~repro.simulator.execution_plan.ChunkPool`: worker processes
-  cooperating on one large state through shared amplitude buffers, the
-  lane :class:`LocalBackend` takes for ≥20-qubit replays when configured.
 
-Both process lanes run the worker library in :mod:`repro.exec.workers`:
-one circuit payload, one worker plan cache and one job envelope, under
-each lane's own process supervisor.  The backends return
-:class:`ExecutionResult`.
+The process lane runs the worker library in :mod:`repro.exec.workers`:
+one circuit payload, one worker plan cache and one job envelope.  The
+backends return :class:`ExecutionResult`.
 """
 
 from .backend import DensityBackend, ExecutionBackend, LocalBackend
@@ -35,7 +30,6 @@ from .retry import (
     is_retryable,
 )
 from .sharded import ShardedExecutor, get_sharded_executor, shutdown_sharded_executors
-from .shm import SharedStatePool, get_shared_state_pool, shutdown_shared_state_pools
 from .stabilizer import StabilizerBackend, StabilizerTableau, estimate_tableau_bytes
 
 __all__ = [
@@ -52,9 +46,6 @@ __all__ = [
     "is_retryable",
     "is_infrastructure_failure",
     "ShardedExecutor",
-    "SharedStatePool",
     "get_sharded_executor",
-    "get_shared_state_pool",
     "shutdown_sharded_executors",
-    "shutdown_shared_state_pools",
 ]

@@ -237,9 +237,8 @@ class LocalBackend(ExecutionBackend):
     ``LocalBackend.execute``.  Fixed-seed results are the reference the
     sharded backend must reproduce bit for bit.  Every replay takes one
     fixed lane (:meth:`_replay_pool`): serial below the plan's chunk
-    threshold, else the ``shm_pool``'s shared-memory worker processes when
-    one is set, else the engine's threads — all bitwise identical, so the
-    reference property holds on every lane.
+    threshold, the engine's threads at or above it — bitwise identical, so
+    the reference property holds on both.
     """
 
     backend_name = "local"
@@ -248,16 +247,10 @@ class LocalBackend(ExecutionBackend):
         self,
         engine: ParallelSimulationEngine | None = None,
         plan_cache: PlanCache | None = None,
-        shm_pool=None,
     ):
         self._engine = engine if engine is not None else ParallelSimulationEngine()
         self._owns_engine = engine is None
         self._plan_cache = plan_cache
-        #: Optional :class:`~repro.exec.shm.SharedStatePool`: super-threshold
-        #: plan replays run across its worker *processes* (the large-state
-        #: lane) instead of the engine's threads.  Not owned — shared pools
-        #: outlive any one backend, so ``close()`` leaves it running.
-        self.shm_pool = shm_pool
 
     @property
     def engine(self) -> ParallelSimulationEngine:
@@ -271,15 +264,11 @@ class LocalBackend(ExecutionBackend):
 
         A state below the plan's ``chunk_threshold`` — the measured
         crossover under which splitting a replay across workers loses to
-        the serial sweep — replays serially; above it the shm pool takes
-        the replay when one is configured and can hold the plan, the
-        engine's threads otherwise.  Every lane is bit-identical.
+        the serial sweep — replays serially, a state at or above it on the
+        engine's threads.  Both lanes are bit-identical.
         """
         if (1 << plan.n_qubits) < plan.chunk_threshold:
             return None
-        shm = self.shm_pool
-        if shm is not None and shm.can_replay(plan):
-            return shm
         return self._engine
 
     # -- protocol -----------------------------------------------------------------

@@ -4,7 +4,7 @@ A :class:`RetryPolicy` is an explicit object the caller owns: how many
 attempts, how long to back off between them (exponential with
 deterministic jitter), and *which* failures are worth retrying at all.
 The sharded executor runs under :data:`DEFAULT_RETRY_POLICY` unless given
-another; the shm pool retries only under a policy it is handed.
+another.
 
 Classification is the load-bearing part.  Infrastructure failures (a
 worker process SIGKILLed, a broken pool, an OS-level pipe error, memory
@@ -168,5 +168,5 @@ class RetryPolicy:
 #: sharded executor's policy unless it is given another).
 DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.5)
 
-#: Never retry: fail fast and typed (the shm pool's behaviour without a policy).
+#: Never retry: fail fast and typed.
 NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0)

@@ -1,11 +1,9 @@
-"""The worker half both process lanes share.
+"""The worker half of the process lane.
 
-:class:`~repro.exec.sharded.ShardedExecutor` (one ``ProcessPoolExecutor``
-per shard, independent tasks) and :class:`~repro.exec.shm.SharedStatePool`
-(a barrier gang evolving one state in lockstep) keep their own process
-supervisors — the stdlib pool's queuing and ``BrokenProcessPool`` suit the
-first, pipes and a step barrier the second.  What runs *inside* their
-workers, and what crosses the process boundary with a job, is this module:
+:class:`~repro.exec.sharded.ShardedExecutor` supervises its worker
+processes (one ``ProcessPoolExecutor`` per shard, independent tasks).
+What runs *inside* those workers, and what crosses the process boundary
+with a job, is this module:
 
 * :func:`circuit_payload` — a circuit ships as *(canonical JSON, content
   hash)*, each computed once per circuit object;
@@ -131,7 +129,7 @@ class Envelope:
         The deadline becomes the ambient cancel token, so replay loops abandon
         an expired job at their next step boundary.  When observed, ``body``
         runs inside a ``span_name`` span parented to the caller's context with
-        a fresh profiler installed (tracing alone needs its barrier timings),
+        a fresh profiler installed,
         and ``obs_payload`` carries every span finished here plus the profile
         when one was asked for.  Otherwise ``obs_payload`` is ``None``.
         """

@@ -4,14 +4,14 @@ Three pillars, all off by default:
 
 * :mod:`repro.obs.trace` — structured spans with parent/child links whose
   context propagates across dispatcher threads *and* process boundaries
-  (sharded workers, shm replay workers), so one broker job yields a single
-  stitched tree: queue-wait → cache lookup → compile → shard dispatch →
-  per-step replay → barrier wait → result reconcile.
+  (sharded workers), so one broker job yields a single stitched tree:
+  queue-wait → cache lookup → compile → shard dispatch → replay → result
+  reconcile.
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms (p50/p95/p99)
   backing the broker's :class:`~repro.service.metrics.MetricsSnapshot`.
 * :mod:`repro.obs.profiler` — opt-in per-kernel replay profiler attributing
-  plan-replay time to each kernel class and to shm barrier wait; the
-  measured constants the calibration roadmap item needs.
+  plan-replay time to each kernel class; the measured constants the
+  calibration roadmap item needs.
 
 :mod:`repro.obs.export` renders any of it as Prometheus text exposition,
 plain JSON, or Chrome trace-event JSON (loadable in Perfetto).

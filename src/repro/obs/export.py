@@ -63,12 +63,6 @@ _COUNTER_FIELDS = (
     ("executed_shots", "executed_shots_total", "shots actually simulated"),
     ("served_shots", "served_shots_total", "shots delivered to clients"),
     ("shard_respawns", "shard_respawns_total", "shard workers respawned after dying"),
-    ("shm_respawns", "shm_respawns_total", "shm worker sets respawned after a death"),
-    (
-        "shm_barrier_aborts",
-        "shm_barrier_aborts_total",
-        "shm step barriers aborted during recovery",
-    ),
     (
         "breaker_fallbacks",
         "breaker_fallbacks_total",
@@ -100,17 +94,6 @@ _GAUGE_FIELDS = (
     ("queue_depth", "queue_depth", "client jobs awaiting dispatch"),
     ("active_workers", "active_workers", "dispatcher threads alive"),
     ("process_shards", "process_shards", "process shards serving executions"),
-    ("shm_workers", "shm_workers", "live shared-memory replay workers"),
-    (
-        "shm_resident_bytes",
-        "shm_resident_bytes",
-        "bytes resident in shared-memory amplitude segments",
-    ),
-    (
-        "shm_resident_states",
-        "shm_resident_states",
-        "resident shm state slots (one per open pool)",
-    ),
     ("uptime_seconds", "uptime_seconds", "seconds since the service started"),
     (
         "admission_inflight_bytes",
@@ -132,7 +115,6 @@ _GAUGE_FIELDS = (
 #: (snapshot state attribute, snapshot trips attribute, lane label)
 _BREAKER_FIELDS = (
     ("breaker_state", "breaker_trips", "sharded"),
-    ("shm_breaker_state", "shm_breaker_trips", "shm"),
 )
 
 #: Breaker states as an enum gauge (healthy → degraded order).
@@ -275,10 +257,6 @@ def to_prometheus(
         for kernel in sorted(profile.kernels):
             timing = profile.kernels[kernel]
             lines.append(f'{calls}{{kernel="{kernel}"}} {timing.calls}')
-        barrier = f"{namespace}_replay_barrier_wait_seconds_total"
-        lines.append(f"# HELP {barrier} shm step-barrier wait during profiled replays")
-        lines.append(f"# TYPE {barrier} counter")
-        lines.append(f"{barrier} {_fmt(profile.barrier_wait_seconds)}")
 
     return "\n".join(lines) + "\n"
 
@@ -349,8 +327,6 @@ def to_json(
                 name: {"calls": t.calls, "seconds": t.seconds}
                 for name, t in profile.kernels.items()
             },
-            "barrier_waits": profile.barrier_waits,
-            "barrier_wait_seconds": profile.barrier_wait_seconds,
         }
     return json.dumps(doc, indent=indent, sort_keys=True)
 

@@ -1,17 +1,12 @@
 """Opt-in per-kernel replay profiler.
 
 Attributes plan-replay wall time to each kernel class
-(single/controlled/diagonal/permutation/gather/dense/…) and to shm barrier
-wait.  The hooks live in :meth:`ExecutionPlan.execute` and the shm step
-loop; both check :func:`active_profiler` once per replay and run their
-original tight loop untouched when it returns ``None``, so the disabled
-cost is a single module-global read.
-
-Kernel seconds are *cumulative worker-seconds* (like CPU time): a serial
-replay's kernels sum to the replay's wall time, while an N-worker shm
-replay contributes each worker's share, so the sum approaches N× wall.
-That is exactly the quantity the cost-model calibration needs — per-kernel
-work, not elapsed time.
+(single/controlled/diagonal/permutation/gather/dense/…).  The hooks live in
+:meth:`ExecutionPlan.execute`, which checks :func:`active_profiler` once per
+replay and runs its original tight loop untouched when it returns ``None``,
+so the disabled cost is a single module-global read.  A chunked step is
+timed once, around all of its chunks, so a replay's kernels sum to its
+wall time on either lane.
 
 Worker processes never share the parent's profiler object; they build a
 local :class:`ReplayProfiler`, serialise it with :meth:`ReplayProfiler.to_wire`,
@@ -54,8 +49,6 @@ class ProfileSnapshot:
     """Immutable view of a :class:`ReplayProfiler`."""
 
     kernels: Mapping[str, KernelTiming]
-    barrier_waits: int
-    barrier_wait_seconds: float
 
     @property
     def total_kernel_seconds(self) -> float:
@@ -74,24 +67,16 @@ class ProfileSnapshot:
                 f"{name:<14} {timing.calls:>8} "
                 f"{timing.seconds * 1e3:>10.3f}ms {timing.mean_seconds * 1e6:>10.2f}µs"
             )
-        if self.barrier_waits:
-            lines.append(
-                f"{'barrier-wait':<14} {self.barrier_waits:>8} "
-                f"{self.barrier_wait_seconds * 1e3:>10.3f}ms "
-                f"{self.barrier_wait_seconds / self.barrier_waits * 1e6:>10.2f}µs"
-            )
         return "\n".join(lines)
 
 
 class ReplayProfiler:
     """Thread-safe accumulator of per-kernel replay time."""
 
-    __slots__ = ("_kernels", "_barrier_waits", "_barrier_seconds", "_lock")
+    __slots__ = ("_kernels", "_lock")
 
     def __init__(self) -> None:
         self._kernels: dict[str, list[float]] = {}
-        self._barrier_waits = 0
-        self._barrier_seconds = 0.0
         self._lock = threading.Lock()
 
     def record_kernel(self, name: str, seconds: float) -> None:
@@ -103,18 +88,12 @@ class ReplayProfiler:
                 slot[0] += 1
                 slot[1] += float(seconds)
 
-    def record_barrier(self, seconds: float, waits: int = 1) -> None:
-        with self._lock:
-            self._barrier_waits += int(waits)
-            self._barrier_seconds += float(seconds)
-
     # -- cross-process plumbing -------------------------------------------
     def to_wire(self) -> dict[str, Any]:
         """Plain-dict form safe to pickle back with a worker's result."""
         with self._lock:
             return {
                 "kernels": {k: list(v) for k, v in self._kernels.items()},
-                "barrier": [self._barrier_waits, self._barrier_seconds],
             }
 
     def merge_wire(self, payload: Mapping[str, Any] | None) -> None:
@@ -122,7 +101,6 @@ class ReplayProfiler:
         if not payload:
             return
         kernels = payload.get("kernels") or {}
-        barrier = payload.get("barrier") or (0, 0.0)
         with self._lock:
             for name, (calls, seconds) in kernels.items():
                 slot = self._kernels.get(name)
@@ -131,8 +109,6 @@ class ReplayProfiler:
                 else:
                     slot[0] += int(calls)
                     slot[1] += float(seconds)
-            self._barrier_waits += int(barrier[0])
-            self._barrier_seconds += float(barrier[1])
 
     def merge(self, other: "ReplayProfiler") -> None:
         self.merge_wire(other.to_wire())
@@ -144,17 +120,11 @@ class ReplayProfiler:
                 name: KernelTiming(calls=int(calls), seconds=float(seconds))
                 for name, (calls, seconds) in self._kernels.items()
             }
-        return ProfileSnapshot(
-            kernels=MappingProxyType(kernels),
-            barrier_waits=self._barrier_waits,
-            barrier_wait_seconds=self._barrier_seconds,
-        )
+        return ProfileSnapshot(kernels=MappingProxyType(kernels))
 
     def reset(self) -> None:
         with self._lock:
             self._kernels.clear()
-            self._barrier_waits = 0
-            self._barrier_seconds = 0.0
 
 
 _active: ReplayProfiler | None = None

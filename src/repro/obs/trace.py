@@ -9,7 +9,7 @@ constraints come from the execution stack this instruments:
   current context lives in a :class:`contextvars.ContextVar` and the broker
   *explicitly* activates the root context on the executing thread
   (:meth:`Tracer.activate`) instead of relying on implicit inheritance.
-* **Process boundaries.**  Sharded and shm workers are separate processes;
+* **Process boundaries.**  Sharded workers are separate processes;
   a :class:`TraceContext` serialises to a plain dict (:meth:`TraceContext.to_wire`)
   that ships inside the job payload, the worker records spans against that
   remote parent, and the finished spans travel back with the result as

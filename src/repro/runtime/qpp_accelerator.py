@@ -15,13 +15,6 @@ refactor it is a *thin adapter* over the unified
   replaying from its own plan cache — the path that scales past the GIL.
   Fixed-seed counts are bit-identical to the in-process path with
   ``threads == N``.
-* setting the ``shm-processes`` option to ``N > 1`` keeps execution local
-  but replays each *single large state* (at or above the plan's chunk
-  threshold) across the ``N`` worker processes of a shared
-  :class:`~repro.exec.shm.SharedStatePool` — shared-memory amplitude
-  buffers, a barrier per kernel step, bitwise identical to serial replay.
-  This is the ≥20-qubit lane: ``processes`` shards *shots*, ``shm-processes``
-  shards *one state*; when both are set, ``processes`` wins.
 
 Circuits containing mid-circuit ``RESET`` instructions fall back to
 trajectory simulation (one replay per reset-outcome branch), distributed the
@@ -85,32 +78,18 @@ class QppAccelerator(Accelerator, Cloneable):
         value = self._option_int("processes", default=0) or 0
         return value if value > 1 else 0
 
-    @property
-    def num_shm_processes(self) -> int:
-        """Shared-memory replay workers via ``shm-processes`` (0 = off)."""
-        value = self._option_int("shm-processes", default=0) or 0
-        return value if value > 1 else 0
-
     def execution_backend(self) -> ExecutionBackend:
         """The :class:`ExecutionBackend` this clone currently dispatches to.
 
-        Sharded executors and shared-memory pools are process-wide
-        singletons shared by every clone asking for the same worker count,
-        so a broker's worker threads all feed one set of warm worker
-        processes.
+        Sharded executors are process-wide singletons shared by every clone
+        asking for the same worker count, so a broker's worker threads all
+        feed one set of warm worker processes.
         """
         processes = self.num_processes
         if processes:
             from ..exec.sharded import get_sharded_executor
 
             return get_sharded_executor(processes)
-        shm = self.num_shm_processes
-        if shm:
-            from ..exec.shm import get_shared_state_pool
-
-            self._local_backend.shm_pool = get_shared_state_pool(shm)
-        else:
-            self._local_backend.shm_pool = None
         return self._local_backend
 
     # -- execution ------------------------------------------------------------------

@@ -6,7 +6,7 @@ A 28-qubit statevector is 4 GiB; two replayed concurrently ping-pong into
 accounted resource: before a batch executes, the broker asks for a ticket
 sized to the job's working set, and the controller grants it only when the
 total — in-flight tickets plus everything already resident (compiled
-plans, cached histograms, shared-memory segments) — fits the budget.
+plans, cached histograms) — fits the budget.
 
 Jobs that do not fit *right now* wait on a condition variable for running
 tickets to release (queueing, not failing); jobs that can *never* fit —
@@ -15,8 +15,7 @@ the request alone exceeds the whole budget — are rejected immediately with
 exceeds ``max_wait`` or whose deadline would expire while queued.
 
 The resident terms are read from the structures themselves: compiled
-plans and the shm pool's segments are walked
-(``ExecutionPlan.memory_bytes``, segment sizes — cheap at admission
+plans are walked (``ExecutionPlan.memory_bytes`` — cheap at admission
 frequency), while ``ResultCache.memory_bytes`` is a total the cache moves
 with every entry it adds or drops, because walking its histograms held the
 lock every cache hit needs (a test checks it against the walk).
@@ -115,7 +114,7 @@ class AdmissionController:
 
     ``resident_sources`` are zero-argument callables returning currently
     resident bytes outside the controller's own tickets (plan cache,
-    result cache, shm segments); they are polled at admission time.  A
+    result cache); they are polled at admission time.  A
     ``budget_bytes`` of ``None`` disables accounting entirely — ``admit``
     returns a shared no-op ticket and never blocks.
     """

@@ -1,7 +1,7 @@
 """Lane circuit breakers: stop sending traffic into a failing execution lane.
 
 A :class:`CircuitBreaker` guards one execution lane (the sharded process
-pool, the shared-memory pool).  While the lane is healthy the breaker is
+pool).  While the lane is healthy the breaker is
 *closed* and traffic flows.  After ``failure_threshold`` consecutive
 infrastructure failures the breaker *opens*: callers get ``allow() ==
 False`` and route the work to a degraded-but-correct fallback (the

@@ -86,13 +86,6 @@ def _plan_cache_bytes() -> int:
     return get_plan_cache().memory_bytes()
 
 
-def _shm_resident_bytes() -> int:
-    """Bytes resident in this process's shm amplitude segments (admission term)."""
-    from ..exec.shm import shm_health
-
-    return shm_health()["resident_bytes"]
-
-
 def _reset_count(circuit) -> int:
     """Mid-circuit resets in ``circuit`` (what its branch tree may hold)."""
     return circuit.memoised("resets", lambda: circuit.gate_counts()["RESET"])
@@ -178,11 +171,6 @@ class QuantumJobService:
                     f"process sharding replays compiled plans and requires the "
                     f"'qpp' backend, got {self.backend!r}"
                 )
-            if int(self.backend_options.get("shm-processes", 0) or 0) > 1:
-                raise ExecutionError(
-                    "the shm-processes lane replays one state in this process; "
-                    "it cannot be combined with process sharding (processes > 1)"
-                )
             from ..exec.sharded import ShardedExecutor
 
             self._sharded = ShardedExecutor(
@@ -204,15 +192,12 @@ class QuantumJobService:
         )
         #: Memory-budget admission control (None budget = accounting off).
         #: Resident terms are read from the live structures — compiled
-        #: plans, shm amplitude segments, the result cache's own byte
-        #: total — not from counters kept here.
+        #: plans, the result cache's own byte total — not from counters
+        #: kept here.
         self._admission = AdmissionController(
             memory_budget_bytes,
             max_wait=admission_wait_seconds,
-            resident_sources=(
-                _plan_cache_bytes,
-                _shm_resident_bytes,
-            ),
+            resident_sources=(_plan_cache_bytes,),
         )
         if self._cache is not None:
             self._admission.add_resident_source(self._cache.memory_bytes)
@@ -225,29 +210,6 @@ class QuantumJobService:
             failure_threshold=breaker_failure_threshold,
             cooldown_seconds=breaker_cooldown_seconds,
         )
-        #: Circuit breaker over the in-process shared-memory replay lane.
-        #: Wired into the (process-wide) pool when this broker runs the shm
-        #: lane in-process: worker deaths and segment-allocation failures
-        #: trip it, and large-state replays degrade to the fallback
-        #: engine's thread-pool sweep — identical amplitudes, no worker
-        #: processes — until a half-open probe proves the pool healthy.
-        self._shm_breaker = CircuitBreaker(
-            name=f"{name}-shm",
-            failure_threshold=breaker_failure_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
-        )
-        self._shm_fallback_engine = None
-        self._shm_pool = None
-        shm_workers = int(self.backend_options.get("shm-processes", 0) or 0)
-        if self._sharded is None and shm_workers > 1:
-            from ..exec.shm import get_shared_state_pool
-            from ..simulator.parallel_engine import ParallelSimulationEngine
-
-            pool = get_shared_state_pool(shm_workers)
-            self._shm_fallback_engine = ParallelSimulationEngine()
-            pool.breaker = self._shm_breaker
-            pool.fallback = self._shm_fallback_engine
-            self._shm_pool = pool
         #: Precision tier every execution this broker dispatches runs at
         #: ("double" = complex128, "single" = complex64).  Semantic: it is
         #: part of the job key, so cached and freshly executed histograms
@@ -323,18 +285,6 @@ class QuantumJobService:
         finally:
             if self._sharded is not None:
                 self._sharded.close(wait=wait)
-            if self._shm_pool is not None:
-                # Detach this broker's breaker/fallback wiring from the
-                # process-wide pool so a later owner starts from a clean
-                # policy, then release the fallback engine's threads.
-                if self._shm_pool.breaker is self._shm_breaker:
-                    self._shm_pool.breaker = None
-                if self._shm_pool.fallback is self._shm_fallback_engine:
-                    self._shm_pool.fallback = None
-                self._shm_pool = None
-            if self._shm_fallback_engine is not None:
-                self._shm_fallback_engine.close()
-                self._shm_fallback_engine = None
 
     def __enter__(self) -> "QuantumJobService":
         return self.start()
@@ -1440,13 +1390,8 @@ class QuantumJobService:
     # -- introspection ----------------------------------------------------------------
     def metrics(self) -> MetricsSnapshot:
         """Consistent snapshot of throughput, queue, cache and latency stats."""
-        from ..exec.shm import shm_health
         from ..simulator.plan_cache import get_plan_cache
 
-        # Aggregated over this process's open shm pools (the in-process
-        # LocalBackend lane).  Shard-hosted pools live inside shard worker
-        # processes and report through their own process, not here.
-        shm = shm_health()
         admission = self._admission.snapshot()
         return self._metrics.snapshot(
             queue_depth=self._queue.depth(),
@@ -1468,15 +1413,8 @@ class QuantumJobService:
                 if self._sharded is not None
                 else ()
             ),
-            shm_workers=shm["workers"],
-            shm_respawns=shm["respawns"],
-            shm_barrier_aborts=shm["barrier_aborts"],
-            shm_resident_bytes=shm["resident_bytes"],
-            shm_resident_states=shm["resident_states"],
             breaker_state=self._breaker.state,
             breaker_trips=self._breaker.trips,
-            shm_breaker_state=self._shm_breaker.state,
-            shm_breaker_trips=self._shm_breaker.trips,
             admission_budget_bytes=admission["budget_bytes"],
             admission_inflight_bytes=admission["inflight_bytes"],
             admission_inflight_tickets=admission["inflight_tickets"],
@@ -1494,11 +1432,6 @@ class QuantumJobService:
     def breaker(self) -> CircuitBreaker:
         """The circuit breaker guarding the process-shard lane."""
         return self._breaker
-
-    @property
-    def shm_breaker(self) -> CircuitBreaker:
-        """The circuit breaker guarding the in-process shm replay lane."""
-        return self._shm_breaker
 
     @property
     def admission(self) -> AdmissionController:

@@ -51,10 +51,8 @@ __all__ = [
 #: not, which is the identity the cache serves.  ``processes``
 #: selects the process-sharded execution backend; its reductions are
 #: deterministic, so it is a routing knob, not part of the result identity.
-#: ``chunk-threshold`` gates chunk-parallel plan replay and
-#: ``shm-processes`` moves that replay onto shared-memory worker processes
-#: (both bitwise identical to serial replay).  All of them stay out of the
-#: job identity.
+#: ``chunk-threshold`` gates chunk-parallel plan replay (bitwise identical
+#: to serial replay).  All of them stay out of the job identity.
 #:
 #: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
 #: ``admission-wait-seconds``, ``breaker-failure-threshold``,
@@ -88,7 +86,6 @@ _NON_SEMANTIC_OPTIONS = frozenset(
         "threads",
         "latency-seconds",
         "processes",
-        "shm-processes",
         "chunk-threshold",
         "deadline-seconds",
         "memory-budget-bytes",
@@ -156,8 +153,8 @@ def job_key(
 # order — produce different result tables, so the bindings (values and
 # order, after canonicalisation) hash into the sweep key.  What is
 # deliberately NOT in the key is everything about *how* the fan-out runs:
-# the fan-out width, the binding-range chunking, which lane (threads / shm
-# / shards) evaluates each range, and that lane's worker count are all
+# the fan-out width, the binding-range chunking, which lane (threads /
+# shards) evaluates each range, and that lane's worker count are all
 # routing decisions — every lane is bit-identical per binding at a
 # given precision — so a sweep keeps one identity whether it runs on one
 # worker or thirty-two.  Shots stay out for the same reconciliation reason

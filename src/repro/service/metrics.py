@@ -141,28 +141,11 @@ class MetricsSnapshot:
     #: In-flight work per shard at snapshot time (empty without sharding;
     #: a persistently deep entry is a hot key-affinity shard).
     shard_queue_depths: tuple[int, ...] = ()
-    #: Live shared-memory replay workers across this process's open pools
-    #: (0 when the shm lane is unused; shard-hosted pools live in worker
-    #: processes and are reported by their own process, not here).
-    shm_workers: int = 0
-    #: shm worker sets rebuilt after a worker death (health).
-    shm_respawns: int = 0
-    #: shm step barriers aborted while recovering from a worker death.
-    shm_barrier_aborts: int = 0
-    #: Bytes resident in shared-memory amplitude segments (state + scratch).
-    shm_resident_bytes: int = 0
-    #: Resident shm state slots: one per open pool in this process.
-    shm_resident_states: int = 0
     #: Shard-lane circuit-breaker state at snapshot time
     #: ("closed" / "open" / "half-open"; "closed" without sharding).
     breaker_state: str = "closed"
     #: Times the shard-lane breaker has tripped open since start (health).
     breaker_trips: int = 0
-    #: In-process shm-lane circuit-breaker state at snapshot time
-    #: ("closed" / "open" / "half-open"; "closed" when the lane is unused).
-    shm_breaker_state: str = "closed"
-    #: Times the shm-lane breaker has tripped open since start (health).
-    shm_breaker_trips: int = 0
     #: Admission memory budget (``None`` = accounting disabled).
     admission_budget_bytes: int | None = None
     #: Bytes reserved by in-flight admission tickets at snapshot time.
@@ -170,7 +153,7 @@ class MetricsSnapshot:
     #: Tickets currently granted and not yet released.
     admission_inflight_tickets: int = 0
     #: Bytes the admission controller measured resident outside tickets
-    #: (compiled plans, cached histograms, shm segments) at snapshot time.
+    #: (compiled plans, cached histograms) at snapshot time.
     admission_resident_bytes: int = 0
     #: Tickets granted since start.
     admission_admitted: int = 0
@@ -255,15 +238,8 @@ class ServiceMetrics:
         process_shards: int = 0,
         shard_respawns: int = 0,
         shard_queue_depths: tuple[int, ...] = (),
-        shm_workers: int = 0,
-        shm_respawns: int = 0,
-        shm_barrier_aborts: int = 0,
-        shm_resident_bytes: int = 0,
-        shm_resident_states: int = 0,
         breaker_state: str = "closed",
         breaker_trips: int = 0,
-        shm_breaker_state: str = "closed",
-        shm_breaker_trips: int = 0,
         admission_budget_bytes: int | None = None,
         admission_inflight_bytes: int = 0,
         admission_inflight_tickets: int = 0,
@@ -290,15 +266,8 @@ class ServiceMetrics:
             process_shards=process_shards,
             shard_respawns=shard_respawns,
             shard_queue_depths=tuple(shard_queue_depths),
-            shm_workers=shm_workers,
-            shm_respawns=shm_respawns,
-            shm_barrier_aborts=shm_barrier_aborts,
-            shm_resident_bytes=shm_resident_bytes,
-            shm_resident_states=shm_resident_states,
             breaker_state=breaker_state,
             breaker_trips=breaker_trips,
-            shm_breaker_state=shm_breaker_state,
-            shm_breaker_trips=shm_breaker_trips,
             admission_budget_bytes=admission_budget_bytes,
             admission_inflight_bytes=admission_inflight_bytes,
             admission_inflight_tickets=admission_inflight_tickets,

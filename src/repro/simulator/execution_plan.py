@@ -47,15 +47,12 @@ amortises gate application with fused OpenMP kernels:
   of at least ``chunk_threshold`` amplitudes (default
   :data:`DEFAULT_CHUNK_THRESHOLD`, held where layer-fused plans put the
   crossover; see its comment), every kernel splits into
-  contiguous/disjoint sub-views dispatched on a :class:`ChunkPool` — the
-  thread-pool :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
+  contiguous/disjoint sub-views dispatched on the thread pool of a
+  :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
   (NumPy releases the GIL inside the vectorised inner loops, so chunks
-  genuinely overlap) or the shared-memory process pool
-  :class:`~repro.exec.shm.SharedStatePool` (each worker process maps the
-  same amplitude buffers and replays its sub-views with a barrier per
-  step).  Because every chunk performs exactly the per-amplitude
-  arithmetic of the serial kernel, chunked replay is **bitwise
-  identical** to serial replay on either pool.
+  genuinely overlap).  Because every chunk performs exactly the
+  per-amplitude arithmetic of the serial kernel, chunked replay is
+  **bitwise identical** to serial replay.
 
 Plans are immutable after compilation (parametric binding mutates only
 per-thread step copies), so one plan can be shared by every trajectory
@@ -69,7 +66,7 @@ import math
 import threading
 import time
 from collections import Counter
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,7 +79,6 @@ from ..ir.instruction import Instruction
 from ..ir.transforms import default_pass_manager
 
 __all__ = [
-    "ChunkPool",
     "ExecutionPlan",
     "ParametricExecutionPlan",
     "PlanStep",
@@ -101,30 +97,6 @@ __all__ = [
     "PRECISION_DTYPES",
 ]
 
-
-@runtime_checkable
-class ChunkPool(Protocol):
-    """Anything :meth:`ExecutionPlan.execute` accepts as ``pool=``.
-
-    A chunk pool owns a set of workers (threads or processes) and knows how
-    to replay a compiled plan across them.  :meth:`replay_plan` returns the
-    resulting amplitude array, or ``None`` when the pool cannot improve on
-    serial replay for this plan (too few workers, unsupported kernels) —
-    the caller then falls back to the serial sweep.  Implementations must
-    keep chunked replay bitwise identical to serial replay; the thread
-    engine and the shared-memory process pool are interchangeable behind
-    this protocol.
-    """
-
-    def effective_threads(self) -> int:
-        """Worker count the pool would split a replay across."""
-        ...  # pragma: no cover - protocol
-
-    def replay_plan(
-        self, plan: "ExecutionPlan", data: np.ndarray, rng=None
-    ) -> np.ndarray | None:
-        """Chunk-replay ``plan`` over ``data``; ``None`` = use serial."""
-        ...  # pragma: no cover - protocol
 
 #: Kernel tags (ints for tight dispatch; names for introspection).
 KERNEL_SINGLE = 0  #: in-place 2x2 update on one qubit
@@ -149,9 +121,8 @@ KERNEL_NAMES = {
 
 #: Kernels that write their result into the spare buffer instead of updating
 #: the state in place.  The one definition of "this step swaps the ping-pong
-#: buffers": :attr:`PlanStep.swaps` is derived from it, and the serial loop,
-#: the chunk specs and every shared-memory worker read that attribute, so a
-#: new out-of-place kernel cannot desynchronise a worker's bookkeeping.
+#: buffers": :attr:`PlanStep.swaps` is derived from it, and both the serial
+#: loop and the chunk specs read that attribute.
 _SWAPPING_KERNELS = frozenset({KERNEL_GATHER, KERNEL_DENSE, KERNEL_BLOCK})
 
 #: Default ``fusion_max_qubits``: 0 is the gate-for-gate plan, any other
@@ -168,9 +139,7 @@ DEFAULT_FUSION_MAX_QUBITS = 2
 #: ``BENCH_chunked_replay.json`` (2-core Intel Xeon VM, 2 workers;
 #: ``bench_chunked_replay.py`` re-takes it on any host) puts it at 2^20
 #: (serial / thread-chunked 1.67 / 1.93 at 21 q), and an earlier run on
-#: the same host the same day at 2^22 (0.95 / 0.84 at 21 q).  The value
-#: moves with the lane verdict of ROADMAP 3(a): its shm / threads / serial
-#: sweep at 20–22 q decides it.
+#: the same host the same day at 2^22 (0.95 / 0.84 at 21 q).
 DEFAULT_CHUNK_THRESHOLD = 1 << 21
 
 #: The *hand-off band*, in amplitudes, half-open: the state sizes at which a
@@ -446,13 +415,8 @@ class ExecutionPlan:
         #: Memoised chunk programs keyed by worker count (built on first
         #: chunked execute; benign if two threads race to build one).
         self._chunk_programs: dict[int, tuple] = {}
-        #: Provenance for cross-process replay (see :meth:`replay_descriptor`):
-        #: the circuit the plan was lowered from, the compile options that
-        #: produced it, and — for plans bound from a parametric template —
-        #: the parameter values of the current binding.  Set by the
-        #: compilers/binders; plans built directly from steps have none.
-        self.source_circuit: CompositeInstruction | None = None
-        self.compile_options: dict[str, object] = {}
+        #: For a plan bound from a parametric template, the parameter values
+        #: of the current binding (``bind`` reads it to find what moved).
         self.bound_params: dict[str, float] | None = None
 
     # -- introspection -------------------------------------------------------
@@ -492,27 +456,6 @@ class ExecutionPlan:
                     total += value.nbytes
         return total
 
-    def replay_descriptor(
-        self,
-    ) -> tuple[CompositeInstruction, dict[str, object], dict[str, float] | None] | None:
-        """``(circuit, compile_options, params)`` recompiling this plan
-        elsewhere, or ``None`` when the plan cannot be shipped.
-
-        Plans never cross process boundaries (thread-local scratch, numpy
-        views); the shared-memory pool instead ships the *source circuit*
-        by canonical JSON + content hash and lets each worker compile an
-        identical plan into its own cache.  That requires the provenance
-        recorded at compile time — and, for a plan bound from a parametric
-        template, the values of the current binding.
-        """
-        circuit = self.source_circuit
-        if circuit is None:
-            return None
-        if self._parametric_steps and self.bound_params is None:
-            return None
-        params = dict(self.bound_params) if self.bound_params is not None else None
-        return circuit, dict(self.compile_options), params
-
     # -- execution -----------------------------------------------------------
     def new_state(self) -> np.ndarray:
         """A fresh |0...0> amplitude array in the plan's width and dtype."""
@@ -540,13 +483,12 @@ class ExecutionPlan:
         it may become this thread's spare buffer, which the next same-size
         ``execute`` of *any* plan on the thread overwrites.
 
-        ``pool`` is a :class:`ChunkPool` — the thread-pool
+        ``pool`` is a
         :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`
-        or the shared-memory :class:`~repro.exec.shm.SharedStatePool`
-        (legacy duck-typed pools exposing only ``effective_threads()`` +
-        ``chunk_pool(workers)`` keep working).  When given — and the state
-        holds at least :attr:`chunk_threshold` amplitudes — each kernel is
-        split into disjoint sub-views executed on the pool's workers.
+        (anything with ``effective_threads()`` and ``chunk_pool(workers)``).
+        When given — and the state holds at least :attr:`chunk_threshold`
+        amplitudes — each kernel is split into disjoint sub-views executed
+        on the pool's threads.
         Chunks perform exactly the serial kernel's per-amplitude
         arithmetic, so the chunked result is bitwise identical to the
         serial one.  Never pass a pool from *inside* one of its own worker
@@ -566,15 +508,9 @@ class ExecutionPlan:
         if data.dtype != self.dtype or not data.flags.c_contiguous:
             data = np.ascontiguousarray(data, dtype=self.dtype)
         if pool is not None and self._dim >= self.chunk_threshold:
-            replay = getattr(pool, "replay_plan", None)
-            if replay is not None:
-                result = replay(self, data, rng=rng)
-                if result is not None:
-                    return result
-            else:
-                workers = int(pool.effective_threads())
-                if workers > 1:
-                    return self._execute_chunked(data, rng, pool, workers)
+            workers = int(pool.effective_threads())
+            if workers > 1:
+                return self._execute_chunked(data, rng, pool, workers)
         cur = data
         spare = self._scratch()
         shape = self._shape
@@ -615,10 +551,7 @@ class ExecutionPlan:
         one); chunk specs hold only geometry and read the step's matrices /
         diagonals at run time, so rebinding a window keeps them valid (a
         rebound diagonal may change geometry: ``bind`` drops the memo).  A
-        ``None`` entry means that step runs serially.  The decomposition is
-        deterministic in ``(plan, workers)``, which is what lets every
-        shared-memory worker process rebuild the identical program from its
-        own compiled copy of the plan.
+        ``None`` entry means that step runs serially.
         """
         program = self._chunk_programs.get(workers)
         if program is None:
@@ -897,10 +830,6 @@ class ParametricExecutionPlan:
                 requires_binding=True,
                 precision=template.precision,
             )
-            # Provenance carries over so a bound plan can still be shipped
-            # (recompiled + rebound) by the shared-memory process pool.
-            plan.source_circuit = template.source_circuit
-            plan.compile_options = dict(template.compile_options)
             self._tls.plan = plan
         return plan
 
@@ -926,7 +855,7 @@ class ParametricExecutionPlan:
             if not _same_value(value, previous.get(name))
         }
         # Unbound until every step has rebound: a rebind that raises leaves
-        # a plan that refuses to execute or ship, not a half-bound one.
+        # a plan that refuses to execute, not a half-bound one.
         plan._requires_binding = True
         plan.bound_params = None
         for step in plan._parametric_steps:
@@ -1107,13 +1036,9 @@ def _merge_index(
 class _ChunkSpec:
     """Base chunk spec: a task list plus one per-task kernel application.
 
-    The uniform ``tasks`` / ``apply`` surface is what lets two
-    very different drivers share the arithmetic: the thread path maps
-    ``apply`` over the whole task list on an executor, while each
-    shared-memory worker process applies only its slice
-    (``tasks[index::workers]``) of the same deterministic decomposition,
-    with a barrier per step.  Whether the step's output landed in the
-    scratch buffer is the step's own :attr:`PlanStep.swaps`.
+    ``run`` maps ``apply`` over the task list on the pool and joins it.
+    Whether the step's output landed in the scratch buffer is the step's
+    own :attr:`PlanStep.swaps`.
     """
 
     __slots__ = ("step", "tasks")
@@ -1283,10 +1208,7 @@ class _ChunkDense(_ChunkSpec):
     product itself runs as the *exact* serial call — BLAS picks different
     (differently-rounded) microkernels per operand shape, so slicing its
     columns differently per lane would forfeit the bitwise-identity
-    guarantee.  The three phases are exposed individually (``gather_part`` /
-    ``matmul`` / ``scatter_part``) because the shared-memory driver needs a
-    barrier between each: all workers gather, one worker multiplies, all
-    workers scatter.
+    guarantee.
     """
 
     __slots__ = ()
@@ -1295,23 +1217,19 @@ class _ChunkDense(_ChunkSpec):
         self.step = step
         self.tasks = _split_ranges(dim, workers)
 
-    def gather_part(self, task, cur, spare):
-        lo, hi = task
-        np.take(cur, self.step.perm[lo:hi], out=spare[lo:hi])
-
-    def matmul(self, cur, spare):
-        step = self.step
-        _window_matmul(step.matrix, spare, cur, cur.size // step.dim_k)
-
-    def scatter_part(self, task, cur, spare):
-        lo, hi = task
-        np.take(cur, self.step.inv_perm[lo:hi], out=spare[lo:hi])
-
     def run(self, pool_map, cur, spare, shape):
-        pool_map(lambda span: self.gather_part(span, cur, spare), self.tasks)
-        self.matmul(cur, spare)
-        pool_map(lambda span: self.scatter_part(span, cur, spare), self.tasks)
-        return (spare, cur) if self.step.swaps else (cur, spare)
+        step = self.step
+
+        def gather(span):
+            np.take(cur, step.perm[span[0]:span[1]], out=spare[span[0]:span[1]])
+
+        def scatter(span):
+            np.take(cur, step.inv_perm[span[0]:span[1]], out=spare[span[0]:span[1]])
+
+        pool_map(gather, self.tasks)
+        _window_matmul(step.matrix, spare, cur, cur.size // step.dim_k)
+        pool_map(scatter, self.tasks)
+        return (spare, cur) if step.swaps else (cur, spare)
 
 
 class _ChunkBlock(_ChunkSpec):
@@ -1549,17 +1467,6 @@ def _compile(
         requires_binding=requires_binding,
         precision=precision,
     )
-    # Recorded so the shared-memory pool can ship the *source* circuit by
-    # content hash and have every worker compile a bitwise-identical plan
-    # with the same options (see ExecutionPlan.replay_descriptor).
-    plan.source_circuit = circuit
-    plan.compile_options = {
-        "optimize": bool(optimize),
-        "fusion_max_qubits": fusion_max_qubits,
-        "batch_diagonals": bool(batch_diagonals),
-        "chunk_threshold": chunk_threshold,
-        "precision": precision,
-    }
     return plan
 
 

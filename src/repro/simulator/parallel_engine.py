@@ -294,27 +294,11 @@ class ParallelSimulationEngine:
     def chunk_pool(self, workers: int) -> concurrent.futures.ThreadPoolExecutor:
         """The executor chunk-parallel plan replay dispatches on.
 
-        This is the engine's reusable pool (grown to ``workers``); it is
-        the ``pool=`` duck-type :meth:`ExecutionPlan.execute` expects
-        together with :meth:`effective_threads`.
+        This is the engine's reusable pool (grown to ``workers``); with
+        :meth:`effective_threads` it is all :meth:`ExecutionPlan.execute`
+        reads of a ``pool=``.
         """
         return self._executor(workers)
-
-    def replay_plan(
-        self, plan: ExecutionPlan, data: np.ndarray, rng=None
-    ) -> np.ndarray | None:
-        """Chunk-replay ``plan`` over ``data`` on the worker threads.
-
-        The engine's :class:`~repro.simulator.execution_plan.ChunkPool`
-        implementation: every kernel splits into disjoint sub-views mapped
-        over the thread pool, bitwise identical to serial replay.  Returns
-        ``None`` when a single worker could not beat the serial sweep —
-        the caller then replays serially.
-        """
-        workers = int(self.effective_threads())
-        if workers <= 1:
-            return None
-        return plan._execute_chunked(data, rng, self, workers)
 
     def close(self, wait: bool = True) -> None:
         """Tear the worker pool down (the engine stays usable: the next

@@ -35,7 +35,7 @@ __all__ = [
 #: under.  Three tiers of agreement hold:
 #:
 #: * **bit-exact** — every lane replaying one plan (serial, chunked threads,
-#:   shared-memory workers, process shards, sweep rows) evolves the same
+#:   process shards, sweep rows) evolves the same
 #:   amplitudes bit for bit;
 #: * **fixed-seed-stable** — one plan, one seed and one shot-chunk split
 #:   give the same counts on every lane: chunk ``i`` draws only from its

@@ -178,11 +178,9 @@ class StateVector:
         """Evolve by a compiled :class:`~repro.simulator.execution_plan.ExecutionPlan`.
 
         ``rng`` is only needed for plans containing mid-circuit resets.
-        ``pool`` (any :class:`~repro.simulator.execution_plan.ChunkPool` —
-        the thread engine or the shared-memory
-        :class:`~repro.exec.shm.SharedStatePool`) chunk-parallelises the
-        replay for states at or above the plan's ``chunk_threshold`` —
-        bitwise identical to the serial replay.
+        ``pool`` (a :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`)
+        chunk-parallelises the replay for states at or above the plan's
+        ``chunk_threshold`` — bitwise identical to the serial replay.
         """
         if plan.n_qubits != self.n_qubits:
             raise ExecutionError(

@@ -1,7 +1,7 @@
 """Deterministic fault injection at named sites in the execution stack.
 
 The recovery paths built in this package — retry budgets, circuit
-breakers, shm barrier recovery, admission control — are only trustworthy
+breakers, worker respawn, admission control — are only trustworthy
 if they are *exercised*, not merely written.  This module lets a test
 plant faults at named sites and have production code trip over them
 deterministically:
@@ -13,14 +13,13 @@ deterministically:
 * ``fail``  — raise an exception of the configured ``kind`` (simulates a
   compile failure, an allocation failure, a flaky OS error...).
 
-Sites are plain strings (``"sharded.worker.replay"``, ``"shm.alloc"``,
-``"plan.compile"``...) wired into production code as ``faults.fire(site)``
-calls.  The disabled fast path is a module-global ``None`` check — one
-load and one compare — so leaving the hooks in shipping code is free (the
-fault-recovery benchmark enforces < 5% overhead for the armed-but-no-match
-case too).
+Sites are plain strings (``"sharded.worker.replay"``, ``"plan.compile"``...)
+wired into production code as ``faults.fire(site)`` calls.  The disabled
+fast path is a module-global ``None`` check — one load and one compare — so
+leaving the hooks in shipping code is free (the fault-recovery benchmark
+enforces < 5% overhead for the armed-but-no-match case too).
 
-Cross-process propagation: shard and shm workers are separate processes,
+Cross-process propagation: shard workers are separate processes,
 so ``install_faults`` also mirrors the plan into ``REPRO_FAULTS`` in this
 process's environment; workers spawned *after* installation inherit it and
 load the plan lazily on their first ``fire``.  Workers already running are

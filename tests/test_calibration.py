@@ -240,22 +240,10 @@ class TestHarness:
         assert kernels == {kind}
 
 
-class _StubPool:
-    """Stands in for a configured shm pool; counts what routing asks it."""
-
-    def __init__(self, replays: bool = True):
-        self.replays = replays
-        self.asked = 0
-
-    def can_replay(self, plan) -> bool:
-        self.asked += 1
-        return self.replays
-
-
 class TestLaneSelection:
     """No calibrated model picks the lane any more: one fixed rule on the
-    plan's measured ``chunk_threshold`` routes every replay (serial below it;
-    above it the shm pool when it can take the plan, the engine otherwise)."""
+    plan's measured ``chunk_threshold`` routes every replay (serial below it,
+    the engine's threads at or above it)."""
 
     def _plan(self, n=8, steps=6, chunk_threshold=None):
         from repro.ir.builder import CircuitBuilder
@@ -274,19 +262,8 @@ class TestLaneSelection:
         # the engine has.
         for threads in (1, 4):
             with ParallelSimulationEngine(num_threads=threads) as engine:
-                backend = LocalBackend(engine=engine, shm_pool=_StubPool())
+                backend = LocalBackend(engine=engine)
                 assert backend._replay_pool(self._plan()) is None
-
-    def test_lane_costs_only_lists_viable_lanes(self):
-        plan = self._plan(n=4, chunk_threshold=2)
-        refusing = _StubPool(replays=False)
-        backend = LocalBackend(shm_pool=refusing)
-        try:
-            # A pool that cannot hold the plan is not a lane for it.
-            assert backend._replay_pool(plan) is backend.engine
-            assert refusing.asked == 1
-        finally:
-            backend.close()
 
     def test_threads_win_on_large_states(self):
         plan = self._plan(n=21, steps=2)
@@ -298,24 +275,14 @@ class TestLaneSelection:
         finally:
             backend.close()
 
-    def test_barrier_cost_keeps_shm_off_small_states(self):
-        pool = _StubPool()
-        backend = LocalBackend(shm_pool=pool)
-        try:
-            assert backend._replay_pool(self._plan(n=20, steps=2)) is None
-            assert pool.asked == 0  # the pool is not even consulted
-            assert backend._replay_pool(self._plan(n=21, steps=2)) is pool
-        finally:
-            backend.close()
-
     def test_choice_is_deterministic(self):
         plan = self._plan(n=10, steps=12, chunk_threshold=256)
-        backend = LocalBackend(shm_pool=_StubPool())
+        backend = LocalBackend()
         try:
             choices = {id(backend._replay_pool(plan)) for _ in range(20)}
         finally:
             backend.close()
-        assert choices == {id(backend.shm_pool)}
+        assert choices == {id(backend.engine)}
 
 
 class TestFingerprint:

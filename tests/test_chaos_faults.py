@@ -1,8 +1,8 @@
 """Chaos matrix: every injected fault × every lane.
 
 Each case plants a fault at a named site and drives a job through one of
-the three lanes (in-process local, process-sharded, shared-memory pool).
-The contract under test is the ISSUE's: every job either completes
+the lanes (in-process local, process-sharded, density, stabilizer).
+The contract under test: every job either completes
 **bit-identically** to the clean run or fails **cleanly with a typed
 error** — no hangs, no leaked ``/dev/shm`` segments, no orphan worker
 processes.
@@ -13,7 +13,6 @@ import multiprocessing
 import os
 import time
 
-import numpy as np
 import pytest
 
 from repro.cancellation import CancelToken, cancel_scope
@@ -21,19 +20,21 @@ from repro.exceptions import (
     CompilationError,
     DeadlineExceeded,
     RetryExhausted,
-    WorkerCrashed,
 )
-from repro.exec import LocalBackend, NO_RETRY, RetryPolicy, ShardedExecutor
-from repro.exec.shm import SEGMENT_PREFIX, SharedStatePool
+from repro.exec import LocalBackend, NO_RETRY, ShardedExecutor
 from repro.ir.builder import CircuitBuilder
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.service import QuantumJobService
-from repro.simulator.execution_plan import compile_plan
 from repro.testing import FaultSpec, clear_faults, install_faults
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="POSIX shared memory required"
 )
+
+
+#: The name prefix this package's shared-memory segments once carried; none
+#: may appear, whatever the lane.
+SEGMENT_PREFIX = "repro-shm"
 
 
 def live_segments():
@@ -74,18 +75,6 @@ def chaos_circuit(tag: str, n_qubits: int = 3):
     builder.rz(0, 0.001 + (hash(tag) % 9973) / 9973.0)
     builder.measure_all()
     return builder.build()
-
-
-def chaos_plan(tag: str):
-    """A chunked plan for the shared-memory lane (7 qubits, 4 chunks),
-    gate for gate so its steps stay the ones the matrix was written for."""
-    builder = CircuitBuilder(7, name=f"chaosplan_{tag}")
-    for q in range(7):
-        builder.h(q)
-    builder.rz(0, 0.001 + (hash(tag) % 9973) / 9973.0)
-    for q in range(6):
-        builder.cx(q, q + 1)
-    return compile_plan(builder.build(), 7, chunk_threshold=2, fusion_max_qubits=0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,64 +186,6 @@ SHARDED_CASES = [
     ),
 ]
 
-SHM_CASES = [
-    pytest.param(
-        "kill1",
-        [
-            FaultSpec(
-                site="shm.worker.replay",
-                action="kill",
-                times=1,
-                scope="global",
-            )
-        ],
-        RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.1),
-        "ok",
-        id="shm-kill-once-retries",
-    ),
-    pytest.param(
-        "killN",
-        [
-            FaultSpec(
-                site="shm.worker.replay",
-                action="kill",
-                times=None,
-                scope="global",
-            )
-        ],
-        None,
-        WorkerCrashed,
-        id="shm-kill-no-policy-crashes-typed",
-    ),
-    pytest.param(
-        "compile",
-        [
-            FaultSpec(
-                site="shm.worker.compile",
-                action="fail",
-                kind="compile",
-                times=None,
-                scope="global",
-            )
-        ],
-        None,
-        WorkerCrashed,
-        id="shm-compile-fail",
-    ),
-    pytest.param(
-        "alloc",
-        [
-            FaultSpec(
-                site="shm.alloc", action="fail", kind="memory", times=None
-            )
-        ],
-        None,
-        "ok",
-        id="shm-alloc-degrades-to-serial",
-    ),
-]
-
-
 # ---------------------------------------------------------------------------
 # Local lane
 # ---------------------------------------------------------------------------
@@ -346,113 +277,6 @@ class TestShardedLane:
                     executor.execute(circuit, 128, seed=11)
         finally:
             executor.close()
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory lane
-# ---------------------------------------------------------------------------
-
-
-class TestShmLane:
-    @pytest.mark.parametrize("tag, specs, policy, expect", SHM_CASES)
-    def test_shm_fault(self, tag, specs, policy, expect):
-        plan = chaos_plan(tag)
-        expected = plan.execute(plan.new_state())  # serial ground truth
-        install_faults(specs)
-        pool = SharedStatePool(
-            2, name=f"chaos-shm-{tag}", retry_policy=policy
-        )
-        try:
-            if expect == "ok":
-                final = plan.execute(plan.new_state(), pool=pool)
-                assert np.array_equal(final, expected)
-            else:
-                with pytest.raises(expect):
-                    plan.execute(plan.new_state(), pool=pool)
-                clear_faults()
-                # Respawned workers serve the next replay bit-identically.
-                final = plan.execute(plan.new_state(), pool=pool)
-                assert np.array_equal(final, expected)
-        finally:
-            pool.close()
-
-    def test_shm_kill_once_respawned_exactly_once(self):
-        plan = chaos_plan("kill_count")
-        expected = plan.execute(plan.new_state())
-        install_faults(
-            [
-                FaultSpec(
-                    site="shm.worker.replay",
-                    action="kill",
-                    times=1,
-                    scope="global",
-                )
-            ]
-        )
-        pool = SharedStatePool(
-            2,
-            name="chaos-shm-killcount",
-            retry_policy=RetryPolicy(
-                max_attempts=2, base_delay=0.01, max_delay=0.1
-            ),
-        )
-        try:
-            final = plan.execute(plan.new_state(), pool=pool)
-            assert np.array_equal(final, expected)
-            assert pool.respawns == 1
-        finally:
-            pool.close()
-
-    def test_shm_slow_step_hits_deadline_without_respawn(self):
-        # Cooperative abort through the control segment: the deadline trips
-        # at a step boundary, workers acknowledge and stay alive — no
-        # respawn, and the pool serves the next replay immediately.
-        plan = chaos_plan("slowstep")
-        expected = plan.execute(plan.new_state())
-        install_faults(
-            [
-                FaultSpec(
-                    site="shm.worker.step",
-                    action="slow",
-                    seconds=0.05,
-                    times=None,
-                )
-            ]
-        )
-        pool = SharedStatePool(2, name="chaos-shm-slow")
-        try:
-            with pytest.raises(DeadlineExceeded):
-                with cancel_scope(CancelToken(timeout=0.2)):
-                    plan.execute(plan.new_state(), pool=pool)
-            assert pool.respawns == 0
-            clear_faults()
-            final = plan.execute(plan.new_state(), pool=pool)
-            assert np.array_equal(final, expected)
-        finally:
-            pool.close()
-
-    def test_shm_alloc_degrade_leaves_breaker_trail(self):
-        from repro.service import CircuitBreaker
-
-        plan = chaos_plan("alloctrail")
-        expected = plan.execute(plan.new_state())
-        install_faults(
-            [
-                FaultSpec(
-                    site="shm.alloc", action="fail", kind="memory", times=None
-                )
-            ]
-        )
-        breaker = CircuitBreaker(
-            name="chaos-alloc", failure_threshold=1, cooldown_seconds=60.0
-        )
-        pool = SharedStatePool(2, name="chaos-shm-alloctrail", breaker=breaker)
-        try:
-            final = plan.execute(plan.new_state(), pool=pool)
-            assert np.array_equal(final, expected)  # degraded, still correct
-            assert breaker.state == "open"
-        finally:
-            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ canonical in-process seam, :class:`DensityBackend` behind the noisy
 accelerator, the accelerator adapters, and the plan-aware cost model.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -146,58 +144,26 @@ class TestLocalBackend:
         with LocalBackend() as backend:
             assert backend.execute(bell_circuit(2), 8, seed=0).total_counts() == 8
 
-    @pytest.mark.parametrize("with_shm", [False, True], ids=["no-shm", "shm"])
     @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
-    def test_one_lane_rule(self, above, with_shm):
-        """Below the plan's chunk threshold: serial; above it: the shm pool
-        when one is configured, the engine's threads otherwise — and the
-        replay span names the lane that ran."""
-        from repro.exec import SharedStatePool
+    def test_one_lane_rule(self, above):
+        """Below the plan's chunk threshold: serial; at or above it: the
+        engine's threads — and the replay span names the lane that ran."""
         from repro.obs import enable_tracing
 
-        if with_shm and not os.path.isdir("/dev/shm"):
-            pytest.skip("POSIX shared memory required")
         circuit = ghz_circuit(4)
         threshold = 2 if above else 1 << 5
         engine = ParallelSimulationEngine(num_threads=2)
-        pool = SharedStatePool(2, name="lane-rule", fallback=engine) if with_shm else None
         tracer = enable_tracing()
         try:
-            backend = LocalBackend(engine=engine, shm_pool=pool)
+            backend = LocalBackend(engine=engine)
             plan = backend.compile(circuit, chunk_threshold=threshold)
-            expected = None if not above else (pool if with_shm else engine)
+            expected = engine if above else None
             assert backend._replay_pool(plan) is expected
             backend.execute(circuit, 64, seed=3, chunk_threshold=threshold)
         finally:
-            if pool is not None:
-                pool.close()
             engine.close()
         lanes = [s.attributes["lane"] for s in tracer.spans() if s.name == "replay"]
         assert lanes[-1:] == [type(expected).__name__ if expected else "serial"]
-
-    def test_closed_shm_pool_falls_back_to_engine_threads(self):
-        """The backend does not own its shm pool: once the pool is closed
-        it can no longer take a replay, and above the threshold the engine's
-        threads run it instead — with the same fixed-seed counts."""
-        from repro.exec import SharedStatePool
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("POSIX shared memory required")
-        circuit = ghz_circuit(4)
-        engine = ParallelSimulationEngine(num_threads=2)
-        pool = SharedStatePool(2, name="lane-closed", fallback=engine)
-        try:
-            backend = LocalBackend(engine=engine, shm_pool=pool)
-            plan = backend.compile(circuit, chunk_threshold=2)
-            assert backend._replay_pool(plan) is pool
-            on_pool = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
-            pool.close()
-            assert backend._replay_pool(plan) is engine
-            on_threads = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
-        finally:
-            pool.close()
-            engine.close()
-        assert on_threads == on_pool
 
 
 class TestDensityBackend:

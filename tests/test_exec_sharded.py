@@ -290,12 +290,6 @@ class TestLifecycle:
 
 
 class TestShardedBroker:
-    def test_shm_lane_cannot_ride_on_process_shards(self):
-        with pytest.raises(ExecutionError, match="shm-processes"):
-            QuantumJobService(
-                workers=1, processes=2, backend_options={"shm-processes": 2}
-            )
-
     def test_sharded_service_counts_match_in_process(self):
         set_config(seed=4321)
         circuit = qft_circuit(4)

@@ -146,25 +146,25 @@ class TestEnvelope:
                     assert envelope.profile
 
                     def body():
-                        active_profiler().record_barrier(0.25)
+                        active_profiler().record_kernel("single", 0.25)
                         return "done"
 
                     # In a worker process only the payload crosses back; run
                     # in-process, the span is also recorded here directly.
                     with tracer.capture() as worker_side:
-                        result, payload = envelope.run(body, "shm-replay", {"shard": 3})
+                        result, payload = envelope.run(body, "shard-replay", {"shard": 3})
                     assert result == "done"
-                    assert [s["name"] for s in payload["spans"]] == ["shm-replay"]
+                    assert [s["name"] for s in payload["spans"]] == ["shard-replay"]
                     span = payload["spans"][0]
                     assert span["parent_id"] == root.span_id
                     assert span["attributes"]["shard"] == 3
                     assert len(worker_side) == 1
                     envelope.stitch([payload, None])
-        assert caller_profiler.snapshot().barrier_waits == 1
-        stitched = [s for s in home if s.name == "shm-replay"]
+        assert caller_profiler.snapshot().kernels["single"].calls == 1
+        stitched = [s for s in home if s.name == "shard-replay"]
         assert len(stitched) == 2  # recorded in-process, then ingested
         assert all(s.trace_id == root.trace_id for s in stitched)
-        assert [s.name for s in tracer.spans(root.trace_id)].count("shm-replay") == 2
+        assert [s.name for s in tracer.spans(root.trace_id)].count("shard-replay") == 2
 
     def test_stitch_of_an_unobserved_job_is_a_no_op(self):
         tracer = get_tracer()

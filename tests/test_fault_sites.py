@@ -87,7 +87,7 @@ def test_every_fault_site_is_a_string_literal():
 
 
 def test_scan_sees_both_lanes_compile_sites():
-    assert {"plan.compile", "shm.worker.compile", "sharded.worker.compile"} <= (
+    assert {"plan.compile", "sharded.worker.compile"} <= (
         literal_sites()
     )
 

@@ -1,10 +1,10 @@
-"""End-to-end observability across the broker/shard/shm execution stack.
+"""End-to-end observability across the broker/shard execution stack.
 
 The acceptance property for the tracing subsystem: one traced job submitted
 to :class:`QuantumJobService` yields a *single* stitched span tree — from
 queue-wait through compile, replay (including spans recorded inside shard
-worker *processes* and shm replay workers) to result reconcile — that
-exports as valid Prometheus text and Chrome trace-event JSON.  Failure
+worker *processes*) to result reconcile — that exports as valid Prometheus
+text and Chrome trace-event JSON.  Failure
 propagation matters as much: a shard worker SIGKILLed mid-batch must leave
 a complete parent trace with an error-tagged attempt span and the
 respawn/retry spans under the same trace id.
@@ -14,13 +14,9 @@ import json
 import os
 import signal
 
-import numpy as np
-import pytest
-
 from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.exec import LocalBackend, ShardedExecutor
-from repro.exec.shm import SharedStatePool
 from repro.obs import (
     enable_profiler,
     enable_tracing,
@@ -29,7 +25,6 @@ from repro.obs import (
     to_prometheus,
 )
 from repro.service import QuantumJobService
-from repro.simulator.execution_plan import compile_plan
 
 
 def span_names(tracer, trace_id):
@@ -127,6 +122,7 @@ class TestCrossProcessTrace:
             handle = service.submit(ghz_circuit(4), shots=256)
             handle.result(timeout=120)
             trace_id = handle.trace_id
+            snapshot = service.metrics()
         spans = tracer.spans(trace_id)
         assert_single_rooted_tree(spans)
         names = span_names(tracer, trace_id)
@@ -137,49 +133,10 @@ class TestCrossProcessTrace:
         assert worker_spans and all(s.pid != parent_pid for s in worker_spans)
         # And they carry the worker's own execution stages underneath.
         assert {"compile", "replay", "sample"} <= names
-
-    def test_service_shm_lane_barrier_spans_reach_the_root_trace(self):
-        """The acceptance scenario: a traced job through the service with
-        the shared-memory replay lane active produces ONE tree containing
-        queue-wait, compile, replay, per-worker shm spans and barrier
-        waits — exportable as valid Prometheus text and Chrome trace JSON."""
-        from repro.exec.shm import shutdown_shared_state_pools
-
-        shutdown_shared_state_pools()  # leave exactly this service's pool open
-        tracer = enable_tracing()
-        profiler = enable_profiler()
-        options = {"shm-processes": 2, "chunk-threshold": 2}
-        with QuantumJobService(workers=1, backend_options=options) as service:
-            handle = service.submit(qft_circuit(6), shots=64)
-            handle.result(timeout=120)
-            trace_id = handle.trace_id
-            snapshot = service.metrics()
-        spans = tracer.spans(trace_id)
-        assert_single_rooted_tree(spans)
-        names = span_names(tracer, trace_id)
-        assert {
-            "job",
-            "queue-wait",
-            "compile",
-            "replay",
-            "shm-worker-replay",
-            "barrier-wait",
-            "reconcile",
-        } <= names
-        shm_spans = [s for s in spans if s.name == "shm-worker-replay"]
-        assert len(shm_spans) == 2  # one per shm worker process
-        assert all(s.pid != os.getpid() for s in shm_spans)
-        # Satellite: shm-lane health is visible in the broker's snapshot.
-        assert snapshot.shm_workers == 2
-        assert snapshot.shm_resident_bytes > 0
-        # The worker profiles merged into the parent's active profiler.
-        assert profiler.snapshot().barrier_waits > 0
         # Both exporters accept the run's artefacts.
         chrome = json.loads(to_chrome_trace(spans))
         assert any(e["ph"] == "X" for e in chrome["traceEvents"])
-        prom = to_prometheus(snapshot, profile=profiler.snapshot())
-        assert "repro_shm_workers 2" in prom
-        assert "repro_replay_barrier_wait_seconds_total" in prom
+        assert "repro_process_shards 2" in to_prometheus(snapshot)
 
     def test_sharded_profile_merges_into_parent_profiler(self):
         profiler = enable_profiler()
@@ -232,36 +189,8 @@ class TestFailureTrace:
         # The retry executed: its worker spans are in the tree too.
         assert "shard-replay" in span_names(tracer, trace_id)
 
-    def test_shm_worker_death_marks_the_replay_span_as_error(self):
-        tracer = enable_tracing()
-        plan = compile_plan(qft_circuit(6), 6, chunk_threshold=2)
-        pool = SharedStatePool(2, name="obs-shm-kill")
-        try:
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            with tracer.span("job") as root:
-                with pytest.raises(Exception, match="mid-replay"):
-                    plan.execute(plan.new_state(), pool=pool)
-            trace_id = root.trace_id
-            # The pool recovered; a traced retry on the same trace works.
-            with tracer.activate(root.context()):
-                data = plan.execute(plan.new_state(), pool=pool)
-            assert np.array_equal(data, plan.execute(plan.new_state()))
-        finally:
-            pool.close()
-        spans = tracer.spans(trace_id)
-        errored = [s for s in spans if s.error]
-        assert errored, "the failed replay must be visible in the trace"
-        # After recovery the shm worker spans appear under the same trace.
-        assert "shm-worker-replay" in {s.name for s in spans}
-
-
 class TestServiceMetricsIntegration:
-    def test_snapshot_reports_quantiles_and_shm_health_fields(self):
-        # The shm health gauges aggregate every open pool in the process;
-        # drop pools left warm by earlier tests so "no shm lane" reads zero.
-        from repro.exec.shm import shutdown_shared_state_pools
-
-        shutdown_shared_state_pools()
+    def test_snapshot_reports_quantiles(self):
         with QuantumJobService(workers=1, enable_cache=False) as service:
             for _ in range(3):
                 service.submit(ghz_circuit(3), shots=32).result(timeout=60)
@@ -270,11 +199,6 @@ class TestServiceMetricsIntegration:
         assert agg.executions == 3
         assert agg.histogram is not None
         assert 0.0 < agg.p50_seconds <= agg.p95_seconds <= agg.p99_seconds
-        # shm fields exist and are zero without the shm lane.
-        assert snapshot.shm_workers == 0
-        assert snapshot.shm_respawns == 0
-        assert snapshot.shm_barrier_aborts == 0
-        assert snapshot.shm_resident_bytes == 0
         # The snapshot renders as Prometheus text without a profile too.
         text = to_prometheus(snapshot)
         assert "repro_backend_latency_seconds_bucket" in text

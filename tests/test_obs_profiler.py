@@ -35,18 +35,9 @@ class TestAccumulator:
         assert snap.total_calls == 3
         assert snap.total_kernel_seconds == pytest.approx(0.014)
 
-    def test_record_barrier(self):
-        profiler = ReplayProfiler()
-        profiler.record_barrier(0.002)
-        profiler.record_barrier(0.003, waits=4)
-        snap = profiler.snapshot()
-        assert snap.barrier_waits == 5
-        assert snap.barrier_wait_seconds == pytest.approx(0.005)
-
     def test_wire_round_trip_merges_into_parent(self):
         worker = ReplayProfiler()
         worker.record_kernel("diagonal", 0.5)
-        worker.record_barrier(0.1, waits=2)
         parent = ReplayProfiler()
         parent.record_kernel("diagonal", 0.25)
         parent.merge_wire(worker.to_wire())
@@ -54,27 +45,22 @@ class TestAccumulator:
         snap = parent.snapshot()
         assert snap.kernels["diagonal"].calls == 2
         assert snap.kernels["diagonal"].seconds == pytest.approx(0.75)
-        assert snap.barrier_waits == 2
 
     def test_reset_clears_everything(self):
         profiler = ReplayProfiler()
         profiler.record_kernel("single", 1.0)
-        profiler.record_barrier(1.0)
         profiler.reset()
-        snap = profiler.snapshot()
-        assert not snap.kernels
-        assert snap.barrier_waits == 0
+        assert not profiler.snapshot().kernels
 
     def test_as_table_sorts_slowest_first(self):
         profiler = ReplayProfiler()
         profiler.record_kernel("fast", 0.001)
         profiler.record_kernel("slow", 1.0)
-        profiler.record_barrier(0.5)
         lines = profiler.snapshot().as_table().splitlines()
         assert lines[0].startswith("kernel")
         assert lines[1].startswith("slow")
         assert lines[2].startswith("fast")
-        assert lines[3].startswith("barrier-wait")
+        assert len(lines) == 3
 
 
 class TestSwitches:

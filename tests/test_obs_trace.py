@@ -209,12 +209,12 @@ class TestWireAndStitching:
         assert stitched[0].parent_id == root.span_id
 
     def test_nested_captures_both_see_ingested_spans(self):
-        """Two-hop shipping: a shard worker's sink must include spans its
-        own shm pool ingested, so they travel one more hop up."""
+        """Two-hop shipping: an outer sink must include spans an inner
+        capture ingested, so they travel one more hop up."""
         tracer = Tracer()
         ctx = TraceContext("t" * 16, "s" * 16)
         payload = {
-            "name": "shm-step",
+            "name": "remote-step",
             "trace_id": ctx.trace_id,
             "span_id": "x" * 16,
             "parent_id": ctx.span_id,
@@ -224,8 +224,8 @@ class TestWireAndStitching:
         with tracer.capture() as outer:
             with tracer.capture() as inner:
                 tracer.ingest([payload])
-        assert [s.name for s in inner] == ["shm-step"]
-        assert [s.name for s in outer] == ["shm-step"]
+        assert [s.name for s in inner] == ["remote-step"]
+        assert [s.name for s in outer] == ["remote-step"]
 
     def test_record_writes_a_retroactive_span(self):
         tracer = Tracer()

@@ -3,16 +3,14 @@
 Two invariants anchor this file:
 
 * **Lane choice never changes results.**  At complex128 every lane —
-  serial, thread-chunked, shared-memory processes, shot-sharded — produces
-  bit-identical fixed-seed histograms.
+  serial, thread-chunked, shot-sharded — produces bit-identical fixed-seed
+  histograms.
 * **The single-precision tier is fidelity-bounded.**  Evolving the paper's
   algorithm suite in complex64 deviates from the complex128 amplitudes by
   at most 1e-4 (max absolute amplitude difference) — the documented bound
-  — while occupying half the amplitude bytes end to end (states, shm
-  segments, admission accounting).
+  — while occupying half the amplitude bytes end to end (states, admission
+  accounting).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -107,26 +105,6 @@ class TestFidelityBound:
         deviation = np.max(np.abs(single.astype(np.complex128) - ref))
         assert deviation <= AMPLITUDE_BOUND, f"{name}: {deviation}"
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="POSIX shared memory required"
-    )
-    @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
-    def test_shm_lane_matches_serial_in_both_tiers(self, name, factory):
-        from repro.exec.shm import SharedStatePool
-
-        circuit = factory()
-        pool = SharedStatePool(2, name=f"prec-{name}")
-        try:
-            for precision in ("double", "single"):
-                serial = final_state(circuit, precision)
-                shared = final_state(circuit, precision, pool=pool)
-                # The shm lane replays the identical chunk decomposition, so
-                # it is bitwise identical to serial *within* each tier.
-                assert shared.dtype == serial.dtype
-                assert np.array_equal(shared, serial), f"{name}/{precision}"
-        finally:
-            pool.close()
-
     @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
     def test_thread_lane_matches_serial_in_both_tiers(self, name, factory):
         from repro.simulator.parallel_engine import ParallelSimulationEngine
@@ -210,6 +188,29 @@ class TestAdaptiveLaneSelection:
                 # Within one tier every lane is bit-identical, so the
                 # fixed-seed histograms agree exactly.
                 assert got == expected, (name, threshold)
+
+
+class TestRetiredShmProcessesOption:
+    """``shm-processes`` is no longer read: a job that still sets it replays
+    on the one fixed-rule lane, so its fixed-seed histogram is the unflagged
+    job's, below and above a forced chunk threshold, in both tiers."""
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_shm_processes_job_gets_the_unflagged_histogram(self, precision):
+        for name, factory in ALGORITHMS:
+            circuit = factory()
+            for threshold in (None, 2):
+                options = {"chunk-threshold": threshold, "precision": precision}
+                expected = accelerator_counts(circuit, **options)
+                got = accelerator_counts(circuit, **options, **{"shm-processes": 2})
+                assert got == expected, (name, threshold)
+
+    def test_shm_processes_starts_no_process(self):
+        import multiprocessing
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        accelerator_counts(ALGORITHMS[0][1](), **{"chunk-threshold": 2, "shm-processes": 4})
+        assert {p.pid for p in multiprocessing.active_children()} == before
 
 
 class TestPrecisionIsSemantic:

@@ -19,8 +19,9 @@ from repro.service.keys import (
 #: (option, values it is toggled through, semantic?).  Every non-semantic
 #: member is listed, so adding one to ``_NON_SEMANTIC_OPTIONS`` is covered
 #: without touching this table; ``batch-diagonals`` is a compile-level
-#: argument, not a job option, and ``adaptive-lane`` / ``shm-states`` are
-#: retired options, so each fragments keys like any unknown one.
+#: argument, not a job option, and ``adaptive-lane`` / ``shm-states`` /
+#: ``shm-processes`` are retired options, so each fragments keys like any
+#: unknown one.
 _KEY_TOGGLES = [
     (name, (0, 1, 2, 64, True, False, "x"), False) for name in sorted(_NON_SEMANTIC_OPTIONS)
 ] + [
@@ -30,6 +31,7 @@ _KEY_TOGGLES = [
     ("batch-diagonals", (True, False), True),
     ("adaptive-lane", (True, False), True),
     ("shm-states", (1, 4), True),
+    ("shm-processes", (2, 4), True),
 ]
 
 

@@ -1,21 +1,16 @@
 """Fault-tolerant job lifecycle through the public service API.
 
 Deadlines and cancellation (queued and mid-flight), admission control,
-breaker-gated graceful degradation of the shard lane, orphan-handle
-``result()`` behaviour, and the shutdown-raciness fixes on the shm lane —
-all exercised the way a client would see them: through
-:class:`QuantumJobService` and :class:`JobHandle`.
+breaker-gated graceful degradation of the shard lane and orphan-handle
+``result()`` behaviour — all exercised the way a client would see them:
+through :class:`QuantumJobService` and :class:`JobHandle`.
 """
 
-import os
-import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.algorithms.bell import bell_circuit
-from repro.algorithms.qft import qft_circuit
 from repro.cancellation import CancelToken, cancel_scope
 from repro.exceptions import (
     AdmissionRejected,
@@ -24,11 +19,9 @@ from repro.exceptions import (
     ExecutionError,
     JobCancelled,
 )
-from repro.exec.shm import SEGMENT_PREFIX, SharedStatePool
 from repro.ir.builder import CircuitBuilder
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.service import QuantumJobService, job_key
-from repro.simulator.execution_plan import compile_plan
 from repro.testing import FaultSpec, clear_faults, install_faults
 
 
@@ -364,110 +357,3 @@ class TestLifecycleTracing:
                 assert ok_roots and ok_roots[0].error is None
         finally:
             disable_tracing()
-
-
-# ---------------------------------------------------------------------------
-# Shutdown raciness (shm lane)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="POSIX shared memory required"
-)
-class TestShmShutdownRaciness:
-    @pytest.fixture(autouse=True)
-    def no_segment_litter(self):
-        before = sorted(
-            f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)
-        )
-        yield
-        after = sorted(
-            f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)
-        )
-        assert after == before
-
-    def test_double_close_is_idempotent(self):
-        plan = compile_plan(qft_circuit(6), 6, chunk_threshold=2)
-        pool = SharedStatePool(2, name="race-double")
-        plan.execute(plan.new_state(), pool=pool)
-        pool.close()
-        pool.close()  # second close must be a clean no-op
-        assert pool.closed
-
-    def test_close_mid_replay_aborts_barrier_before_unlinking(self):
-        # Workers crawl through the plan (50 ms per step); close() lands
-        # mid-replay.  The barrier must abort first — waking the workers —
-        # and only then may segments unlink; the replay thread gets a
-        # typed error, not a hang or a SIGBUS on an unlinked mapping.
-        install_faults(
-            [
-                FaultSpec(
-                    site="shm.worker.step",
-                    action="slow",
-                    seconds=0.05,
-                    times=None,
-                )
-            ]
-        )
-        plan = compile_plan(qft_circuit(7), 7, chunk_threshold=2)
-        pool = SharedStatePool(2, name="race-mid")
-        outcome = {}
-
-        def replay():
-            try:
-                plan.execute(plan.new_state(), pool=pool)
-                outcome["result"] = "completed"
-            except ExecutionError as exc:
-                outcome["result"] = f"typed:{exc}"
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                outcome["result"] = f"untyped:{type(exc).__name__}"
-
-        thread = threading.Thread(target=replay)
-        thread.start()
-        time.sleep(0.3)  # replay is mid-flight, workers inside the barrier loop
-        pool.close()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "replay thread hung across close()"
-        assert outcome["result"].startswith("typed:")
-        assert "mid-replay" in outcome["result"]
-        assert pool.closed
-
-    def test_close_mid_replay_leaves_no_orphan_workers(self):
-        import multiprocessing
-
-        install_faults(
-            [
-                FaultSpec(
-                    site="shm.worker.step",
-                    action="slow",
-                    seconds=0.05,
-                    times=None,
-                )
-            ]
-        )
-        before = {p.pid for p in multiprocessing.active_children()}
-        plan = compile_plan(qft_circuit(7), 7, chunk_threshold=2)
-        pool = SharedStatePool(2, name="race-orphan")
-        thread = threading.Thread(
-            target=lambda: _swallow(plan, pool)
-        )
-        thread.start()
-        time.sleep(0.3)
-        pool.close()
-        thread.join(timeout=30)
-        deadline = time.time() + 10
-        while time.time() < deadline:
-            lingering = {
-                p.pid for p in multiprocessing.active_children()
-            } - before
-            if not lingering:
-                break
-            time.sleep(0.05)
-        assert not lingering
-
-
-def _swallow(plan, pool):
-    try:
-        plan.execute(plan.new_state(), pool=pool)
-    except Exception:
-        pass

@@ -6,8 +6,8 @@ The contracts under test, each in its own tier:
   A default (fused) plan, the ``fusion_max_qubits=0`` plan and the
   gate-by-gate ``StateVector`` oracle agree to 1e-12 on amplitudes in
   double precision and 1e-4 in single.
-* **Lanes are bitwise.**  Serial, thread-chunked and shared-memory replay
-  of one fused plan produce bit-for-bit the same amplitudes — a block's
+* **Lanes are bitwise.**  Serial and thread-chunked replay of one fused
+  plan produce bit-for-bit the same amplitudes — a block's
   chunks issue the serial pass's per-batch GEMM shapes.
 * **Work bounds** that the commit before layer fusion fails: every GEMM the
   replay issues stays under the single-thread cap, a two-layer 16-qubit
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 
 import numpy as np
@@ -32,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.qft import qft_circuit
-from repro.exec import LocalBackend, SharedStatePool
+from repro.exec import LocalBackend
 from repro.ir import gates as G
 from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
@@ -77,15 +76,10 @@ def replay(plan, seed: int, pool=None) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def lanes():
-    """One thread engine and one shared-memory pool for the whole module."""
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("POSIX shared memory required")
-    engine = ParallelSimulationEngine(num_threads=2)
-    pool = SharedStatePool(2, name="layer-fusion-lanes", fallback=engine)
-    yield engine, pool
-    pool.close()
-    engine.close()
+def engine():
+    """One thread engine for the whole module."""
+    with ParallelSimulationEngine(num_threads=2) as engine:
+        yield engine
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +147,8 @@ def circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(circuits(), st.sampled_from(["double", "single"]), st.integers(0, 2**31))
 def test_fused_equals_unfused_equals_oracle_and_lanes_are_bitwise(
-    lanes, case, precision, seed
+    engine, case, precision, seed
 ):
-    engine, pool = lanes
     circuit, width = case
     options = dict(chunk_threshold=2, precision=precision)
     fused = compile_plan(circuit, width, **options)
@@ -171,7 +164,6 @@ def test_fused_equals_unfused_equals_oracle_and_lanes_are_bitwise(
 
     # Lanes: bitwise, whatever the precision (chunking is forced above).
     assert np.array_equal(serial, replay(fused, seed, pool=engine))
-    assert np.array_equal(serial, replay(fused, seed, pool=pool))
 
     # Fusion never touches what is measured.  Fixed-seed *counts* of a
     # fused and an unfused plan can still differ — their amplitudes differ
@@ -210,8 +202,7 @@ def layered_circuit(n: int = 10):
     return circuit
 
 
-def test_blocks_land_at_the_bottom_middle_and_top_and_lanes_agree(lanes):
-    engine, pool = lanes
+def test_blocks_land_at_the_bottom_middle_and_top_and_lanes_agree(engine):
     circuit = layered_circuit()
     plan = compile_plan(circuit, 10, optimize=False, chunk_threshold=2)
     blocks = [step.targets for step in plan.steps if step.kernel == "block"]
@@ -228,7 +219,6 @@ def test_blocks_land_at_the_bottom_middle_and_top_and_lanes_agree(lanes):
     serial = replay(plan, 0)
     assert np.abs(serial - oracle_state(circuit, 10, 0)).max() <= 1e-12
     assert np.array_equal(serial, replay(plan, 0, pool=engine))
-    assert np.array_equal(serial, replay(plan, 0, pool=pool))
 
 
 def test_same_qubit_runs_multiply_in_one_pass_only():
@@ -293,12 +283,11 @@ def test_symbolic_gates_join_windows_and_rebind():
 
 
 @pytest.mark.parametrize("lo", [0, 3, 9, 10])
-def test_block_chunks_are_bitwise_the_serial_pass(lanes, lo):
+def test_block_chunks_are_bitwise_the_serial_pass(engine, lo):
     """A block's chunks split its GEMM pass over the batch axes, so each
     issues the serial pass's per-batch shapes: the row batches at lo = 0,
     the outer batches at 3 and 9 (column tiles from 9 up), and for the top
     window of 14 qubits, with one outer batch, the column tiles."""
-    engine, pool = lanes
     builder = CircuitBuilder(14, name=f"block-chunks-{lo}")
     for q in range(lo, lo + 4):
         builder.ry(q, 0.3 + 0.07 * q)
@@ -311,9 +300,8 @@ def test_block_chunks_are_bitwise_the_serial_pass(lanes, lo):
     assert len(spec.tasks[0]) == (2 if lo == 10 else 1)
 
     serial = replay(plan, 0)
-    assert np.abs(serial - oracle_state(plan.source_circuit, 14, 0)).max() <= 1e-12
+    assert np.abs(serial - oracle_state(builder.build(), 14, 0)).max() <= 1e-12
     assert np.array_equal(serial, replay(plan, 0, pool=engine))
-    assert np.array_equal(serial, replay(plan, 0, pool=pool))
 
 
 def test_swapping_kernels_are_one_rule_every_driver_reads():
@@ -375,7 +363,7 @@ def test_every_gemm_of_a_replay_stays_under_the_single_thread_cap(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", recording)
     with ParallelSimulationEngine(num_threads=2) as engine:
-        for pool in (None, engine):  # the serial kernel and _ChunkDense.matmul
+        for pool in (None, engine):  # the serial kernel and _ChunkDense.run
             sizes.clear()
             assert np.array_equal(replay(plan, 0, pool=pool), expected)
             assert max(sizes) <= MATMUL_CAP, sizes

@@ -17,15 +17,12 @@ The contracts under test:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ExecutionError
-from repro.exec import SharedStatePool
 from repro.ir import gates as G
 from repro.ir.builder import CircuitBuilder
 from repro.ir.composite import CompositeInstruction
@@ -172,8 +169,6 @@ def template_arrays(parametric):
 
 
 def test_successive_bindings_are_bitwise_on_every_lane():
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("POSIX shared memory required")
     circuit = parametric_ansatz(8, 2, True)
     circuit.add(G.CPhase([0, 7], [Parameter("t000")]))
     circuit.add(G.RZ([3], [Parameter("t001")]))
@@ -181,17 +176,13 @@ def test_successive_bindings_are_bitwise_on_every_lane():
     names = parametric.parameter_names
     before = template_arrays(parametric)
     rng = np.random.default_rng(7)
-    with ParallelSimulationEngine(num_threads=2) as engine, SharedStatePool(
-        2, name="rebindable-windows", fallback=engine
-    ) as pool:
+    with ParallelSimulationEngine(num_threads=2) as engine:
         for _ in range(2):
             values = dict(zip(names, rng.uniform(-np.pi, np.pi, len(names))))
             plan = parametric.bind(values)
             serial = plan.execute(plan.new_state())
             threaded = parametric.bind(values).execute(plan.new_state(), pool=engine)
-            shm = parametric.bind(values).execute(plan.new_state(), pool=pool)
             assert np.array_equal(serial, threaded)
-            assert np.array_equal(serial, shm)
             concrete = compile_plan(circuit.bind(values), 8)
             assert np.array_equal(serial, concrete.execute(concrete.new_state()))
     assert template_arrays(parametric) == before
@@ -207,15 +198,14 @@ def test_a_failed_bind_leaves_no_half_bound_plan(monkeypatch):
     expected = plan.execute(plan.new_state())
 
     # A mapping missing a name is refused before any step is touched: the
-    # thread's plan still runs, and ships, the binding it had.
+    # thread's plan still runs the binding it had.
     with pytest.raises(ExecutionError, match="missing"):
         parametric.bind({"a": 1.9})
     assert plan.bound_params == {"a": 0.3, "b": 0.7}
-    assert plan.replay_descriptor()[2] == {"a": 0.3, "b": 0.7}
     assert np.array_equal(plan.execute(plan.new_state()), expected)
 
-    # A rebind that raises part-way leaves the plan unbound: it neither
-    # executes nor ships the mixed binding.
+    # A rebind that raises part-way leaves the plan unbound: it does not
+    # execute the mixed binding.
     calls = []
     rebind = PlanStep.rebind
 
@@ -229,7 +219,7 @@ def test_a_failed_bind_leaves_no_half_bound_plan(monkeypatch):
     with pytest.raises(RuntimeError):
         parametric.bind({"a": 1.9, "b": -0.4})
     assert len(plan._parametric_steps) == 2
-    assert plan.bound_params is None and plan.replay_descriptor() is None
+    assert plan.bound_params is None
     with pytest.raises(ExecutionError, match="unbound"):
         plan.execute(plan.new_state())
     monkeypatch.undo()
@@ -242,12 +232,13 @@ def test_fusion_max_qubits_keys_on_its_meaning():
     cache = PlanCache()
     plan, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=1)
     assert not hit
-    assert plan.compile_options["fusion_max_qubits"] == DEFAULT_FUSION_MAX_QUBITS
+    windowed = compile_plan(circuit, fusion_max_qubits=DEFAULT_FUSION_MAX_QUBITS)
+    assert plan.fused_gates == windowed.fused_gates > 0
     for value in (2, 3):
         again, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=value)
         assert hit and again is plan
     plain, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=0)
-    assert not hit and plain.compile_options["fusion_max_qubits"] == 0
+    assert not hit and plain.fused_gates == 0
     assert len(cache) == 2
     with pytest.raises(ExecutionError):
         compile_plan(circuit, fusion_max_qubits=4)

@@ -275,6 +275,26 @@ class TestLaneSelection:
         finally:
             backend.close()
 
+    def test_threshold_is_inclusive(self):
+        """A state of exactly ``chunk_threshold`` amplitudes is on the
+        engine's threads; one qubit fewer replays serially."""
+        backend = LocalBackend()
+        try:
+            assert backend._replay_pool(self._plan(n=8, chunk_threshold=256)) is backend.engine
+            assert backend._replay_pool(self._plan(n=7, chunk_threshold=256)) is None
+        finally:
+            backend.close()
+
+    def test_thread_count_does_not_move_the_lane(self):
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        # The rule reads only the plan; a one-thread engine is still the
+        # lane above the threshold (and its replay then runs serially).
+        plan = self._plan(n=8, chunk_threshold=2)
+        for threads in (1, 2, 4):
+            with ParallelSimulationEngine(num_threads=threads) as engine:
+                assert LocalBackend(engine=engine)._replay_pool(plan) is engine
+
     def test_choice_is_deterministic(self):
         plan = self._plan(n=10, steps=12, chunk_threshold=256)
         backend = LocalBackend()

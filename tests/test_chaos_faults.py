@@ -19,12 +19,15 @@ from repro.cancellation import CancelToken, cancel_scope
 from repro.exceptions import (
     CompilationError,
     DeadlineExceeded,
+    JobCancelled,
     RetryExhausted,
 )
 from repro.exec import LocalBackend, NO_RETRY, ShardedExecutor
 from repro.ir.builder import CircuitBuilder
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.service import QuantumJobService
+from repro.simulator.execution_plan import compile_plan
+from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.testing import FaultSpec, clear_faults, install_faults
 
 pytestmark = pytest.mark.skipif(
@@ -277,6 +280,88 @@ class TestShardedLane:
                     executor.execute(circuit, 128, seed=11)
         finally:
             executor.close()
+
+
+# ---------------------------------------------------------------------------
+# Chunked lane: the local backend above its chunk threshold, replaying on
+# the engine's threads (the lane ``SharedStatePool`` names).
+# ---------------------------------------------------------------------------
+
+
+class _CancellingEngine(ParallelSimulationEngine):
+    """Cancels ``token`` as it dispatches its ``after``-th chunked step."""
+
+    def __init__(self, token: CancelToken, after: int):
+        super().__init__(num_threads=2)
+        self.token = token
+        self.after = after
+        self.maps = 0
+
+    def chunk_pool(self, workers):
+        executor = super().chunk_pool(workers)
+        engine = self
+
+        class _Counting:
+            def map(self, fn, tasks):
+                engine.maps += 1
+                if engine.maps == engine.after:
+                    engine.token.cancel()
+                return executor.map(fn, tasks)
+
+        return _Counting()
+
+
+class TestChunkedLane:
+    @pytest.mark.parametrize("tag, specs, deadline, expect, gate_held", LOCAL_CASES)
+    def test_chunked_fault(self, tag, specs, deadline, expect, gate_held):
+        from repro.exec.backend import execution_gate
+        from repro.simulator.plan_cache import get_plan_cache
+
+        circuit = chaos_circuit(f"chk_{tag}", 10 if gate_held else 3)
+        engine = ParallelSimulationEngine(num_threads=2)
+        backend = LocalBackend(engine=engine)
+        try:
+            plan = backend.compile(circuit, chunk_threshold=2)
+            assert backend._replay_pool(plan) is engine
+            expected = backend.execute(circuit, 64, seed=7, chunk_threshold=2).counts
+            get_plan_cache().clear()
+            install_faults(specs)
+            token = CancelToken(timeout=deadline) if deadline else CancelToken()
+            other_job = execution_gate(None) if gate_held else contextlib.nullcontext()
+            with pytest.raises(expect):
+                with other_job, cancel_scope(token):
+                    backend.execute(circuit, 64, seed=7, chunk_threshold=2)
+            clear_faults()
+            # Clean failure: the engine's threads serve the next job untouched.
+            again = backend.execute(circuit, 64, seed=7, chunk_threshold=2).counts
+            assert again == expected
+        finally:
+            engine.close()
+
+    def test_chunked_cancel_mid_replay_stops_at_the_next_step(self):
+        """A token tripped while a chunked step runs raises the typed error
+        at the next step boundary: no further step is dispatched, and the
+        engine then replays the plan bit-identically."""
+        import numpy as np
+
+        builder = CircuitBuilder(7, name="chaos_chunked_cancel")
+        for q in range(7):
+            builder.h(q)
+            builder.rx(q, 0.1 + 0.05 * q)
+        plan = compile_plan(
+            builder.build(), 7, optimize=False, chunk_threshold=2, fusion_max_qubits=0
+        )
+        expected = plan.execute(plan.new_state())
+        token = CancelToken()
+        engine = _CancellingEngine(token, after=3)
+        try:
+            with pytest.raises(JobCancelled):
+                with cancel_scope(token):
+                    plan.execute(plan.new_state(), pool=engine)
+            assert engine.maps == 3
+            assert np.array_equal(plan.execute(plan.new_state(), pool=engine), expected)
+        finally:
+            engine.close()
 
 
 # ---------------------------------------------------------------------------

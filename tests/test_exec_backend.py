@@ -144,15 +144,19 @@ class TestLocalBackend:
         with LocalBackend() as backend:
             assert backend.execute(bell_circuit(2), 8, seed=0).total_counts() == 8
 
+    # "shm" builds the engine as ``repro.exec.shm.SharedStatePool``, the
+    # name kept over the thread engine: it follows the same rule.
+    @pytest.mark.parametrize("with_shm", [False, True], ids=["no-shm", "shm"])
     @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
-    def test_one_lane_rule(self, above):
+    def test_one_lane_rule(self, above, with_shm):
         """Below the plan's chunk threshold: serial; at or above it: the
         engine's threads — and the replay span names the lane that ran."""
+        from repro.exec.shm import SharedStatePool
         from repro.obs import enable_tracing
 
         circuit = ghz_circuit(4)
         threshold = 2 if above else 1 << 5
-        engine = ParallelSimulationEngine(num_threads=2)
+        engine = SharedStatePool(2) if with_shm else ParallelSimulationEngine(num_threads=2)
         tracer = enable_tracing()
         try:
             backend = LocalBackend(engine=engine)
@@ -164,6 +168,24 @@ class TestLocalBackend:
             engine.close()
         lanes = [s.attributes["lane"] for s in tracer.spans() if s.name == "replay"]
         assert lanes[-1:] == [type(expected).__name__ if expected else "serial"]
+
+    def test_closed_engine_still_serves_the_threaded_lane(self):
+        """The backend does not own a passed engine: once the caller closes
+        it, the next job above the threshold rebuilds its threads and
+        samples the same fixed-seed counts."""
+        circuit = ghz_circuit(4)
+        engine = ParallelSimulationEngine(num_threads=2)
+        try:
+            backend = LocalBackend(engine=engine)
+            plan = backend.compile(circuit, chunk_threshold=2)
+            assert backend._replay_pool(plan) is engine
+            before = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
+            engine.close()
+            assert backend._replay_pool(plan) is engine
+            after = backend.execute(circuit, 64, seed=3, chunk_threshold=2).counts
+        finally:
+            engine.close()
+        assert after == before
 
 
 class TestDensityBackend:

@@ -76,6 +76,23 @@ class TestServiceTrace:
             "reconcile",
         } <= names
 
+    def test_chunked_lane_replay_span_reaches_the_root_trace(self):
+        """Above a forced chunk threshold the replay runs on the engine's
+        threads; its span names that lane and sits in the job's one tree."""
+        tracer = enable_tracing()
+        options = {"method": "statevector", "chunk-threshold": 2}
+        with QuantumJobService(workers=1, backend_options=options) as service:
+            handle = service.submit(qft_circuit(6), shots=64)
+            handle.result(timeout=60)
+            trace_id = handle.trace_id
+        spans = tracer.spans(trace_id)
+        assert_single_rooted_tree(spans)
+        assert {"job", "queue-wait", "compile", "replay", "reconcile"} <= span_names(
+            tracer, trace_id
+        )
+        lanes = {s.attributes.get("lane") for s in spans if s.name == "replay"}
+        assert lanes == {"ParallelSimulationEngine"}
+
     def test_cache_hit_closes_the_root_with_a_cache_span(self):
         tracer = enable_tracing()
         with QuantumJobService(workers=1) as service:

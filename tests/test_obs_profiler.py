@@ -109,6 +109,33 @@ class TestReplayAttribution:
             profiled = plan.execute(plan.new_state())
         assert np.array_equal(reference, profiled)
 
+    def test_chunked_replay_records_every_step(self):
+        """On the engine's threads each step is timed once, as a whole,
+        under the same kernel class as in the serial replay."""
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        plan = compile_plan(qft_circuit(8), 8, chunk_threshold=2)
+        serial, chunked = ReplayProfiler(), ReplayProfiler()
+        with profiler_installed(serial):
+            plan.execute(plan.new_state())
+        with ParallelSimulationEngine(num_threads=2) as engine:
+            with profiler_installed(chunked):
+                plan.execute(plan.new_state(), pool=engine)
+        assert chunked.snapshot().total_calls == plan.n_steps
+        assert set(chunked.snapshot().kernels) == set(serial.snapshot().kernels)
+
+    def test_profiled_chunked_replay_is_bitwise_identical(self):
+        import numpy as np
+
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        plan = compile_plan(qft_circuit(8), 8, chunk_threshold=2)
+        reference = plan.execute(plan.new_state())
+        with ParallelSimulationEngine(num_threads=2) as engine:
+            with profiler_installed(ReplayProfiler()):
+                profiled = plan.execute(plan.new_state(), pool=engine)
+        assert np.array_equal(reference, profiled)
+
     def test_unprofiled_replay_records_nothing(self):
         plan = compile_plan(qft_circuit(6), 6)
         profiler = ReplayProfiler()

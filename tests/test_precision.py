@@ -118,6 +118,20 @@ class TestFidelityBound:
                 assert np.array_equal(threaded, serial), f"{name}/{precision}"
 
     @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
+    def test_shared_state_pool_matches_serial_in_both_tiers(self, name, factory):
+        from repro.exec.shm import SharedStatePool
+
+        circuit = factory()
+        with SharedStatePool(2) as pool:
+            for precision in ("double", "single"):
+                serial = final_state(circuit, precision)
+                pooled = final_state(circuit, precision, pool=pool)
+                # The pool replays the thread lane's chunk decomposition, so
+                # it is bitwise identical to serial *within* each tier.
+                assert pooled.dtype == serial.dtype
+                assert np.array_equal(pooled, serial), f"{name}/{precision}"
+
+    @pytest.mark.parametrize("name, factory", ALGORITHMS, ids=[a[0] for a in ALGORITHMS])
     def test_sharded_lane_counts_agree_across_tiers(self, name, factory):
         from repro.exec.sharded import ShardedExecutor
 

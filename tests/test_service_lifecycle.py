@@ -357,3 +357,38 @@ class TestLifecycleTracing:
                 assert ok_roots and ok_roots[0].error is None
         finally:
             disable_tracing()
+
+
+# ---------------------------------------------------------------------------
+# Shutdown around the chunked lane (engine threads above the chunk threshold)
+# ---------------------------------------------------------------------------
+
+
+CHUNKED = {"method": "statevector", "chunk-threshold": 2}
+
+
+class TestChunkedShutdown:
+    def test_double_shutdown_is_idempotent(self):
+        service = QuantumJobService(workers=1, backend_options=CHUNKED)
+        result = service.submit(unique_circuit("dbl", 4), shots=64).result(timeout=60)
+        assert result.total_counts() == 64
+        service.shutdown()
+        service.shutdown()  # a second shutdown is a clean no-op
+        with pytest.raises(ExecutionError):
+            service.submit(unique_circuit("dbl2", 4), shots=64)
+
+    def test_shutdown_mid_replay_drains_the_job(self):
+        # The job sits in its replay (slowed before the chunked sweep) when
+        # shutdown(wait=True) lands: the job completes with a full GHZ
+        # histogram, and shutdown returns only after it.
+        service = QuantumJobService(
+            workers=1, backend_options=CHUNKED, enable_cache=False
+        )
+        install_faults([FaultSpec(site="local.replay", action="slow", seconds=0.3)])
+        handle = service.submit(unique_circuit("mid", 4), shots=128)
+        time.sleep(0.1)
+        service.shutdown(wait=True)
+        assert handle.done()
+        counts = handle.result(timeout=1).counts
+        assert sum(counts.values()) == 128
+        assert set(counts) <= {"0000", "1111"}

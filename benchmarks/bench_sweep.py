@@ -11,8 +11,9 @@ Acceptance:
 
 * per-binding counts bit-identical to independent submissions at a fixed
   seed — gated on **every** host;
-* parameter-shift gradients agree with central finite differences to
-  1e-6 — gated on every host;
+* ``service.gradient`` (the adjoint method on this RY/CX ansatz) agrees
+  with central finite differences to 1e-6 — gated on every host — and
+  with the serial parameter-shift objective (recorded);
 * ≥3x cold-path speedup for the 32-binding 16-qubit sweep — enforced only
   on hosts with ≥4 cores (single-core CI records the ratio without
   gating; the fan-out has no parallelism to exploit there);
@@ -145,7 +146,8 @@ def bench_sweep_fanout(quick: bool) -> dict:
 
 
 def bench_gradient(quick: bool) -> dict:
-    """Parameter-shift through the service vs central finite differences."""
+    """``service.gradient`` (the adjoint method here) vs central finite
+    differences and the serial parameter-shift objective."""
     n_qubits = 3
     circuit, n_params = vqe_ansatz(n_qubits, layers=1)
     # Expectation sweeps need the bare ansatz (no terminal measurements).

@@ -57,7 +57,6 @@ from .exceptions import (
     DeadlineExceeded,
     AdmissionRejected,
     RetryExhausted,
-    WorkerCrashed,
 )
 from .compiler.kernel import qpu, QuantumKernel
 from .core.api import (
@@ -140,7 +139,6 @@ __all__ = [
     "DeadlineExceeded",
     "AdmissionRejected",
     "RetryExhausted",
-    "WorkerCrashed",
     # cancellation / deadlines
     "CancelToken",
     "active_cancel_token",

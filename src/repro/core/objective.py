@@ -173,9 +173,9 @@ class ObjectiveFunction:
                 and self._ansatz_circuit is not None
                 and self._ansatz_circuit.is_parameterized
             ):
-                # One 2·P-binding expectation sweep through the service:
-                # every shifted circuit shares a single compiled plan and
-                # evaluates across the service's lanes concurrently.
+                # Through the service: an adjoint pass where it is exact,
+                # else one 2·P-binding expectation sweep.  Counted as the
+                # 2·P evaluations the rule stands for either way.
                 with self._lock:
                     self._evaluations += 2 * parameters.size
                 return self.service.gradient(

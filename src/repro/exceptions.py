@@ -169,15 +169,6 @@ class AdmissionRejected(ExecutionError):
         super().__init__(message)
 
 
-class WorkerCrashed(ExecutionError):
-    """Raised when a worker process died (or broke its pipe) mid-execution.
-
-    The infrastructure-failure shape: the job itself is fine, the
-    environment broke.  Retry policies classify this as retryable and
-    circuit breakers count it against the lane's health.
-    """
-
-
 class RetryExhausted(ExecutionError):
     """Raised when a retry policy ran out of attempts for a retryable fault.
 

@@ -50,7 +50,9 @@ from ..cancellation import CancelToken, active_cancel_token
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..obs.trace import get_tracer
+from ..operators.compiled import compile_observable
 from ..testing import faults
+from ..simulator.adjoint import adjoint_gradient, adjoint_refusal
 from ..simulator.execution_plan import (
     DEFAULT_PRECISION,
     HANDOFF_BAND_START,
@@ -532,6 +534,43 @@ class LocalBackend(ExecutionBackend):
             state.apply_plan(bound, pool=self._replay_pool(bound))
             values.append(float(state.expectation(observable)))
         return values
+
+    def gradient(
+        self,
+        circuit: CompositeInstruction,
+        observable,
+        values: Mapping[str, float] | Sequence[float],
+        *,
+        n_qubits: int | None = None,
+        optimize: bool = True,
+        chunk_threshold: int | None = None,
+    ) -> np.ndarray:
+        """Exact ``d<observable>/dθ`` at ``values`` by the adjoint method.
+
+        One bind + replay of the cached double-precision parametric plan,
+        one ``H|ψ>`` and one backward pass over the circuit's gates
+        (:mod:`repro.simulator.adjoint`).  Entries follow the circuit's
+        free parameters sorted by name; a circuit
+        :func:`~repro.simulator.adjoint.adjoint_refusal` refuses raises.
+        """
+        reason = adjoint_refusal(circuit)
+        if reason is not None:
+            raise ExecutionError(
+                f"no adjoint gradient for circuit {circuit.name!r}: {reason}"
+            )
+        width = _resolve_width(circuit, n_qubits)
+        token = active_cancel_token()
+        if token is not None:
+            token.check()
+        plan, _ = self._cache().lookup_or_compile(
+            circuit, width, optimize=optimize, chunk_threshold=chunk_threshold
+        )
+        bound = plan.bind(values)
+        state = StateVector(width, dtype=bound.dtype)
+        state.apply_plan(bound, pool=self._replay_pool(bound))
+        psi = state.data
+        lam = compile_observable(observable, width).apply(psi)
+        return adjoint_gradient(circuit, bound.bound_params, plan.parameter_names, psi, lam)
 
     def close(self, wait: bool = True) -> None:
         if self._owns_engine:

@@ -29,7 +29,6 @@ from ..exceptions import (
     IRError,
     JobCancelled,
     RetryExhausted,
-    WorkerCrashed,
 )
 
 __all__ = [
@@ -42,7 +41,7 @@ __all__ = [
 
 #: Failure types that indicate the *environment* broke, not the job: a new
 #: attempt on a respawned worker set is expected to succeed.
-_RETRYABLE_TYPES = (BrokenProcessPool, EOFError, ConnectionError, OSError, WorkerCrashed)
+_RETRYABLE_TYPES = (BrokenProcessPool, EOFError, ConnectionError, OSError)
 
 #: Failure types that are properties of the job itself (or of an explicit
 #: lifecycle decision) — deterministic, so retrying cannot help.  Checked

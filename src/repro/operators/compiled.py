@@ -22,7 +22,9 @@ Because ``W_m(x ^ m) = conj(W_m(x))`` for real coefficients, the terms at
 the state whose highest flipped qubit is 0, doubling the real part.
 
 The result is ``sum_k Re(c_k) <P_k>`` plus the identity term's real part —
-the same semantics as measuring each term in its rotated basis.  Compiled
+the same semantics as measuring each term in its rotated basis.
+:meth:`CompiledObservable.apply` forms ``H|psi>`` for that same ``H`` from
+the same groups (the adjoint gradient's starting state).  Compiled
 forms are immutable and memoised per (exact content, width) in this process;
 they never travel with a pickled observable.
 """
@@ -108,9 +110,13 @@ class CompiledObservable:
                 else slice(None)
                 for axis in range(n)
             )
+            flip = tuple(
+                slice(None, None, -1) if axis in flipped else slice(None)
+                for axis in range(n)
+            )
             half = weights[lower]
             half = half.item() if half.size == 1 else _frozen(half)
-            groups.append((mask, lower, upper, half, _frozen(weights)))
+            groups.append((mask, lower, upper, half, _frozen(weights), flip))
         self.groups = tuple(groups)
 
     def expectation(self, amplitudes: np.ndarray) -> float:
@@ -120,12 +126,34 @@ class CompiledObservable:
         if self.diagonal is not None:
             flat = amplitudes.reshape(-1)
             total += np.vdot(flat, flat * self.diagonal).real
-        for _, lower, upper, half, _ in self.groups:
+        for _, lower, upper, half, _, _ in self.groups:
             if isinstance(half, np.ndarray):
                 total += 2.0 * np.vdot(psi[upper], psi[lower] * half).real
             else:
                 total += 2.0 * (half * np.vdot(psi[upper], psi[lower])).real
         return float(total)
+
+    def apply(self, amplitudes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``H|psi>`` as a flat array: into ``out`` (which must not alias
+        ``amplitudes``) when given, else a new one.
+
+        ``(P_m psi)[y] = W_m(y ^ m) psi[y ^ m]``, so each flip-mask group is
+        one weighted product read back through its axis-flip view.
+        """
+        flat = amplitudes.reshape(-1)
+        if out is None:
+            out = np.empty_like(flat)
+        if self.diagonal is None:
+            np.multiply(flat, self.constant, out=out)
+        else:
+            np.multiply(flat, self.diagonal, out=out)
+            if self.constant:
+                out += self.constant * flat
+        shape = (2,) * self.n_qubits
+        psi, target = flat.reshape(shape), out.reshape(shape)
+        for _, _, _, _, weights, flip in self.groups:
+            target += (psi * weights)[flip]
+        return out
 
     def density_expectation(self, rho: np.ndarray) -> float:
         """``tr(rho H)`` for a ``2^n x 2^n`` density matrix of this width."""
@@ -134,7 +162,7 @@ class CompiledObservable:
             total += float(np.dot(np.diagonal(rho).real, self.diagonal))
         index = np.arange(rho.shape[0])
         shape = (2,) * self.n_qubits
-        for mask, _, _, _, weights in self.groups:
+        for mask, _, _, _, weights, _ in self.groups:
             total += np.sum(rho[index, index ^ mask].reshape(shape) * weights).real
         return float(total)
 

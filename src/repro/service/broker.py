@@ -59,13 +59,16 @@ from ..exceptions import (
     ServiceNotFoundError,
     ServiceOverloadedError,
 )
+from ..exec.backend import LocalBackend
 from ..exec.retry import RetryPolicy, is_infrastructure_failure
 from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import classify_clifford
 from ..obs.trace import get_tracer
 from ..runtime.accelerator import Accelerator
 from ..runtime.buffer import AcceleratorBuffer
+from ..simulator.adjoint import adjoint_refusal
 from ..simulator.cost_model import SIMULATION_METHODS, SimulationCostModel
+from ..simulator.execution_plan import resolve_precision
 from .admission import AdmissionController, estimate_job_bytes
 from .batching import BatchingJobQueue, PendingBatch
 from .breaker import CircuitBreaker
@@ -533,15 +536,7 @@ class QuantumJobService:
         bindings = list(bindings)
         if not bindings:
             raise ExecutionError("expectations needs at least one binding")
-        chunk_threshold = self.backend_options.get("chunk-threshold")
-        kwargs = dict(
-            n_qubits=max(circuit.n_qubits, 1),
-            optimize=bool(self.backend_options.get("optimize", True)),
-            chunk_threshold=(
-                None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
-            ),
-            precision=self.precision,
-        )
+        kwargs = dict(self._plan_options(circuit), precision=self.precision)
         if self._sharded is not None:
             return self._sharded.expectation_sweep(
                 circuit,
@@ -563,38 +558,78 @@ class QuantumJobService:
         shift: float | None = None,
         tenant: str | None = None,
     ) -> np.ndarray:
-        """Parameter-shift gradient evaluated as one ``2·P``-binding sweep.
+        """``d<observable>/dθ`` at ``parameters`` (synchronous).
 
-        Builds the interleaved ``[θ+s·e_i, θ−s·e_i]`` binding list
-        (``s = π/2`` by default — exact for parameters entering through
-        Pauli rotations) and ships it as a single expectation sweep, so all
-        ``2·P`` shifted circuits share one compile and evaluate
-        concurrently across the shards.
+        By the adjoint method (:meth:`LocalBackend.gradient`: one forward
+        and one backward pass) when it is exact and at hand — default shift,
+        every parameter bare in one RX / RY / RZ, no reset, double
+        precision, the in-process dense backend.  Otherwise by the
+        parameter-shift rule as one ``2·P``-binding expectation sweep over
+        ``[θ+s·e_i, θ−s·e_i]`` (``s = π/2`` by default), sharing one compile
+        and fanned across the shards.  The ``gradient`` span records which
+        ran (``method``) and why (``reason``).
         """
         params = np.asarray([float(p) for p in parameters], dtype=float)
         if params.size == 0:
             return np.zeros(0)
-        s = (math.pi / 2) if shift is None else float(shift)
-        shifted: list[list[float]] = []
-        for i in range(params.size):
-            plus = params.copy()
-            minus = params.copy()
-            plus[i] += s
-            minus[i] -= s
-            shifted.append([float(v) for v in plus])
-            shifted.append([float(v) for v in minus])
-        energies = self.expectations(circuit, observable, shifted, tenant=tenant)
-        grad = np.zeros(params.size)
-        for i in range(params.size):
-            grad[i] = 0.5 * (energies[2 * i] - energies[2 * i + 1])
-        return grad
+        with get_tracer().span("gradient", attrs={"parameters": int(params.size)}) as span:
+            backend, reason = self._gradient_route(circuit, shift)
+            span.set_attribute("method", "parameter-shift" if backend is None else "adjoint")
+            span.set_attribute("reason", reason)
+            if backend is not None:
+                return backend.gradient(
+                    circuit, observable, params, **self._plan_options(circuit)
+                )
+            s = (math.pi / 2) if shift is None else float(shift)
+            shifted: list[list[float]] = []
+            for i in range(params.size):
+                for step in (s, -s):
+                    point = params.copy()
+                    point[i] += step
+                    shifted.append([float(v) for v in point])
+            energies = np.asarray(
+                self.expectations(circuit, observable, shifted, tenant=tenant)
+            )
+            return 0.5 * (energies[0::2] - energies[1::2])
 
-    def _sync_backend(self):
-        """Execution backend for caller-thread sweeps (lazily created).
+    def _gradient_route(self, circuit, shift) -> tuple[LocalBackend | None, str]:
+        """The backend an adjoint gradient of ``circuit`` runs on, or ``None``;
+        with the reason.  A refusal runs the parameter-shift sweep, whose
+        errors (a reset, a backend without plans) are raised unchanged."""
+        if shift is not None and float(shift) != math.pi / 2:
+            return None, "non-default shift"
+        if self._shut_down:
+            return None, "shut down"
+        if self._sharded is not None:
+            return None, "sharded"
+        reason = adjoint_refusal(circuit)
+        if reason is not None:
+            return None, reason
+        factory = getattr(self._sync_accelerator(), "execution_backend", None)
+        backend = None if factory is None else factory()
+        if not isinstance(backend, LocalBackend):
+            return None, "no local dense backend"
+        if resolve_precision(self.precision) != "double":
+            return None, f"precision {self.precision}"
+        return backend, "one bare Pauli rotation per parameter"
+
+    def _plan_options(self, circuit: CompositeInstruction) -> dict:
+        """Compile options of this service's caller-thread plans."""
+        chunk_threshold = self.backend_options.get("chunk-threshold")
+        return dict(
+            n_qubits=max(circuit.n_qubits, 1),
+            optimize=bool(self.backend_options.get("optimize", True)),
+            chunk_threshold=(
+                None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
+            ),
+        )
+
+    def _sync_accelerator(self) -> Accelerator:
+        """The service's caller-thread accelerator clone (lazily created).
 
         Dispatcher threads own per-thread accelerator clones; synchronous
-        expectation sweeps run on the *caller's* thread, so the service
-        keeps one dedicated clone for them.
+        expectation sweeps and gradients run on the *caller's* thread, so
+        the service keeps one dedicated clone for them.
         """
         with self._state_lock:
             qpu = self._sync_qpu
@@ -605,7 +640,11 @@ class QuantumJobService:
                     self.backend, self.backend_options
                 )
                 self._sync_qpu = qpu
-        backend_factory = getattr(qpu, "execution_backend", None)
+        return qpu
+
+    def _sync_backend(self):
+        """Execution backend of :meth:`_sync_accelerator`."""
+        backend_factory = getattr(self._sync_accelerator(), "execution_backend", None)
         if backend_factory is None:
             raise ExecutionError(
                 f"backend {self.backend!r} does not expose an execution "

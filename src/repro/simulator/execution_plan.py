@@ -169,6 +169,9 @@ DEFAULT_CHUNK_THRESHOLD = 1 << 21
 #: parallel beat one after the other" starts to hold on this host.  Pooled /
 #: inline trajectory chunks (64 shots, 2 threads, same file): 6 q 1.46, 8 q
 #: 1.39, 10 q 1.97, 12 q 1.92, 14 q 1.04, 16 q 0.60 (13 q, apart: 1.17–1.24).
+#: That table is the sweep that set the band.  The tracked file is a later
+#: full re-sweep on the same VM type, in which the gate wins nowhere:
+#: gated / ungated 0.77 / 0.83 / 0.83 / 0.70 / 0.60 at 9–13 q.
 HANDOFF_BAND_START = 1 << 9
 HANDOFF_BAND_STOP = 1 << 14
 

@@ -105,6 +105,26 @@ class TestDifferential:
         expected = np.trace(_oracle_matrix(operator, n) @ rho).real
         assert abs(DensityMatrix(n, rho).expectation(operator) - expected) <= 1e-12
 
+    @_SETTINGS
+    @given(operators(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_apply_matches_matrix_oracle(self, case, seed):
+        """``apply`` is ``sum Re(c) P`` applied to the state, into ``out`` too."""
+        n, operator = case
+        psi = _random_state(np.random.default_rng(seed), n)
+        expected = _oracle_matrix(operator, n) @ psi
+        form = compile_observable(operator, n)
+        out = np.full_like(psi, np.nan)
+        assert form.apply(psi, out) is out
+        assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12
+        assert np.max(np.abs(form.apply(psi) - expected), initial=0.0) <= 1e-12
+
+    def test_apply_on_a_wider_register_with_xyz_yy_and_constant(self):
+        rng = np.random.default_rng(8)
+        psi = _random_state(rng, 5)
+        observable = 0.4 - 0.9 * X(0) + 0.3 * Y(4) + 1.1 * Z(2) + 0.6 * Y(1) * Y(3)
+        expected = observable.to_matrix(5) @ psi
+        assert np.max(np.abs(compile_observable(observable, 5).apply(psi) - expected)) <= 1e-12
+
     def test_lone_term_and_wider_register(self):
         rng = np.random.default_rng(3)
         psi = _random_state(rng, 4)
@@ -142,7 +162,14 @@ class TestWorkBound:
         assert len(form.groups) == 10
         assert not form.diagonal.flags.writeable
 
-    def test_gradient_compiles_the_observable_once(self):
+    @pytest.mark.parametrize(
+        "shift, lookups",
+        [(None, (1, 0)), (0.4, (1, 39))],
+        ids=["adjoint", "parameter-shift"],
+    )
+    def test_gradient_compiles_the_observable_once(self, shift, lookups):
+        """One compile per gradient: the adjoint method looks the observable
+        up once (one ``H|psi>``), the 2·P sweep once per binding."""
         builder = CircuitBuilder(4, name="compile_once")
         for index in range(20):
             builder.ry(index % 4, Parameter(f"t{index:02d}"))
@@ -151,10 +178,12 @@ class TestWorkBound:
         observable = 0.123456 * Z(0) * Z(1) - 0.654321 * X(2) + 0.5 * Y(1) * Y(3)
         compiled._compile.cache_clear()
         with QuantumJobService(workers=1, name="compile-once") as service:
-            gradient = service.gradient(builder.build(), observable, np.full(20, 0.3))
+            gradient = service.gradient(
+                builder.build(), observable, np.full(20, 0.3), shift=shift
+            )
         info = compiled._compile.cache_info()
         assert gradient.shape == (20,)
-        assert (info.misses, info.hits) == (1, 39)
+        assert (info.misses, info.hits) == lookups
 
 
 class TestMemo:

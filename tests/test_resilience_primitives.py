@@ -26,7 +26,6 @@ from repro.exceptions import (
     DeadlineExceeded,
     JobCancelled,
     RetryExhausted,
-    WorkerCrashed,
 )
 from repro.exec.retry import (
     DEFAULT_RETRY_POLICY,
@@ -150,7 +149,7 @@ class TestCombinedToken:
 class TestFailureClassification:
     @pytest.mark.parametrize(
         "error",
-        [EOFError(), ConnectionError(), OSError(), WorkerCrashed("w")],
+        [EOFError(), ConnectionError(), OSError()],
     )
     def test_infrastructure_errors_are_retryable(self, error):
         assert is_retryable(error)

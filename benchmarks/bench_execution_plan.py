@@ -14,8 +14,8 @@ traffic shapes that dominate the paper's workloads:
    ``QppAccelerator.execute`` of one hot circuit with the plan cache warm
    vs the gate-by-gate reference (IR passes + ``StateVector.apply_circuit``
    + the engine's sampler) per repeat.
-4. **Sampling crossover**: one chunk's draw by ``multinomial`` vs by
-   inverse CDF over positive bins 2^1..2^17 x chunk shots 1..8192, median
+4. **Sampling crossover**: one draw by ``multinomial`` vs by
+   inverse CDF over positive bins 2^1..2^17 x shots 1..8192, median
    of 5 each; the table ``repro.simulator.sampling.INVERSE_CDF_MIN_BINS``
    cites, with the regret of the rule that constant sets.
 
@@ -60,11 +60,7 @@ from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import reset_plan_cache
-from repro.simulator.sampling import (
-    _inverse_cdf_draws,
-    _inverse_cdf_wins,
-    _multinomial_draws,
-)
+from repro.simulator.sampling import _inverse_cdf_draw, _inverse_cdf_wins, _normalised
 from repro.simulator.statevector import StateVector
 
 SPEEDUP_TARGET_PARAMETRIC = 3.0
@@ -281,17 +277,17 @@ def _median_us(rounds, fn, *args) -> float:
 
 
 def _multinomial_hits(probs, shots, rng):
-    counts = _multinomial_draws(probs, probs.sum(), [(shots, rng)])
+    counts = rng.multinomial(shots, _normalised(probs, probs.sum()))
     hit = np.flatnonzero(counts)
     return hit, counts[hit]
 
 
 def _inverse_hits(probs, shots, rng):
-    return _inverse_cdf_draws(probs, [(shots, rng)])
+    return _inverse_cdf_draw(probs, shots, rng)
 
 
 def bench_sampling_crossover(quick: bool) -> dict:
-    """One chunk's draw both ways over (positive bins x chunk shots)."""
+    """One draw both ways over (positive bins x shots)."""
     bin_exponents = range(1, 18, 4 if quick else 1)
     shot_counts = [1 << k for k in range(0, 14, 4 if quick else 1)]
     rounds = 3 if quick else 5

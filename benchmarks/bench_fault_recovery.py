@@ -86,15 +86,15 @@ def bench_recovery(quick: bool) -> dict:
     total_retries = 0
     mismatches = 0
     for _ in range(rounds):
-        # after=2: the warm-up execute consumes one hit per worker, so the
-        # kill lands on the *timed* execute — respawn + chunk re-execution,
-        # not pool construction, is what the clock sees.
+        # after=1: the warm-up execute consumes one hit (a job runs on one
+        # shard), so the kill lands on the *timed* execute — respawn + job
+        # re-execution, not pool construction, is what the clock sees.
         install_faults(
             [
                 FaultSpec(
                     site="sharded.worker.replay",
                     action="kill",
-                    after=2,
+                    after=1,
                     times=1,
                     scope="global",
                 )

@@ -3,7 +3,7 @@
 The source paper's claim is that two kernels on two user threads finish
 sooner than the same two one after the other.  On an interpreter with a
 global lock that is a property of the *kernel size*, so this script measures
-where it holds on the host it runs on, in three parts:
+where it holds on the host it runs on, in two parts:
 
 * **Figures 3-5 in wall clock.**  The paper's own Bell / Shor tasks through
   :func:`~repro.core.executor.run_parallel` and ``run_one_by_one``: median
@@ -21,16 +21,14 @@ where it holds on the host it runs on, in three parts:
   contrast itself.  Each side is forced by patching the band constants from
   here, the way ``bench_chunked_replay.py`` forces its lanes with
   ``chunk_threshold=2`` — the program has no option for it.
-* **Trajectory shot chunks**, pooled on ``sim-engine`` threads vs back to
-  back on the calling thread, at 6 ... 16 qubits (same patching).
 
 Everything is taken after a spin-up (:func:`spin_up`): the OS only spreads a
 process's kernel threads over both cores a second or so into its life, and
 every number here is different before that.
 
 Acceptance: fixed-seed counts must be identical across the sides of every
-comparison (parallel vs one-by-one at equal threads per task; solo / ungated
-/ gated; pooled / inline).  Speed is recorded, never gated.
+comparison (parallel vs one-by-one; solo / ungated / gated).  Speed is
+recorded, never gated.
 
 Run standalone (writes the ``BENCH_paper_figures.json`` trajectory file; the
 tracked copy is the **full** run, ~10 min — pass ``--output`` elsewhere for a
@@ -58,23 +56,19 @@ from pathlib import Path
 import numpy as np
 
 import repro.exec.backend as backend_module
-import repro.simulator.parallel_engine as engine_module
 from repro.benchmark import figure3_workload, figure4_workload, figure5_workload
 from repro.config import configure
 from repro.core.executor import run_one_by_one, run_parallel
 from repro.exec import LocalBackend
 from repro.ir.builder import CircuitBuilder
-from repro.simulator.execution_plan import HANDOFF_BAND_START, HANDOFF_BAND_STOP
 from repro.simulator.parallel_engine import ParallelSimulationEngine
+from repro.simulator.execution_plan import HANDOFF_BAND_START, HANDOFF_BAND_STOP
 
 #: The gate "wins" a sweep point when gated / ungated reaches this.
 GATE_MARGIN = 1.05
 SWEEP_QUBITS = tuple(range(2, 19)) + (20,)
 QUICK_SWEEP_QUBITS = (4, 10, 15)
-TRAJECTORY_QUBITS = (6, 8, 10, 12, 14, 16)
-QUICK_TRAJECTORY_QUBITS = (6, 14)
 SWEEP_SHOTS = 256
-TRAJECTORY_SHOTS = 64
 SEED = 1234
 #: Band edges that put every / no state size inside the band.
 EVERY_SIZE = (0, 1 << 62)
@@ -132,8 +126,8 @@ def bench_figures(quick: bool) -> dict:
     for name, workload in figures.items():
         tasks = workload.tasks
         per_task = max(1, total // len(tasks))
-        # Same threads per task on both sides => same shot chunks => the
-        # fixed-seed histograms must agree task for task.
+        # One draw per job whatever the thread count, so the fixed-seed
+        # histograms must agree task for task.
         identical = (
             run_parallel(tasks, total).counts_by_task()
             == run_one_by_one(tasks, per_task).counts_by_task()
@@ -308,64 +302,6 @@ def bench_size_sweep(quick: bool) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Part 3: trajectory shot chunks, pooled vs inline
-# ---------------------------------------------------------------------------
-
-
-def reset_circuit(n_qubits: int):
-    builder = CircuitBuilder(n_qubits, name=f"reset_{n_qubits}q")
-    for qubit in range(n_qubits):
-        builder.ry(qubit, 0.3 + 0.07 * qubit)
-    for qubit in range(n_qubits - 1):
-        builder.cx(qubit, qubit + 1)
-    builder.reset(n_qubits - 1).h(n_qubits - 1).cx(n_qubits - 1, 0)
-    builder.measure_all()
-    return builder.build()
-
-
-def bench_trajectory_chunks(quick: bool) -> dict:
-    rounds = 3 if quick else 7
-    points = []
-    shipped = engine_module.HANDOFF_BAND_STOP
-    try:
-        for n_qubits in QUICK_TRAJECTORY_QUBITS if quick else TRAJECTORY_QUBITS:
-            circuit = reset_circuit(n_qubits)
-            sides = {}
-            for side, stop in (("pooled", 0), ("inline", 1 << 62)):
-                engine_module.HANDOFF_BAND_STOP = stop
-                with ParallelSimulationEngine(num_threads=2) as engine:
-                    samples = []
-                    for _ in range(rounds + 1):  # the first run builds the pool
-                        started = time.perf_counter()
-                        counts = engine.run_trajectories(
-                            n_qubits, circuit, TRAJECTORY_SHOTS, seed=SEED
-                        )
-                        samples.append(time.perf_counter() - started)
-                sides[side] = (statistics.median(samples[1:]), counts)
-            points.append(
-                {
-                    "n_qubits": n_qubits,
-                    "pooled_seconds": sides["pooled"][0],
-                    "inline_seconds": sides["inline"][0],
-                    "pooled_over_inline": sides["pooled"][0] / sides["inline"][0],
-                    "counts_identical": sides["pooled"][1] == sides["inline"][1],
-                }
-            )
-    finally:
-        engine_module.HANDOFF_BAND_STOP = shipped
-    return {
-        "workload": "trajectory_chunks_pooled_vs_inline",
-        "shots": TRAJECTORY_SHOTS,
-        "threads": 2,
-        "rounds": rounds,
-        "statistic": "median",
-        "points": points,
-        "inline_below_amplitudes": shipped,
-        "counts_identical": all(p["counts_identical"] for p in points),
-    }
-
-
 def spin_up(seconds: float) -> None:
     """Run two kernel threads until the process is in its steady mode.
 
@@ -389,7 +325,6 @@ def run_suite(quick: bool = False) -> dict:
     with configure(seed=SEED):
         figures = bench_figures(quick)
     sweep = bench_size_sweep(quick)
-    chunks = bench_trajectory_chunks(quick)
     return {
         "benchmark": "paper_figures",
         "quick": quick,
@@ -400,11 +335,9 @@ def run_suite(quick: bool = False) -> dict:
         "cpu_model": cpu_model(),
         "cpu_count": host_cores(),
         "spin_up_seconds": spin_up_seconds,
-        "results": [figures, sweep, chunks],
+        "results": [figures, sweep],
         "counts_identity_all": bool(
-            figures["counts_identical"]
-            and sweep["counts_identical"]
-            and chunks["counts_identical"]
+            figures["counts_identical"] and sweep["counts_identical"]
         ),
     }
 
@@ -414,7 +347,7 @@ def write_trajectory_file(report: dict, output: Path) -> None:
 
 
 def _report_lines(report: dict) -> list[str]:
-    figures, sweep, chunks = report["results"]
+    figures, sweep = report["results"]
     lines = [
         f"figures 3-5, {figures['total_threads']} threads, median of "
         f"{figures['rounds']} rounds after a {report['spin_up_seconds']} s spin-up:"
@@ -441,12 +374,6 @@ def _report_lines(report: dict) -> list[str]:
         f"[{sweep['handoff_band_start']}, {sweep['handoff_band_stop']}) amplitudes); two "
         f"threads beat one from {sweep['two_threads_beat_one_from_qubits']} qubits"
     )
-    lines.append(f"trajectory chunks, {chunks['shots']} shots, 2 threads (pooled | inline):")
-    lines += [
-        f"  {p['n_qubits']:>2} q  {1e3 * p['pooled_seconds']:8.2f} ms | "
-        f"{1e3 * p['inline_seconds']:8.2f} ms   pooled/inline {p['pooled_over_inline']:.2f}"
-        for p in chunks["points"]
-    ]
     lines.append(f"counts identical on every side: {report['counts_identity_all']}")
     return lines
 

@@ -144,15 +144,27 @@ def algorithm_suite():
 
 
 def check_identity(shots: int = 512, seed: int = 1234, shards: int = 2) -> dict:
-    """Fixed-seed counts equality: ShardedExecutor vs the in-process seam."""
+    """Fixed-seed counts equality: ShardedExecutor vs the in-process seam.
+
+    A job's shots are one draw on one generator, so the sharded counts must
+    equal a 1-thread and a 3-thread ``LocalBackend``'s alike — neither the
+    shard count nor the thread count may move them.
+    """
     results = {}
-    local = LocalBackend(engine=ParallelSimulationEngine(num_threads=shards))
+    references = [
+        LocalBackend(engine=ParallelSimulationEngine(num_threads=threads))
+        for threads in (1, 3)
+    ]
     with ShardedExecutor(shards, name="bench-identity") as sharded:
         for name, (circuit, width) in algorithm_suite().items():
-            reference = local.execute(circuit, shots, n_qubits=width, seed=seed)
             result = sharded.execute(circuit, shots, n_qubits=width, seed=seed)
-            results[name] = dict(result.counts) == dict(reference.counts)
-    local.close()
+            results[name] = all(
+                dict(result.counts)
+                == dict(local.execute(circuit, shots, n_qubits=width, seed=seed).counts)
+                for local in references
+            )
+    for local in references:
+        local.close()
     return results
 
 

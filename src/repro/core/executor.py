@@ -149,8 +149,8 @@ def run_one_by_one(
     """Run every task sequentially, each using all ``total_threads`` workers.
 
     ``processes=N`` routes each task's execution through the shared
-    process-sharded backend (shots split over ``N`` worker processes) — the
-    same seam every other execution path uses.
+    process-sharded backend (each job whole on one of ``N`` worker
+    processes) — the same seam every other execution path uses.
     """
     total = total_threads if total_threads is not None else get_config().omp_num_threads
     if total < 1:
@@ -175,8 +175,8 @@ def run_parallel(
 ) -> ExecutionReport:
     """Run all tasks concurrently, splitting ``total_threads`` between them.
 
-    ``processes=N`` additionally shards each task's shots across the shared
-    worker processes, stacking process-level parallelism on top of the
+    ``processes=N`` additionally runs each task's job on one of the shared
+    worker processes, so concurrent tasks overlap past the GIL on top of the
     paper's thread-level kernel parallelism.
     """
     if not tasks:

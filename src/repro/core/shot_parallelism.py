@@ -13,14 +13,25 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..config import get_config
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..runtime.buffer import AcceleratorBuffer
 from ..runtime.service_registry import get_accelerator
-from ..simulator.parallel_engine import merge_counts, split_shots
+from ..simulator.sampling import merge_counts
 from .threading_api import qcor_async
 
-__all__ = ["execute_shots_parallel"]
+__all__ = ["execute_shots_parallel", "split_shots"]
+
+
+def split_shots(shots: int, workers: int) -> list[int]:
+    """Split ``shots`` into ``workers`` near-equal positive chunks."""
+    if shots <= 0:
+        raise ExecutionError(f"shots must be positive, got {shots}")
+    if workers <= 0:
+        raise ExecutionError(f"workers must be positive, got {workers}")
+    workers = min(workers, shots)
+    base, remainder = divmod(shots, workers)
+    return [base + (1 if i < remainder else 0) for i in range(workers)]
 
 
 def execute_shots_parallel(

@@ -365,7 +365,6 @@ class LocalBackend(ExecutionBackend):
             n_qubits=width,
             backend=self.backend_name,
             seconds=elapsed,
-            shards=1,
             plan_cached=cached,
             depth=plan.depth,
             n_gates=plan.n_gates,
@@ -481,7 +480,6 @@ class LocalBackend(ExecutionBackend):
                     n_qubits=width,
                     backend=self.backend_name,
                     seconds=time.perf_counter() - started,
-                    shards=1,
                     plan_cached=cached or index > 0,
                     depth=bound.depth,
                     n_gates=bound.n_gates,
@@ -645,7 +643,6 @@ class DensityBackend(ExecutionBackend):
             n_qubits=width,
             backend=self.backend_name,
             seconds=elapsed,
-            shards=1,
             depth=circuit.depth(),
             n_gates=circuit.n_gates,
             extra={"purity": rho.purity(), "precision": tier},

@@ -1,10 +1,10 @@
 """The result type every execution backend returns.
 
 One dataclass covers the in-process path, the process-sharded path and the
-density-matrix path: a histogram plus enough provenance (shard count,
-plan-cache behaviour, retry count) for callers — accelerators, the job
-broker, benchmarks — to assert on *how* the result was produced, not just
-what it contains.
+density-matrix path: a histogram plus enough provenance (plan-cache
+behaviour, retry count) for callers — accelerators, the job broker,
+benchmarks — to assert on *how* the result was produced, not just what it
+contains.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ class ExecutionResult:
     #: Wall-clock seconds of the execution, including plan compilation when
     #: the plan cache missed (cached replays pay only the lookup).
     seconds: float = 0.0
-    #: Number of process shards that contributed (1 for in-process paths).
-    shards: int = 1
     #: True when the execution replayed an already-compiled plan.
     plan_cached: bool = False
     #: Depth of the optimised circuit the plan was lowered from.
     depth: int = 0
     #: Unitary gate count of the optimised circuit.
     n_gates: int = 0
-    #: Shard chunks that had to be re-executed after a worker died.
+    #: Shard tasks that had to be re-executed after a worker died.
     retries: int = 0
     #: Backend-specific extras (e.g. density-matrix purity).
     extra: Mapping[str, object] = field(default_factory=dict)

@@ -12,21 +12,16 @@ most once per worker and replayed thereafter — the same
 compile-once/execute-many amortisation the in-process plan cache provides,
 multiplied across processes.
 
-Every job — a shot chunk, a sweep's binding range, an exact expectation —
-is one shard task evaluating a list of bindings on one compiled plan, and
-two dispatch shapes cover the traffic:
-
-* **shot sharding** (``shard=None``): the shot budget is split across all
-  shards with :func:`~repro.simulator.parallel_engine.split_shots` and
-  per-shard seeds are spawned from one ``numpy.random.SeedSequence`` —
-  the *identical* chunk/seed derivation the in-process engine uses for its
-  worker threads, so fixed-seed counts are bit-identical to
-  ``ParallelSimulationEngine`` with ``num_threads == n_shards``;
-* **key affinity** (``shard=k`` or :meth:`execute_for_key`): the whole job
-  runs on one shard chosen by hashing the job key, so a worker's warm plan
-  cache keeps receiving the circuits it has already compiled.  A pinned
-  single-chunk run spawns ``SeedSequence(seed).spawn(1)`` exactly like the
-  single-threaded engine path, preserving bit-identity there too.
+Every job — a lone job, a sweep's binding range, an exact expectation — is
+one shard task evaluating a list of bindings on one compiled plan.  A job
+runs whole on one shard: its content-affine shard (``shard=None``, the one
+:meth:`ShardedExecutor.compile` warms), a pinned one (``shard=k``), or the
+owner of its job key (:meth:`ShardedExecutor.execute_for_key`).  Shards
+parallelise across jobs and across a sweep's bindings, never within one
+job's shots.  Every binding draws from
+:func:`~repro.simulator.sampling.job_rng` of the job's seed, as the
+in-process engine does, so fixed-seed counts are bit-identical to
+:class:`~repro.exec.backend.LocalBackend` at any thread or shard count.
 
 Workers are expendable: a task whose worker dies (OOM-killed, ``SIGKILL``,
 crashed interpreter) is re-executed on a freshly respawned shard rather
@@ -56,13 +51,8 @@ from ..testing import faults
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .workers import Envelope, circuit_payload, plan_cache_size, worker_plan
 from ..simulator.execution_plan import DEFAULT_PRECISION
-from ..simulator.parallel_engine import (
-    BranchTree,
-    merge_counts,
-    replay_trajectory_chunk,
-    split_shots,
-)
-from ..simulator.sampling import sample_counts
+from ..simulator.parallel_engine import BranchTree, sample_trajectories
+from ..simulator.sampling import job_rng, sample_counts
 from .backend import ExecutionBackend, Params, _resolve_width
 from .result import ExecutionResult
 
@@ -97,7 +87,7 @@ def _init_worker_process(total_shards: int) -> None:
 
     Besides recording the shard topology, merely importing this module
     (which the spawn/forkserver pickling of this initializer forces)
-    preloads the whole simulator stack, so a worker's first chunk pays no
+    preloads the whole simulator stack, so a worker's first task pays no
     import latency mid-traffic.
     """
     global _WORKER_SHARDS
@@ -131,9 +121,8 @@ def _run_bindings(
     width: int,
     options: dict,
     bindings: Sequence,
-    seeds: Sequence,
+    seed: int | None,
     shots: int,
-    trajectories: bool,
     observable,
 ) -> tuple[list, int, int, bool]:
     """The shard task: compile once, evaluate ``bindings`` in order.
@@ -141,15 +130,14 @@ def _run_bindings(
     Returns ``(results, depth, n_gates, plan_cached)`` where ``results``
     holds one ``(counts_or_expectation, seconds)`` pair per binding.  With
     an ``observable`` each value is the exact expectation; otherwise each
-    binding samples ``shots`` from ``default_rng(seeds[i])``, mirroring the
-    in-process paths operation for operation so fixed-seed results reduce
-    bit-identically: non-reset circuits replay the plan once and sample
-    (:meth:`ParallelSimulationEngine.sample_parallel`'s per-chunk body);
-    reset circuits — or ``trajectories=True`` — walk one branch tree per
-    binding with the RNG shared between collapses and sampling
-    (:meth:`run_trajectories`'s chunk body).  Large states chunk-parallelise
-    each replay on the worker's own engine — chunked replay is bitwise
-    identical to serial.
+    binding samples ``shots`` from ``job_rng(seed)``, mirroring the
+    in-process paths operation for operation so fixed-seed results are
+    bit-identical: non-reset circuits replay the plan once and sample
+    (:meth:`ParallelSimulationEngine.sample_parallel`); reset circuits walk
+    one branch tree per binding with the generator shared between collapses
+    and sampling (:meth:`ParallelSimulationEngine.run_trajectories`).  Large
+    states chunk-parallelise each replay on the worker's own engine —
+    chunked replay is bitwise identical to serial.
 
     The spans below record only under an active trace (the tracer hands
     out shared no-op spans otherwise), mirroring ``LocalBackend.execute``'s
@@ -166,7 +154,7 @@ def _run_bindings(
     measured = plan.measured_qubits or tuple(range(width))
     engine = _worker_engine()
     results: list = []
-    for values, seed_seq in zip(bindings, seeds):
+    for values in bindings:
         if token is not None:
             # Per-binding boundary: an expired job stops between
             # evaluations instead of draining the whole range.
@@ -189,13 +177,13 @@ def _run_bindings(
             data = bound.execute(bound.new_state(), pool=engine)
             value = compile_observable(observable, width).expectation(data)
         else:
-            rng = np.random.default_rng(seed_seq)
-            if bound.has_reset or trajectories:
+            rng = job_rng(seed)
+            if bound.has_reset:
                 tree = BranchTree(bound, measured, width, pool=engine)
                 with tracer.span(
                     "replay", attrs={"mode": "trajectories", "shots": shots}
                 ) as span:
-                    value = replay_trajectory_chunk(tree, shots, rng)
+                    value = sample_trajectories(tree, shots, rng)
                     span.set_attribute("branches", tree.branches)
                     span.set_attribute("segment_replays", tree.segment_replays)
             else:
@@ -546,24 +534,14 @@ class ShardedExecutor(ExecutionBackend):
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
         shard: int | None = None,
-        trajectories: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> ExecutionResult:
-        """Run ``circuit`` across the shards (or pinned to one).
+        """Run ``circuit`` whole on one shard.
 
-        ``shard=None`` splits the shots over every shard; ``shard=k`` runs
-        the whole job on shard ``k`` (the broker's key-affinity mode).
-        Shot sharding replicates the *state evolution* on every shard (each
-        worker replays the plan once) and shards only the shot work, so it
-        pays off when shots/trajectories dominate — trajectory workloads,
-        high shot counts, small-to-mid states.  For deep circuits at low
-        shot counts prefer key affinity, which evolves once on one shard.
-        ``trajectories=True`` forces the trajectory path even without
-        mid-circuit resets (matching the engine's trajectory path RNG-draw
-        for RNG-draw; a reset-free plan is one branch).  Results reduce deterministically: chunks
-        are merged in shard order and the per-chunk seeds derive from
-        ``SeedSequence(seed)`` exactly as the in-process engine derives its
-        per-thread streams.
+        ``shard=None`` picks the circuit's content-affine shard — the one
+        :meth:`compile` warms; ``shard=k`` pins shard ``k`` (the broker's
+        key-affinity mode).  The job's shots are one draw on
+        ``job_rng(seed)``, as in-process, so the shard never moves the counts.
         """
         if circuit.is_parameterized and params is None:
             raise ExecutionError(
@@ -572,42 +550,34 @@ class ShardedExecutor(ExecutionBackend):
         payload, digest = circuit_payload(circuit)
         width = _resolve_width(circuit, n_qubits)
         if shard is None:
-            chunks = split_shots(shots, self.processes)
-            indices = list(range(len(chunks)))
-        else:
-            if not 0 <= shard < self.processes:
-                raise ExecutionError(
-                    f"shard {shard} out of range for {self.processes} shard(s)"
-                )
-            chunks = [shots]
-            indices = [shard]
-        seeds = np.random.SeedSequence(seed).spawn(len(chunks))
+            shard = self.shard_for(digest)
+        elif not 0 <= shard < self.processes:
+            raise ExecutionError(
+                f"shard {shard} out of range for {self.processes} shard(s)"
+            )
         options = _compile_options(optimize, chunk_threshold, precision)
         started = time.perf_counter()
-        outcomes, retries = self._dispatch(
+        (outcome,), retries = self._dispatch(
             "shard-replay",
             [
                 (
-                    index,
-                    {"shots": chunk},
-                    (payload, digest, width, options, [params], [seq], chunk,
-                     trajectories, None),
+                    shard,
+                    {"shots": shots},
+                    (payload, digest, width, options, [params], seed, shots, None),
                 )
-                for index, chunk, seq in zip(indices, chunks, seeds)
             ],
             retry_policy,
         )
         elapsed = time.perf_counter() - started
         return ExecutionResult(
-            counts=merge_counts(outcome[0][0][0] for outcome in outcomes),
+            counts=outcome[0][0][0],
             shots=shots,
             n_qubits=width,
             backend=self.backend_name,
             seconds=elapsed,
-            shards=len(chunks),
-            plan_cached=all(outcome[3] for outcome in outcomes),
-            depth=outcomes[0][1],
-            n_gates=outcomes[0][2],
+            plan_cached=outcome[3],
+            depth=outcome[1],
+            n_gates=outcome[2],
             retries=retries,
         )
 
@@ -658,9 +628,8 @@ class ShardedExecutor(ExecutionBackend):
 
         The circuit ships once per shard (content hash + compile-once
         worker cache); each shard evaluates its range with in-place
-        rebinds.  Every binding derives its RNG as
-        ``SeedSequence(seed).spawn(1)[0]`` — the pinned single-chunk
-        derivation — whichever range it lands in.  Returns the flattened
+        rebinds.  Every binding draws from ``job_rng(seed)`` — a lone
+        job's generator — whichever range it lands in.  Returns the flattened
         per-binding ``(value, seconds)`` list in binding order plus
         ``(depth, n_gates, all_cached, retries)``.
         """
@@ -679,12 +648,10 @@ class ShardedExecutor(ExecutionBackend):
         for i in range(n_chunks):
             chunk = bindings[cursor : cursor + base + (1 if i < extra else 0)]
             cursor += len(chunk)
-            seeds = [np.random.SeedSequence(seed).spawn(1)[0] for _ in chunk]
             jobs.append((
                 (first + i) % self.processes,
                 {"bindings": len(chunk)},
-                (payload, digest, width, options, chunk, seeds, shots, False,
-                 observable),
+                (payload, digest, width, options, chunk, seed, shots, observable),
             ))
         outcomes, retries = self._dispatch("sweep-chunk", jobs, retry_policy)
         flat = [pair for outcome in outcomes for pair in outcome[0]]
@@ -728,7 +695,6 @@ class ShardedExecutor(ExecutionBackend):
                 n_qubits=width,
                 backend=self.backend_name,
                 seconds=seconds,
-                shards=1,
                 plan_cached=cached or index > 0,
                 depth=depth,
                 n_gates=n_gates,
@@ -798,7 +764,7 @@ class ShardedExecutor(ExecutionBackend):
 
     @property
     def total_retries(self) -> int:
-        """Chunks re-executed after worker deaths over this executor's life."""
+        """Tasks re-executed after worker deaths over this executor's life."""
         with self._lock:
             return self._retries
 

@@ -578,7 +578,6 @@ class StabilizerBackend(ExecutionBackend):
             n_qubits=width,
             backend=self.backend_name,
             seconds=elapsed,
-            shards=1,
             depth=classification.depth,
             n_gates=classification.n_gates,
             extra={"n_random_bits": tableau.n_random_bits},

@@ -7,19 +7,19 @@ refactor it is a *thin adapter* over the unified
 * by default execution goes through a :class:`~repro.exec.backend.LocalBackend`
   (shared execution-plan cache + this clone's
   :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`), which
-  replays compiled plans and samples through the engine's worker threads —
-  the compile-once/execute-many pipeline;
+  replays compiled plans — chunk-parallel on the engine's worker threads for
+  large states — and samples them: the compile-once/execute-many pipeline;
 * setting the ``processes`` option to ``N > 1`` routes execution through the
-  process-wide :class:`~repro.exec.sharded.ShardedExecutor` instead: the
-  shot budget is sharded across ``N`` persistent worker processes, each
-  replaying from its own plan cache — the path that scales past the GIL.
-  Fixed-seed counts are bit-identical to the in-process path with
-  ``threads == N``.
+  process-wide :class:`~repro.exec.sharded.ShardedExecutor` instead: each
+  job runs whole on one of ``N`` persistent worker processes, replaying
+  from that worker's plan cache, so concurrent jobs scale past the GIL.
 
-Circuits containing mid-circuit ``RESET`` instructions fall back to
-trajectory simulation (one replay per reset-outcome branch), distributed the
-same way.  ``optimize=False`` skips the IR pass pipeline.  The gate-by-gate
-reference is
+Every job's shots are one draw on one generator seeded from the global
+``seed``, so fixed-seed counts are the same at every ``threads`` and
+``processes`` setting.  Circuits containing mid-circuit ``RESET``
+instructions fall back to trajectory simulation (one replay per
+reset-outcome branch) on the same lane.  ``optimize=False`` skips the IR
+pass pipeline.  The gate-by-gate reference is
 :meth:`~repro.simulator.statevector.StateVector.apply_circuit` plus the
 engine's ``sample_parallel`` / ``run_trajectories``; plans are checked
 against it in the test suite rather than selectable here.
@@ -148,7 +148,6 @@ class QppAccelerator(Accelerator, Cloneable):
                 "circuit-depth": result.depth,
                 "circuit-gates": result.n_gates,
                 "plan-cached": result.plan_cached,
-                "processes": result.shards if result.shards > 1 else 0,
             }
         )
         return buffer
@@ -188,7 +187,6 @@ class QppAccelerator(Accelerator, Cloneable):
                 "circuit-depth": result.depth,
                 "circuit-gates": result.n_gates,
                 "plan-cached": False,
-                "processes": 0,
             }
         )
         return buffer

@@ -11,7 +11,7 @@ request's shot count happens in two directions:
   what a fresh run of that size would produce given the recorded outcomes;
 * the cache holds **fewer** shots than requested → the broker runs only the
   missing shots (a *top-up*) and merges them into the entry via
-  :func:`repro.simulator.parallel_engine.merge_counts`.
+  :func:`repro.simulator.sampling.merge_counts`.
 
 The cache never hands out mutable internal state: entry histograms are
 read-only mapping views shared by every caller.
@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ..exceptions import ExecutionError
-from ..simulator.parallel_engine import merge_counts
+from ..simulator.sampling import merge_counts
 
 __all__ = ["CacheStats", "CachedResult", "ResultCache", "subsample_counts"]
 

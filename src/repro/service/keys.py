@@ -44,15 +44,14 @@ __all__ = [
     "canonical_binding",
 ]
 
-#: Backend options that do not affect measurement distributions and must not
-#: fragment the cache (they tune performance, not physics).  ``threads``
-#: (and ``processes``) set how many seeded chunks the shots split into:
-#: fixed-seed counts differ between chunk counts, the distribution does
-#: not, which is the identity the cache serves.  ``processes``
-#: selects the process-sharded execution backend; its reductions are
-#: deterministic, so it is a routing knob, not part of the result identity.
-#: ``chunk-threshold`` gates chunk-parallel plan replay (bitwise identical
-#: to serial replay).  All of them stay out of the job identity.
+#: Backend options that do not affect results and must not fragment the
+#: cache (they tune performance, not physics).  ``threads`` sizes the
+#: engine's chunk-replay pool and ``processes`` selects the process-sharded
+#: execution backend, which runs each job whole on one shard; a job's shots
+#: are one draw on one seeded generator either way, so fixed-seed counts
+#: are byte-identical at every setting of both.  ``chunk-threshold`` gates
+#: chunk-parallel plan replay (bitwise identical to serial replay).  All of
+#: them stay out of the job identity.
 #:
 #: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
 #: ``admission-wait-seconds``, ``breaker-failure-threshold``,

@@ -146,8 +146,7 @@ DEFAULT_CHUNK_THRESHOLD = 1 << 21
 #: second thread replaying its own dense kernel costs throughput, because
 #: numpy drops the GIL inside calls too short to be worth a cross-core
 #: hand-off.  Inside it :class:`~repro.exec.backend.LocalBackend` runs one
-#: dense kernel at a time (the process's execution gate); below its upper
-#: edge trajectory shot chunks run on the calling thread, not on a pool.
+#: dense kernel at a time (the process's execution gate).
 #: A size is in the band iff two gated threads did >= 1.05x the jobs/s of two
 #: ungated ones in the tracked sweep — ``LocalBackend.execute`` of a 2-layer
 #: RY/CX ansatz x 256 shots per thread, median of three 2.5 s cells per side
@@ -166,12 +165,15 @@ DEFAULT_CHUNK_THRESHOLD = 1 << 21
 #: band nothing is handed off and a gate only adds a lock convoy; above it
 #: one numpy call outlasts a hand-off and two threads genuinely overlap —
 #: *ungated / solo* crosses 1 at 14 qubits, where the paper's "two kernels in
-#: parallel beat one after the other" starts to hold on this host.  Pooled /
-#: inline trajectory chunks (64 shots, 2 threads, same file): 6 q 1.46, 8 q
-#: 1.39, 10 q 1.97, 12 q 1.92, 14 q 1.04, 16 q 0.60 (13 q, apart: 1.17–1.24).
+#: parallel beat one after the other" starts to hold on this host.
 #: That table is the sweep that set the band.  The tracked file is a later
 #: full re-sweep on the same VM type, in which the gate wins nowhere:
-#: gated / ungated 0.77 / 0.83 / 0.83 / 0.70 / 0.60 at 9–13 q.
+#: gated / ungated 0.77 / 0.83 / 0.83 / 0.70 / 0.60 at 9–13 q.  End to end
+#: it still pays: with the gate switched off, ten alternating 15 s pairs per
+#: workload (``benchmarks/e2e/run.py --seed 5309``, same VM type) read median
+#: ``broker_cold`` ``ops_per_s`` 177 → 170 and ``latency_p95_ms`` 19.1 → 21.3,
+#: and ``paper_kernels`` ``cpu_ms_per_op`` 4.27 → 4.81 (worse in 10 of 10
+#: pairs), so the band stays.
 HANDOFF_BAND_START = 1 << 9
 HANDOFF_BAND_STOP = 1 << 14
 
@@ -495,8 +497,7 @@ class ExecutionPlan:
         Chunks perform exactly the serial kernel's per-amplitude
         arithmetic, so the chunked result is bitwise identical to the
         serial one.  Never pass a pool from *inside* one of its own worker
-        threads (the barrier would deadlock a saturated pool); the
-        trajectory paths therefore only chunk single-chunk runs.
+        threads (the barrier would deadlock a saturated pool).
         """
         if self._requires_binding:
             raise ExecutionError(

@@ -1,29 +1,25 @@
 """Inner-simulator parallelism (the paper's third level of parallelism).
 
-Quantum++ parallelises gate application and sampling with OpenMP; the number
-of threads is controlled with ``OMP_NUM_THREADS``.  This module provides the
-Python analogue used by :class:`repro.runtime.qpp_accelerator.QppAccelerator`:
+Quantum++ parallelises gate application with OpenMP; the number of threads
+is controlled with ``OMP_NUM_THREADS``.  This module provides the Python
+analogue used by :class:`repro.runtime.qpp_accelerator.QppAccelerator`:
 
-* **Shot-level parallelism** — shots split into ``num_threads`` chunks, each
-  with its own RNG stream from a ``numpy.random.SeedSequence`` spawn:
-  trajectory chunks (noisy or mid-circuit-measurement workloads) run on a
-  thread pool — or, for a state below ``HANDOFF_BAND_STOP`` amplitudes, back
-  to back on the calling thread, because a second thread on so small a
-  state only trades the GIL with the first — and terminal-sampling chunks
-  draw on the calling thread.  A fixed
-  seed reproduces exactly at a fixed ``num_threads``; fixed-seed *counts*
-  differ between worker counts (``seed=5`` gives different Bell histograms
-  on 1 and 2 threads), the sampled *distribution* does not.
-* **Chunked state application** — large single-qubit gate updates are split
-  into contiguous chunks processed by multiple workers.  NumPy releases the
-  GIL inside the vectorised kernels, so chunks genuinely overlap for large
-  states; for small states the engine falls back to the serial kernel to
-  avoid pool overhead.
+* **Chunked state application** — a state at or above the plan's chunk
+  threshold replays in contiguous chunks processed by the engine's worker
+  threads.  NumPy releases the GIL inside the vectorised kernels, so chunks
+  genuinely overlap for large states; for small states the engine falls
+  back to the serial kernel to avoid pool overhead.
+* **One draw per job** — a job's shots come from one generator
+  (:func:`~repro.simulator.sampling.job_rng`) on the calling thread:
+  terminal sampling is one draw over the whole shot budget, and a reset
+  job walks one :class:`BranchTree` shot by shot.  The worker count
+  therefore never moves fixed-seed counts.  Shot-level parallelism is the
+  level above (:mod:`repro.core.shot_parallelism`), not this one.
 
 Trajectory workloads compile the circuit into one
 :class:`~repro.simulator.execution_plan.ExecutionPlan` and walk it as a
 :class:`BranchTree` that replays each reset-outcome branch once — the plan
-is immutable, so every worker shares it without copying.
+is immutable, so every lane shares it without copying.
 
 The engine is purely thread-local: each accelerator clone owns its own
 engine, so two kernels running on different user threads never contend on
@@ -35,8 +31,7 @@ The worker pool is created lazily on first use and *reused* across calls;
 from __future__ import annotations
 
 import concurrent.futures
-import threading
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,12 +42,11 @@ from ..ir.composite import CompositeInstruction
 from ..obs.trace import get_tracer
 from .execution_plan import (
     DEFAULT_CHUNK_THRESHOLD,
-    HANDOFF_BAND_STOP,
     ExecutionPlan,
     compile_plan,
     reset_probability,
 )
-from .sampling import OneShotSampler, keyed_bin_counts, sample_chunks
+from .sampling import OneShotSampler, job_rng, keyed_bin_counts, sample_counts
 from .statevector import StateVector
 
 __all__ = [
@@ -60,34 +54,12 @@ __all__ = [
     "BranchTree",
     "ParallelSimulationEngine",
     "branch_memo_bytes",
-    "merge_counts",
-    "replay_trajectory_chunk",
-    "split_shots",
+    "sample_trajectories",
 ]
 
 #: States smaller than this (amplitudes) are not worth chunking across workers
 #: (shared with chunk-parallel plan replay — see execution_plan).
 _CHUNK_THRESHOLD = DEFAULT_CHUNK_THRESHOLD
-
-
-def split_shots(shots: int, workers: int) -> list[int]:
-    """Split ``shots`` into ``workers`` near-equal positive chunks."""
-    if shots <= 0:
-        raise ExecutionError(f"shots must be positive, got {shots}")
-    if workers <= 0:
-        raise ExecutionError(f"workers must be positive, got {workers}")
-    workers = min(workers, shots)
-    base, remainder = divmod(shots, workers)
-    return [base + (1 if i < remainder else 0) for i in range(workers)]
-
-
-def merge_counts(histograms: Iterable[dict[str, int]]) -> dict[str, int]:
-    """Merge per-worker count histograms into one."""
-    merged: dict[str, int] = {}
-    for histogram in histograms:
-        for key, value in histogram.items():
-            merged[key] = merged.get(key, 0) + int(value)
-    return merged
 
 
 #: Bytes of branch states and leaf samplers one trajectory job keeps in its
@@ -147,12 +119,10 @@ class BranchTree:
     both its children are); a branch past the bound is replayed from its
     nearest memoised ancestor — or from |0...0> — by every shot taking it.
 
-    Every chunk of a job shares one tree (building is locked, walking is
-    not).  ``pool`` chunk-parallelises segment replays: pass it only when
-    no chunk runs on that pool's own threads.  ``branches`` counts memoised
-    nodes, ``segment_replays`` every segment the tree replayed.  The ambient
-    cancel token is checked once per shot and once per node build (segment
-    replays check it per step).
+    One thread walks a tree.  ``pool`` chunk-parallelises segment replays.
+    ``branches`` counts memoised nodes, ``segment_replays`` every segment
+    the tree replayed.  The ambient cancel token is checked once per shot
+    and once per node build (segment replays check it per step).
     """
 
     def __init__(
@@ -168,7 +138,6 @@ class BranchTree:
         self._n_qubits = n_qubits
         self._pool = pool
         self._token = active_cancel_token()
-        self._lock = threading.Lock()
         self._root: _Branch | None = None
         #: Histogram key width (every leaf marginalises onto ``measured``).
         self.width = len(set(self._measured))
@@ -190,35 +159,31 @@ class BranchTree:
     def _child(self, parent: _Branch | None, outcome: int) -> _Branch:
         """``parent``'s ``outcome`` child (the root for ``None``), built and
         memoised if it fits — else a node for this shot alone."""
-        with self._lock:
-            existing = self._root if parent is None else parent.children[outcome]
-            if existing is not None:
-                return existing
-            if self._token is not None:
-                self._token.check()
-            if parent is None:
-                node = self._replay(0, self._plan.new_state())
-            else:
-                # A transient parent is this shot's alone: collapse in place.
-                data = parent.state.copy() if parent.memoised else parent.state
-                reset = self._resets[parent.depth]
-                data = self._plan._collapse(data, reset, outcome, parent.p1)
-                node = self._replay(parent.depth + 1, data)
-            if parent is not None and not parent.memoised:
-                return node
-            if self.memo_bytes + node.nbytes > BRANCH_MEMO_MAX_BYTES:
-                return node
-            node.memoised = True
-            self.memo_bytes += node.nbytes
-            self.branches += 1
-            if parent is None:
-                self._root = node
-            else:
-                parent.children[outcome] = node
-                if parent.children[1 - outcome] is not None:
-                    self.memo_bytes -= parent.nbytes
-                    parent.state = None
+        if self._token is not None:
+            self._token.check()
+        if parent is None:
+            node = self._replay(0, self._plan.new_state())
+        else:
+            # A transient parent is this shot's alone: collapse in place.
+            data = parent.state.copy() if parent.memoised else parent.state
+            reset = self._resets[parent.depth]
+            data = self._plan._collapse(data, reset, outcome, parent.p1)
+            node = self._replay(parent.depth + 1, data)
+        if parent is not None and not parent.memoised:
             return node
+        if self.memo_bytes + node.nbytes > BRANCH_MEMO_MAX_BYTES:
+            return node
+        node.memoised = True
+        self.memo_bytes += node.nbytes
+        self.branches += 1
+        if parent is None:
+            self._root = node
+        else:
+            parent.children[outcome] = node
+            if parent.children[1 - outcome] is not None:
+                self.memo_bytes -= parent.nbytes
+                parent.state = None
+        return node
 
     def _replay(self, depth: int, data: np.ndarray) -> _Branch:
         """Replay segment ``depth`` over ``data`` into a new node."""
@@ -230,24 +195,23 @@ class BranchTree:
         return _Branch(depth, data, reset_probability(data, self._resets[depth]))
 
 
-def replay_trajectory_chunk(
+def sample_trajectories(
     tree: BranchTree, shots: int, rng: np.random.Generator
 ) -> dict[str, int]:
-    """One worker's trajectory chunk: ``shots`` shots of ``tree``'s job on ``rng``.
+    """``shots`` shots of ``tree``'s job on ``rng``.
 
-    RNG-critical and therefore shared verbatim by the engine's thread
-    workers and the process shards (:mod:`repro.exec.sharded`).  Each shot
-    consumes ``rng`` draw for draw as a full per-shot replay would: one
-    ``random()`` per reset, compared with that branch's cached ``p1``, then
-    one draw from the leaf's marginal — ``multinomial(1, p)`` over the
-    normalised vector :func:`~repro.simulator.sampling.sample_chunks`
-    builds, or one inverse-CDF ``random`` where
+    RNG-critical and therefore shared verbatim by the engine and the process
+    shards (:mod:`repro.exec.sharded`).  Each shot consumes ``rng`` draw for
+    draw as a full per-shot replay would: one ``random()`` per reset,
+    compared with that branch's cached ``p1``, then one draw from the leaf's
+    marginal — ``multinomial(1, p)`` over the normalised vector
+    :func:`~repro.simulator.sampling.sample_counts` builds, or one
+    inverse-CDF ``random`` where
     :func:`~repro.simulator.sampling._inverse_cdf_wins` holds for one shot
     (:class:`~repro.simulator.sampling.OneShotSampler`).  Drawn bins count
     in first-drawn order and are keyed once, so the histogram — key order
     included — is the per-shot loop's (:mod:`repro.testing.trajectory_oracle`
-    keeps that loop as the reference this is tested against).  Threaded and
-    sharded execution therefore stay bit-identical at a fixed seed.
+    keeps that loop as the reference this is tested against).
     """
     counts: dict[int, int] = {}
     sample = tree.sample
@@ -258,7 +222,7 @@ def replay_trajectory_chunk(
 
 
 class ParallelSimulationEngine:
-    """Worker-pool wrapper for shot- and chunk-level simulator parallelism."""
+    """Worker-pool wrapper for chunk-level simulator parallelism."""
 
     def __init__(self, num_threads: int | None = None):
         #: Number of worker threads (the ``OMP_NUM_THREADS`` analogue).  ``None``
@@ -333,7 +297,7 @@ class ParallelSimulationEngine:
     def __repr__(self) -> str:
         return f"ParallelSimulationEngine(num_threads={self.num_threads})"
 
-    # -- shot-level parallelism ---------------------------------------------------
+    # -- sampling -------------------------------------------------------------------
     def sample_parallel(
         self,
         state: StateVector,
@@ -341,25 +305,24 @@ class ParallelSimulationEngine:
         measured_qubits: Sequence[int] | None = None,
         seed: int | None = None,
     ) -> dict[str, int]:
-        """Sample ``shots`` outcomes: one seeded generator per shot chunk.
+        """Sample ``shots`` outcomes in one draw on the job's generator.
 
-        :func:`~repro.simulator.sampling.sample_chunks` computes the marginal
-        once and draws each chunk by inverse CDF or ``multinomial`` (a rule
-        of chunk shots and positive bins), summing them before any key is
-        formatted.  Draws run on the calling thread: two pooled 2^17-bin
-        draws measured slower than inline on the 2-core benchmark host, so
-        sampling never touches the worker pool.
+        :func:`~repro.simulator.sampling.sample_counts` computes the marginal
+        once and draws the whole budget by inverse CDF or ``multinomial`` (a
+        rule of shots and positive bins) on
+        :func:`~repro.simulator.sampling.job_rng`.  The draw runs on the
+        calling thread: two pooled 2^17-bin draws measured slower than
+        inline on the 2-core benchmark host, so sampling never touches the
+        worker pool, and ``num_threads`` never moves the counts.
         """
-        threads = self.effective_threads()
         qubits = (
             tuple(measured_qubits)
             if measured_qubits is not None
             else tuple(range(state.n_qubits))
         )
-        chunks = split_shots(shots, threads)
-        seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-        rngs = [np.random.default_rng(seq) for seq in seeds]
-        return sample_chunks(state.probabilities(), chunks, qubits, state.n_qubits, rngs)
+        return sample_counts(
+            state.probabilities(), shots, qubits, state.n_qubits, job_rng(seed)
+        )
 
     def run_trajectories(
         self,
@@ -368,77 +331,31 @@ class ParallelSimulationEngine:
         shots: int,
         seed: int | None = None,
         plan: ExecutionPlan | None = None,
-        processes: int | None = None,
     ) -> dict[str, int]:
         """Sample ``shots`` trajectories of a circuit with mid-circuit resets.
 
         Used when the circuit contains mid-circuit resets (which make a
         single-state + multinomial sampling approach incorrect).  The
         circuit is compiled once into an execution plan (or use a
-        pre-compiled ``plan``) and walked as one :class:`BranchTree` per
-        job, each reset-outcome branch replayed once; shots are split into
-        one chunk per worker (run on the pool at or above
-        ``HANDOFF_BAND_STOP`` amplitudes, inline below it — the counts are
-        the same either way).  The ``replay`` span records the tree's
-        ``branches`` and ``segment_replays``.
-
-        ``processes=N`` (N > 1) shards the trajectories across the shared
-        :class:`~repro.exec.sharded.ShardedExecutor` worker *processes*
-        instead of this engine's threads — the GIL-free path.  Shard seeds
-        derive exactly as the per-thread streams do, so fixed-seed counts
-        are bit-identical to the in-process run with ``num_threads == N``.
+        pre-compiled ``plan``) and walked as one :class:`BranchTree` on the
+        calling thread with the job's one generator, each reset-outcome
+        branch replayed once — chunk-parallel on this engine's pool where
+        the state reaches the plan's chunk threshold.  The ``replay`` span
+        records the tree's ``branches`` and ``segment_replays``.
         """
-        if processes is not None and processes > 1:
-            if plan is not None:
-                raise ExecutionError(
-                    "pre-compiled plans cannot cross process boundaries; "
-                    "pass the circuit and let each shard compile into its "
-                    "own plan cache (or use the in-process path)"
-                )
-            from ..exec.sharded import get_sharded_executor
-
-            # Workers compile from the shipped circuit; optimize=False
-            # matches this method's own compile default so the replayed
-            # kernels (and therefore the RNG consumption) are identical.
-            result = get_sharded_executor(processes).execute(
-                circuit,
-                shots,
-                n_qubits=n_qubits,
-                seed=seed,
-                optimize=False,
-                trajectories=True,
-            )
-            return dict(result.counts)
-        threads = self.effective_threads()
+        if shots <= 0:
+            raise ExecutionError(f"shots must be positive, got {shots}")
         measured = circuit.measured_qubits() or tuple(range(n_qubits))
         if plan is None:
             # Direct engine callers get the circuit as-is (no IR passes),
             # matching the historical gate-by-gate behaviour bit for bit;
             # the accelerator passes an optimised plan from the cache.
             plan = compile_plan(circuit, n_qubits, optimize=False)
-        chunks = split_shots(shots, threads)
-        seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-        # Below the hand-off band's upper edge the chunks run back to back
-        # here: same streams, same chunk function, same merge order — so
-        # identical counts — and no pool is created.  A single chunk also
-        # runs here, so the engine's idle pool can chunk-parallelise each
-        # large-state segment replay instead (bitwise identical).
-        single = len(chunks) == 1
-        inline = single or (1 << n_qubits) < HANDOFF_BAND_STOP
-        tree = BranchTree(plan, measured, n_qubits, pool=self if single else None)
+        tree = BranchTree(plan, measured, n_qubits, pool=self)
         with get_tracer().span(
             "replay", attrs={"mode": "trajectories", "shots": shots}
         ) as span:
-            mapper = map if inline else self._executor(len(chunks)).map
-            counts = merge_counts(
-                mapper(
-                    lambda chunk, seq: replay_trajectory_chunk(
-                        tree, chunk, np.random.default_rng(seq)
-                    ),
-                    chunks,
-                    seeds,
-                )
-            )
+            counts = sample_trajectories(tree, shots, job_rng(seed))
             span.set_attribute("branches", tree.branches)
             span.set_attribute("segment_replays", tree.segment_replays)
         return counts

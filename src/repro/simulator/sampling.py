@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,8 +25,9 @@ __all__ = [
     "counts_from_statevector",
     "format_bitstring",
     "format_packed_keys",
+    "job_rng",
     "keyed_bin_counts",
-    "sample_chunks",
+    "merge_counts",
 ]
 
 #: Version of the fixed-seed sampling stream — what a seed draws.  Bumped by
@@ -37,31 +38,32 @@ __all__ = [
 #: * **bit-exact** — every lane replaying one plan (serial, chunked threads,
 #:   process shards, sweep rows) evolves the same
 #:   amplitudes bit for bit;
-#: * **fixed-seed-stable** — one plan, one seed and one shot-chunk split
-#:   give the same counts on every lane: chunk ``i`` draws only from its
-#:   own generator, by a rule of (chunk shots, positive bins) alone.  The
-#:   split follows ``threads``, so ``threads`` moves fixed-seed counts
-#:   (job keys still treat it as non-semantic: a cached histogram drawn
-#:   under another split is equal in law, not per seed);
+#: * **fixed-seed-stable** — one plan and one seed give the same counts on
+#:   every lane and at every ``threads`` / ``processes`` setting: a job
+#:   draws from one generator (:func:`job_rng`), its whole shot budget in
+#:   one draw chosen by a rule of (shots, positive bins) alone;
 #: * **distributional** — fused vs unfused plans of one circuit, and one
 #:   backend vs another (dense, density, tableau), agree only in law.
 #:
-#: Stream 1 drew every chunk with ``Generator.multinomial``.  Stream 2 draws
-#: a chunk by inverse CDF where :func:`_inverse_cdf_wins` says so.  Stream 3
-#: is stream 2 minus the bins at or below :data:`SUPPORT_FLOOR`: they are
-#: not in the support, so exact cancellation that one plan's arithmetic
-#: leaves as a ~1e-33 residue no longer shifts a ``multinomial`` stream.
-SAMPLING_STREAM = 3
+#: Stream 1 drew every shot chunk with ``Generator.multinomial``.  Stream 2
+#: draws a chunk by inverse CDF where :func:`_inverse_cdf_wins` says so.
+#: Stream 3 is stream 2 minus the bins at or below :data:`SUPPORT_FLOOR`:
+#: they are not in the support, so exact cancellation that one plan's
+#: arithmetic leaves as a ~1e-33 residue no longer shifts a ``multinomial``
+#: stream.  Stream 4 drops the shot chunks: a job is one draw on one
+#: generator, the stream one thread or one pinned shard drew at stream 3,
+#: so only multi-chunk histograms moved.
+SAMPLING_STREAM = 4
 
 #: A marginal bin at or below this probability is not in the support:
 #: ``(1e-12)**2``, the amplitude tier fused and unfused plans agree to (an
 #: exact cancellation's residue in a windowed plan is ~2e-33 at most seen).
 SUPPORT_FLOOR = 1e-24
 
-#: Fewest positive marginal bins at which a chunk with fewer shots than
-#: bins is drawn by inverse CDF (one ``random`` per shot, located in the
+#: Fewest positive marginal bins at which a draw of fewer shots than
+#: bins is made by inverse CDF (one ``random`` per shot, located in the
 #: marginal's running sum) instead of ``multinomial`` (one sequential
-#: binomial per positive bin).  One chunk's draw, inverse ÷ multinomial
+#: binomial per positive bin).  One draw, inverse ÷ multinomial
 #: wall time, median of 5 (``BENCH_execution_plan.json``
 #: ``sampling_crossover``, bins 2^1..2^17 x shots 2^0..2^13: 2-core Intel
 #: Xeon @ 2.10 GHz VM, numpy 2.4.6, Python 3.11.7;
@@ -88,7 +90,7 @@ INVERSE_CDF_MIN_BINS = 1 << 9
 
 
 def _inverse_cdf_wins(shots: int, bins: int) -> bool:
-    """Whether a ``shots``-shot chunk over ``bins`` positive bins is drawn by
+    """Whether a ``shots``-shot draw over ``bins`` positive bins is made by
     inverse CDF: fewer shots than bins, and bins past the measured floor."""
     return shots < bins and bins >= INVERSE_CDF_MIN_BINS
 
@@ -186,26 +188,13 @@ def _normalised(probs: np.ndarray, total: float) -> np.ndarray:
     return probs
 
 
-def _multinomial_draws(
-    probs: np.ndarray, total: float, draws: Sequence[tuple[int, np.random.Generator]]
-) -> np.ndarray:
-    """Counts per positive bin: one ``multinomial`` per ``(shots, rng)``."""
-    probs = _normalised(probs, total)
-    (shots, rng), *rest = draws
-    counts = rng.multinomial(shots, probs)
-    for shots, rng in rest:
-        counts += rng.multinomial(shots, probs)
-    return counts
-
-
-def _inverse_cdf_draws(
-    probs: np.ndarray, draws: Sequence[tuple[int, np.random.Generator]]
+def _inverse_cdf_draw(
+    probs: np.ndarray, shots: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(hit bins, counts)``, ascending: every ``(shots, rng)`` draws
-    ``rng.random(shots)``, scaled by the marginal's total and located in its
-    running sum — one ``searchsorted`` and one ``unique`` for all chunks."""
+    """``(hit bins, counts)``, ascending: ``rng.random(shots)``, scaled by
+    the marginal's total and located in its running sum."""
     cdf = np.cumsum(probs)
-    uniforms = np.concatenate([rng.random(shots) for shots, rng in draws])
+    uniforms = rng.random(shots)
     # Sorted keys let ``searchsorted`` narrow each search from the last hit.
     uniforms.sort()
     uniforms *= cdf[-1]
@@ -234,7 +223,7 @@ class OneShotSampler:
 
     :meth:`draw` consumes ``rng`` exactly as ``sample_counts(probabilities,
     1, …)`` would and returns the drawn bin: one ``multinomial(1, p)`` over
-    the normalised vector :func:`sample_chunks` builds, or, where
+    the normalised vector :func:`sample_counts` builds, or, where
     :func:`_inverse_cdf_wins` holds for one shot, one ``random`` located in
     the running sum.
     """
@@ -255,13 +244,29 @@ class OneShotSampler:
     def draw(self, rng: np.random.Generator) -> int:
         table = self.table
         if self.inverse:
-            # ``_inverse_cdf_draws`` for one uniform: sorting it is a no-op.
+            # ``_inverse_cdf_draw`` for one uniform: sorting it is a no-op.
             uniform = rng.random(1)
             uniform *= table[-1]
             index = int(np.searchsorted(table, uniform, side="right")[0])
         else:
             index = int(rng.multinomial(1, table).argmax())
         return index if self.bins is None else int(self.bins[index])
+
+
+def job_rng(seed: int | None) -> np.random.Generator:
+    """The one generator a job draws from: ``SeedSequence(seed).spawn(1)[0]``
+    (fresh entropy for ``None``).  Every lane — engine, shard, sweep row —
+    derives it the same way, so a seed fixes a job's counts everywhere."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def merge_counts(histograms: Iterable[dict[str, int]]) -> dict[str, int]:
+    """Sum count histograms, keys in first-seen order."""
+    merged: dict[str, int] = {}
+    for histogram in histograms:
+        for key, value in histogram.items():
+            merged[key] = merged.get(key, 0) + int(value)
+    return merged
 
 
 def keyed_bin_counts(counts: dict[int, int], width: int) -> dict[str, int]:
@@ -273,35 +278,6 @@ def keyed_bin_counts(counts: dict[int, int], width: int) -> dict[str, int]:
     )
 
 
-def sample_chunks(
-    probabilities: np.ndarray,
-    chunks: Sequence[int],
-    measured_qubits: Iterable[int],
-    n_qubits: int,
-    rngs: Sequence[np.random.Generator],
-) -> dict[str, int]:
-    """Draw ``chunks[i]`` shots on ``rngs[i]`` and histogram the total.
-
-    The measured qubits' *marginal* is computed once (O(2^n) vectorised).
-    Each chunk is drawn by inverse CDF where :func:`_inverse_cdf_wins` (one
-    running sum per job, O(shots · log bins) per chunk), else by one
-    ``multinomial`` over the marginal; keys are built only for outcomes
-    that were drawn.
-    """
-    qubits, bins, probs, total = _support(probabilities, measured_qubits, n_qubits)
-    inverse, multinomial = [], []
-    for draw in zip(chunks, rngs):
-        (inverse if _inverse_cdf_wins(draw[0], bins.size) else multinomial).append(draw)
-    if not multinomial:
-        hit, counts = _inverse_cdf_draws(probs, inverse)
-        return _keyed(bins[hit], counts, len(qubits))
-    counts = _multinomial_draws(probs, total, multinomial)
-    if inverse:
-        np.add.at(counts, *_inverse_cdf_draws(probs, inverse))
-    hit = np.flatnonzero(counts)
-    return _keyed(bins[hit], counts[hit], len(qubits))
-
-
 def sample_counts(
     probabilities: np.ndarray,
     shots: int,
@@ -309,11 +285,24 @@ def sample_counts(
     n_qubits: int,
     rng: np.random.Generator | None = None,
 ) -> dict[str, int]:
-    """Draw ``shots`` samples from ``probabilities`` and histogram them."""
+    """Draw ``shots`` samples from ``probabilities`` and histogram them.
+
+    The measured qubits' *marginal* is computed once (O(2^n) vectorised)
+    and the whole shot budget is one draw on ``rng``: by inverse CDF where
+    :func:`_inverse_cdf_wins` (O(shots · log bins)), else by one
+    ``multinomial`` over the marginal.  Keys are built only for outcomes
+    that were drawn.
+    """
     if shots <= 0:
         raise ExecutionError(f"shots must be positive, got {shots}")
-    rngs = (rng or np.random.default_rng(),)
-    return sample_chunks(probabilities, (shots,), measured_qubits, n_qubits, rngs)
+    rng = rng or np.random.default_rng()
+    qubits, bins, probs, total = _support(probabilities, measured_qubits, n_qubits)
+    if _inverse_cdf_wins(shots, bins.size):
+        hit, counts = _inverse_cdf_draw(probs, shots, rng)
+        return _keyed(bins[hit], counts, len(qubits))
+    counts = rng.multinomial(shots, _normalised(probs, total))
+    hit = np.flatnonzero(counts)
+    return _keyed(bins[hit], counts[hit], len(qubits))
 
 
 def counts_from_statevector(

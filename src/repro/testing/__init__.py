@@ -10,7 +10,7 @@ from .faults import (
     installed_faults,
 )
 from .sampling_oracle import reference_marginal_probabilities, reference_sample_counts
-from .trajectory_oracle import reference_trajectory_chunk, reference_trajectory_counts
+from .trajectory_oracle import reference_sample_trajectories, reference_trajectory_counts
 
 __all__ = [
     "FaultSpec",
@@ -21,6 +21,6 @@ __all__ = [
     "installed_faults",
     "reference_marginal_probabilities",
     "reference_sample_counts",
-    "reference_trajectory_chunk",
+    "reference_sample_trajectories",
     "reference_trajectory_counts",
 ]

@@ -2,11 +2,13 @@
 
 Kept as the oracle :mod:`repro.simulator.sampling` is tested against — it
 formats a bitstring key for every one of the 2^k marginal bins before
-drawing, and draws inverse-CDF chunks with a Python running sum and
+drawing, and draws inverse-CDF shots with a Python running sum and
 ``bisect``, so it is O(2^k) Python and only fit for tests.  The production
 sampler must reproduce its fixed-seed histograms exactly, at
-:data:`~repro.simulator.sampling.SAMPLING_STREAM` 3 (bins at or below
-:data:`~repro.simulator.sampling.SUPPORT_FLOOR` are not in the support).
+:data:`~repro.simulator.sampling.SAMPLING_STREAM` 4 (bins at or below
+:data:`~repro.simulator.sampling.SUPPORT_FLOOR` are not in the support, and
+a job's whole shot budget is one draw on one generator, so one call here is
+one job).
 """
 
 from __future__ import annotations

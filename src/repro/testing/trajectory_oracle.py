@@ -1,6 +1,6 @@
 """Reference trajectory sampler: the per-shot loop the branch tree replaced.
 
-Kept as the oracle :func:`repro.simulator.parallel_engine.replay_trajectory_chunk`
+Kept as the oracle :func:`repro.simulator.parallel_engine.sample_trajectories`
 is tested against: every shot replays the whole plan — resets drawn by
 :meth:`~repro.simulator.execution_plan.ExecutionPlan.execute` — and samples
 one outcome from the final state, so a job costs ``shots`` full replays and
@@ -15,13 +15,12 @@ from typing import Sequence
 import numpy as np
 
 from ..simulator.execution_plan import ExecutionPlan
-from ..simulator.parallel_engine import merge_counts, split_shots
-from ..simulator.sampling import sample_counts
+from ..simulator.sampling import job_rng, sample_counts
 
-__all__ = ["reference_trajectory_chunk", "reference_trajectory_counts"]
+__all__ = ["reference_sample_trajectories", "reference_trajectory_counts"]
 
 
-def reference_trajectory_chunk(
+def reference_sample_trajectories(
     plan: ExecutionPlan,
     shots: int,
     rng: np.random.Generator,
@@ -29,7 +28,7 @@ def reference_trajectory_chunk(
     n_qubits: int,
     pool=None,
 ) -> dict[str, int]:
-    """One chunk: ``shots`` full plan replays on ``rng``, one sample each."""
+    """``shots`` full plan replays on ``rng``, one sample each."""
     histogram: dict[str, int] = {}
     data: np.ndarray | None = None
     for _ in range(shots):
@@ -51,17 +50,8 @@ def reference_trajectory_counts(
     plan: ExecutionPlan,
     shots: int,
     seed: int | None,
-    threads: int,
     measured: Sequence[int],
     n_qubits: int,
 ) -> dict[str, int]:
-    """A whole job as the engine splits it: one seeded chunk per thread,
-    merged in chunk order."""
-    chunks = split_shots(shots, threads)
-    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-    return merge_counts(
-        reference_trajectory_chunk(
-            plan, chunk, np.random.default_rng(seq), measured, n_qubits
-        )
-        for chunk, seq in zip(chunks, seeds)
-    )
+    """A whole job as the engine draws it: every shot on ``job_rng(seed)``."""
+    return reference_sample_trajectories(plan, shots, job_rng(seed), measured, n_qubits)

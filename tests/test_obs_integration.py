@@ -17,6 +17,7 @@ import signal
 from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.exec import LocalBackend, ShardedExecutor
+from repro.ir.serialization import circuit_content_hash
 from repro.obs import (
     enable_profiler,
     enable_tracing,
@@ -186,9 +187,11 @@ class TestFailureTrace:
         executor = ShardedExecutor(2, name="obs-kill")
         try:
             pids = executor.shard_pids()
-            os.kill(pids[0], signal.SIGKILL)
+            circuit = ghz_circuit(4)
+            # The job runs on its content-affine shard: kill that one.
+            os.kill(pids[executor.shard_for(circuit_content_hash(circuit))], signal.SIGKILL)
             with tracer.span("job") as root:
-                result = executor.execute(ghz_circuit(4), 512, seed=9)
+                result = executor.execute(circuit, 512, seed=9)
             assert result.total_counts() == 512
             trace_id = root.trace_id
         finally:

@@ -11,7 +11,9 @@ Three things are checked here:
   changes may move a count or a key order.  They hold at sampling stream 2;
   the three 12-qubit reset digests were re-recorded there (one-shot
   trajectory draws over 4096 bins moved to inverse CDF), the rest were
-  unmoved by it.
+  unmoved by it.  Stream 4 (one draw per job) re-recorded every row drawn
+  on more than one thread — the one-by-one figure rows and the two- and
+  three-thread reset rows — to the one-thread values.
 * **Work bounds** the parent fails: a task builds and hashes its circuit
   once however often it runs, and a small reset job starts no worker thread.
 * **The gate**: in-band dense kernels never overlap one another or a tableau
@@ -104,55 +106,57 @@ def reset_digests() -> dict[str, str]:
 
 GOLDEN_FIGURES = {
     0: {
-        "fig3/one_by_one/bell_0": "67425557ea0d0f28",
-        "fig3/one_by_one/bell_1": "67425557ea0d0f28",
+        "fig3/one_by_one/bell_0": "15cb8ffabfe10fbf",
+        "fig3/one_by_one/bell_1": "15cb8ffabfe10fbf",
         "fig3/parallel/bell_0": "15cb8ffabfe10fbf",
         "fig3/parallel/bell_1": "15cb8ffabfe10fbf",
-        "fig4/one_by_one/shor_N15_a2": "46630a5f65f6e944",
-        "fig4/one_by_one/shor_N15_a7": "46630a5f65f6e944",
+        "fig4/one_by_one/shor_N15_a2": "a2c0e9457e6c8b06",
+        "fig4/one_by_one/shor_N15_a7": "a2c0e9457e6c8b06",
         "fig4/parallel/shor_N15_a2": "a2c0e9457e6c8b06",
         "fig4/parallel/shor_N15_a7": "a2c0e9457e6c8b06",
-        "fig5/one_by_one/shor_N7_a2_0": "9bac69da5c53ba21",
-        "fig5/one_by_one/shor_N7_a2_1": "9bac69da5c53ba21",
+        "fig5/one_by_one/shor_N7_a2_0": "d541271910bae03d",
+        "fig5/one_by_one/shor_N7_a2_1": "d541271910bae03d",
         "fig5/parallel/shor_N7_a2_0": "d541271910bae03d",
         "fig5/parallel/shor_N7_a2_1": "d541271910bae03d",
     },
     1234: {
-        "fig3/one_by_one/bell_0": "1b642c12c297b789",
-        "fig3/one_by_one/bell_1": "1b642c12c297b789",
+        "fig3/one_by_one/bell_0": "cd39a80310fae0c6",
+        "fig3/one_by_one/bell_1": "cd39a80310fae0c6",
         "fig3/parallel/bell_0": "cd39a80310fae0c6",
         "fig3/parallel/bell_1": "cd39a80310fae0c6",
-        "fig4/one_by_one/shor_N15_a2": "4f5572354f3cafba",
-        "fig4/one_by_one/shor_N15_a7": "4f5572354f3cafba",
+        "fig4/one_by_one/shor_N15_a2": "a55ed328b73e72dc",
+        "fig4/one_by_one/shor_N15_a7": "a55ed328b73e72dc",
         "fig4/parallel/shor_N15_a2": "a55ed328b73e72dc",
         "fig4/parallel/shor_N15_a7": "a55ed328b73e72dc",
-        "fig5/one_by_one/shor_N7_a2_0": "26c108319b888ea5",
-        "fig5/one_by_one/shor_N7_a2_1": "26c108319b888ea5",
+        "fig5/one_by_one/shor_N7_a2_0": "1535afe3c1a5fd15",
+        "fig5/one_by_one/shor_N7_a2_1": "1535afe3c1a5fd15",
         "fig5/parallel/shor_N7_a2_0": "1535afe3c1a5fd15",
         "fig5/parallel/shor_N7_a2_1": "1535afe3c1a5fd15",
     },
 }
 GOLDEN_RESETS = {
     "6q/threads1": "3c45c0e6e2bd6ee3",
-    "6q/threads2": "fb9bf055a7efad3d",
-    "6q/threads3": "d9bdef8bdca6e70d",
+    "6q/threads2": "3c45c0e6e2bd6ee3",
+    "6q/threads3": "3c45c0e6e2bd6ee3",
     "8q/threads1": "450329239f8d73ca",
-    "8q/threads2": "1d427ecda994cd0a",
-    "8q/threads3": "27383c458c8843e8",
+    "8q/threads2": "450329239f8d73ca",
+    "8q/threads3": "450329239f8d73ca",
     "12q/threads1": "91917da3c15f9275",
-    "12q/threads2": "6ab6467125bae27b",
-    "12q/threads3": "4840db43e5c3a483",
+    "12q/threads2": "91917da3c15f9275",
+    "12q/threads3": "91917da3c15f9275",
 }
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_FIGURES))
 def test_figure_task_histograms_are_byte_identical_to_the_parent(seed):
-    assert SAMPLING_STREAM == 3  # unmoved by stream 3
+    # The one-by-one rows (two threads a task) moved once, at stream 4.
+    assert SAMPLING_STREAM == 4
     assert figure_digests(seed) == GOLDEN_FIGURES[seed]
 
 
 def test_reset_circuit_histograms_are_byte_identical_to_the_parent():
-    assert SAMPLING_STREAM == 3  # unmoved by stream 3
+    # The two- and three-thread rows moved once, at stream 4.
+    assert SAMPLING_STREAM == 4
     assert reset_digests() == GOLDEN_RESETS
 
 

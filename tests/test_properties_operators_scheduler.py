@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from repro.operators.pauli import PauliOperator, PauliTerm
 from repro.parallel.contention import ContentionModel
 from repro.parallel.scheduler import SimTask, TaskScheduler
-from repro.simulator.parallel_engine import merge_counts, split_shots
-from repro.simulator.sampling import _keyed, _marginal
+from repro.core.shot_parallelism import split_shots
+from repro.simulator.sampling import _keyed, _marginal, merge_counts
 
 _SETTINGS = settings(
     max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -114,7 +114,7 @@ class TestSamplingProperties:
                 )
             )
         )
-        # The marginal sample_chunks draws from.
+        # The marginal sample_counts draws from.
         marginals = _keyed(*_marginal(probs, qubits, n_qubits), len(qubits))
         assert sum(marginals.values()) == pytest.approx(1.0, abs=1e-9)
 

@@ -29,6 +29,7 @@ from repro.runtime.service_registry import reset_registry
 from repro.service import JobPriority, QuantumJobService
 from repro.service.batching import BatchingJobQueue
 from repro.service.job import JobHandle, JobSpec
+from repro.testing import FaultSpec, clear_faults, install_faults
 
 
 @pytest.fixture(autouse=True)
@@ -508,12 +509,21 @@ class TestRaceContrast:
         assert get_race_detector().race_count() == 0
 
     def test_sixteen_clients_legacy_mode_records_races(self):
-        with configure(thread_safe=False):
-            with QuantumJobService(workers=8, max_pending=256) as service:
-                self._hammer(service)
-            detector = get_race_detector()
-            assert detector.race_count() > 0
-            assert "global_qpu" in detector.resources_with_races()
+        # Every execution sleeps inside the dispatcher's ``global_qpu``
+        # section (``local.replay`` fires there), so the eight dispatchers'
+        # executions overlap by construction, however fast a job runs.
+        install_faults(
+            [FaultSpec(site="local.replay", action="slow", seconds=0.02, times=None)]
+        )
+        try:
+            with configure(thread_safe=False):
+                with QuantumJobService(workers=8, max_pending=256) as service:
+                    self._hammer(service)
+                detector = get_race_detector()
+                assert detector.race_count() > 0
+                assert "global_qpu" in detector.resources_with_races()
+        finally:
+            clear_faults()
 
     def test_thread_safe_workers_hold_distinct_qpu_clones(self):
         set_config(thread_safe=True)

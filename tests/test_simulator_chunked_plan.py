@@ -167,11 +167,11 @@ class TestChunkedBitwiseIdentity:
         # trajectory path through a low-threshold plan + single-chunk engine.
         plan = compile_plan(circuit, 4, optimize=False, chunk_threshold=2)
         with ParallelSimulationEngine(num_threads=3) as eng:
-            from repro.simulator.parallel_engine import BranchTree, replay_trajectory_chunk
+            from repro.simulator.parallel_engine import BranchTree, sample_trajectories
 
             rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
             tree = BranchTree(plan, circuit.measured_qubits(), 4, pool=eng)
-            chunked = replay_trajectory_chunk(tree, 64, rng)
+            chunked = sample_trajectories(tree, 64, rng)
         assert serial == chunked
 
 

@@ -17,11 +17,7 @@ from repro.ir.parameter import Parameter
 from repro.ir.transforms import default_pass_manager
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.qpp_accelerator import QppAccelerator
-from repro.simulator.execution_plan import (
-    HANDOFF_BAND_STOP,
-    compile_parametric_plan,
-    compile_plan,
-)
+from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import PlanCache, get_plan_cache, reset_plan_cache
 from repro.simulator.statevector import StateVector
@@ -410,13 +406,9 @@ class TestAcceleratorPlans:
 
 
 class TestEnginePoolReuse:
-    """Pool lifecycle, driven through the two entry points that need worker
-    threads: multi-chunk trajectories at the hand-off band's upper edge
-    (below it the chunks run inline and no pool exists, which is why these
-    tests moved off their 1-qubit circuit) and chunked plan replay."""
-
-    WIDTH = HANDOFF_BAND_STOP.bit_length() - 1
-    RESET_CIRCUIT = CircuitBuilder(WIDTH).h(0).reset(0).measure(0).build()
+    """Pool lifecycle, driven through the one entry point that needs worker
+    threads: chunk-parallel plan replay (forced on a 2-qubit state with
+    ``chunk_threshold=2``)."""
 
     @staticmethod
     def _chunked_replay(engine):
@@ -426,11 +418,9 @@ class TestEnginePoolReuse:
     def test_pool_is_reused_across_calls(self):
         engine = ParallelSimulationEngine(num_threads=3)
         assert engine._pool is None  # lazily created
-        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=8, seed=1)
+        self._chunked_replay(engine)
         pool = engine._pool
         assert pool is not None
-        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=8, seed=2)
-        assert engine._pool is pool
         self._chunked_replay(engine)
         assert engine._pool is pool
         engine.close()
@@ -438,11 +428,11 @@ class TestEnginePoolReuse:
 
     def test_close_then_reuse_builds_a_fresh_pool(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=64, seed=0)
+        expected = self._chunked_replay(engine).data.copy()
         engine.close()
-        counts = engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=64, seed=0)
+        state = self._chunked_replay(engine)
         assert engine._pool is not None
-        assert sum(counts.values()) == 64
+        assert np.array_equal(state.data, expected)
         engine.close()
 
     def test_context_manager_tears_the_pool_down(self):
@@ -453,10 +443,10 @@ class TestEnginePoolReuse:
 
     def test_pool_grows_when_more_workers_needed(self):
         engine = ParallelSimulationEngine(num_threads=2)
-        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=10, seed=1)
+        self._chunked_replay(engine)
         small = engine._pool
         engine.num_threads = 5
-        engine.run_trajectories(self.WIDTH, self.RESET_CIRCUIT, shots=10, seed=1)
+        self._chunked_replay(engine)
         assert engine._pool is not small
         assert engine._pool_size == 5
         engine.close()

@@ -8,11 +8,9 @@ from repro.exceptions import ExecutionError
 from repro.ir.builder import CircuitBuilder
 from repro.ir.gates import H
 from repro.simulator.cost_model import CircuitCost, SimulationCostModel
-from repro.simulator.parallel_engine import (
-    ParallelSimulationEngine,
-    merge_counts,
-    split_shots,
-)
+from repro.core.shot_parallelism import split_shots
+from repro.simulator.parallel_engine import ParallelSimulationEngine
+from repro.simulator.sampling import merge_counts
 from repro.simulator.statevector import StateVector
 from repro.algorithms.bell import bell_circuit
 from repro.algorithms.shor import period_finding_circuit

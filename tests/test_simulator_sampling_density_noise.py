@@ -34,22 +34,18 @@ from repro.simulator.sampling import (
     _marginal,
     format_bitstring,
     format_packed_keys,
-    sample_chunks,
+    job_rng,
     sample_counts,
 )
 from repro.simulator import execution_plan
-from repro.simulator.parallel_engine import (
-    ParallelSimulationEngine,
-    merge_counts,
-    split_shots,
-)
+from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import PlanCache
 from repro.simulator.statevector import StateVector
 from repro.testing import reference_marginal_probabilities, reference_sample_counts
 
 
 def sampled_marginal(probs, qubits, n_qubits):
-    """The marginal ``sample_chunks`` draws from, keyed like its counts."""
+    """The marginal ``sample_counts`` draws from, keyed like its counts."""
     return _keyed(*_marginal(probs, tuple(qubits), n_qubits), len(qubits))
 
 
@@ -145,7 +141,7 @@ def sampling_cases(draw):
 
 @st.composite
 def wide_sampling_cases(draw):
-    """Cases with 2^9..2^11 marginal bins, so chunks land on both sides of
+    """Cases with 2^9..2^11 marginal bins, so draws land on both sides of
     the inverse-CDF rule: zero and negative-drift bins, awkward qubit lists."""
     n_qubits = draw(st.integers(min_value=9, max_value=11))
     state_rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -251,18 +247,14 @@ class TestSamplerMatchesReference:
         assert oracle == before
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_engine_chunks_equal_the_oracle_on_a_large_state(self, threads):
-        """The benchmark's large_state shape: 2^16 bins, several seeded chunks."""
+    def test_engine_draw_equals_the_oracle_on_a_large_state(self, threads):
+        """The benchmark's large_state shape: 2^16 bins, one draw whatever
+        the thread count."""
         n_qubits, shots, seed = 16, 1000, 21
         state = StateVector(n_qubits)
         state.data[:] = 1.0 / math.sqrt(1 << n_qubits)
-        chunks = split_shots(shots, threads)
-        seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-        expected = merge_counts(
-            reference_sample_counts(
-                state.probabilities(), chunk, range(n_qubits), n_qubits, np.random.default_rng(seq)
-            )
-            for chunk, seq in zip(chunks, seeds)
+        expected = reference_sample_counts(
+            state.probabilities(), shots, range(n_qubits), n_qubits, job_rng(seed)
         )
         with ParallelSimulationEngine(num_threads=threads) as engine:
             assert engine.sample_parallel(state, shots, seed=seed) == expected
@@ -287,30 +279,18 @@ def _reset_circuit():
     )
 
 
-#: name -> (circuit, shots, seed, counts at 1 chunk, counts at 2 chunks),
-#: recorded at the commit before the sparse sampler (dict-building sampler,
-#: per-plan scratch).  Two threads and two shards share one expected value:
-#: both split the shots into the same two seeded chunks.
+#: name -> (circuit, shots, seed, counts), recorded at the commit before
+#: the sparse sampler (dict-building sampler, per-plan scratch) on one
+#: thread.  At stream 4 every thread count and every shard draws them.
 _GOLDEN = {
-    "bell": (
-        bell_circuit(2), 1024, 11,
-        {"00": 536, "11": 488},
-        {"00": 494, "11": 530},
-    ),
+    "bell": (bell_circuit(2), 1024, 11, {"00": 536, "11": 488}),
     "qft10": (
         _qft10_circuit(), 512, 12,
         {"0000": 26, "0001": 30, "0010": 29, "0011": 31, "0100": 32, "0101": 36,
          "0110": 31, "0111": 34, "1000": 35, "1001": 36, "1010": 33, "1011": 31,
          "1100": 39, "1101": 25, "1110": 35, "1111": 29},
-        {"0000": 35, "0001": 32, "0010": 31, "0011": 37, "0100": 32, "0101": 17,
-         "0110": 36, "0111": 44, "1000": 31, "1001": 30, "1010": 32, "1011": 38,
-         "1100": 31, "1101": 28, "1110": 23, "1111": 35},
     ),
-    "reset": (
-        _reset_circuit(), 96, 13,
-        {"000": 44, "010": 35, "101": 7, "111": 10},
-        {"000": 38, "010": 41, "101": 9, "111": 8},
-    ),
+    "reset": (_reset_circuit(), 96, 13, {"000": 44, "010": 35, "101": 7, "111": 10}),
 }
 
 
@@ -318,19 +298,20 @@ class TestGoldenHistograms:
     @pytest.mark.parametrize("name", sorted(_GOLDEN))
     @pytest.mark.parametrize("threads", [1, 2])
     def test_local_backend(self, name, threads):
-        assert SAMPLING_STREAM == 3  # recorded at stream 1, unmoved by streams 2 and 3
-        circuit, shots, seed, *expected = _GOLDEN[name]
+        # Recorded at stream 1; the 2-thread rows moved once, at stream 4.
+        assert SAMPLING_STREAM == 4
+        circuit, shots, seed, expected = _GOLDEN[name]
         with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as backend:
-            assert dict(backend.execute(circuit, shots, seed=seed).counts) == expected[threads - 1]
+            assert dict(backend.execute(circuit, shots, seed=seed).counts) == expected
 
     def test_two_shards(self):
         with ShardedExecutor(2, name="golden-shard") as sharded:
-            for circuit, shots, seed, _, expected in _GOLDEN.values():
+            for circuit, shots, seed, expected in _GOLDEN.values():
                 assert dict(sharded.execute(circuit, shots, seed=seed).counts) == expected
 
 
 class TestInverseCdfRule:
-    """Which draw a chunk takes, and that both draw the marginal's law."""
+    """Which draw a job takes, and that both draw the marginal's law."""
 
     def test_few_shots_on_many_bins_never_call_multinomial(self):
         """Work bound the parent fails: it pays 2^16 binomials for 512 shots."""
@@ -345,26 +326,20 @@ class TestInverseCdfRule:
         counts = sample_counts(probs, 4096, (0, 1), 2, rng)
         assert sum(counts.values()) == 4096 and len(counts) == 4
 
-    def test_a_split_straddling_the_rule_equals_the_oracle_chunk_by_chunk(self):
+    @pytest.mark.parametrize("shots", [1024, 1023])
+    def test_each_side_of_the_rule_equals_the_oracle(self, shots):
         probs = np.random.default_rng(4).random(1024)
         probs /= probs.sum()
-        chunks = (1024, 1023)  # one chunk each side of shots < bins
-        assert [_inverse_cdf_wins(c, 1024) for c in chunks] == [False, True]
-        seeds = np.random.SeedSequence(8).spawn(2)
-        expected = merge_counts(
-            reference_sample_counts(probs, c, range(10), 10, np.random.default_rng(s))
-            for c, s in zip(chunks, seeds)
-        )
-        rngs = [np.random.default_rng(s) for s in seeds]
-        assert sample_chunks(probs, chunks, range(10), 10, rngs) == expected
+        assert _inverse_cdf_wins(shots, 1024) == (shots < 1024)
+        expected = reference_sample_counts(probs, shots, range(10), 10, job_rng(8))
+        assert sample_counts(probs, shots, range(10), 10, job_rng(8)) == expected
 
-    def test_the_rule_reads_only_chunk_shots_and_positive_bins(self):
+    def test_the_rule_reads_only_shots_and_positive_bins(self):
         assert not _inverse_cdf_wins(1, INVERSE_CDF_MIN_BINS - 1)
         assert _inverse_cdf_wins(1, INVERSE_CDF_MIN_BINS)
         assert _inverse_cdf_wins(INVERSE_CDF_MIN_BINS - 1, INVERSE_CDF_MIN_BINS)
         assert not _inverse_cdf_wins(INVERSE_CDF_MIN_BINS, INVERSE_CDF_MIN_BINS)
 
-    @pytest.mark.parametrize("chunks", [1, 2, 3])
     @pytest.mark.parametrize(
         "n_qubits, qubits, shots, inverse",
         [
@@ -375,16 +350,14 @@ class TestInverseCdfRule:
         ],
     )
     def test_total_variation_stays_within_the_e2e_bound(
-        self, chunks, n_qubits, qubits, shots, inverse
+        self, n_qubits, qubits, shots, inverse
     ):
-        state_rng = np.random.default_rng(n_qubits * 10 + chunks)
+        state_rng = np.random.default_rng(n_qubits * 10 + 1)
         probs = state_rng.random(1 << n_qubits) ** 6  # skewed: a wrong bin shows
         probs /= probs.sum()
         exact = reference_marginal_probabilities(probs, tuple(sorted(qubits)), n_qubits)
-        split = split_shots(shots, chunks)
-        assert {_inverse_cdf_wins(c, len(exact)) for c in split} == {inverse}
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(chunks)]
-        counts = sample_chunks(probs, split, qubits, n_qubits, rngs)
+        assert _inverse_cdf_wins(shots, len(exact)) == inverse
+        counts = sample_counts(probs, shots, qubits, n_qubits, job_rng(3))
         assert sum(counts.values()) == shots and set(counts) <= set(exact)
         tv = 0.5 * sum(abs(counts.get(key, 0) / shots - p) for key, p in exact.items())
         assert tv <= tv_bound(shots, len(exact))

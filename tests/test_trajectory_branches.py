@@ -2,12 +2,13 @@
 
 Checked here:
 
-* **Identity.**  :func:`replay_trajectory_chunk` walks a lazily built tree
+* **Identity.**  :func:`sample_trajectories` walks a lazily built tree
   of reset-outcome branches; its counts equal the per-shot loop it replaced
   (:mod:`repro.testing.trajectory_oracle`) as a dict *and* in item order —
   0-4 resets, full and partial measurement, both precisions, one-shot draws
-  by ``multinomial`` and by inverse CDF, threads 1/2/3, pooled chunks, the
-  memo bound, and process shards.
+  by ``multinomial`` and by inverse CDF, the memo bound, and process shards
+  (every ``threads`` / ``processes`` setting draws one stream:
+  ``test_fixed_seed_contract.py``).
 * **Work bound** the per-shot loop fails: a job's kernels run once per
   distinct branch, not once per shot.
 * **Cancellation** stays bounded once no shot replays a plan step.
@@ -35,16 +36,16 @@ from repro.obs.profiler import ReplayProfiler, profiler_installed
 from repro.service import QuantumJobService
 from repro.service.admission import estimate_job_bytes
 from repro.simulator import parallel_engine
-from repro.simulator.execution_plan import HANDOFF_BAND_STOP, compile_plan
+from repro.simulator.execution_plan import compile_plan
 from repro.simulator.parallel_engine import (
     BRANCH_MEMO_MAX_BYTES,
     BranchTree,
     ParallelSimulationEngine,
     branch_memo_bytes,
-    replay_trajectory_chunk,
+    sample_trajectories,
 )
 from repro.simulator.sampling import SAMPLING_STREAM
-from repro.testing import reference_trajectory_chunk, reference_trajectory_counts
+from repro.testing import reference_sample_trajectories, reference_trajectory_counts
 
 
 def random_reset_circuit(seed: int, n_qubits: int, resets: int, measured=None):
@@ -102,20 +103,19 @@ def engine_counts(circuit, n_qubits, shots, seed, threads, plan):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("precision", ["double", "single"])
 @pytest.mark.parametrize("partial", [False, True])
 @pytest.mark.parametrize("resets", [0, 1, 2, 3, 4])
-def test_memoised_counts_equal_the_per_shot_loop(resets, partial, precision, threads):
-    assert SAMPLING_STREAM == 3
+def test_memoised_counts_equal_the_per_shot_loop(resets, partial, precision):
+    assert SAMPLING_STREAM == 4
     n_qubits = 5
     measured = (0, 2, 3) if partial else None
-    seed = 100 * resets + 10 * partial + threads
+    seed = 100 * resets + 10 * partial + 1
     circuit = random_reset_circuit(seed, n_qubits, resets, measured)
     plan = compile_plan(circuit, n_qubits, precision=precision)
     measured = circuit.measured_qubits()
-    counts = engine_counts(circuit, n_qubits, 150, seed, threads, plan)
-    reference = reference_trajectory_counts(plan, 150, seed, threads, measured, n_qubits)
+    counts = engine_counts(circuit, n_qubits, 150, seed, 1, plan)
+    reference = reference_trajectory_counts(plan, 150, seed, measured, n_qubits)
     assert_same_histogram(counts, reference)
 
 
@@ -125,18 +125,7 @@ def test_inverse_cdf_leaves_equal_the_per_shot_loop(threads):
     circuit = random_reset_circuit(7, 10, 2)
     plan = compile_plan(circuit, 10)
     counts = engine_counts(circuit, 10, 120, 3, threads, plan)
-    reference = reference_trajectory_counts(plan, 120, 3, threads, tuple(range(10)), 10)
-    assert_same_histogram(counts, reference)
-
-
-def test_pooled_chunks_share_one_tree_and_equal_the_per_shot_loop():
-    width = HANDOFF_BAND_STOP.bit_length() - 1  # chunks run on the pool here
-    circuit = layered_reset_circuit(width, 1)
-    plan = compile_plan(circuit, width)
-    with ParallelSimulationEngine(num_threads=2) as engine:
-        counts = engine.run_trajectories(width, circuit, 24, seed=5, plan=plan)
-        assert engine._pool is not None
-    reference = reference_trajectory_counts(plan, 24, 5, 2, tuple(range(width)), width)
+    reference = reference_trajectory_counts(plan, 120, 3, tuple(range(10)), 10)
     assert_same_histogram(counts, reference)
 
 
@@ -150,8 +139,8 @@ def test_branches_past_the_memo_bound_replay_from_an_ancestor(max_bytes, monkeyp
     plan = compile_plan(circuit, 5)
     measured = circuit.measured_qubits()
     tree = BranchTree(plan, measured, 5)
-    counts = replay_trajectory_chunk(tree, 200, np.random.default_rng(8))
-    reference = reference_trajectory_chunk(plan, 200, np.random.default_rng(8), measured, 5)
+    counts = sample_trajectories(tree, 200, np.random.default_rng(8))
+    reference = reference_sample_trajectories(plan, 200, np.random.default_rng(8), measured, 5)
     assert_same_histogram(counts, reference)
     assert tree.memo_bytes <= max_bytes
     assert tree.segment_replays > tree.branches
@@ -163,17 +152,13 @@ def sharded2():
         yield executor
 
 
-@pytest.mark.parametrize("resets, partial", [(0, False), (2, False), (3, True)])
+@pytest.mark.parametrize("resets, partial", [(1, False), (2, False), (3, True)])
 def test_sharded_trajectories_equal_the_per_shot_loop(sharded2, resets, partial):
     measured = (1, 2, 4) if partial else None
     circuit = random_reset_circuit(40 + resets, 6, resets, measured)
-    result = sharded2.execute(
-        circuit, 300, n_qubits=6, seed=21, optimize=False, trajectories=True
-    )
+    result = sharded2.execute(circuit, 300, n_qubits=6, seed=21, optimize=False)
     plan = compile_plan(circuit, 6, optimize=False)
-    reference = reference_trajectory_counts(
-        plan, 300, 21, 2, circuit.measured_qubits(), 6
-    )
+    reference = reference_trajectory_counts(plan, 300, 21, circuit.measured_qubits(), 6)
     assert_same_histogram(dict(result.counts), reference)
 
 
@@ -197,7 +182,7 @@ def test_segment_replays_are_bounded_by_distinct_branches():
     assert 0 < calls <= bound < shots * plan.n_steps
 
     tree = BranchTree(plan, circuit.measured_qubits(), 6)
-    replay_trajectory_chunk(tree, shots, np.random.default_rng(9))
+    sample_trajectories(tree, shots, np.random.default_rng(9))
     assert tree.segment_replays == tree.branches <= (2 << resets) - 1
 
 
@@ -239,10 +224,10 @@ def test_a_16_qubit_three_reset_job_peaks_within_the_memo_bound():
     engine = ParallelSimulationEngine(num_threads=1)
     # Warm per-process caches (key tables, scratch buffers) untraced.
     engine.run_trajectories(n_qubits, circuit, 4, seed=0, plan=plan)
-    reference_trajectory_chunk(plan, 1, np.random.default_rng(0), measured, n_qubits)
+    reference_sample_trajectories(plan, 1, np.random.default_rng(0), measured, n_qubits)
     # The per-shot loop's peak does not grow with shots: 8 stand for 512.
     today = traced_peak(
-        lambda: reference_trajectory_chunk(
+        lambda: reference_sample_trajectories(
             plan, 8, np.random.default_rng(0), measured, n_qubits
         )
     )
@@ -313,7 +298,7 @@ def test_sharded_replay_spans_attribute_the_tree(sharded2):
     with tracer.span("job") as root:
         sharded2.execute(circuit, 64, n_qubits=6, seed=3)
     spans = replay_spans(tracer, root.trace_id)
-    assert len(spans) == 2  # one tree per shard
+    assert len(spans) == 1  # one tree per job, on one shard
     for span in spans:
-        # The root and whichever outcomes the shard's 32 shots took.
+        # The root and whichever outcomes the job's 64 shots took.
         assert 2 <= span.attributes["branches"] == span.attributes["segment_replays"] <= 3

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from ..config import get_config
 from ..exceptions import ConfigurationError, ExecutionError
 from ..ir.composite import CompositeInstruction
@@ -48,19 +50,33 @@ def execute_shots_parallel(
     circuit with ``shots / workers`` shots on its own accelerator clone, so
     the workers are completely independent — the shot-level analogue of the
     paper's task-level parallelism.
+
+    A single chunk runs at the global ``seed`` and is the plain execution's
+    histogram.  Several chunks each run at the ``i``-th child of that seed
+    (``SeedSequence(seed).spawn(chunks)[i]``, passed as the accelerator's
+    ``seed`` option), so under a fixed seed the merged histogram is
+    reproducible and matches the one-worker draw *in distribution only*.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
     total_shots = shots if shots is not None else get_config().shots
     chunks = split_shots(total_shots, workers)
 
-    def run_chunk(chunk_shots: int) -> dict[str, int]:
-        accelerator = get_accelerator(backend, dict(accelerator_options or {}))
+    def run_chunk(chunk_shots: int, seed: int | None) -> dict[str, int]:
+        options = dict(accelerator_options or {})
+        if seed is not None:
+            options["seed"] = seed
+        accelerator = get_accelerator(backend, options)
         buffer = AcceleratorBuffer(n_qubits)
         accelerator.execute(buffer, circuit, shots=chunk_shots)
         return buffer.get_measurement_counts()
 
     if len(chunks) == 1:
-        return run_chunk(chunks[0])
-    futures = [qcor_async(run_chunk, chunk) for chunk in chunks]
+        return run_chunk(chunks[0], None)
+    seed = get_config().seed
+    seeds = [
+        None if seed is None else int(child.generate_state(1, np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(len(chunks))
+    ]
+    futures = [qcor_async(run_chunk, chunk, child) for chunk, child in zip(chunks, seeds)]
     return merge_counts(future.result() for future in futures)

@@ -26,9 +26,10 @@ that run along the other:
 * *Measurements run on Pauli rows.*  Collapsing a qubit multiplies rows
   together, so :class:`_PauliRows` is the transposed view: each row's
   ``n`` bits packed into 64-bit words, phase carries taken from popcounts
-  of packed ANDs.  ``sample`` transposes once and measures on that scratch
-  view; a mid-circuit ``measure``/``reset`` transposes, measures and
-  writes the collapsed rows back.
+  of packed ANDs.  A mid-circuit ``measure``/``reset`` transposes,
+  measures qubit after qubit and writes the collapsed rows back; terminal
+  sampling transposes the stabilizer rows once and measures nothing (see
+  below).
 
 A byte-per-bit tableau streamed ``(k, n)`` blocks through every row
 product (the whole cost of a wide job); packed rows are ≤ 64 bytes at 500
@@ -38,12 +39,28 @@ The one departure from textbook CHP is the **symbolic phase matrix**: each
 row's phase is an affine form over GF(2) in fresh random bits
 ``(1, u₁..u_R)`` minted by random-outcome measurements and resets, not a
 single bit.  Unitary gates only ever flip the constant column; measurement
-outcomes come out as affine forms in the ``u``'s.  Terminal sampling is
-then a single GF(2) matrix product over ``shots`` uniform draws of the
-``u`` vector — evaluated on packed rows eight random bits at a time, and
-histogrammed by sorting the packed rows — and circuits whose outcomes
-involve no ``u`` (deterministic outcomes) yield the exact single bitstring
-the dense lanes produce, bit for bit, independent of the sampler seed.
+outcomes come out as affine forms in the ``u``'s.
+
+**Terminal sampling is one GF(2) elimination, not one measurement per
+qubit.**  The joint outcome ``m`` of the measured qubits is uniform over
+the affine space cut out by the ``±Z``-products in the stabilizer group
+that live on measured qubits (``a·m = b`` for each, ``b`` its phase).
+:meth:`StabilizerTableau.terminal_forms` finds them by a phase-free
+elimination of the stabilizers' ``X`` part — its rank many pivots, one for
+a GHZ state — takes their phases in one segmented pass, and reduces
+``[a | b]`` with plain XORs (``Z``-products carry no ``i`` factors).  The
+forms it returns are *canonical*: each measured qubit, in ascending order,
+is either free given the qubits before it — and takes the next fresh
+``u`` — or the unique affine function of earlier free bits and earlier
+``u``'s.  Measuring qubit after qubit (CHP, Aaronson & Gottesman 2004)
+yields the same forms bit for bit, so the batched computation keeps every
+fixed-seed histogram; whole measurement records in one pass is how Stim
+(Gidney 2021) samples too.  The draw is then a single GF(2) matrix product
+over ``shots`` uniform draws of the ``u`` vector — evaluated on packed rows
+eight random bits at a time, and histogrammed by sorting the packed rows —
+and circuits whose outcomes involve no ``u`` (deterministic outcomes)
+yield the exact single bitstring the dense lanes produce, bit for bit,
+independent of the sampler seed.
 
 **One tableau job at a time per process.**  Such a job is interpreter
 bound at every width admission lets through: two of them on two broker
@@ -99,7 +116,8 @@ def estimate_tableau_bytes(n_qubits: int, shots: int = 0) -> int:
     """Peak bytes for a tableau execution: O(n²) bits, not O(2^n) amplitudes.
 
     Follows the packed layout.  The tableau: the ``x``/``z`` qubit planes
-    and their row view (2n·n bits each, rows padded to 64-bit words), the
+    and their row view (2n·n bits each, rows padded to 64-bit words; the
+    stabilizer rows and elimination system of terminal sampling fit in it), the
     packed affine phases (a constant column plus at most one random column
     per measured qubit) with a gathered copy, and the byte-per-bit
     ``(n, 2n)`` scratch a transpose unpacks through.  Sampling: the
@@ -141,12 +159,113 @@ def _popcount_words(block: np.ndarray) -> np.ndarray:
 _popcount = _popcount_words if hasattr(np, "bitwise_count") else _popcount_bytes
 
 
-def _transpose_bits(packed: np.ndarray, n_bits: int, out_bytes: int) -> np.ndarray:
-    """Bit-transpose ``(r, ≥n_bits/8)`` packed rows into ``(n_bits, out_bytes)``."""
-    bits = np.unpackbits(packed, axis=1, count=n_bits)
-    out = np.zeros((n_bits, out_bytes), dtype=np.uint8)
-    out[:, : _packed_bytes(packed.shape[0])] = np.packbits(bits.T, axis=1)
+def _transpose_bits(
+    packed: np.ndarray, n_bits: int, out_bytes: int, start: int = 0
+) -> np.ndarray:
+    """Bit-transpose bits ``start..n_bits-1`` of ``(r, ≥n_bits/8)`` packed
+    rows into ``(n_bits - start, out_bytes)``."""
+    skip = start & ~7
+    bits = np.unpackbits(packed[:, skip >> 3 :], axis=1, count=n_bits - skip)[:, start - skip :]
+    out = np.zeros((n_bits - start, out_bytes), dtype=np.uint8)
+    # packbits along a transposed view is ~5x slower than on a copy.
+    out[:, : _packed_bytes(packed.shape[0])] = np.packbits(np.ascontiguousarray(bits.T), axis=1)
     return out
+
+
+def _product_phases(
+    x: np.ndarray, z: np.ndarray, phase: np.ndarray, rows: np.ndarray, starts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed affine phases and ``z`` parts of ordered row products.
+
+    ``rows`` lists row indices one product after another and ``starts``
+    where each product begins.  Per product this is the exponent of
+    :meth:`_PauliRows._rowsum` over the whole product: the ``Y`` factors of
+    every row, a sign for each ``Z`` left of an ``X`` (one exclusive
+    cumulative XOR, restarted at each product, finds them all), the ``Y``
+    factors of the result.  All callers multiply pairwise-commuting rows,
+    so every product is Hermitian and its exponent even.
+    """
+    starts = np.asarray(starts)
+    xs, zs = x[rows], z[rows]
+    z_before = np.bitwise_xor.accumulate(zs, axis=0)
+    z_before ^= zs
+    z_before ^= np.repeat(z_before[starts], np.diff(starts, append=len(rows)), axis=0)
+    x_all = np.bitwise_xor.reduceat(xs, starts, axis=0)
+    z_all = np.bitwise_xor.reduceat(zs, starts, axis=0)
+    exponent = np.add.reduceat(
+        _popcount(xs & zs) + 2 * _popcount(xs & z_before), starts
+    ) - _popcount(x_all & z_all)
+    phases = np.bitwise_xor.reduceat(phase[rows], starts, axis=0)
+    phases[:, 0] ^= (exponent % 4 // 2 << 7).astype(np.uint8)
+    return phases, z_all
+
+
+def _eliminate(rows: np.ndarray, span: int) -> np.ndarray:
+    """Gauss–Jordan elimination over GF(2) on packed ``rows``, in place.
+
+    Pivots are taken in the first ``span`` bytes; the bytes past them are
+    carried along.  Each row in turn, once the rows above have been
+    reduced, pivots on its lowest set column, which is then cleared from
+    every other row: a pivot row's lowest column stays its pivot, so the
+    result is *the* reduced row echelon form of the row space.  Rows
+    empty on the span are skipped at no cost, so the work is one XOR pass
+    per pivot (the rank).  Returns each row's pivot column, ``-1`` for the
+    rows left empty on the span.  The row length must be whole 64-bit words.
+    """
+    words = rows.view(np.uint64)
+    pivots = np.full(len(rows), -1)
+    for row in np.flatnonzero(rows[:, :span].any(axis=1)).tolist():
+        nonzero = rows[row, :span].nonzero()[0]
+        if not nonzero.size:
+            continue
+        byte = int(nonzero[0])
+        value = int(rows[row, byte])
+        column = rows[:, byte] & (1 << value.bit_length() - 1)
+        column[row] = 0
+        targets = column.nonzero()[0]
+        if targets.size:
+            words[targets] ^= words[row]
+        pivots[row] = 8 * byte + 8 - value.bit_length()
+    return pivots
+
+
+def _histogram(
+    forms: np.ndarray, shots: int, rng: np.random.Generator | None
+) -> dict[str, int]:
+    """Histogram ``shots`` uniform draws of the ``u``'s through ``forms``.
+
+    The forms are :meth:`StabilizerTableau.terminal_forms`; the draw is one
+    ``rng.integers`` call over every ``u`` column, so a canonical form fixes
+    the fixed-seed histogram.
+    """
+    if shots <= 0:
+        raise ExecutionError(f"shots must be positive, got {shots}")
+    n_measured = len(forms)
+    constant = np.packbits(forms[:, 0])
+    coeffs = forms[:, 1:]
+    if not coeffs.any():
+        # Deterministic outcomes: the single bitstring every dense lane
+        # produces at any seed — bitwise identical by construction.
+        return {format_packed_keys(constant[None, :], n_measured)[0]: int(shots)}
+    rng = rng or np.random.default_rng()
+    draws = rng.integers(0, 2, size=(shots, coeffs.shape[1]), dtype=np.uint8)
+    # draws · coeffsᵀ + constant over GF(2), on packed sample rows: XOR
+    # in, for each draw, the measured bits its random variable flips.
+    # Eight variables at a time — a 256-entry table of their XOR
+    # combinations, indexed by the draws' packed byte.
+    flips = np.packbits(coeffs.T, axis=1)
+    draw_bytes = np.packbits(draws, axis=1, bitorder="little")
+    samples = np.tile(constant, (shots, 1))
+    table = np.zeros((256, flips.shape[1]), dtype=np.uint8)
+    for group in range(draw_bytes.shape[1]):
+        for i, row in enumerate(flips[8 * group : 8 * group + 8]):
+            np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
+        samples ^= table[draw_bytes[:, group]]
+    # Big-endian packing sorts like the bit strings themselves.
+    row_type = np.dtype((np.void, samples.shape[1]))
+    values, counts = np.unique(samples.view(row_type).ravel(), return_counts=True)
+    keys = format_packed_keys(values.view(np.uint8).reshape(len(values), -1), n_measured)
+    return dict(zip(keys, counts.tolist()))
 
 
 @dataclass(slots=True)
@@ -192,29 +311,6 @@ class _PauliRows:
         self.x[targets] = x3
         self.z[targets] = z3
 
-    def product_phase(self, rows: np.ndarray) -> np.ndarray:
-        """Packed affine phase of the ordered product of the given rows.
-
-        The exponent of :meth:`_rowsum` over a whole product: the ``Y``
-        factors of every row, a sign for each ``Z`` left of an ``X`` (one
-        exclusive cumulative XOR finds them all), the ``Y`` factors of the
-        result.  All callers multiply pairwise-commuting rows, so the
-        product is Hermitian and the exponent even.
-        """
-        xs, zs = self.x[rows], self.z[rows]
-        z_before = np.zeros_like(zs)
-        np.bitwise_xor.accumulate(zs[:-1], axis=0, out=z_before[1:])
-        x_all = np.bitwise_xor.reduce(xs, axis=0)
-        z_all = z_before[-1] ^ zs[-1]
-        exponent = (
-            int(_popcount(xs & zs).sum())
-            + 2 * int(_popcount(xs & z_before).sum())
-            - int(_popcount(x_all & z_all))
-        )
-        phase = np.bitwise_xor.reduce(self.phase[rows], axis=0)
-        phase[0] ^= exponent % 4 // 2 << 7
-        return phase
-
     def measure(self, q: int) -> np.ndarray:
         """Collapse qubit ``q``; the outcome as a packed affine form.
 
@@ -248,7 +344,7 @@ class _PauliRows:
         # measured bit as its phase.
         if not hits.size:
             return np.zeros(self.phase.shape[1], dtype=np.uint8)
-        return self.product_phase(hits + n)
+        return _product_phases(self.x, self.z, self.phase, hits + n, [0])[0][0]
 
 
 class StabilizerTableau:
@@ -391,6 +487,81 @@ class StabilizerTableau:
         self._collapse(q, reset=True)
 
     # -- terminal sampling -----------------------------------------------------
+    def terminal_forms(self, measured_qubits: Iterable[int]) -> np.ndarray:
+        """The joint outcome of measuring ``measured_qubits``, as affine forms.
+
+        Row ``i`` is the ``i``-th measured qubit (ascending, duplicates
+        dropped) as a 0/1 vector over ``(1, u₁..u_R, u_{R+1}..)``: the
+        earlier random bits, then one fresh bit per free qubit.  The forms
+        are canonical (see the module docstring), so they are the ones
+        measuring qubit after qubit yields.  Four steps on the stabilizer
+        rows, with no measurement made:
+
+        1. A phase-free elimination (:func:`_eliminate`) of their ``X``
+           part (and their ``Z`` part on unmeasured qubits), identity
+           columns recording each row's combination of stabilizers.  The rows it leaves empty are
+           ``±Z``-products on measured qubits: the constraints ``a·m = b``
+           the outcomes ``m`` obey, with ``b`` their phase.  The work is
+           the rank — one pivot for a GHZ state, not one per qubit.
+        2. The phases ``b`` of those products, in one segmented pass
+           (:func:`_product_phases`).
+        3. A phase-free reduced row echelon form of ``[a | b]`` with each
+           row led by its highest measured qubit — ``Z``-products multiply
+           without ``i`` factors, so rows just XOR.  Its pivots are the
+           determined qubits, each row the determined qubit's form.
+        4. The remaining (free) qubits take fresh bits in ascending order.
+        """
+        qubits = sorted(set(int(q) for q in measured_qubits))
+        if not qubits:
+            raise ExecutionError("at least one qubit must be measured")
+        if not 0 <= qubits[0] <= qubits[-1] < self.n:
+            raise ExecutionError(f"measured qubits {tuple(qubits)} out of range")
+        n, k = self.n, len(qubits)
+        width = 1 + self.n_random_bits
+        words = _word_bytes(n)
+        x = _transpose_bits(self.x, 2 * n, words, start=n)
+        z = _transpose_bits(self.z, 2 * n, words, start=n)
+        phase = self.affine[n:].copy()
+        phase[:, 0] |= np.unpackbits(self.sign, count=2 * n)[n:] << 7
+        # 1. Eliminate the X part; ``identity`` tracks the combinations.
+        parts = [x]
+        if k < n:
+            unmeasured = np.ones(8 * words, dtype=np.uint8)
+            unmeasured[qubits] = 0
+            parts.append(z & np.packbits(unmeasured))
+        span = len(parts) * words
+        diagonal = np.arange(n)
+        identity = np.zeros((n, words), dtype=np.uint8)
+        identity[diagonal, diagonal >> 3] = 0x80 >> (diagonal & 7)
+        system = np.hstack(parts + [identity])
+        combos = system[_eliminate(system, span) < 0, span:]
+        # 2. The constraints' phases, ≲2n gathered rows per pass so the
+        #    temporaries stay O(n²) bits.
+        ends = np.cumsum(_popcount(combos))
+        phases, z_parts = [], []
+        for chunk in np.split(combos, np.flatnonzero(np.diff(ends // (2 * n))) + 1):
+            product, member = np.nonzero(np.unpackbits(chunk, axis=1, count=n))
+            starts = np.flatnonzero(np.diff(product, prepend=-1))
+            chunk_phase, chunk_z = _product_phases(x, z, phase, member, starts)
+            phases.append(chunk_phase)
+            z_parts.append(chunk_z)
+        # 3. RREF of [a | b], the measured qubits' columns in descending
+        #    order so that a row's lowest column is its highest qubit.
+        descending = np.unpackbits(np.vstack(z_parts), axis=1, count=n)[:, qubits[::-1]]
+        a_bytes = _word_bytes(k)
+        constraints = np.zeros((len(combos), a_bytes + _word_bytes(width)), dtype=np.uint8)
+        constraints[:, : _packed_bytes(k)] = np.packbits(descending, axis=1)
+        constraints[:, a_bytes : a_bytes + phase.shape[1]] = np.vstack(phases)
+        determined = k - 1 - _eliminate(constraints, a_bytes)
+        free = np.delete(np.arange(k), determined)
+        ascending = np.unpackbits(constraints[:, :a_bytes], axis=1, count=k)[:, ::-1]
+        forms = np.zeros((k, width + free.size), dtype=np.uint8)
+        forms[determined, :width] = np.unpackbits(constraints[:, a_bytes:], axis=1, count=width)
+        forms[determined, width:] = ascending[:, free]
+        # 4. A fresh random bit for each free qubit, in ascending order.
+        forms[free, width + np.arange(free.size)] = 1
+        return forms
+
     def sample(
         self,
         shots: int,
@@ -402,46 +573,11 @@ class StabilizerTableau:
         Matches :func:`repro.simulator.sampling.sample_counts` format:
         measured qubits sorted ascending, character ``i`` of a key is the
         value of the ``i``-th measured qubit, keys in lexicographic order.
-        Measuring sequentially on a scratch row view yields *correlated*
-        affine forms in shared ``u``'s — the exact joint distribution —
-        then one GF(2) product over uniform ``u`` draws produces every shot
-        at once.
+        :meth:`terminal_forms` gives the exact joint distribution as
+        correlated affine forms in shared ``u``'s; one GF(2) product over
+        uniform ``u`` draws then produces every shot at once.
         """
-        if shots <= 0:
-            raise ExecutionError(f"shots must be positive, got {shots}")
-        qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
-        if not qubits:
-            raise ExecutionError("at least one qubit must be measured")
-        if not 0 <= qubits[0] <= qubits[-1] < self.n:
-            raise ExecutionError(f"measured qubits {qubits} out of range")
-        scratch = self._rows(spare=len(qubits))
-        forms = np.array([scratch.measure(q) for q in qubits])
-        affine = np.unpackbits(forms, axis=1, count=scratch.width)
-        constant = np.packbits(affine[:, 0])
-        coeffs = affine[:, 1:]
-        if not coeffs.any():
-            # Deterministic outcomes: the single bitstring every dense lane
-            # produces at any seed — bitwise identical by construction.
-            return {format_packed_keys(constant[None, :], len(qubits))[0]: int(shots)}
-        rng = rng or np.random.default_rng()
-        draws = rng.integers(0, 2, size=(shots, coeffs.shape[1]), dtype=np.uint8)
-        # draws · coeffsᵀ + constant over GF(2), on packed sample rows: XOR
-        # in, for each draw, the measured bits its random variable flips.
-        # Eight variables at a time — a 256-entry table of their XOR
-        # combinations, indexed by the draws' packed byte.
-        flips = np.packbits(coeffs.T, axis=1)
-        draw_bytes = np.packbits(draws, axis=1, bitorder="little")
-        samples = np.tile(constant, (shots, 1))
-        table = np.zeros((256, flips.shape[1]), dtype=np.uint8)
-        for group in range(draw_bytes.shape[1]):
-            for i, row in enumerate(flips[8 * group : 8 * group + 8]):
-                np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
-            samples ^= table[draw_bytes[:, group]]
-        # Big-endian packing sorts like the bit strings themselves.
-        row_type = np.dtype((np.void, samples.shape[1]))
-        values, counts = np.unique(samples.view(row_type).ravel(), return_counts=True)
-        keys = format_packed_keys(values.view(np.uint8).reshape(len(values), -1), len(qubits))
-        return dict(zip(keys, counts.tolist()))
+        return _histogram(self.terminal_forms(measured_qubits), shots, rng)
 
     # -- exact expectations ----------------------------------------------------
     def expectation_sign(self, paulis: Mapping[int, str]) -> float:
@@ -472,7 +608,8 @@ class StabilizerTableau:
             # P commutes with every generator yet selects no stabilizer:
             # only the identity does that (⟨I⟩ = 1 handled by the caller).
             return 1.0
-        return -1.0 if rows.product_phase(selected)[0] & 0x80 else 1.0
+        phase = _product_phases(rows.x, rows.z, rows.phase, selected, [0])[0]
+        return -1.0 if phase[0, 0] & 0x80 else 1.0
 
 
 class StabilizerBackend(ExecutionBackend):
@@ -569,8 +706,10 @@ class StabilizerBackend(ExecutionBackend):
             if token is not None:
                 # Post-evolution boundary: sampling is the other large phase.
                 token.check()
-            with tracer.span("sample", attrs={"shots": shots}):
-                counts = tableau.sample(shots, measured, rng)
+            with tracer.span("sample", attrs={"shots": shots}) as span:
+                forms = tableau.terminal_forms(measured)
+                span.set_attribute("random_bits", forms.shape[1] - 1)
+                counts = _histogram(forms, shots, rng)
         elapsed = time.perf_counter() - started
         return ExecutionResult(
             counts=counts,

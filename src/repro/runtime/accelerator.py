@@ -138,6 +138,13 @@ class Accelerator:
             raise AcceleratorError(f"shots must be positive, got {value}")
         return value
 
+    def _seed(self) -> int | None:
+        """The sampling seed: the ``seed`` option, else the global config's."""
+        from ..config import get_config
+
+        seed = self.options.get("seed")
+        return get_config().seed if seed is None else int(seed)  # type: ignore[arg-type]
+
     def _check_size(self, buffer: AcceleratorBuffer, circuit: CompositeInstruction) -> None:
         if circuit.n_qubits > buffer.size:
             raise AcceleratorError(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..config import get_config
 from ..exceptions import AcceleratorError
 from ..exec.backend import DensityBackend
 from ..ir.composite import CompositeInstruction
@@ -71,7 +70,7 @@ class NoisyAccelerator(Accelerator, Cloneable):
             circuit,
             shots,
             n_qubits=buffer.size,
-            seed=get_config().seed,
+            seed=self._seed(),
             # Semantic (job-key) option: "single" evolves in complex64.
             precision=str(self.options.get("precision", "double")),
         )

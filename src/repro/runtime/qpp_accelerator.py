@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..config import get_config
 from ..exceptions import AcceleratorError
 from ..exec.backend import ExecutionBackend, LocalBackend
 from ..ir.composite import CompositeInstruction
@@ -119,7 +118,7 @@ class QppAccelerator(Accelerator, Cloneable):
                 f"{sorted(p.name for p in circuit.free_parameters)}"
             )
         shots = self._resolve_shots(shots)
-        seed = get_config().seed
+        seed = self._seed()
         optimize = bool(self.options.get("optimize", True))
         # Plan-replay tuning knob (performance only — it does not change the
         # measurement distribution; a non-semantic job-key option).
@@ -174,7 +173,7 @@ class QppAccelerator(Accelerator, Cloneable):
             )
         shots = self._resolve_shots(shots)
         result = StabilizerBackend().execute(
-            circuit, shots, n_qubits=buffer.size, seed=get_config().seed
+            circuit, shots, n_qubits=buffer.size, seed=self._seed()
         )
         buffer.add_counts(result.counts)
         buffer.information.update(

@@ -67,6 +67,11 @@ class RemoteAccelerator(Accelerator, Cloneable):
     def clone(self) -> "RemoteAccelerator":
         return RemoteAccelerator(dict(self.options))
 
+    def update_configuration(self, options: Mapping[str, object]) -> None:
+        # The local backend runs the jobs, so it must see option changes too.
+        super().update_configuration(options)
+        self._local.update_configuration(options)
+
     @property
     def is_remote(self) -> bool:
         return True

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.bell import bell_circuit
+from repro.config import configure
 from repro.core.executor import KernelTask, run_one_by_one, run_parallel
 from repro.core.shot_parallelism import execute_shots_parallel
 from repro.exceptions import ConfigurationError
@@ -87,3 +88,14 @@ class TestShotParallelism:
     def test_default_shots_from_config(self, small_shots):
         counts = execute_shots_parallel(bell_circuit(2), 2, workers=2)
         assert sum(counts.values()) == small_shots
+
+    def test_fixed_seed_chunks_draw_independent_streams(self):
+        """Each chunk samples from its own child of the global seed, so two
+        chunks are not one chunk's histogram counted twice."""
+        with configure(seed=7):
+            merged = execute_shots_parallel(bell_circuit(2), 2, shots=1000, workers=2)
+            again = execute_shots_parallel(bell_circuit(2), 2, shots=1000, workers=2)
+            one_chunk = execute_shots_parallel(bell_circuit(2), 2, shots=500, workers=1)
+        assert sum(merged.values()) == 1000
+        assert merged == again
+        assert merged != {key: 2 * count for key, count in one_chunk.items()}

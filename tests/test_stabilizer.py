@@ -30,6 +30,7 @@ from repro.algorithms.ghz import ghz_circuit
 from repro.cancellation import CancelToken, cancel_scope
 from repro.exceptions import DeadlineExceeded, ExecutionError
 from repro.exec import LocalBackend
+from repro.exec import stabilizer
 from repro.exec.stabilizer import (
     StabilizerBackend,
     StabilizerTableau,
@@ -39,6 +40,7 @@ from repro.ir.builder import CircuitBuilder
 from repro.ir.gates import X
 from repro.ir.transforms import clifford
 from repro.ir.transforms.clifford import classify_clifford, clear_clifford_cache
+from repro.obs import enable_tracing
 from repro.operators.pauli import PauliOperator, PauliTerm
 from repro.runtime.service_registry import reset_registry
 from repro.service import QuantumJobService
@@ -540,6 +542,140 @@ class TestMomentProgram:
             for name in ("opcodes", "first", "second", "moment_starts")
         )
         assert stored <= 12 * program.n_ops
+
+
+# ---------------------------------------------------------------------------
+# Terminal sampling: the batched forms are the sequential cascade's
+# ---------------------------------------------------------------------------
+
+
+def cascade_forms(tableau: StabilizerTableau, measured) -> np.ndarray:
+    """The oracle: measure qubit after qubit on a scratch row view (CHP)."""
+    qubits = sorted(set(int(q) for q in measured))
+    scratch = tableau._rows(spare=len(qubits))
+    forms = np.array([scratch.measure(q) for q in qubits])
+    return np.unpackbits(forms, axis=1, count=scratch.width)
+
+
+POPCOUNTS = [stabilizer._popcount_bytes] + (
+    [stabilizer._popcount_words] if hasattr(np, "bitwise_count") else []
+)
+
+
+def assert_forms_match_cascade(circuit, n_qubits: int, measured) -> StabilizerTableau:
+    tableau = StabilizerTableau(n_qubits)
+    StabilizerBackend._evolve(tableau, classify_clifford(circuit))
+    expected = cascade_forms(tableau, measured)
+    for popcount in POPCOUNTS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stabilizer, "_popcount", popcount)
+            forms = tableau.terminal_forms(measured)
+        assert forms.dtype == np.uint8
+        assert forms.shape == expected.shape, popcount.__name__
+        assert np.array_equal(forms, expected), popcount.__name__
+    return tableau
+
+
+def random_measured(rng: np.random.Generator, n_qubits: int) -> list[int]:
+    """A random subset of the qubits, unsorted and with duplicates."""
+    size = int(rng.integers(1, n_qubits + 1))
+    picked = rng.choice(n_qubits, size=size, replace=False)
+    return [int(q) for q in np.concatenate([picked, rng.choice(picked, size=size // 3)])]
+
+
+class TestTerminalForms:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_qubits=st.integers(min_value=1, max_value=64),
+        depth=st.integers(min_value=0, max_value=160),
+        partial=st.booleans(),
+    )
+    def test_batched_forms_are_the_cascade_forms(self, seed, n_qubits, depth, partial):
+        """Random Clifford circuits with mid-circuit resets, measured whole
+        or on an unsorted subset with duplicates: the one-elimination forms
+        equal qubit-after-qubit measurement bit for bit, under both
+        popcounts — the same affine forms, hence the same draw."""
+        rng = np.random.default_rng(seed)
+        circuit = random_clifford_circuit(rng, n_qubits, depth, full=True)
+        measured = random_measured(rng, n_qubits) if partial else range(n_qubits)
+        assert_forms_match_cascade(circuit, n_qubits, measured)
+
+    @pytest.mark.parametrize("n_qubits", [200, 300, 400])
+    def test_wide_circuits_match_the_cascade(self, n_qubits):
+        rng = np.random.default_rng(n_qubits)
+        circuit = random_clifford_circuit(rng, n_qubits, 3 * n_qubits, full=True)
+        for measured in (range(n_qubits), random_measured(rng, n_qubits)):
+            assert_forms_match_cascade(circuit, n_qubits, measured)
+
+    @pytest.mark.parametrize("n_qubits", [32, 200])
+    def test_dense_constraint_products_match_the_cascade(self, n_qubits):
+        """CNOT network, H on half the qubits, CNOT network: the X parts
+        are n dense vectors of rank n/2, so each ±Z-product is a dense
+        combination of stabilizers and the phase pass runs in several
+        chunks of ~2n gathered rows."""
+        rng = np.random.default_rng(n_qubits)
+        builder = CircuitBuilder(n_qubits, name="dense_constraints")
+        for layer in range(2):
+            for _ in range(4 * n_qubits):
+                a, b = rng.choice(n_qubits, size=2, replace=False)
+                builder.cx(int(a), int(b))
+            for qubit in range(n_qubits // 2) if layer == 0 else ():
+                builder.h(qubit)
+        for qubit in rng.choice(n_qubits, size=n_qubits // 4, replace=False):
+            builder.s(int(qubit))
+        circuit = builder.measure_all().build()
+        for measured in (range(n_qubits), random_measured(rng, n_qubits)):
+            assert_forms_match_cascade(circuit, n_qubits, measured)
+
+    def test_reset_bits_precede_the_terminal_ones(self):
+        """Resets mint ``u``'s first: resetting one half of a Bell pair
+        leaves the other half equal to the reset's bit ``u₁``, and the
+        terminal pair gets the fresh bit ``u₂`` after it."""
+        builder = CircuitBuilder(3, name="reset_then_bell")
+        builder.h(0).cx(0, 1).reset(1).h(2).cx(2, 1)
+        circuit = builder.measure_all().build()
+        tableau = assert_forms_match_cascade(circuit, 3, range(3))
+        assert tableau.n_random_bits == 1
+        #                 (1, u₁, u₂)
+        expected = [[0, 1, 0], [0, 0, 1], [0, 0, 1]]
+        assert tableau.terminal_forms(range(3)).tolist() == expected
+
+    def test_ghz_400_takes_one_pivot_and_no_measurement(self, monkeypatch):
+        """Sampling a 400-qubit GHZ state makes no per-qubit measurement and
+        its forward elimination takes exactly one pivot — the X part's rank
+        — instead of one step per qubit."""
+
+        def no_measure(self, q):
+            raise AssertionError("terminal sampling measured a qubit")
+
+        pivot_steps = []
+        eliminate = stabilizer._eliminate
+
+        def counting(rows, span):
+            pivots = eliminate(rows, span)
+            pivot_steps.append(int((pivots >= 0).sum()))
+            return pivots
+
+        monkeypatch.setattr(stabilizer._PauliRows, "measure", no_measure)
+        monkeypatch.setattr(stabilizer, "_eliminate", counting)
+        tableau = StabilizerTableau(400)
+        StabilizerBackend._evolve(tableau, classify_clifford(ghz_circuit(400)))
+        counts = tableau.sample(256, range(400), np.random.default_rng(0))
+        assert set(counts) == {"0" * 400, "1" * 400}
+        # Forward elimination: rank 1.  The reduction of the 399 ZZ
+        # constraints then pivots once per constraint row.
+        assert pivot_steps == [1, 399]
+
+    def test_sample_span_records_the_random_bits(self):
+        tracer = enable_tracing()
+        StabilizerBackend().execute(ghz_circuit(50), 64, seed=1)
+        builder = CircuitBuilder(4, name="plus4")
+        for qubit in range(4):
+            builder.h(qubit)
+        StabilizerBackend().execute(builder.measure_all().build(), 64, seed=1)
+        recorded = [s.attributes["random_bits"] for s in tracer.spans() if s.name == "sample"]
+        assert recorded == [1, 4]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 The digests below were recorded from the byte-per-bit tableau this repo
 shipped before the packed rewrite (``StabilizerBackend.execute`` at commit
-e515b78).  The packed tableau keeps the same pivot rule, the same single
-``rng.integers`` draw and the same lexicographic key order, so every
-digest must hold unchanged: a different affine form, a different random-bit
-numbering or a different dict order each moves the sha256.
+e515b78).  The packed tableau keeps the same affine forms (they are
+canonical, so terminal sampling's one GF(2) elimination yields the forms
+measuring qubit after qubit did), the same single ``rng.integers`` draw and
+the same lexicographic key order, so every digest must hold unchanged: a
+different affine form, a different random-bit numbering or a different dict
+order each moves the sha256.
 """
 
 import hashlib

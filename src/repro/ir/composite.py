@@ -36,12 +36,20 @@ class CompositeInstruction(Instruction):
     (:func:`~repro.ir.serialization.circuit_content_hash`, which the job
     keys, the Clifford classifier and the plan cache all share),
     :attr:`is_parameterized` and the executors' JSON payload are computed
-    once per circuit *object* and dropped by the next :meth:`add`.
+    once per circuit *object* and dropped by the next :meth:`add`.  The
+    key's one walk answers :attr:`is_parameterized` as well, and the memo
+    keeps only the digest and that bool, never the walk's lists: a caller
+    that keeps a keyed circuit keeps a few hundred bytes more.
     ``copy``, ``bind``, ``inverse``, ``remapped`` and
     ``without_measurements`` build new objects and start without a memo; a
     pickled circuit carries its (still valid) memo with it.  Code that
     mutates an instruction in place after adding it must not rely on any of
     these.
+
+    The instructions themselves carry ``__slots__`` (no instance dict), and
+    every one-qubit instruction on a low qubit index shares one ``(q,)``
+    tuple, so a circuit that callers keep is mostly its list.  A composite
+    keeps its ``__dict__``: it holds the memo.
     """
 
     is_composite = True
@@ -140,9 +148,10 @@ class CompositeInstruction(Instruction):
 
     @property
     def is_parameterized(self) -> bool:
+        # The content key's walk memoises this too (repro.ir.serialization).
         return self.memoised(
             "is_parameterized",
-            lambda: any(inst.is_parameterized for inst in self._instructions),
+            lambda: any(inst.is_parameterized for inst in self._instructions if inst.parameters),
         )
 
     @property
@@ -163,22 +172,25 @@ class CompositeInstruction(Instruction):
         ``BARRIER`` aligns every qubit seen so far on the deepest one and
         takes no step of its own.
         """
-        frontier: dict[int, int] = {}
+        # The frontier is a list over the register: an untouched qubit reads
+        # 0 and a touched one >= 1, so "the qubits seen so far" are its
+        # nonzero entries.
+        frontier = [0] * self._n_qubits
         levels: list[int] = []
+        append = levels.append
         for inst in self._instructions:
             qubits = inst.qubits
             if len(qubits) == 1:
-                level = frontier.get(qubits[0], 0) + 1
+                q = qubits[0]
+                level = frontier[q] = frontier[q] + 1
             elif qubits:
-                level = max([frontier.get(q, 0) for q in qubits]) + 1
+                level = max([frontier[q] for q in qubits]) + 1
+                for q in qubits:
+                    frontier[q] = level
             else:
-                level = max(frontier.values(), default=0)
-                qubits = tuple(frontier)
-                if inst.name != "BARRIER":
-                    level += 1
-            for q in qubits:
-                frontier[q] = level
-            levels.append(level)
+                level = max(frontier, default=0) + (inst.name != "BARRIER")
+                frontier = [level if seen else 0 for seen in frontier]
+            append(level)
         return levels
 
     def depth(self) -> int:

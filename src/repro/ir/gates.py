@@ -66,6 +66,8 @@ class Gate(Instruction):
     :meth:`~repro.ir.instruction.Instruction.bound_matrix` both call it.
     """
 
+    __slots__ = ()
+
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
         super().__init__(type(self).__name__.upper(), qubits, parameters)
 
@@ -86,6 +88,7 @@ _SQRT2_INV = 1.0 / math.sqrt(2.0)
 class Identity(Gate):
     """Single-qubit identity."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -102,6 +105,7 @@ class Identity(Gate):
 class H(Gate):
     """Hadamard gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -114,6 +118,7 @@ class H(Gate):
 class X(Gate):
     """Pauli-X (NOT) gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -126,6 +131,7 @@ class X(Gate):
 class Y(Gate):
     """Pauli-Y gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -138,6 +144,7 @@ class Y(Gate):
 class Z(Gate):
     """Pauli-Z gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -150,6 +157,7 @@ class Z(Gate):
 class S(Gate):
     """Phase gate (sqrt(Z))."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -162,6 +170,7 @@ class S(Gate):
 class Sdg(Gate):
     """Adjoint of the S gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -174,6 +183,7 @@ class Sdg(Gate):
 class T(Gate):
     """T gate (pi/8 phase)."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -186,6 +196,7 @@ class T(Gate):
 class Tdg(Gate):
     """Adjoint of the T gate."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def matrix(self) -> np.ndarray:
@@ -203,6 +214,7 @@ class Tdg(Gate):
 class RX(Gate):
     """Rotation about X: ``exp(-i theta X / 2)``."""
 
+    __slots__ = ()
     num_qubits = 1
     num_parameters = 1
 
@@ -218,6 +230,7 @@ class RX(Gate):
 class RY(Gate):
     """Rotation about Y: ``exp(-i theta Y / 2)``."""
 
+    __slots__ = ()
     num_qubits = 1
     num_parameters = 1
 
@@ -233,6 +246,7 @@ class RY(Gate):
 class RZ(Gate):
     """Rotation about Z: ``exp(-i theta Z / 2)``."""
 
+    __slots__ = ()
     num_qubits = 1
     num_parameters = 1
 
@@ -249,6 +263,7 @@ class RZ(Gate):
 class U3(Gate):
     """General single-qubit gate ``U3(theta, phi, lambda)`` (OpenQASM u3)."""
 
+    __slots__ = ()
     num_qubits = 1
     num_parameters = 3
 
@@ -311,6 +326,7 @@ def _controlled(single: np.ndarray) -> np.ndarray:
 class CX(Gate):
     """Controlled-X (CNOT); qubits = (control, target)."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def matrix(self) -> np.ndarray:
@@ -323,6 +339,7 @@ class CX(Gate):
 class CY(Gate):
     """Controlled-Y; qubits = (control, target)."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def matrix(self) -> np.ndarray:
@@ -335,6 +352,7 @@ class CY(Gate):
 class CZ(Gate):
     """Controlled-Z; symmetric in its qubits."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def matrix(self) -> np.ndarray:
@@ -347,6 +365,7 @@ class CZ(Gate):
 class CH(Gate):
     """Controlled-Hadamard; qubits = (control, target)."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def matrix(self) -> np.ndarray:
@@ -359,6 +378,7 @@ class CH(Gate):
 class CRZ(Gate):
     """Controlled-RZ(theta); qubits = (control, target)."""
 
+    __slots__ = ()
     num_qubits = 2
     num_parameters = 1
 
@@ -373,6 +393,7 @@ class CRZ(Gate):
 class CPhase(Gate):
     """Controlled phase gate ``diag(1, 1, 1, e^{i theta})``; symmetric."""
 
+    __slots__ = ()
     num_qubits = 2
     num_parameters = 1
 
@@ -393,6 +414,7 @@ class CPhase(Gate):
 class Swap(Gate):
     """SWAP gate."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -411,6 +433,7 @@ class Swap(Gate):
 class ISwap(Gate):
     """iSWAP gate."""
 
+    __slots__ = ()
     num_qubits = 2
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -431,6 +454,7 @@ class ISwap(Gate):
 class CCX(Gate):
     """Toffoli gate; qubits = (control0, control1, target)."""
 
+    __slots__ = ()
     num_qubits = 3
 
     def matrix(self) -> np.ndarray:
@@ -447,6 +471,7 @@ class CCX(Gate):
 class CSwap(Gate):
     """Fredkin gate; qubits = (control, target0, target1)."""
 
+    __slots__ = ()
     num_qubits = 3
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -476,6 +501,7 @@ class CSwap(Gate):
 class UnitaryGate(Instruction):
     """A gate defined directly by a unitary matrix over its qubits."""
 
+    __slots__ = ("_matrix",)
     num_qubits = 0  # variable
     num_parameters = 0
 
@@ -500,6 +526,11 @@ class UnitaryGate(Instruction):
     def matrix(self) -> np.ndarray:
         return self._matrix
 
+    def copy(self) -> "UnitaryGate":
+        clone = super().copy()
+        clone._matrix = self._matrix
+        return clone
+
     def inverse(self) -> Instruction:
         return UnitaryGate(self._matrix.conj().T, self.qubits, name=f"{self.name}_DG")
 
@@ -515,6 +546,8 @@ class PermutationGate(UnitaryGate):
     Shor period-finding kernel: the permutation maps basis index ``x`` to
     ``perm[x]`` over the qubits it acts on.
     """
+
+    __slots__ = ("permutation",)
 
     def __init__(self, permutation: Sequence[int], qubits: Sequence[int], name: str = "PERM"):
         perm = list(int(p) for p in permutation)
@@ -535,6 +568,11 @@ class PermutationGate(UnitaryGate):
         self._matrix = matrix
         Instruction.__init__(self, name, qubits)
 
+    def copy(self) -> "PermutationGate":
+        clone = super().copy()
+        clone.permutation = self.permutation
+        return clone
+
 
 # ---------------------------------------------------------------------------
 # Non-unitary instructions
@@ -544,6 +582,7 @@ class PermutationGate(UnitaryGate):
 class Measure(Instruction):
     """Computational-basis measurement of a single qubit."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -556,6 +595,7 @@ class Measure(Instruction):
 class Reset(Instruction):
     """Reset a qubit to |0>."""
 
+    __slots__ = ()
     num_qubits = 1
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):
@@ -568,6 +608,7 @@ class Reset(Instruction):
 class Barrier(Instruction):
     """Scheduling barrier over an arbitrary set of qubits (no-op in simulation)."""
 
+    __slots__ = ()
     num_qubits = 0  # variable
 
     def __init__(self, qubits: Sequence[int], parameters: Sequence[ParameterValue] = ()):

@@ -1,9 +1,19 @@
-"""JSON (de)serialization of circuits.
+"""JSON (de)serialization of circuits, and the circuit content key.
 
 Circuits are converted to plain dictionaries so they can be persisted,
 shipped to the simulated remote accelerator, or compared in tests.  Symbolic
 parameters are stored as ``{"parameter": name, "scale": s, "offset": o}``;
 matrix-defined gates store their matrices as nested ``[real, imag]`` pairs.
+
+The content key (:func:`circuit_content_hash`) is SHA-256 of the canonical
+JSON text of that dictionary: ``json.dumps(circuit_to_dict(c),
+sort_keys=True, separators=(",", ":"), default=repr)``, name popped.  The
+key does not build the dictionary.  One walk over the instructions emits
+the same text byte for byte (a cached ``{"name":…,"parameters":[`` prefix
+per gate name, parameters through ``float.__repr__`` as ``json`` spells
+them, then ``],"qubits":[…],"type":"gate"}``; matrix gates alone go through
+:func:`instruction_to_dict`), and the same walk answers
+``is_parameterized``.  Every key ever computed is therefore unchanged.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "circuit_to_json",
     "circuit_from_json",
     "circuit_content_hash",
+    "canonical_json",
     "instruction_to_dict",
     "instruction_from_dict",
 ]
@@ -136,8 +147,72 @@ def circuit_content_hash(circuit: CompositeInstruction, include_name: bool = Fal
 
 
 def _content_hash(circuit: CompositeInstruction, include_name: bool) -> str:
-    payload = circuit_to_dict(circuit)
+    text, parameterized = _canonical_text(circuit, include_name)
     if not include_name:
-        payload.pop("name", None)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        # The walk has answered ``is_parameterized`` too; keep the bool.
+        circuit.memoised("is_parameterized", lambda: parameterized)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def canonical_json(obj: Any) -> str:
+    """Serialize ``obj`` deterministically (sorted keys, no whitespace): the
+    text every content key in this runtime hashes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=repr)
+
+
+_NON_FINITE = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """``json.dumps(value)`` for a float: its repr, or json's non-finite names."""
+    if value != value:
+        return "NaN"
+    return _NON_FINITE.get(value) or float.__repr__(value)
+
+
+def _prefix(name: str) -> str:
+    return f'{{"name":{canonical_json(name)},"parameters":['
+
+
+#: Every registry mnemonic's ``{"name":…,"parameters":[`` prefix.
+_PREFIXES = {name: _prefix(name) for name in GATE_REGISTRY}
+_SUFFIX = '],"type":"gate"}'
+
+
+def _canonical_text(circuit: CompositeInstruction, include_name: bool) -> tuple[str, bool]:
+    """The canonical JSON text of ``circuit`` and its ``is_parameterized``.
+
+    Equal to ``json.dumps`` of :func:`circuit_to_dict` (name popped unless
+    ``include_name``) with sorted keys and compact separators.  A gate's
+    keys sort as ``name``, ``parameters``, ``qubits``, ``type``; the
+    circuit's as ``instructions``, ``n_qubits``, ``name``.
+    """
+    parts: list[str] = []
+    append = parts.append
+    prefixes = _PREFIXES.get
+    parameterized = False
+    for inst in circuit:
+        if isinstance(inst, UnitaryGate):
+            append(canonical_json(instruction_to_dict(inst)))
+            parameterized = parameterized or inst.is_parameterized
+            continue
+        params_text = ""
+        if inst.parameters:
+            texts = []
+            for param in inst.parameters:
+                if isinstance(param, (int, float)):
+                    texts.append(_float_text(float(param)))
+                else:  # a symbol (anything else raises IRError)
+                    texts.append(canonical_json(_param_to_obj(param)))
+                    parameterized = True
+            params_text = ",".join(texts)
+        qubits = inst.qubits
+        qubits_text = str(qubits[0]) if len(qubits) == 1 else ",".join(map(str, qubits))
+        name = inst.name
+        append(
+            f'{prefixes(name) or _prefix(name)}{params_text}],"qubits":[{qubits_text}{_SUFFIX}'
+        )
+    width = canonical_json(circuit.n_qubits)
+    tail = f',"name":{canonical_json(circuit.name)}}}' if include_name else "}"
+    text = f'{{"instructions":[{",".join(parts)}],"n_qubits":{width}{tail}'
+    return text, parameterized

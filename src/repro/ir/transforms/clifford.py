@@ -7,6 +7,13 @@ and either lowers it to the tableau's primitive gate set or names the
 first obstruction, so routing layers (cost model, broker admission) can
 make the backend choice *before* any state is allocated.
 
+Lowering is table-driven: a parameter-free instruction looks its name up
+in a template table (``name -> ((opcode, qubit slot, qubit slot), ...)``)
+and appends the template's ops; only instructions with parameters and
+unknown names take :func:`_lower_instruction`, which matches rotation
+angles and words the obstruction.  Levels, epochs, positions and moment
+sort keys are then computed with numpy over whole arrays.
+
 Beyond the literal Clifford mnemonics the walk recognises Clifford-angle
 rotations: ``RZ(k·π/2)`` lowers to S/Z powers, ``RX``/``RY`` at the same
 angles lower via H/S conjugation, ``CRZ(k·π)`` to an S-power on the
@@ -56,12 +63,6 @@ __all__ = [
 #: Absolute tolerance when matching rotation angles to multiples of π/2.
 ANGLE_TOLERANCE = 1e-9
 
-#: Gate mnemonics that are Clifford for every parameterisation (none take
-#: parameters); rotations are handled by the angle-matching lowering below.
-CLIFFORD_GATES = frozenset(
-    {"I", "ID", "H", "X", "NOT", "Y", "Z", "S", "SDG", "CX", "CNOT", "CY", "CZ", "SWAP", "ISWAP"}
-)
-
 #: Primitive tableau ops a classified circuit lowers to; an op's opcode is
 #: its index here.  Single-qubit kinds come first so arity is one compare.
 TABLEAU_OPS = ("h", "s", "sdg", "x", "y", "z", "reset", "cx", "cz", "swap")
@@ -70,9 +71,47 @@ _OPCODE = {name: code for code, name in enumerate(TABLEAU_OPS)}
 #: The longest lowering of one instruction (RY: sdg, h, s-power, h, s).
 _MAX_LOWERED_OPS = 5
 
-#: What :func:`_lower_instruction` emits: ``(kind, q)`` / ``(kind, a, b)``
-#: over :data:`TABLEAU_OPS`, plus ``("measure", q)`` markers.
+#: Pseudo-opcode of a terminal measurement marker (never reaches a program).
+_MEASURE = len(TABLEAU_OPS)
+
+#: A lowering template: ops ``(opcode, a, b)`` over :data:`TABLEAU_OPS` plus
+#: :data:`_MEASURE`, where ``a`` / ``b`` index the instruction's qubits
+#: (``b`` is ignored below :data:`FIRST_TWO_QUBIT_OP`).
+Template = tuple
+
+#: A classified program op as ``(kind, q)`` / ``(kind, a, b)``.
 TableauOp = tuple
+
+
+def _template(*ops: tuple) -> Template:
+    return tuple((_OPCODE.get(kind, _MEASURE), a, b) for kind, a, b in ops)
+
+
+#: The lowering of every parameter-free Clifford mnemonic.
+_TEMPLATES: dict[str, Template] = {
+    "BARRIER": (),
+    "I": (),
+    "ID": (),
+    "MEASURE": _template(("measure", 0, 0)),
+    "RESET": _template(("reset", 0, 0)),
+    **{name: _template((name.lower(), 0, 0)) for name in ("H", "X", "Y", "Z", "S", "SDG")},
+    "NOT": _template(("x", 0, 0)),
+    "CX": _template(("cx", 0, 1)),
+    "CNOT": _template(("cx", 0, 1)),
+    "CZ": _template(("cz", 0, 1)),
+    "SWAP": _template(("swap", 0, 1)),
+    # CY(a,b) = (I ⊗ S) · CX · (I ⊗ S†) — conjugate the target.
+    "CY": _template(("sdg", 1, 1), ("cx", 0, 1), ("s", 1, 1)),
+    # iSWAP = diag phases on the swapped pair: SWAP · S⊗S · CZ.
+    "ISWAP": _template(("swap", 0, 1), ("s", 0, 0), ("s", 1, 1), ("cz", 0, 1)),
+}
+#: The names :attr:`~repro.ir.instruction.Instruction.is_unitary` excludes.
+_NON_UNITARY = frozenset({"MEASURE", "RESET", "BARRIER"})
+#: Mnemonics that lower the same whatever parameters they carry.
+_PARAMETER_BLIND = _NON_UNITARY | {"I", "ID"}
+#: Gate mnemonics that are Clifford for every parameterisation (none take
+#: parameters); rotations are handled by the angle-matching lowering below.
+CLIFFORD_GATES = frozenset(_TEMPLATES) - _NON_UNITARY
 
 
 def _program_field():
@@ -147,77 +186,36 @@ def _angle_multiple(theta: float, unit: float) -> int | None:
     return None
 
 
-def _s_power(k: int, qubit: int) -> list[TableauOp]:
-    """Lower ``S^k`` (``k`` mod 4) on ``qubit`` to primitive ops."""
-    k %= 4
-    if k == 0:
-        return []
-    if k == 1:
-        return [("s", qubit)]
-    if k == 2:
-        return [("z", qubit)]
-    return [("sdg", qubit)]
+#: ``S^k`` on the instruction's first qubit, indexed by ``k % 4``.
+_S_POWERS = ((), _TEMPLATES["S"], _TEMPLATES["Z"], _TEMPLATES["SDG"])
 
 
-def _lower_instruction(inst) -> tuple[list[TableauOp] | None, str]:
-    """Lower one instruction to tableau ops, or name the obstruction.
+def _lower_instruction(inst) -> tuple[Template | None, str]:
+    """Lower one instruction the template table does not: any instruction
+    with parameters (the Clifford-angle rotations) or an unknown name.
 
-    Returns ``(ops, "")`` on success and ``(None, reason)`` otherwise.
+    Returns ``(template, "")`` on success and ``(None, reason)`` otherwise.
     """
     name = inst.name.upper()
-    if name in ("BARRIER",):
-        return [], ""
-    if name in ("I", "ID"):
-        return [], ""
-    if name == "MEASURE":
-        return [("measure", inst.qubits[0])], ""
-    if name == "RESET":
-        return [("reset", inst.qubits[0])], ""
+    template = _TEMPLATES.get(name)
+    if template is not None and (name in _PARAMETER_BLIND or not inst.is_parameterized):
+        return template, ""
     if inst.is_parameterized:
         return None, f"gate {name} has unbound symbolic parameters"
-    qubits = inst.qubits
-    if name in ("H", "X", "NOT", "Y", "Z", "S", "SDG"):
-        op = {"NOT": "x"}.get(name, name.lower())
-        return [(op, qubits[0])], ""
-    if name in ("CX", "CNOT"):
-        return [("cx", qubits[0], qubits[1])], ""
-    if name == "CZ":
-        return [("cz", qubits[0], qubits[1])], ""
-    if name == "CY":
-        # CY(a,b) = (I ⊗ S) · CX · (I ⊗ S†) — conjugate the target.
-        a, b = qubits
-        return [("sdg", b), ("cx", a, b), ("s", b)], ""
-    if name == "SWAP":
-        return [("swap", qubits[0], qubits[1])], ""
-    if name == "ISWAP":
-        # iSWAP = diag phases on the swapped pair: SWAP · S⊗S · CZ.
-        a, b = qubits
-        return [("swap", a, b), ("s", a), ("s", b), ("cz", a, b)], ""
-    if name == "RZ":
+    if name in ("RZ", "RX", "RY"):
         (theta,) = inst.bound_parameters()
         k = _angle_multiple(theta, math.pi / 2.0)
         if k is None:
-            return None, f"RZ angle {theta!r} is not a multiple of π/2"
-        return _s_power(k, qubits[0]), ""
-    if name == "RX":
-        (theta,) = inst.bound_parameters()
-        k = _angle_multiple(theta, math.pi / 2.0)
-        if k is None:
-            return None, f"RX angle {theta!r} is not a multiple of π/2"
+            return None, f"{name} angle {theta!r} is not a multiple of π/2"
+        if name == "RZ":
+            return _S_POWERS[k % 4], ""
         if k % 4 == 0:
-            return [], ""
-        q = qubits[0]
-        return [("h", q), *_s_power(k, q), ("h", q)], ""
-    if name == "RY":
-        (theta,) = inst.bound_parameters()
-        k = _angle_multiple(theta, math.pi / 2.0)
-        if k is None:
-            return None, f"RY angle {theta!r} is not a multiple of π/2"
-        if k % 4 == 0:
-            return [], ""
-        q = qubits[0]
+            return (), ""
+        h = _TEMPLATES["H"]
+        if name == "RX":
+            return h + _S_POWERS[k % 4] + h, ""
         # RY(θ) = S · RX(θ) · S† (circuit order: S† first).
-        return [("sdg", q), ("h", q), *_s_power(k, q), ("h", q), ("s", q)], ""
+        return _TEMPLATES["SDG"] + h + _S_POWERS[k % 4] + h + _TEMPLATES["S"], ""
     if name == "CRZ":
         (theta,) = inst.bound_parameters()
         k = _angle_multiple(theta, math.pi)
@@ -225,84 +223,84 @@ def _lower_instruction(inst) -> tuple[list[TableauOp] | None, str]:
             return None, f"CRZ angle {theta!r} is not a multiple of π"
         # CRZ(kπ) = P(-kπ/2) on the control · CPHASE(kπ)
         #         = Sdg^k(control) · CZ^(k mod 2).
-        a, b = qubits
-        ops = _s_power(-k, a)
-        if k % 2:
-            ops.append(("cz", a, b))
-        return ops, ""
+        return _S_POWERS[-k % 4] + (_TEMPLATES["CZ"] if k % 2 else ()), ""
     if name in ("CPHASE", "CP"):
         (theta,) = inst.bound_parameters()
         k = _angle_multiple(theta, math.pi)
         if k is None:
             return None, f"CPHASE angle {theta!r} is not a multiple of π"
-        if k % 2 == 0:
-            return [], ""
-        return [("cz", qubits[0], qubits[1])], ""
+        return (_TEMPLATES["CZ"] if k % 2 else ()), ""
     return None, f"gate {name} is not Clifford"
 
 
 def _classify(circuit: CompositeInstruction) -> CliffordClassification:
-    lowerings: list[list[TableauOp]] = []
-    for inst in circuit:
-        lowered, reason = _lower_instruction(inst)
-        if lowered is None:
-            return CliffordClassification(
-                is_clifford=False, reason=reason, n_qubits=circuit.n_qubits
-            )
-        lowerings.append(lowered)
-    # Only a circuit that lowered pays for the levelling.
-    instruction_levels = circuit.instruction_levels()
-    n_levels = max(instruction_levels, default=0) + 1
     codes: list[int] = []
     first: list[int] = []
     second: list[int] = []
+    #: Per op: ``instruction index * _MAX_LOWERED_OPS + step in its template``.
+    slots: list[int] = []
+    n_gates = 0
+    templates = _TEMPLATES.get
+    for index, inst in enumerate(circuit):
+        name = inst.name
+        template = None if inst.parameters else templates(name)
+        if template is None:
+            template, reason = _lower_instruction(inst)
+            if template is None:
+                return CliffordClassification(
+                    is_clifford=False, reason=reason, n_qubits=circuit.n_qubits
+                )
+        n_gates += name not in _NON_UNITARY
+        qubits = inst.qubits
+        slot = index * _MAX_LOWERED_OPS
+        for code, a, b in template:
+            codes.append(code)
+            first.append(qubits[a])
+            second.append(qubits[b])
+            slots.append(slot)
+            slot += 1
+    # Only a circuit that lowered pays for the levelling.
+    levels = np.array(circuit.instruction_levels(), dtype=np.int64)
+    depth = int(levels.max()) if len(levels) else 0
+    program = np.array([codes, first, second, slots], dtype=np.int64)
+    is_op = program[0] != _MEASURE
+    # From the list, not the array: the verdict then shares the circuit's
+    # int objects instead of minting one per measured qubit above 255.
+    measured = tuple(dict.fromkeys(first[i] for i in np.flatnonzero(~is_op).tolist()))
+    codes_arr, first_arr, second_arr, slots_arr = program[:, is_op]
+    second_arr = np.where(codes_arr >= FIRST_TWO_QUBIT_OP, second_arr, 0)
+    # A reset is a barrier: ops never move across it, and a run of resets is
+    # one moment applied in program order.  Epochs count the switches
+    # between reset runs and other ops.
+    is_reset = codes_arr == _OPCODE["reset"]
+    epochs = np.cumsum(is_reset != np.concatenate(([False], is_reset[:-1])))
+    owners, steps = np.divmod(slots_arr, _MAX_LOWERED_OPS)
+    positions = levels[owners] * _MAX_LOWERED_OPS + steps
+    positions[is_reset] = 0
     #: Moment sort key per op: (epoch, level, position within its source
     #: instruction, opcode) folded into one integer.
-    keys: list[int] = []
-    measured: list[int] = []
-    seen_measured: set[int] = set()
-    epoch = 0
-    in_resets = False
-    for lowered, level in zip(lowerings, instruction_levels):
-        for step, op in enumerate(lowered):
-            kind = op[0]
-            if kind == "measure":
-                if op[1] not in seen_measured:
-                    seen_measured.add(op[1])
-                    measured.append(op[1])
-                continue
-            is_reset = kind == "reset"
-            if is_reset != in_resets:
-                # A reset is a barrier: ops never move across it, and a run
-                # of resets is one moment applied in program order.
-                epoch += 1
-                in_resets = is_reset
-            code = _OPCODE[kind]
-            codes.append(code)
-            first.append(op[1])
-            second.append(op[2] if code >= FIRST_TWO_QUBIT_OP else 0)
-            position = 0 if is_reset else level * _MAX_LOWERED_OPS + step
-            keys.append((epoch * n_levels * _MAX_LOWERED_OPS + position) * len(TABLEAU_OPS) + code)
+    n_levels = depth + 1
+    sort_keys = (epochs * n_levels * _MAX_LOWERED_OPS + positions) * len(TABLEAU_OPS) + codes_arr
     # Instructions on one level touch disjoint qubits, so do their ``step``-th
     # lowered ops: each run of equal keys is one moment.  The sort is stable,
     # which keeps a run of resets in program order.
-    sort_keys = np.array(keys, dtype=np.int64)
     order = np.argsort(sort_keys, kind="stable")
     sort_keys = sort_keys[order]
     bounds = np.flatnonzero(sort_keys[1:] != sort_keys[:-1]) + 1
     moment_starts = np.concatenate(([0], bounds, [len(order)])) if len(order) else [0]
     # The verdict cache holds hundreds of these: store the narrowest integers.
-    qubit_type = np.min_scalar_type(max(first + second, default=0))
+    widest = max(int(first_arr.max()), int(second_arr.max())) if len(order) else 0
+    qubit_type = np.min_scalar_type(widest)
     return CliffordClassification(
         is_clifford=True,
         n_qubits=circuit.n_qubits,
-        measured_qubits=tuple(measured),
-        has_reset=epoch > 0,
-        n_gates=sum(inst.is_unitary for inst in circuit),
-        depth=n_levels - 1,
-        opcodes=np.array(codes, dtype=np.uint8)[order],
-        first=np.array(first, dtype=qubit_type)[order],
-        second=np.array(second, dtype=qubit_type)[order],
+        measured_qubits=measured,
+        has_reset=bool(is_reset.any()),
+        n_gates=n_gates,
+        depth=depth,
+        opcodes=codes_arr[order].astype(np.uint8),
+        first=first_arr[order].astype(qubit_type),
+        second=second_arr[order].astype(qubit_type),
         moment_starts=np.asarray(moment_starts, dtype=np.min_scalar_type(len(order))),
     )
 
@@ -319,9 +317,9 @@ def classify_clifford(circuit: CompositeInstruction) -> CliffordClassification:
     angle) and are classified without touching the cache, so a later bound
     form of the same template gets its own verdict.
     """
+    key = circuit_content_hash(circuit)  # its walk answers is_parameterized too
     if circuit.is_parameterized:
         return _classify(circuit)
-    key = circuit_content_hash(circuit)
     with _cache_lock:
         hit = _cache.get(key)
         if hit is not None:

@@ -727,6 +727,8 @@ class QuantumJobService:
     ) -> JobHandle:
         if self._shut_down:
             raise ExecutionError(f"service {self.name!r} has been shut down")
+        # Key first: the key's one walk answers is_parameterized on the way.
+        key = _combine(circuit_content_hash(circuit), self._config_fingerprint)
         if circuit.is_parameterized:
             raise ExecutionError(
                 f"circuit {circuit.name!r} has unbound parameters; bind before "
@@ -745,7 +747,7 @@ class QuantumJobService:
         deadline = self._tenant_deadline(tenant, deadline)
         token = CancelToken(timeout=deadline)
         spec = JobSpec(
-            key=_combine(circuit_content_hash(circuit), self._config_fingerprint),
+            key=key,
             circuit=circuit,
             backend=self.backend,
             shots=resolved_shots,

@@ -29,11 +29,10 @@ they return.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Mapping
 
 from ..ir.composite import CompositeInstruction
-from ..ir.serialization import circuit_content_hash
+from ..ir.serialization import canonical_json, circuit_content_hash
 
 __all__ = [
     "job_key",
@@ -96,11 +95,6 @@ _NON_SEMANTIC_OPTIONS = frozenset(
 )
 
 
-def _canonical_json(payload: object) -> str:
-    """Serialize ``payload`` deterministically (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-
-
 # circuit_content_hash is re-exported from repro.ir.serialization: the job
 # broker's result cache and the simulator's execution-plan cache must agree
 # on one content identity, so the canonical hash lives with the IR.
@@ -121,7 +115,7 @@ def config_fingerprint(
     if method is not None and str(method).strip().lower() == "auto":
         semantic = {key: value for key, value in semantic.items() if key != "method"}
     payload = {"backend": backend.lower(), "options": semantic}
-    return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 def _combine(
@@ -131,7 +125,7 @@ def _combine(
     / ``"binding"`` the canonical binding list / binding."""
     combined = circuit_hash + ":" + fingerprint
     if kind:
-        combined += ":" + kind + ":" + _canonical_json(canonical)
+        combined += ":" + kind + ":" + canonical_json(canonical)
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()
 
 

@@ -499,10 +499,12 @@ class TestMomentProgram:
         # gates, and never across a reset).
         assert_same_tableau(batched, evolved(program.ops, n_qubits))
         source_order = [
-            op
+            (clifford.TABLEAU_OPS[code], inst.qubits[a])
+            if code < clifford.FIRST_TWO_QUBIT_OP
+            else (clifford.TABLEAU_OPS[code], inst.qubits[a], inst.qubits[b])
             for inst in circuit
-            for op in clifford._lower_instruction(inst)[0]
-            if op[0] != "measure"
+            for code, a, b in clifford._lower_instruction(inst)[0]
+            if code != clifford._MEASURE
         ]
         assert sorted(source_order) == sorted(program.ops)
         assert_same_tableau(batched, evolved(source_order, n_qubits))

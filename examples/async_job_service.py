@@ -1,7 +1,6 @@
 """Async clients on the quantum job broker: ``await service.asubmit(...)``.
 
-The broker's dispatcher runs on threads (and optionally process shards),
-but modern service frontends are asyncio event loops.  This example bridges
+The broker's dispatcher runs on threads, but modern service frontends are asyncio event loops.  This example bridges
 the two: a single event loop plays eight concurrent "tenants", each
 submitting a mix of Bell/GHZ/QFT jobs without ever blocking the loop —
 ``asubmit`` hops the (possibly backpressured) submit onto a thread, and the

@@ -85,10 +85,6 @@ def main() -> None:
     plan_cache = metrics.plan_cache
     print(f"plan cache:          {plan_cache.hits} hits / {plan_cache.lookups} lookups "
           f"({plan_cache.hit_rate:.0%}), {plan_cache.size}/{plan_cache.capacity} plans resident")
-    if metrics.process_shards:
-        print(f"shard health:        {metrics.process_shards} shards, "
-              f"{metrics.shard_respawns} respawns, "
-              f"queue depths {list(metrics.shard_queue_depths)}")
     for backend, latency in metrics.backend_latency.items():
         print(f"{backend} execution latency: p50 {latency.p50_seconds * 1e3:.1f} ms / "
               f"p95 {latency.p95_seconds * 1e3:.1f} ms / "

@@ -56,7 +56,6 @@ from .exceptions import (
     JobCancelled,
     DeadlineExceeded,
     AdmissionRejected,
-    RetryExhausted,
 )
 from .compiler.kernel import qpu, QuantumKernel
 from .core.api import (
@@ -76,9 +75,7 @@ from .exec import (
     ExecutionBackend,
     ExecutionResult,
     LocalBackend,
-    RetryPolicy,
     ShardedExecutor,
-    get_sharded_executor,
 )
 from .core.qpu_manager import QPUManager
 from .core.objective import createObjectiveFunction, ObjectiveFunction
@@ -111,7 +108,6 @@ from .service import (
     MetricsSnapshot,
     job_key,
     AdmissionController,
-    CircuitBreaker,
     estimate_job_bytes,
 )
 
@@ -138,7 +134,6 @@ __all__ = [
     "JobCancelled",
     "DeadlineExceeded",
     "AdmissionRejected",
-    "RetryExhausted",
     # cancellation / deadlines
     "CancelToken",
     "active_cancel_token",
@@ -165,9 +160,7 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionResult",
     "LocalBackend",
-    "RetryPolicy",
     "ShardedExecutor",
-    "get_sharded_executor",
     # variational support
     "createObjectiveFunction",
     "ObjectiveFunction",
@@ -210,6 +203,5 @@ __all__ = [
     "MetricsSnapshot",
     "job_key",
     "AdmissionController",
-    "CircuitBreaker",
     "estimate_job_bytes",
 ]

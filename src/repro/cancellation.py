@@ -4,8 +4,7 @@ A :class:`CancelToken` is the one object every execution lane consults to
 decide whether to keep going: the broker creates one per job (carrying the
 job's absolute deadline), installs it as the *ambient* token around the
 batch execution, and every layer below — plan compilation, the serial and
-chunk-parallel replay loops, the sharded workers (the deadline ships with
-the chunk) — calls :meth:`CancelToken.check` at its
+chunk-parallel replay loops, the tableau — calls :meth:`CancelToken.check` at its
 natural boundaries.  A tripped token raises a typed error
 (:class:`~repro.exceptions.JobCancelled` or
 :class:`~repro.exceptions.DeadlineExceeded`), never kills a worker, and
@@ -16,9 +15,8 @@ The ambient mechanism mirrors the profiler's (:mod:`repro.obs.profiler`):
 a thread-local slot read once per replay, so the disabled path costs one
 attribute load and a ``None`` check — nothing on the per-step hot path.
 
-Deadlines are **wall-clock** (``time.time``) because they cross process
-boundaries: a shard worker on the same host compares against the
-same clock the broker stamped.
+Deadlines are **wall-clock** (``time.time``), the clock the broker stamps
+a job's submission with.
 """
 
 from __future__ import annotations

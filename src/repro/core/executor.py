@@ -25,7 +25,6 @@ from typing import Callable, Mapping, Sequence
 from ..config import get_config
 from ..exceptions import ConfigurationError
 from ..ir.composite import CompositeInstruction
-from ..runtime.accelerator import Accelerator
 from ..runtime.buffer import AcceleratorBuffer
 from ..runtime.service_registry import get_accelerator
 from .api import execute_circuit, finalize, initialize
@@ -96,38 +95,11 @@ class ExecutionReport:
         return {r.name: r.counts for r in self.results}
 
 
-def _make_accelerator(
-    task: KernelTask,
-    threads: int,
-    backend: str | None,
-    processes: int | None = None,
-) -> Accelerator:
-    options: dict[str, object] = {"threads": threads}
-    sharding = processes is not None and processes > 1
-    if sharding:
-        # Route this task through the process-sharded execution backend
-        # (the accelerator adapter resolves the shared ShardedExecutor).
-        options["processes"] = processes
-    options.update(task.accelerator_options)
-    accelerator = get_accelerator(backend, options)
-    if sharding and not hasattr(accelerator, "num_processes"):
-        # Mirror the broker: a backend that cannot shard must not silently
-        # swallow the request and run in-process.
-        raise ConfigurationError(
-            f"backend {accelerator.name()!r} does not support process "
-            f"sharding; drop processes= or use the 'qpp' backend"
-        )
-    return accelerator
-
-
-def _run_task(
-    task: KernelTask,
-    threads: int,
-    backend: str | None,
-    processes: int | None = None,
-) -> TaskResult:
+def _run_task(task: KernelTask, threads: int, backend: str | None) -> TaskResult:
     """Execute one task on the calling thread with its own accelerator clone."""
-    accelerator = _make_accelerator(task, threads, backend, processes)
+    accelerator = get_accelerator(
+        backend, {"threads": threads, **task.accelerator_options}
+    )
     initialize(accelerator)
     try:
         buffer = AcceleratorBuffer(task.n_qubits, name=f"{task.name}_buffer")
@@ -144,19 +116,13 @@ def run_one_by_one(
     tasks: Sequence[KernelTask],
     total_threads: int | None = None,
     backend: str | None = None,
-    processes: int | None = None,
 ) -> ExecutionReport:
-    """Run every task sequentially, each using all ``total_threads`` workers.
-
-    ``processes=N`` routes each task's execution through the shared
-    process-sharded backend (each job whole on one of ``N`` worker
-    processes) — the same seam every other execution path uses.
-    """
+    """Run every task sequentially, each using all ``total_threads`` workers."""
     total = total_threads if total_threads is not None else get_config().omp_num_threads
     if total < 1:
         raise ConfigurationError(f"total_threads must be at least 1, got {total}")
     started = time.perf_counter()
-    results = [_run_task(task, total, backend, processes) for task in tasks]
+    results = [_run_task(task, total, backend) for task in tasks]
     wall = time.perf_counter() - started
     return ExecutionReport(
         variant="one-by-one",
@@ -171,14 +137,8 @@ def run_parallel(
     tasks: Sequence[KernelTask],
     total_threads: int | None = None,
     backend: str | None = None,
-    processes: int | None = None,
 ) -> ExecutionReport:
-    """Run all tasks concurrently, splitting ``total_threads`` between them.
-
-    ``processes=N`` additionally runs each task's job on one of the shared
-    worker processes, so concurrent tasks overlap past the GIL on top of the
-    paper's thread-level kernel parallelism.
-    """
+    """Run all tasks concurrently, splitting ``total_threads`` between them."""
     if not tasks:
         raise ConfigurationError("run_parallel requires at least one task")
     total = total_threads if total_threads is not None else get_config().omp_num_threads
@@ -186,7 +146,7 @@ def run_parallel(
         raise ConfigurationError(f"total_threads must be at least 1, got {total}")
     per_task = max(1, total // len(tasks))
     started = time.perf_counter()
-    futures = [qcor_async(_run_task, task, per_task, backend, processes) for task in tasks]
+    futures = [qcor_async(_run_task, task, per_task, backend) for task in tasks]
     results = [future.result() for future in futures]
     wall = time.perf_counter() - started
     return ExecutionReport(

@@ -122,20 +122,18 @@ class NoiseModelError(ExecutionError):
 # ---------------------------------------------------------------------------
 #
 # Every job submitted to the broker resolves in exactly one of these shapes
-# (or with a plain success).  All four derive from :class:`ExecutionError`
+# (or with a plain success).  All three derive from :class:`ExecutionError`
 # so pre-existing ``except ExecutionError`` handlers keep working, while new
-# callers can distinguish *why* a job failed — the distinction drives retry
-# decisions, circuit-breaker accounting and client-side backoff.  They keep
-# single-string constructor signatures so instances survive pickling across
-# the process boundary (shard workers raise them too).
+# callers can distinguish *why* a job failed — the distinction drives
+# client-side backoff.
 
 
 class JobCancelled(ExecutionError):
     """Raised when a job was cancelled by the client before it completed.
 
     Cooperative: execution already in flight checks for cancellation at
-    step boundaries and abandons the replay; a worker process is never
-    killed to cancel a job.
+    step boundaries and abandons the replay; no thread is ever killed to
+    cancel a job.
     """
 
 
@@ -166,20 +164,6 @@ class AdmissionRejected(ExecutionError):
         self.requested_bytes = int(requested_bytes)
         self.budget_bytes = int(budget_bytes)
         self.used_bytes = int(used_bytes)
-        super().__init__(message)
-
-
-class RetryExhausted(ExecutionError):
-    """Raised when a retry policy ran out of attempts for a retryable fault.
-
-    The terminal form of the worker-death retry loop: every attempt hit a
-    retryable infrastructure failure (dead worker process, broken pool) and
-    the budget is spent.  ``attempts`` records how many executions were
-    tried; ``__cause__`` carries the last underlying failure.
-    """
-
-    def __init__(self, message: str, *, attempts: int = 0):
-        self.attempts = int(attempts)
         super().__init__(message)
 
 

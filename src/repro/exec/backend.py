@@ -19,8 +19,7 @@ protocol they now share:
 everywhere): shared plan cache + per-instance
 :class:`ParallelSimulationEngine`.  :class:`DensityBackend` wraps the
 density-matrix simulator behind the same protocol so the noisy accelerator
-is an adapter like the others.  The process-sharded implementation lives in
-:mod:`repro.exec.sharded`.
+is an adapter like the others.
 
 **One execution gate per process** (:func:`execution_gate`).  Two threads
 that each run an interpreter-bound kernel do not overlap: they hand the GIL
@@ -98,7 +97,7 @@ def execution_gate(token: CancelToken | None) -> Iterator[None]:
 
 
 class ExecutionBackend(abc.ABC):
-    """Protocol shared by every execution path (local, sharded, density)."""
+    """Protocol shared by every execution path (local, stabilizer, density)."""
 
     backend_name = "abstract"
 
@@ -218,7 +217,7 @@ class ExecutionBackend(abc.ABC):
         ]
 
     def close(self, wait: bool = True) -> None:
-        """Release worker pools/processes; safe to call more than once."""
+        """Release worker pools; safe to call more than once."""
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -234,10 +233,9 @@ def _resolve_width(circuit: CompositeInstruction, n_qubits: int | None) -> int:
 class LocalBackend(ExecutionBackend):
     """In-process execution: shared plan cache + a worker-thread engine.
 
-    This is the seam the single-process paths sit on: the qpp accelerator,
-    ``core/executor.py`` and the broker's default dispatcher all reduce to
-    ``LocalBackend.execute``.  Fixed-seed results are the reference the
-    sharded backend must reproduce bit for bit.  Every replay takes one
+    This is the seam every dense path sits on: the qpp accelerator,
+    ``core/executor.py`` and the broker's dispatcher all reduce to
+    ``LocalBackend.execute``.  Every replay takes one
     fixed lane (:meth:`_replay_pool`): serial below the plan's chunk
     threshold, the engine's threads at or above it — bitwise identical, so
     the reference property holds on both.

@@ -1,8 +1,7 @@
 """The result type every execution backend returns.
 
-One dataclass covers the in-process path, the process-sharded path and the
-density-matrix path: a histogram plus enough provenance (plan-cache
-behaviour, retry count) for callers — accelerators, the job broker,
+One dataclass covers the dense, tableau and density-matrix paths: a
+histogram plus enough provenance (plan-cache behaviour) for callers — accelerators, the job broker,
 benchmarks — to assert on *how* the result was produced, not just what it
 contains.
 """
@@ -36,8 +35,6 @@ class ExecutionResult:
     depth: int = 0
     #: Unitary gate count of the optimised circuit.
     n_gates: int = 0
-    #: Shard tasks that had to be re-executed after a worker died.
-    retries: int = 0
     #: Backend-specific extras (e.g. density-matrix purity).
     extra: Mapping[str, object] = field(default_factory=dict)
 

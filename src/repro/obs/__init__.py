@@ -3,9 +3,8 @@
 Three pillars, all off by default:
 
 * :mod:`repro.obs.trace` — structured spans with parent/child links whose
-  context propagates across dispatcher threads *and* process boundaries
-  (sharded workers), so one broker job yields a single stitched tree:
-  queue-wait → cache lookup → compile → shard dispatch → replay → result
+  context propagates across dispatcher threads, so one broker job yields a
+  single tree: queue-wait → cache lookup → compile → replay → result
   reconcile.
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms (p50/p95/p99)
   backing the broker's :class:`~repro.service.metrics.MetricsSnapshot`.

@@ -41,16 +41,6 @@ _COUNTER_FIELDS = (
     ("cache_hits", "cache_hits_total", "jobs served entirely from the result cache"),
     ("executions", "executions_total", "backend executions dispatched"),
     (
-        "sharded_executions",
-        "sharded_executions_total",
-        "executions routed to the process-sharded backend",
-    ),
-    (
-        "sharded_plan_hits",
-        "sharded_plan_hits_total",
-        "sharded executions replaying an already-compiled worker plan",
-    ),
-    (
         "sweep_bindings",
         "sweep_bindings_total",
         "parameter-sweep bindings accepted via submit_sweep",
@@ -62,12 +52,6 @@ _COUNTER_FIELDS = (
     ),
     ("executed_shots", "executed_shots_total", "shots actually simulated"),
     ("served_shots", "served_shots_total", "shots delivered to clients"),
-    ("shard_respawns", "shard_respawns_total", "shard workers respawned after dying"),
-    (
-        "breaker_fallbacks",
-        "breaker_fallbacks_total",
-        "batches degraded off a tripped execution lane",
-    ),
     (
         "admission_rejected",
         "admission_rejected_jobs_total",
@@ -93,7 +77,6 @@ _COUNTER_FIELDS = (
 _GAUGE_FIELDS = (
     ("queue_depth", "queue_depth", "client jobs awaiting dispatch"),
     ("active_workers", "active_workers", "dispatcher threads alive"),
-    ("process_shards", "process_shards", "process shards serving executions"),
     ("uptime_seconds", "uptime_seconds", "seconds since the service started"),
     (
         "admission_inflight_bytes",
@@ -111,14 +94,6 @@ _GAUGE_FIELDS = (
         "bytes measured resident outside admission tickets",
     ),
 )
-
-#: (snapshot state attribute, snapshot trips attribute, lane label)
-_BREAKER_FIELDS = (
-    ("breaker_state", "breaker_trips", "sharded"),
-)
-
-#: Breaker states as an enum gauge (healthy → degraded order).
-_BREAKER_STATE_VALUES = {"closed": 0, "half-open": 1, "open": 2}
 
 _CACHE_FIELDS = ("hits", "partial_hits", "misses", "insertions", "top_ups", "evictions")
 _PLAN_CACHE_FIELDS = ("hits", "misses", "evictions")
@@ -153,41 +128,6 @@ def to_prometheus(
             "admission memory budget (absent when accounting is disabled)",
             [("", float(budget))],
         )
-    emit(
-        "breaker_state",
-        "gauge",
-        "lane circuit-breaker state (0=closed, 1=half-open, 2=open)",
-        [
-            (
-                f'{{lane="{lane}"}}',
-                float(
-                    _BREAKER_STATE_VALUES.get(
-                        str(getattr(snapshot, state_attr, "closed")), 0
-                    )
-                ),
-            )
-            for state_attr, _, lane in _BREAKER_FIELDS
-        ],
-    )
-    emit(
-        "breaker_trips_total",
-        "counter",
-        "times each lane circuit breaker tripped open",
-        [
-            (f'{{lane="{lane}"}}', float(getattr(snapshot, trips_attr, 0)))
-            for _, trips_attr, lane in _BREAKER_FIELDS
-        ],
-    )
-
-    depths = tuple(getattr(snapshot, "shard_queue_depths", ()) or ())
-    if depths:
-        emit(
-            "shard_inflight",
-            "gauge",
-            "work submissions in flight per shard",
-            [(f'{{shard="{i}"}}', float(d)) for i, d in enumerate(depths)],
-        )
-
     cache = getattr(snapshot, "cache", None)
     if cache is not None:
         emit(
@@ -284,7 +224,6 @@ def to_json(
     doc: dict[str, Any] = {}
     for attr, suffix, _ in _COUNTER_FIELDS + _GAUGE_FIELDS:
         doc[attr] = getattr(snapshot, attr, 0)
-    doc["shard_queue_depths"] = list(getattr(snapshot, "shard_queue_depths", ()) or ())
     doc["admission"] = {
         "budget_bytes": getattr(snapshot, "admission_budget_bytes", None),
         "inflight_bytes": getattr(snapshot, "admission_inflight_bytes", 0),
@@ -293,13 +232,6 @@ def to_json(
         "admitted": getattr(snapshot, "admission_admitted", 0),
         "rejected": getattr(snapshot, "admission_rejected_tickets", 0),
         "waited": getattr(snapshot, "admission_waited", 0),
-    }
-    doc["breakers"] = {
-        lane: {
-            "state": str(getattr(snapshot, state_attr, "closed")),
-            "trips": int(getattr(snapshot, trips_attr, 0)),
-        }
-        for state_attr, trips_attr, lane in _BREAKER_FIELDS
     }
     for section in ("cache", "plan_cache"):
         stats = getattr(snapshot, section, None)

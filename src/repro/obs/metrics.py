@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 # Log-spaced from 10µs to 60s: wide enough for a cache-hit fast path at the
-# bottom and a 20+ qubit sharded replay at the top.
+# bottom and a 20+ qubit chunked replay at the top.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     10e-6,
     25e-6,

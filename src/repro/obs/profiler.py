@@ -7,10 +7,6 @@ replay and runs its original tight loop untouched when it returns ``None``,
 so the disabled cost is a single module-global read.  A chunked step is
 timed once, around all of its chunks, so a replay's kernels sum to its
 wall time on either lane.
-
-Worker processes never share the parent's profiler object; they build a
-local :class:`ReplayProfiler`, serialise it with :meth:`ReplayProfiler.to_wire`,
-and the parent folds it in with :meth:`ReplayProfiler.merge_wire`.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = [
     "KernelTiming",
@@ -87,31 +83,6 @@ class ReplayProfiler:
             else:
                 slot[0] += 1
                 slot[1] += float(seconds)
-
-    # -- cross-process plumbing -------------------------------------------
-    def to_wire(self) -> dict[str, Any]:
-        """Plain-dict form safe to pickle back with a worker's result."""
-        with self._lock:
-            return {
-                "kernels": {k: list(v) for k, v in self._kernels.items()},
-            }
-
-    def merge_wire(self, payload: Mapping[str, Any] | None) -> None:
-        """Fold a worker's :meth:`to_wire` payload into this profiler."""
-        if not payload:
-            return
-        kernels = payload.get("kernels") or {}
-        with self._lock:
-            for name, (calls, seconds) in kernels.items():
-                slot = self._kernels.get(name)
-                if slot is None:
-                    self._kernels[name] = [int(calls), float(seconds)]
-                else:
-                    slot[0] += int(calls)
-                    slot[1] += float(seconds)
-
-    def merge(self, other: "ReplayProfiler") -> None:
-        self.merge_wire(other.to_wire())
 
     # -- views ---------------------------------------------------------------
     def snapshot(self) -> ProfileSnapshot:

@@ -1,4 +1,4 @@
-"""Structured tracing with cross-thread and cross-process propagation.
+"""Structured tracing with cross-thread propagation.
 
 A :class:`Span` is one timed operation; spans link to a parent through
 ``(trace_id, parent_id)`` and a whole job forms one tree.  The design
@@ -9,18 +9,12 @@ constraints come from the execution stack this instruments:
   current context lives in a :class:`contextvars.ContextVar` and the broker
   *explicitly* activates the root context on the executing thread
   (:meth:`Tracer.activate`) instead of relying on implicit inheritance.
-* **Process boundaries.**  Sharded workers are separate processes;
-  a :class:`TraceContext` serialises to a plain dict (:meth:`TraceContext.to_wire`)
-  that ships inside the job payload, the worker records spans against that
-  remote parent, and the finished spans travel back with the result as
-  dicts to be stitched into the parent tracer via :meth:`Tracer.ingest`.
 * **Zero overhead when off.**  With tracing disabled and no ambient
   context, :meth:`Tracer.span` returns a shared no-op span without
   allocating; the hot paths pay one attribute read and one branch.
 
-Worker processes never enable their own tracer: a span is recorded
-whenever an *explicit remote parent* is supplied, so sampling is decided
-once at root creation and inherited by the entire tree.
+A span is recorded whenever an *explicit parent* is supplied, so sampling
+is decided once at root creation and inherited by the entire tree.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from collections import deque
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "NOOP_SPAN",
@@ -54,20 +48,6 @@ class TraceContext(NamedTuple):
     trace_id: str
     span_id: str
 
-    def to_wire(self) -> dict[str, str]:
-        """Plain-dict form safe to pickle into a cross-process job payload."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping[str, str] | None) -> "TraceContext | None":
-        if not payload:
-            return None
-        trace_id = payload.get("trace_id")
-        span_id = payload.get("span_id")
-        if not trace_id or not span_id:
-            return None
-        return cls(str(trace_id), str(span_id))
-
 
 def _new_id() -> str:
     return secrets.token_hex(8)
@@ -76,8 +56,8 @@ def _new_id() -> str:
 class Span:
     """One timed operation in a trace tree.
 
-    Wall-clock start (``time.time()``) anchors the span on a host-shared
-    timeline so spans from different processes align; the duration is a
+    Wall-clock start (``time.time()``) anchors the span on a shared
+    timeline (retroactive spans are placed by it); the duration is a
     ``perf_counter`` delta so it stays monotonic.
     """
 
@@ -178,27 +158,6 @@ class Span:
             "thread": self.thread,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Span":
-        span = cls.__new__(cls)
-        span.name = str(payload["name"])
-        span.trace_id = str(payload["trace_id"])
-        span.span_id = str(payload["span_id"])
-        parent = payload.get("parent_id")
-        span.parent_id = str(parent) if parent else None
-        span.start_wall = float(payload.get("start_wall", 0.0))
-        duration = payload.get("duration")
-        span.duration = float(duration) if duration is not None else 0.0
-        span.attributes = dict(payload.get("attributes") or {})
-        error = payload.get("error")
-        span.error = str(error) if error else None
-        span.pid = int(payload.get("pid", 0))
-        span.thread = str(payload.get("thread", ""))
-        span._t0 = 0.0
-        span._tracer = None
-        span._token = None
-        return span
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"{self.duration * 1e3:.3f}ms" if self.duration is not None else "open"
         return f"Span({self.name!r}, {state}, trace={self.trace_id[:8]})"
@@ -239,15 +198,15 @@ NOOP_SPAN = _NoopSpan()
 
 
 class Tracer:
-    """Process-wide span factory, ring buffer, and stitcher.
+    """Process-wide span factory and ring buffer.
 
     Disabled by default.  Three ways a span gets recorded:
 
     * the tracer is enabled and sampling admits a new **root**;
     * an **ambient context** exists on the current thread (we are inside an
       admitted trace), regardless of the enable flag;
-    * an **explicit remote parent** is passed (worker process recording on
-      behalf of a trace admitted elsewhere).
+    * an **explicit parent** is passed (a thread recording on behalf of a
+      trace admitted elsewhere, e.g. a dispatcher thread for a queued job).
     """
 
     def __init__(self, capacity: int = 8192):
@@ -258,7 +217,6 @@ class Tracer:
         self._current: ContextVar[TraceContext | None] = ContextVar(
             "repro-trace-context", default=None
         )
-        self._sinks = threading.local()
 
     # -- switches ---------------------------------------------------------
     @property
@@ -373,40 +331,9 @@ class Tracer:
         finally:
             self._current.reset(token)
 
-    # -- capture / stitching --------------------------------------------------
-    @contextmanager
-    def capture(self) -> Iterator[list[Span]]:
-        """Collect every span finished or ingested on this thread.
-
-        Worker processes wrap their replay in ``capture()`` and ship
-        ``[s.to_dict() for s in sink]`` home with the result; nested
-        captures each see the spans.
-        """
-        sink: list[Span] = []
-        stack = getattr(self._sinks, "stack", None)
-        if stack is None:
-            stack = []
-            self._sinks.stack = stack
-        stack.append(sink)
-        try:
-            yield sink
-        finally:
-            stack.pop()
-
-    def ingest(self, payloads: Iterable[Mapping[str, Any]]) -> list[Span]:
-        """Stitch worker-serialised spans into this tracer's buffer."""
-        spans = [Span.from_dict(p) for p in payloads]
-        for span in spans:
-            self._record_finished(span)
-        return spans
-
     def _record_finished(self, span: Span) -> None:
         with self._lock:
             self._spans.append(span)
-        stack = getattr(self._sinks, "stack", None)
-        if stack:
-            for sink in stack:
-                sink.append(span)
 
     # -- retrieval ---------------------------------------------------------
     def spans(self, trace_id: str | None = None) -> list[Span]:
@@ -452,7 +379,7 @@ _tracer = Tracer()
 
 
 def get_tracer() -> Tracer:
-    """The process-wide tracer (one per process; workers get their own)."""
+    """The process-wide tracer."""
     return _tracer
 
 

@@ -17,11 +17,33 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..exceptions import AcceleratorError
+from ..exceptions import AcceleratorError, ExecutionError
 from ..ir.composite import CompositeInstruction
 from .buffer import AcceleratorBuffer
 
-__all__ = ["Accelerator", "Cloneable"]
+__all__ = ["Accelerator", "Cloneable", "RETIRED_OPTIONS", "reject_retired_options"]
+
+#: Backend options of the retired process-shard lane.  They are refused, not
+#: ignored: a dropped option would hide what its caller asked for, and as
+#: unknown options they would fragment every job key they appear in.
+RETIRED_OPTIONS = frozenset(
+    {
+        "processes",
+        "retry-max-attempts",
+        "breaker-failure-threshold",
+        "breaker-cooldown-seconds",
+    }
+)
+
+
+def reject_retired_options(options: Mapping[str, object]) -> None:
+    """Raise :class:`ExecutionError` naming every retired key in ``options``."""
+    retired = sorted(RETIRED_OPTIONS.intersection(options))
+    if retired:
+        raise ExecutionError(
+            f"backend option(s) {retired} were retired with the process-shard "
+            "lane: every job runs in this process, so drop them"
+        )
 
 
 class Cloneable:
@@ -59,6 +81,7 @@ class Accelerator:
 
     def __init__(self, options: Mapping[str, object] | None = None):
         self.options: dict[str, object] = dict(options or {})
+        reject_retired_options(self.options)
         self._initialized = False
 
     # -- lifecycle ----------------------------------------------------------------
@@ -72,6 +95,7 @@ class Accelerator:
 
     def update_configuration(self, options: Mapping[str, object]) -> None:
         """Update backend options after initialisation (XACC's ``updateConfiguration``)."""
+        reject_retired_options(options)
         self.options.update(options)
 
     @property

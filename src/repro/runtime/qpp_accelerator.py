@@ -8,15 +8,10 @@ refactor it is a *thin adapter* over the unified
   (shared execution-plan cache + this clone's
   :class:`~repro.simulator.parallel_engine.ParallelSimulationEngine`), which
   replays compiled plans — chunk-parallel on the engine's worker threads for
-  large states — and samples them: the compile-once/execute-many pipeline;
-* setting the ``processes`` option to ``N > 1`` routes execution through the
-  process-wide :class:`~repro.exec.sharded.ShardedExecutor` instead: each
-  job runs whole on one of ``N`` persistent worker processes, replaying
-  from that worker's plan cache, so concurrent jobs scale past the GIL.
+  large states — and samples them: the compile-once/execute-many pipeline.
 
 Every job's shots are one draw on one generator seeded from the global
-``seed``, so fixed-seed counts are the same at every ``threads`` and
-``processes`` setting.  Circuits containing mid-circuit ``RESET``
+``seed``, so fixed-seed counts are the same at every ``threads`` setting.  Circuits containing mid-circuit ``RESET``
 instructions fall back to trajectory simulation (one replay per
 reset-outcome branch) on the same lane.  ``optimize=False`` skips the IR
 pass pipeline.  The gate-by-gate reference is
@@ -71,24 +66,8 @@ class QppAccelerator(Accelerator, Cloneable):
         """Simulator worker threads (``OMP_NUM_THREADS`` analogue)."""
         return self._engine.effective_threads()
 
-    @property
-    def num_processes(self) -> int:
-        """Process shards requested via the ``processes`` option (0 = off)."""
-        value = self._option_int("processes", default=0) or 0
-        return value if value > 1 else 0
-
     def execution_backend(self) -> ExecutionBackend:
-        """The :class:`ExecutionBackend` this clone currently dispatches to.
-
-        Sharded executors are process-wide singletons shared by every clone
-        asking for the same worker count, so a broker's worker threads all
-        feed one set of warm worker processes.
-        """
-        processes = self.num_processes
-        if processes:
-            from ..exec.sharded import get_sharded_executor
-
-            return get_sharded_executor(processes)
+        """The :class:`ExecutionBackend` this clone dispatches to."""
         return self._local_backend
 
     # -- execution ------------------------------------------------------------------
@@ -101,7 +80,7 @@ class QppAccelerator(Accelerator, Cloneable):
         # Explicit simulation-method override.  "auto" here means *dense*:
         # this adapter is one dispatch target, not a router — automatic
         # Clifford routing is the job broker's decision (it sizes admission
-        # and skips the shard lane accordingly).  "stabilizer" is the direct
+        # accordingly).  "stabilizer" is the direct
         # tableau path for callers driving the accelerator without a broker.
         method = str(self.options.get("method", "auto")).strip().lower()
         if method not in ("auto", "statevector", "stabilizer"):

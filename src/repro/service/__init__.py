@@ -12,10 +12,8 @@ served from a bounded LRU result cache with shot-count reconciliation
 throughput, queue-depth, cache and latency counters.
 
 The fault-tolerant lifecycle tier rides on the same broker: per-job
-deadlines and cooperative cancellation (:mod:`repro.cancellation`),
-memory-budget admission control (:mod:`repro.service.admission`), and a
-circuit breaker degrading the process-shard lane to in-process execution
-under repeated infrastructure failures (:mod:`repro.service.breaker`).
+deadlines and cooperative cancellation (:mod:`repro.cancellation`) and
+memory-budget admission control (:mod:`repro.service.admission`).
 
 Parameter sweeps are first-class jobs (:mod:`repro.service.sweep`):
 ``submit_sweep`` compiles one parametric circuit once and fans N bindings
@@ -26,7 +24,6 @@ gradients as one ``2·P``-binding expectation sweep.
 
 from .admission import AdmissionController, AdmissionTicket, estimate_job_bytes
 from .batching import BatchingJobQueue, PendingBatch
-from .breaker import CircuitBreaker
 from .broker import QuantumJobService
 from .cache import CachedResult, CacheStats, ResultCache, subsample_counts
 from .dispatcher import DispatcherPool
@@ -47,7 +44,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionTicket",
     "estimate_job_bytes",
-    "CircuitBreaker",
     "JobHandle",
     "JobPriority",
     "JobResult",

@@ -17,17 +17,12 @@ backend work well below one execution per request:
    blocks for a slot, ``try_submit`` returns ``None`` immediately (and the
    rejection is counted in the metrics snapshot).
 
-With ``processes=N`` the broker adds a fourth mechanism, **process
-sharding**: dispatcher threads stop simulating in-process and instead hand
-each cache-missed batch to the shard of a
-:class:`~repro.exec.sharded.ShardedExecutor` that owns the batch's job key
-(hash affinity), so every shard's worker process keeps re-receiving — and
-replaying from its warm plan cache — the circuits it has already compiled.
-This is the configuration that scales the broker past the GIL.
+Every job runs in this process, on a dispatcher thread's accelerator clone
+(or the broker's tableau for Clifford jobs).
 
 Typical use::
 
-    with QuantumJobService(backend="qpp", workers=4, processes=4) as service:
+    with QuantumJobService(backend="qpp", workers=4) as service:
         handles = [service.submit(circuit, shots=1024) for _ in range(16)]
         histograms = [handle.counts() for handle in handles]
         print(service.metrics().cache_hit_rate)
@@ -60,18 +55,16 @@ from ..exceptions import (
     ServiceOverloadedError,
 )
 from ..exec.backend import LocalBackend
-from ..exec.retry import RetryPolicy, is_infrastructure_failure
 from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import classify_clifford
 from ..obs.trace import get_tracer
-from ..runtime.accelerator import Accelerator
+from ..runtime.accelerator import Accelerator, reject_retired_options
 from ..runtime.buffer import AcceleratorBuffer
 from ..simulator.adjoint import adjoint_refusal
 from ..simulator.cost_model import SIMULATION_METHODS, SimulationCostModel
 from ..simulator.execution_plan import resolve_precision
 from .admission import AdmissionController, estimate_job_bytes
 from .batching import BatchingJobQueue, PendingBatch
-from .breaker import CircuitBreaker
 from .cache import ResultCache, subsample_counts
 from .dispatcher import DispatcherPool
 from .job import JobHandle, JobPriority, JobResult, JobSpec
@@ -107,20 +100,16 @@ class QuantumJobService:
         backend_options: Mapping[str, object] | None = None,
         name: str = "job-broker",
         auto_start: bool = True,
-        processes: int = 0,
         memory_budget_bytes: int | None = None,
         admission_wait_seconds: float = 5.0,
-        retry_policy: RetryPolicy | None = None,
-        breaker_failure_threshold: int = 3,
-        breaker_cooldown_seconds: float = 5.0,
         tenant_defaults: Mapping[str, Mapping[str, object]] | None = None,
     ):
         self.name = name
-        #: Per-tenant submission defaults: ``{tenant: {"deadline": seconds,
-        #: "retry_policy": RetryPolicy}}``.  Applied to submits (and every
-        #: binding of a sweep) that do not carry their own deadline/policy;
-        #: an explicit argument always wins.  Unknown tenants get no
-        #: defaults — tenancy here is a defaulting namespace, not auth.
+        #: Per-tenant submission defaults: ``{tenant: {"deadline": seconds}}``.
+        #: Applied to submits (and every binding of a sweep) that do not
+        #: carry their own deadline; an explicit argument always wins.
+        #: Unknown tenants get no defaults — tenancy here is a defaulting
+        #: namespace, not auth.
         self._tenant_defaults: dict[str, dict[str, object]] = {
             str(tenant): dict(defaults)
             for tenant, defaults in (tenant_defaults or {}).items()
@@ -139,6 +128,7 @@ class QuantumJobService:
                 f"known: {get_registry().registered_names('accelerator')}"
             )
         self.backend_options = dict(backend_options or {})
+        reject_retired_options(self.backend_options)
         #: The configuration half of every key this service derives.  Backend
         #: and options are fixed from here on, so it is fingerprinted once.
         self._config_fingerprint = config_fingerprint(self.backend, self.backend_options)
@@ -151,34 +141,6 @@ class QuantumJobService:
         raw_wait = self.backend_options.get("admission-wait-seconds")
         if raw_wait is not None:
             admission_wait_seconds = float(raw_wait)  # type: ignore[arg-type]
-        raw_threshold = self.backend_options.get("breaker-failure-threshold")
-        if raw_threshold is not None:
-            breaker_failure_threshold = int(raw_threshold)  # type: ignore[arg-type]
-        raw_cooldown = self.backend_options.get("breaker-cooldown-seconds")
-        if raw_cooldown is not None:
-            breaker_cooldown_seconds = float(raw_cooldown)  # type: ignore[arg-type]
-        if retry_policy is None:
-            raw_attempts = self.backend_options.get("retry-max-attempts")
-            if raw_attempts is not None:
-                retry_policy = RetryPolicy(
-                    max_attempts=int(raw_attempts),  # type: ignore[arg-type]
-                    base_delay=0.01,
-                    max_delay=0.5,
-                )
-        #: Process shards (0/1 = classic in-process dispatch).
-        self.processes = int(processes or 0)
-        self._sharded = None
-        if self.processes > 1:
-            if self.backend != "qpp":
-                raise ExecutionError(
-                    f"process sharding replays compiled plans and requires the "
-                    f"'qpp' backend, got {self.backend!r}"
-                )
-            from ..exec.sharded import ShardedExecutor
-
-            self._sharded = ShardedExecutor(
-                self.processes, name=f"{name}-shard", retry_policy=retry_policy
-            )
         self._queue = BatchingJobQueue(max_pending=max_pending)
         self._cache: ResultCache | None = (
             ResultCache(cache_capacity) if enable_cache else None
@@ -204,15 +166,6 @@ class QuantumJobService:
         )
         if self._cache is not None:
             self._admission.add_resident_source(self._cache.memory_bytes)
-        #: Circuit breaker over the process-shard lane: repeated
-        #: infrastructure failures trip it and batches degrade to the
-        #: dispatcher thread's in-process accelerator clone until the lane
-        #: proves healthy again (half-open probe after the cooldown).
-        self._breaker = CircuitBreaker(
-            name=f"{name}-sharded",
-            failure_threshold=breaker_failure_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
-        )
         #: Precision tier every execution this broker dispatches runs at
         #: ("double" = complex128, "single" = complex64).  Semantic: it is
         #: part of the job key, so cached and freshly executed histograms
@@ -260,34 +213,25 @@ class QuantumJobService:
         return self
 
     def shutdown(self, wait: bool = True, timeout: float | None = None) -> None:
-        """Stop accepting jobs; workers drain the queue, then exit.
-
-        Exception-safe: the process-shard executor (when present) is closed
-        even if draining or joining raises, so no worker process is ever
-        orphaned by an error path.
-        """
+        """Stop accepting jobs; workers drain the queue, then exit."""
         with self._state_lock:
             if self._shut_down:
                 return
             self._shut_down = True
             started = self._started
-        try:
-            self._queue.close()
-            if started:
-                if wait:
-                    self._pool.join(timeout)
-            else:
-                # No worker ever ran (auto_start=False): jobs queued before
-                # this shutdown would otherwise strand their clients forever.
-                self._drain_and_fail(
-                    ExecutionError(
-                        f"service {self.name!r} was shut down before its "
-                        "dispatcher pool started"
-                    )
+        self._queue.close()
+        if started:
+            if wait:
+                self._pool.join(timeout)
+        else:
+            # No worker ever ran (auto_start=False): jobs queued before
+            # this shutdown would otherwise strand their clients forever.
+            self._drain_and_fail(
+                ExecutionError(
+                    f"service {self.name!r} was shut down before its "
+                    "dispatcher pool started"
                 )
-        finally:
-            if self._sharded is not None:
-                self._sharded.close(wait=wait)
+            )
 
     def __enter__(self) -> "QuantumJobService":
         return self.start()
@@ -313,8 +257,8 @@ class QuantumJobService:
         :class:`~repro.exceptions.DeadlineExceeded` instead of a result
         (checked at dequeue, pre-compile and per-step replay boundaries, so
         even a mid-flight replay is abandoned).  ``tenant`` selects the
-        per-tenant default deadline/retry policy for submissions that do
-        not carry their own.  Raises :class:`ServiceOverloadedError` only
+        per-tenant default deadline for submissions that do not carry their
+        own.  Raises :class:`ServiceOverloadedError` only
         if ``timeout`` elapses while waiting for a queue slot.
         """
         return self._submit(
@@ -361,9 +305,8 @@ class QuantumJobService:
     ) -> "SweepHandle":
         """Submit a parameter sweep: one parametric circuit, N bindings.
 
-        The circuit is compiled **once** and shipped to the execution lane
-        once (by content hash); each binding is evaluated by an in-place
-        rebind of the cached parametric plan, with per-binding counts
+        The circuit is compiled **once**; each binding is evaluated by an
+        in-place rebind of the cached parametric plan, with per-binding counts
         bit-identical to submitting the pre-bound circuits independently at
         the same seed.  Results stream through the returned
         :class:`~repro.service.sweep.SweepHandle` as bindings complete.
@@ -456,17 +399,11 @@ class QuantumJobService:
             handle._finish_if_done()
             return handle
 
-        # Fan-out: in sharded mode one chunk suffices (the executor fans
-        # binding ranges across its shards internally); in-process mode
-        # chunks across the dispatcher threads so bindings evaluate
+        # Fan-out: chunks across the dispatcher threads so bindings evaluate
         # concurrently on their per-thread accelerator clones.  Chunk keys
         # carry a per-submission nonce: two concurrent identical sweeps
         # must not coalesce (each chunk resolves its own handle's rows).
-        if self._sharded is not None:
-            n_chunks = 1
-        else:
-            n_chunks = max(1, min(self._pool.size, len(pending)))
-        retry_policy = self._tenant_retry_policy(tenant)
+        n_chunks = max(1, min(self._pool.size, len(pending)))
         root.set_attribute("fanout", n_chunks)
         self._metrics.increment("sweep_fanout", n_chunks)
         nonce = secrets.token_hex(4)
@@ -490,7 +427,6 @@ class QuantumJobService:
                 deadline=tokens[indices[0]].deadline,
                 sweep=_SweepChunk(handle, indices),
                 tenant=tenant,
-                retry_policy=retry_policy,
             )
             chunk_handle = JobHandle(spec)
             chunk_handle.cancel_token = combine_tokens([tokens[i] for i in indices])
@@ -514,14 +450,11 @@ class QuantumJobService:
         circuit: CompositeInstruction,
         observable,
         bindings,
-        *,
-        tenant: str | None = None,
     ) -> list[float]:
         """Exact per-binding expectations of ``observable`` (synchronous).
 
         Runs on the calling thread through the compile-once sweep path —
-        one plan, N in-place rebinds — fanned across the shards in
-        process-shard mode.  This is the execution primitive under
+        one plan, N in-place rebinds.  This is the execution primitive under
         :meth:`gradient`; it bypasses the job queue because expectation
         sweeps are exact (no shots) and typically sit on an optimizer's
         critical path.
@@ -537,14 +470,6 @@ class QuantumJobService:
         if not bindings:
             raise ExecutionError("expectations needs at least one binding")
         kwargs = dict(self._plan_options(circuit), precision=self.precision)
-        if self._sharded is not None:
-            return self._sharded.expectation_sweep(
-                circuit,
-                observable,
-                bindings,
-                retry_policy=self._tenant_retry_policy(tenant),
-                **kwargs,
-            )
         return self._sync_backend().expectation_sweep(
             circuit, observable, bindings, **kwargs
         )
@@ -556,7 +481,6 @@ class QuantumJobService:
         parameters,
         *,
         shift: float | None = None,
-        tenant: str | None = None,
     ) -> np.ndarray:
         """``d<observable>/dθ`` at ``parameters`` (synchronous).
 
@@ -565,8 +489,8 @@ class QuantumJobService:
         every parameter bare in one RX / RY / RZ, no reset, double
         precision, the in-process dense backend.  Otherwise by the
         parameter-shift rule as one ``2·P``-binding expectation sweep over
-        ``[θ+s·e_i, θ−s·e_i]`` (``s = π/2`` by default), sharing one compile
-        and fanned across the shards.  The ``gradient`` span records which
+        ``[θ+s·e_i, θ−s·e_i]`` (``s = π/2`` by default), sharing one compile.
+        The ``gradient`` span records which
         ran (``method``) and why (``reason``).
         """
         params = np.asarray([float(p) for p in parameters], dtype=float)
@@ -588,7 +512,7 @@ class QuantumJobService:
                     point[i] += step
                     shifted.append([float(v) for v in point])
             energies = np.asarray(
-                self.expectations(circuit, observable, shifted, tenant=tenant)
+                self.expectations(circuit, observable, shifted)
             )
             return 0.5 * (energies[0::2] - energies[1::2])
 
@@ -600,8 +524,6 @@ class QuantumJobService:
             return None, "non-default shift"
         if self._shut_down:
             return None, "shut down"
-        if self._sharded is not None:
-            return None, "sharded"
         reason = adjoint_refusal(circuit)
         if reason is not None:
             return None, reason
@@ -705,16 +627,6 @@ class QuantumJobService:
         raw_deadline = self.backend_options.get("deadline-seconds")
         return None if raw_deadline is None else float(raw_deadline)  # type: ignore[arg-type]
 
-    def _tenant_retry_policy(self, tenant: str | None) -> RetryPolicy | None:
-        """The tenant's default retry policy (``None`` = service-wide policy)."""
-        if tenant is None:
-            return None
-        defaults = self._tenant_defaults.get(tenant)
-        if defaults is None:
-            return None
-        policy = defaults.get("retry_policy")
-        return policy if isinstance(policy, RetryPolicy) else None
-
     def _submit(
         self,
         circuit: CompositeInstruction,
@@ -756,7 +668,6 @@ class QuantumJobService:
             options=self.backend_options,
             deadline=token.deadline,
             tenant=tenant,
-            retry_policy=self._tenant_retry_policy(tenant),
         )
         handle = JobHandle(spec)
         handle.cancel_token = token
@@ -1087,11 +998,6 @@ class QuantumJobService:
                 # Keep executing while *any* live binding still wants its
                 # row; each binding re-triages against its own token below.
                 token = combine_tokens([handle.tokens[i] for i in live])
-                width = (
-                    min(self.processes, len(live))
-                    if self._sharded is not None
-                    else 1
-                )
                 method = self._sweep_method(spec, bindings)
                 requested_bytes = estimate_job_bytes(
                     spec.n_qubits,
@@ -1099,7 +1005,7 @@ class QuantumJobService:
                     precision=self.precision,
                     method=method,
                     resets=_reset_count(spec.circuit),
-                ) * max(1, width)
+                )
                 with tracer.span(
                     "admission",
                     parent=ctx,
@@ -1172,11 +1078,9 @@ class QuantumJobService:
     ):
         """Compile-once execution of one sweep chunk's bindings.
 
-        Mirrors :meth:`_execute_missing`'s lane selection: the shard lane
-        (which fans binding ranges across worker processes) sits behind the
-        same circuit breaker and degrades to the dispatcher thread's
-        in-process clone on infrastructure failures; all-Clifford chunks
-        skip both lanes for the tableau.  Returns the per-binding
+        Mirrors :meth:`_execute_missing`'s lane selection: all-Clifford
+        chunks run on the tableau, the rest on the dispatcher thread's
+        accelerator clone.  Returns the per-binding
         :class:`~repro.exec.backend.ExecutionResult` list in binding order.
         """
         tracer = get_tracer()
@@ -1201,36 +1105,6 @@ class QuantumJobService:
             ),
             precision=self.precision,
         )
-        if self._sharded is not None:
-            if self._breaker.allow():
-                try:
-                    with tracer.span(
-                        "sweep-shard-dispatch", attrs={"bindings": len(bindings)}
-                    ):
-                        results = self._sharded.execute_sweep(
-                            spec.circuit,
-                            bindings,
-                            spec.shots,
-                            retry_policy=spec.retry_policy,  # type: ignore[arg-type]
-                            **kwargs,
-                        )
-                except Exception as exc:
-                    if not is_infrastructure_failure(exc):
-                        raise
-                    self._breaker.record_failure()
-                    self._metrics.increment("breaker_fallbacks")
-                    with tracer.span("breaker-fallback") as fallback_span:
-                        fallback_span.mark_error(f"{type(exc).__name__}: {exc}")
-                else:
-                    self._breaker.record_success()
-                    self._metrics.increment("sharded_executions")
-                    self._metrics.increment(
-                        "sharded_plan_hits",
-                        sum(1 for r in results if r.plan_cached),
-                    )
-                    return results
-            else:
-                self._metrics.increment("breaker_fallbacks")
         backend_factory = getattr(qpu, "execution_backend", None)
         if backend_factory is None:
             raise ExecutionError(
@@ -1291,26 +1165,13 @@ class QuantumJobService:
         """One backend execution of ``shots`` shots for ``spec``.
 
         ``method="stabilizer"`` (the classifier's verdict, resolved before
-        admission) bypasses both the shard lane and the accelerator clone:
-        the tableau needs no plan cache, no amplitude buffers, and no
+        admission) bypasses the accelerator clone: the tableau needs no plan cache, no amplitude buffers, and no
         per-qubit size ceiling — that bypass is exactly what lets a
         500-qubit Clifford job through a dispatch path whose dense
         accelerator refuses anything past ~26 qubits.
 
-        In-process mode runs on the dispatcher thread's own accelerator
-        clone.  Process-shard mode routes the batch to the shard that owns
-        ``spec.key`` — the hash affinity that keeps each worker process
-        replaying from a plan cache already warm with its keys — honouring
-        the service's ``optimize`` backend option (it is part of the job
-        key, so sharded and in-process results must agree on it).
-
-        The shard lane sits behind a circuit breaker: infrastructure
-        failures (dead workers, exhausted retry budgets) count against it,
-        and once tripped, batches degrade to the dispatcher thread's
-        in-process clone — identical results, reduced throughput — until a
-        half-open probe proves the lane healthy again.  Job-shaped failures
-        (cancellation, deadlines, bad circuits) re-raise untouched: they
-        would fail identically on any lane.
+        Every other job runs on the dispatcher thread's own accelerator
+        clone.
         """
         tracer = get_tracer()
         if method == "stabilizer":
@@ -1323,40 +1184,6 @@ class QuantumJobService:
                 )
             self._metrics.increment("stabilizer_executions")
             return dict(result.counts), result.seconds
-        if self._sharded is not None:
-            if self._breaker.allow():
-                chunk_threshold = self.backend_options.get("chunk-threshold")
-                try:
-                    with tracer.span("shard-dispatch", attrs={"shots": shots}):
-                        result = self._sharded.execute_for_key(
-                            spec.key,
-                            spec.circuit,
-                            shots,
-                            n_qubits=spec.n_qubits,
-                            seed=get_config().seed,
-                            optimize=bool(self.backend_options.get("optimize", True)),
-                            chunk_threshold=None if chunk_threshold is None else int(chunk_threshold),  # type: ignore[arg-type]
-                            precision=self.precision,
-                            retry_policy=spec.retry_policy,  # type: ignore[arg-type]
-                        )
-                except Exception as exc:
-                    if not is_infrastructure_failure(exc):
-                        raise
-                    # Lane ill-health, not a bad job: feed the breaker and
-                    # degrade this batch to the in-process clone below.
-                    self._breaker.record_failure()
-                    self._metrics.increment("breaker_fallbacks")
-                    with tracer.span("breaker-fallback") as fallback_span:
-                        fallback_span.mark_error(f"{type(exc).__name__}: {exc}")
-                else:
-                    self._breaker.record_success()
-                    self._metrics.increment("sharded_executions")
-                    if result.plan_cached:
-                        self._metrics.increment("sharded_plan_hits")
-                    return dict(result.counts), result.seconds
-            else:
-                # Breaker open: skip the shard lane without even trying.
-                self._metrics.increment("breaker_fallbacks")
         buffer = AcceleratorBuffer(spec.n_qubits)
         started = time.perf_counter()
         with tracer.span("backend-execute", attrs={"shots": shots}):
@@ -1440,22 +1267,8 @@ class QuantumJobService:
             cache=self._cache.stats() if self._cache is not None else None,
             # The dispatcher's accelerator clones all consult the shared
             # content-hash-keyed plan cache: repeat jobs (cache-missed or
-            # top-ups) skip circuit compilation entirely.  In process-shard
-            # mode compilation happens in the *worker* processes instead —
-            # these parent-side counters stay flat there; watch
-            # ``sharded_plan_hits`` for the per-worker cache behaviour.
+            # top-ups) skip circuit compilation entirely.
             plan_cache=get_plan_cache().stats(),
-            process_shards=self.processes if self._sharded is not None else 0,
-            shard_respawns=(
-                self._sharded.total_retries if self._sharded is not None else 0
-            ),
-            shard_queue_depths=(
-                tuple(self._sharded.shard_queue_depths())
-                if self._sharded is not None
-                else ()
-            ),
-            breaker_state=self._breaker.state,
-            breaker_trips=self._breaker.trips,
             admission_budget_bytes=admission["budget_bytes"],
             admission_inflight_bytes=admission["inflight_bytes"],
             admission_inflight_tickets=admission["inflight_tickets"],
@@ -1470,19 +1283,9 @@ class QuantumJobService:
         return self._cache
 
     @property
-    def breaker(self) -> CircuitBreaker:
-        """The circuit breaker guarding the process-shard lane."""
-        return self._breaker
-
-    @property
     def admission(self) -> AdmissionController:
         """The memory-budget admission controller (no-op when unbudgeted)."""
         return self._admission
-
-    @property
-    def sharded_executor(self):
-        """The broker-owned :class:`ShardedExecutor` (``None`` in-process)."""
-        return self._sharded
 
     def queue_depth(self) -> int:
         return self._queue.depth()

@@ -11,16 +11,6 @@ execution itself is wrapped in an unsafe race-detector section on the same
 therefore *records* the data races the paper analyses, while the default
 mode records none.  Demonstrating that contrast under real service load is
 part of the reproduction.
-
-In the broker's process-shard mode (``QuantumJobService(processes=N)``)
-these threads stop being where simulation happens: each worker still owns
-its per-thread QPU clone (the paper's safety property is preserved), but
-the batch handler routes cache-missed executions to the
-:class:`~repro.exec.sharded.ShardedExecutor` shard that owns the batch's
-job key.  The pool then acts as N concurrent *feeders* keeping every shard
-process busy — dispatch stays on threads, simulation scales past the GIL
-on processes, and hash affinity keeps each shard's plan cache warm for
-exactly the keys it serves.
 """
 
 from __future__ import annotations

@@ -53,11 +53,8 @@ class JobSpec:
     #: coalesce with each other or with plain submissions.
     sweep: object | None = None
     #: Tenant this job was submitted under (``None`` = untenanted); used
-    #: only to apply per-tenant default deadlines/retry policies at submit.
+    #: only to apply per-tenant default deadlines at submit.
     tenant: str | None = None
-    #: Per-job retry policy override (tenant default or explicit); ``None``
-    #: falls back to the service-wide policy.
-    retry_policy: object | None = None
 
     def __post_init__(self) -> None:
         if self.shots <= 0:
@@ -135,7 +132,7 @@ class JobHandle:
         :class:`~repro.exceptions.JobCancelled` right away (``False`` when
         the job already completed).  Cooperative for the backend: the token
         trips, and any in-flight replay abandons the job at its next step
-        boundary — a worker process is never killed to cancel a job.
+        boundary — no thread is ever killed to cancel a job.
         """
         if self.cancel_token is not None:
             self.cancel_token.cancel()

@@ -45,17 +45,16 @@ __all__ = [
 
 #: Backend options that do not affect results and must not fragment the
 #: cache (they tune performance, not physics).  ``threads`` sizes the
-#: engine's chunk-replay pool and ``processes`` selects the process-sharded
-#: execution backend, which runs each job whole on one shard; a job's shots
-#: are one draw on one seeded generator either way, so fixed-seed counts
-#: are byte-identical at every setting of both.  ``chunk-threshold`` gates
-#: chunk-parallel plan replay (bitwise identical to serial replay).  All of
-#: them stay out of the job identity.
+#: engine's chunk-replay pool; a job's shots are one draw on one seeded
+#: generator, so fixed-seed counts are byte-identical at every setting.
+#: ``chunk-threshold`` gates chunk-parallel plan replay (bitwise identical
+#: to serial replay).  Both stay out of the job identity.  The retired
+#: process-shard options (``processes``, ``retry-max-attempts``,
+#: ``breaker-*``) are refused where options enter — service construction
+#: and accelerator initialisation — so they never reach a key.
 #:
 #: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
-#: ``admission-wait-seconds``, ``breaker-failure-threshold``,
-#: ``breaker-cooldown-seconds``, ``retry-max-attempts``) are likewise
-#: non-semantic: they decide *whether and when* a result arrives — a job
+#: ``admission-wait-seconds``) are likewise non-semantic: they decide *whether and when* a result arrives — a job
 #: may fail with DeadlineExceeded or AdmissionRejected under one setting
 #: and succeed under another — but never change the histogram a successful
 #: job returns, so a result produced under a tight deadline is perfectly
@@ -83,14 +82,10 @@ _NON_SEMANTIC_OPTIONS = frozenset(
     {
         "threads",
         "latency-seconds",
-        "processes",
         "chunk-threshold",
         "deadline-seconds",
         "memory-budget-bytes",
         "admission-wait-seconds",
-        "breaker-failure-threshold",
-        "breaker-cooldown-seconds",
-        "retry-max-attempts",
     }
 )
 
@@ -146,8 +141,8 @@ def job_key(
 # order — produce different result tables, so the bindings (values and
 # order, after canonicalisation) hash into the sweep key.  What is
 # deliberately NOT in the key is everything about *how* the fan-out runs:
-# the fan-out width, the binding-range chunking, which lane (threads /
-# shards) evaluates each range, and that lane's worker count are all
+# the fan-out width, the binding-range chunking, which dispatcher thread
+# evaluates each range, and that lane's worker count are all
 # routing decisions — every lane is bit-identical per binding at a
 # given precision — so a sweep keeps one identity whether it runs on one
 # worker or thirty-two.  Shots stay out for the same reconciliation reason

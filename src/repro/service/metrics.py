@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Valid (normalised) backend labels: the registered accelerator names plus
-#: the execution-backend names ("local", "sharded", "density", "qpp", ...).
+#: the execution-backend names ("local", "stabilizer", "density", "qpp", ...).
 _BACKEND_LABEL = re.compile(r"[a-z0-9][a-z0-9_.:-]*")
 
 
@@ -102,23 +102,15 @@ class MetricsSnapshot:
     deadline_exceeded: int = 0
     #: Jobs resolved with AdmissionRejected (memory budget refused them).
     admission_rejected: int = 0
-    #: Batches the shard-lane circuit breaker degraded to in-process
-    #: execution (tripped-open skips plus the failures that fed the trip).
-    breaker_fallbacks: int = 0
     #: Jobs that attached to an already-pending identical batch.
     coalesced: int = 0
     #: Jobs fully served from the result cache (no backend work at all).
     cache_hits: int = 0
     #: Backend executions dispatched (batches, including top-up runs).
     executions: int = 0
-    #: Executions routed to the process-sharded backend (0 without sharding).
-    sharded_executions: int = 0
     #: Executions the Clifford classifier routed to the stabilizer tableau
     #: (polynomial-time lane; counted within ``executions``).
     stabilizer_executions: int = 0
-    #: Sharded executions that replayed an already-compiled worker plan
-    #: (the per-worker plan caches earning their keep under hash affinity).
-    sharded_plan_hits: int = 0
     #: Parameter-sweep bindings accepted via ``submit_sweep`` (each binding
     #: is one row of a sweep's result table).
     sweep_bindings: int = 0
@@ -134,18 +126,6 @@ class MetricsSnapshot:
     queue_depth: int = 0
     #: Dispatcher threads alive at snapshot time.
     active_workers: int = 0
-    #: Process shards serving executions (0 = in-process dispatch).
-    process_shards: int = 0
-    #: Shard worker processes respawned after dying mid-batch (health).
-    shard_respawns: int = 0
-    #: In-flight work per shard at snapshot time (empty without sharding;
-    #: a persistently deep entry is a hot key-affinity shard).
-    shard_queue_depths: tuple[int, ...] = ()
-    #: Shard-lane circuit-breaker state at snapshot time
-    #: ("closed" / "open" / "half-open"; "closed" without sharding).
-    breaker_state: str = "closed"
-    #: Times the shard-lane breaker has tripped open since start (health).
-    breaker_trips: int = 0
     #: Admission memory budget (``None`` = accounting disabled).
     admission_budget_bytes: int | None = None
     #: Bytes reserved by in-flight admission tickets at snapshot time.
@@ -196,13 +176,10 @@ class ServiceMetrics:
         "cancelled",
         "deadline_exceeded",
         "admission_rejected",
-        "breaker_fallbacks",
         "coalesced",
         "cache_hits",
         "executions",
-        "sharded_executions",
         "stabilizer_executions",
-        "sharded_plan_hits",
         "sweep_bindings",
         "sweep_fanout",
         "executed_shots",
@@ -235,11 +212,6 @@ class ServiceMetrics:
         active_workers: int = 0,
         cache: CacheStats | None = None,
         plan_cache: PlanCacheStats | None = None,
-        process_shards: int = 0,
-        shard_respawns: int = 0,
-        shard_queue_depths: tuple[int, ...] = (),
-        breaker_state: str = "closed",
-        breaker_trips: int = 0,
         admission_budget_bytes: int | None = None,
         admission_inflight_bytes: int = 0,
         admission_inflight_tickets: int = 0,
@@ -263,11 +235,6 @@ class ServiceMetrics:
         return MetricsSnapshot(
             queue_depth=queue_depth,
             active_workers=active_workers,
-            process_shards=process_shards,
-            shard_respawns=shard_respawns,
-            shard_queue_depths=tuple(shard_queue_depths),
-            breaker_state=breaker_state,
-            breaker_trips=breaker_trips,
             admission_budget_bytes=admission_budget_bytes,
             admission_inflight_bytes=admission_inflight_bytes,
             admission_inflight_tickets=admission_inflight_tickets,

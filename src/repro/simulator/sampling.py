@@ -36,10 +36,9 @@ __all__ = [
 #: under.  Three tiers of agreement hold:
 #:
 #: * **bit-exact** — every lane replaying one plan (serial, chunked threads,
-#:   process shards, sweep rows) evolves the same
-#:   amplitudes bit for bit;
+#:   sweep rows) evolves the same amplitudes bit for bit;
 #: * **fixed-seed-stable** — one plan and one seed give the same counts on
-#:   every lane and at every ``threads`` / ``processes`` setting: a job
+#:   every lane and at every ``threads`` setting: a job
 #:   draws from one generator (:func:`job_rng`), its whole shot budget in
 #:   one draw chosen by a rule of (shots, positive bins) alone;
 #: * **distributional** — fused vs unfused plans of one circuit, and one
@@ -255,7 +254,7 @@ class OneShotSampler:
 
 def job_rng(seed: int | None) -> np.random.Generator:
     """The one generator a job draws from: ``SeedSequence(seed).spawn(1)[0]``
-    (fresh entropy for ``None``).  Every lane — engine, shard, sweep row —
+    (fresh entropy for ``None``).  Every lane — engine, sweep row —
     derives it the same way, so a seed fixes a job's counts everywhere."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 

@@ -1,8 +1,8 @@
 """Chaos matrix: every injected fault × every lane.
 
 Each case plants a fault at a named site and drives a job through one of
-the lanes (in-process local, process-sharded, density, stabilizer).
-The contract under test: every job either completes
+the lanes (local, the ``ShardedExecutor`` name over it, chunked, density,
+stabilizer).  The contract under test: every job either completes
 **bit-identically** to the clean run or fails **cleanly with a typed
 error** — no hangs, no leaked ``/dev/shm`` segments, no orphan worker
 processes.
@@ -16,13 +16,8 @@ import time
 import pytest
 
 from repro.cancellation import CancelToken, cancel_scope
-from repro.exceptions import (
-    CompilationError,
-    DeadlineExceeded,
-    JobCancelled,
-    RetryExhausted,
-)
-from repro.exec import LocalBackend, NO_RETRY, ShardedExecutor
+from repro.exceptions import CompilationError, DeadlineExceeded, JobCancelled
+from repro.exec import LocalBackend, ShardedExecutor
 from repro.ir.builder import CircuitBuilder
 from repro.obs.trace import disable_tracing, enable_tracing
 from repro.service import QuantumJobService
@@ -81,10 +76,7 @@ def chaos_circuit(tag: str, n_qubits: int = 3):
 
 
 # ---------------------------------------------------------------------------
-# The matrix.  expect is either "ok" (bit-identical completion) or a typed
-# exception class (clean failure).  The "kill" action is excluded from the
-# local lane by construction: the local lane IS the client process, and a
-# self-SIGKILL there is outside any recoverable contract.
+# The matrix.  expect is a typed exception class (clean failure).
 # ---------------------------------------------------------------------------
 
 LOCAL_CASES = [
@@ -128,158 +120,51 @@ LOCAL_CASES = [
     ),
 ]
 
-SHARDED_CASES = [
-    pytest.param(
-        "kill1",
-        [
-            FaultSpec(
-                site="sharded.worker.replay",
-                action="kill",
-                times=1,
-                scope="global",
-            )
-        ],
-        None,
-        "ok",
-        id="sharded-kill-once-recovers",
-    ),
-    pytest.param(
-        "killN",
-        [
-            FaultSpec(
-                site="sharded.worker.replay",
-                action="kill",
-                times=None,
-                scope="global",
-            )
-        ],
-        NO_RETRY,
-        RetryExhausted,
-        id="sharded-kill-forever-exhausts",
-    ),
-    pytest.param(
-        "compile",
-        [
-            FaultSpec(
-                site="sharded.worker.compile",
-                action="fail",
-                kind="compile",
-                times=None,
-                scope="global",
-            )
-        ],
-        None,
-        CompilationError,
-        id="sharded-compile-fail",
-    ),
-    pytest.param(
-        "memory",
-        [
-            FaultSpec(
-                site="sharded.worker.replay",
-                action="fail",
-                kind="memory",
-                times=None,
-                scope="global",
-            )
-        ],
-        None,
-        MemoryError,
-        id="sharded-memory-fail",
-    ),
-]
-
 # ---------------------------------------------------------------------------
 # Local lane
 # ---------------------------------------------------------------------------
 
 
+def run_local_case(backend, tag, specs, deadline, expect, gate_held):
+    """Plant ``specs``, run one job on ``backend``, check the clean failure."""
+    from repro.exec.backend import execution_gate
+    from repro.simulator.plan_cache import get_plan_cache
+
+    # Only a state inside the hand-off band (10 qubits is) is gated.
+    circuit = chaos_circuit(tag, 10 if gate_held else 3)
+    expected = backend.execute(circuit, 64, seed=7).counts
+    # The baseline warmed the global plan cache; a compile fault must
+    # see a miss, exactly as a fresh job would.
+    get_plan_cache().clear()
+    install_faults(specs)
+    token = CancelToken(timeout=deadline) if deadline else CancelToken()
+    # The gate is a plain lock: held here, it is held by "another job".
+    other_job = execution_gate(None) if gate_held else contextlib.nullcontext()
+    with pytest.raises(expect):
+        with other_job, cancel_scope(token):
+            backend.execute(circuit, 64, seed=7)
+    clear_faults()
+    # Clean failure: the lane serves the next job untouched.
+    assert backend.execute(circuit, 64, seed=7).counts == expected
+
+
 class TestLocalLane:
     @pytest.mark.parametrize("tag, specs, deadline, expect, gate_held", LOCAL_CASES)
     def test_local_fault(self, tag, specs, deadline, expect, gate_held):
-        from repro.exec.backend import execution_gate
-        from repro.simulator.plan_cache import get_plan_cache
-
-        # Only a state inside the hand-off band (10 qubits is) is gated.
-        circuit = chaos_circuit(f"loc_{tag}", 10 if gate_held else 3)
-        backend = LocalBackend()
-        expected = backend.execute(circuit, 64, seed=7).counts
-        # The baseline warmed the global plan cache; a compile fault must
-        # see a miss, exactly as a fresh job would.
-        get_plan_cache().clear()
-        install_faults(specs)
-        token = CancelToken(timeout=deadline) if deadline else CancelToken()
-        if expect == "ok":
-            with cancel_scope(token):
-                result = backend.execute(circuit, 64, seed=7)
-            assert result.counts == expected
-        else:
-            # The gate is a plain lock: held here, it is held by "another job".
-            other_job = execution_gate(None) if gate_held else contextlib.nullcontext()
-            with pytest.raises(expect):
-                with other_job, cancel_scope(token):
-                    backend.execute(circuit, 64, seed=7)
-            clear_faults()
-            # Clean failure: the lane serves the next job untouched.
-            assert backend.execute(circuit, 64, seed=7).counts == expected
+        run_local_case(LocalBackend(), f"loc_{tag}", specs, deadline, expect, gate_held)
 
 
 # ---------------------------------------------------------------------------
-# Sharded lane
+# Sharded name: ``ShardedExecutor`` runs the local lane on its own engine,
+# so the same faults end the same way.
 # ---------------------------------------------------------------------------
 
 
 class TestShardedLane:
-    @pytest.mark.parametrize("tag, specs, policy, expect", SHARDED_CASES)
-    def test_sharded_fault(self, tag, specs, policy, expect):
-        circuit = chaos_circuit(f"shd_{tag}")
-        # Clean baseline first: its workers spawn before the fault plan
-        # reaches the environment, so they never load it.
-        clean = ShardedExecutor(2, name=f"chaos-clean-{tag}")
-        try:
-            expected = clean.execute(circuit, 128, seed=11).counts
-        finally:
-            clean.close()
-        install_faults(specs)
-        kwargs = {"name": f"chaos-shd-{tag}"}
-        if policy is not None:
-            kwargs["retry_policy"] = policy
-        executor = ShardedExecutor(2, **kwargs)
-        try:
-            if expect == "ok":
-                result = executor.execute(circuit, 128, seed=11)
-                assert result.counts == expected
-                assert executor.total_retries >= 1
-            else:
-                with pytest.raises(expect):
-                    executor.execute(circuit, 128, seed=11)
-                clear_faults()
-                # The lane recovers: respawned shards serve the next job
-                # bit-identically.
-                assert executor.execute(circuit, 128, seed=11).counts == expected
-        finally:
-            executor.close()
-
-    def test_sharded_slow_worker_hits_deadline(self):
-        circuit = chaos_circuit("shd_slow")
-        install_faults(
-            [
-                FaultSpec(
-                    site="sharded.worker.replay",
-                    action="slow",
-                    seconds=0.6,
-                    times=None,
-                    scope="global",
-                )
-            ]
-        )
-        executor = ShardedExecutor(2, name="chaos-shd-slow")
-        try:
-            with pytest.raises(DeadlineExceeded):
-                with cancel_scope(CancelToken(timeout=0.2)):
-                    executor.execute(circuit, 128, seed=11)
-        finally:
-            executor.close()
+    @pytest.mark.parametrize("tag, specs, deadline, expect, gate_held", LOCAL_CASES)
+    def test_sharded_fault(self, tag, specs, deadline, expect, gate_held):
+        with ShardedExecutor(2, name=f"chaos-shd-{tag}") as backend:
+            run_local_case(backend, f"shd_{tag}", specs, deadline, expect, gate_held)
 
 
 # ---------------------------------------------------------------------------

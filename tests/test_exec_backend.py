@@ -23,6 +23,7 @@ from repro.parallel.scheduler import SimTask, TaskScheduler
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.noisy_accelerator import NoisyAccelerator
 from repro.runtime.qpp_accelerator import QppAccelerator
+from repro.runtime.service_registry import get_accelerator
 from repro.simulator.cost_model import (
     DEFAULT_KERNEL_COST_FACTORS,
     SimulationCostModel,
@@ -62,7 +63,6 @@ class TestExecutionResult:
             counts={"00": 3, "11": 5}, shots=8, n_qubits=2, backend="local"
         )
         assert result.total_counts() == 8
-        assert result.retries == 0
 
     def test_rejects_non_positive_shots(self):
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestAcceleratorAdapter:
         buffer = AcceleratorBuffer(3)
         qpu.execute(buffer, ghz_circuit(3), shots=64)
         info = buffer.information
-        assert info["plan-cached"] is False and "processes" not in info
+        assert info["plan-cached"] is False
         buffer2 = AcceleratorBuffer(3)
         qpu.execute(buffer2, ghz_circuit(3), shots=64)
         assert buffer2.information["plan-cached"] is True
@@ -237,16 +237,29 @@ class TestAcceleratorAdapter:
         engine.close()
         assert plan_buffer.get_measurement_counts() == reference
 
-    def test_executor_routes_processes_option(self):
-        # processes=1 must not engage sharding (stays on the local seam).
-        qpu = QppAccelerator({"threads": 1, "processes": 1})
-        assert qpu.num_processes == 0
-        assert qpu.execution_backend() is qpu._local_backend
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "processes",
+            "retry-max-attempts",
+            "breaker-failure-threshold",
+            "breaker-cooldown-seconds",
+        ],
+    )
+    def test_initialize_refuses_a_retired_process_shard_option(self, option):
+        with pytest.raises(ExecutionError, match="retired with the process-shard lane"):
+            get_accelerator("qpp", {option: 2})
+        with pytest.raises(ExecutionError, match="retired"):
+            QppAccelerator({option: 1})
+        qpu = QppAccelerator({"threads": 1})
+        with pytest.raises(ExecutionError, match="retired"):
+            qpu.initialize({option: 2})
+        assert option not in qpu.options
 
-    def test_run_one_by_one_accepts_processes(self):
+    def test_run_one_by_one_runs_every_task(self):
         set_config(seed=4)
         tasks = [KernelTask("bell", lambda: bell_circuit(2), 2, shots=64)]
-        report = run_one_by_one(tasks, total_threads=1, processes=None)
+        report = run_one_by_one(tasks, total_threads=1)
         assert report.results[0].counts
         assert sum(report.results[0].counts.values()) == 64
 

@@ -1,8 +1,7 @@
 """Every fault-injection site is a string literal the chaos matrix names.
 
-Production code trips planted faults through ``faults.fire(site)``, and the
-worker plan cache fires the site its caller passes to
-``worker_plan(..., site)``.  A site computed at run time cannot be found by
+Production code trips planted faults through ``faults.fire(site)``.  A site
+computed at run time cannot be found by
 reading the code, and a site ``tests/test_chaos_faults.py`` never plants is
 a recovery path no test exercises.  This scan keeps both true as code moves.
 """
@@ -32,29 +31,14 @@ def _is_fire(node) -> bool:
 
 
 def site_arguments() -> list[tuple[str, ast.expr | None]]:
-    """``(file:line, site argument)`` for every ``faults.fire`` call and
-    every ``worker_plan`` call, except the one ``faults.fire(site)`` inside
-    ``worker_plan`` that forwards its caller's literal."""
+    """``(file:line, site argument)`` for every ``faults.fire`` call."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        forwarding = {
-            id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "worker_plan"
-            for node in ast.walk(fn)
-            if _is_fire(node)
-        }
         for node in ast.walk(tree):
-            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}"
-            if _is_fire(node) and id(node) not in forwarding:
+            if _is_fire(node):
+                where = f"{path.relative_to(SRC)}:{node.lineno}"
                 found.append((where, node.args[0] if node.args else None))
-            elif isinstance(node, ast.Call) and _callee(node) == "worker_plan":
-                site = node.args[4] if len(node.args) > 4 else None
-                for keyword in node.keywords:
-                    if keyword.arg == "site":
-                        site = keyword.value
-                found.append((where, site))
     return found
 
 
@@ -86,10 +70,13 @@ def test_every_fault_site_is_a_string_literal():
     assert computed == [], f"fault sites not given as literals: {computed}"
 
 
-def test_scan_sees_both_lanes_compile_sites():
-    assert {"plan.compile", "sharded.worker.compile"} <= (
-        literal_sites()
-    )
+def test_scan_sees_every_lanes_sites():
+    assert literal_sites() == {
+        "plan.compile",
+        "local.replay",
+        "density.execute",
+        "stabilizer.execute",
+    }
 
 
 def test_every_fault_site_is_in_the_chaos_matrix():

@@ -1,20 +1,20 @@
-"""The fixed-seed contract as one property: ``threads`` and ``processes``
-never move a job's counts.
+"""The fixed-seed contract as one property: ``threads`` never moves a
+job's counts, and no dispatch shape starts a process.
 
 A job's shots are one draw on one generator (``SAMPLING_STREAM`` 4), so
 every lane — :class:`~repro.exec.backend.LocalBackend`, the qpp
-accelerator, :class:`~repro.exec.sharded.ShardedExecutor` on the job's
-content-affine shard or on a pinned one — returns byte-identical counts at
-every ``threads`` ∈ {1, 2, 3} × ``processes`` ∈ {0, 2}.  The recorded
-digests are the one-thread counts of the commit before stream 4 (one
-thread drew one chunk there, so it drew this stream), which makes each row
-fail wherever a split of the shots survives.
+accelerator and :class:`~repro.exec.sharded.ShardedExecutor` (a name kept
+over the local lane) — returns byte-identical counts at every ``threads``
+∈ {1, 2, 3}.  The recorded digests are the one-thread counts of the commit
+before stream 4 (one thread drew one chunk there, so it drew this stream),
+which makes each row fail wherever a split of the shots survives.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
@@ -23,12 +23,15 @@ from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.algorithms.shor import period_finding_circuit
 from repro.algorithms.vqe import deuteron_ansatz_circuit
+from repro.benchmark.workloads import figure3_workload
 from repro.config import set_config
-from repro.exec import LocalBackend, ShardedExecutor, shutdown_sharded_executors
+from repro.core.executor import run_parallel
+from repro.exec import LocalBackend, ShardedExecutor
 from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.qpp_accelerator import QppAccelerator
+from repro.service import QuantumJobService
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.sampling import SAMPLING_STREAM
 
@@ -116,20 +119,13 @@ RECORDED = {
 }
 
 
-@pytest.fixture(scope="module")
-def sharded2():
-    with ShardedExecutor(2, name="contract") as executor:
-        yield executor
-    shutdown_sharded_executors()
-
-
-def backend_counts(backend, job: str, **kwargs) -> dict:
+def backend_counts(backend, job: str) -> dict:
     factory, shots, options = JOBS[job]
     circuit = factory()
     if job == "sweep":
         rows = backend.execute_sweep(circuit, BINDINGS, shots, seed=SEED, **options)
         return dict(rows[1].counts)
-    return dict(backend.execute(circuit, shots, seed=SEED, **options, **kwargs).counts)
+    return dict(backend.execute(circuit, shots, seed=SEED, **options).counts)
 
 
 def accelerator_counts(job: str, options: dict) -> dict:
@@ -143,32 +139,43 @@ def accelerator_counts(job: str, options: dict) -> dict:
     return buffer.get_measurement_counts()
 
 
-def lanes(job: str, threads: int, processes: int, sharded2) -> dict[str, dict]:
-    """Every lane's counts for ``job`` at one (threads, processes) setting."""
-    if processes == 0:
-        with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as local:
-            counts = {"local": backend_counts(local, job)}
-        counts["qpp"] = accelerator_counts(job, {"threads": threads})
-        return counts
-    counts = {
-        "qpp": accelerator_counts(job, {"threads": threads, "processes": processes}),
-        "sharded": backend_counts(sharded2, job),
-    }
-    if job != "sweep":  # a sweep fans its bindings over the shards itself
-        for shard in range(sharded2.processes):
-            counts[f"sharded-pinned{shard}"] = backend_counts(sharded2, job, shard=shard)
+def lanes(job: str, threads: int) -> dict[str, dict]:
+    """Every lane's counts for ``job`` at one ``threads`` setting."""
+    with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as local:
+        counts = {"local": backend_counts(local, job)}
+    with ShardedExecutor(threads, name="contract") as sharded:
+        counts["sharded"] = backend_counts(sharded, job)
+    counts["qpp"] = accelerator_counts(job, {"threads": threads})
     return counts
 
 
-@pytest.mark.parametrize("processes", [0, 2])
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_counts_are_byte_identical_at_every_threads_and_processes(
-    job, threads, processes, sharded2
-):
+def test_counts_are_byte_identical_at_every_threads_setting(job, threads):
     assert SAMPLING_STREAM == 4
-    counts = lanes(job, threads, processes, sharded2)
+    counts = lanes(job, threads)
     assert {lane: digest(c) for lane, c in counts.items()} == {
         lane: RECORDED[job] for lane in counts
     }
     assert all(sum(c.values()) == JOBS[job][1] for c in counts.values())
+
+
+def test_no_process_is_ever_started():
+    """The retired process lane's name, a broker batch and the paper's
+    parallel variant all run in this process, and the name's fixed-seed
+    counts are the local lane's, byte for byte."""
+    executor = ShardedExecutor(2, name="no-process")
+    try:
+        executor.compile(JOBS["dense"][0]())
+        sharded = {job: backend_counts(executor, job) for job in sorted(JOBS)}
+        assert multiprocessing.active_children() == []
+    finally:
+        executor.close()
+    with LocalBackend() as local:
+        assert sharded == {job: backend_counts(local, job) for job in sorted(JOBS)}
+    with QuantumJobService(workers=2, name="no-process") as service:
+        handles = [service.submit(JOBS[job][0](), shots=64) for job in ("bell", "ghz", "qft")]
+        assert [h.result(timeout=30).total_counts() for h in handles] == [64] * 3
+        assert multiprocessing.active_children() == []
+    run_parallel(figure3_workload().tasks, 2)
+    assert multiprocessing.active_children() == []

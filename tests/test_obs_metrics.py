@@ -165,14 +165,16 @@ class TestExporters:
         metrics.increment("completed", 2)
         metrics.observe_latency("local", 0.004)
         metrics.observe_latency("local", 0.040)
-        return metrics.snapshot(queue_depth=1, active_workers=2, process_shards=4)
+        return metrics.snapshot(queue_depth=1, active_workers=2)
 
     def test_prometheus_text_structure(self):
         text = to_prometheus(self._snapshot())
         assert "# TYPE repro_jobs_submitted_total counter" in text
         assert "repro_jobs_submitted_total 3" in text
         assert "repro_queue_depth 1" in text
-        assert "repro_process_shards 4" in text
+        assert "repro_active_workers 2" in text
+        # The retired process-shard lane's rows are gone.
+        assert "shard" not in text and "breaker" not in text
         # Histogram exposition: cumulative buckets, +Inf, sum and count.
         assert '_bucket{backend="local",le="+Inf"} 2' in text
         assert 'repro_backend_latency_seconds_count{backend="local"} 2' in text
@@ -197,7 +199,8 @@ class TestExporters:
     def test_json_export_round_trips(self):
         doc = json.loads(to_json(self._snapshot()))
         assert doc["submitted"] == 3
-        assert doc["process_shards"] == 4
+        assert doc["active_workers"] == 2
+        assert not [key for key in doc if "shard" in key or "breaker" in key]
         hist = doc["backend_latency"]["local"]["histogram"]
         assert hist["count"] == 2
         assert hist["p95_seconds"] >= hist["p50_seconds"]

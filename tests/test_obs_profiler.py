@@ -35,17 +35,6 @@ class TestAccumulator:
         assert snap.total_calls == 3
         assert snap.total_kernel_seconds == pytest.approx(0.014)
 
-    def test_wire_round_trip_merges_into_parent(self):
-        worker = ReplayProfiler()
-        worker.record_kernel("diagonal", 0.5)
-        parent = ReplayProfiler()
-        parent.record_kernel("diagonal", 0.25)
-        parent.merge_wire(worker.to_wire())
-        parent.merge_wire(None)  # no-op: worker had nothing to report
-        snap = parent.snapshot()
-        assert snap.kernels["diagonal"].calls == 2
-        assert snap.kernels["diagonal"].seconds == pytest.approx(0.75)
-
     def test_reset_clears_everything(self):
         profiler = ReplayProfiler()
         profiler.record_kernel("single", 1.0)

@@ -2,8 +2,8 @@
 
 The load-bearing properties: zero-allocation no-ops when tracing is off,
 parent/child linkage through the ambient context, explicit cross-thread
-hand-off, sampled-out traces staying sampled out downstream, and the wire
-round-trip workers use to ship spans across process boundaries.
+hand-off, sampled-out traces staying sampled out downstream, and
+retroactive spans.
 """
 
 import threading
@@ -11,7 +11,6 @@ import threading
 import pytest
 
 from repro.obs import (
-    Span,
     TraceContext,
     Tracer,
     disable_tracing,
@@ -160,73 +159,7 @@ class TestCrossThread:
             assert tracer.current_context() is None
 
 
-class TestWireAndStitching:
-    def test_trace_context_wire_round_trip(self):
-        ctx = TraceContext("abc123", "def456")
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-        assert TraceContext.from_wire(None) is None
-        assert TraceContext.from_wire({}) is None
-        assert TraceContext.from_wire({"trace_id": "x"}) is None
-
-    def test_span_dict_round_trip(self):
-        tracer = Tracer()
-        tracer.enable()
-        with tracer.span("op", attrs={"n": 3}) as span:
-            span.mark_error("e")
-        clone = Span.from_dict(span.to_dict())
-        assert clone.name == span.name
-        assert clone.trace_id == span.trace_id
-        assert clone.span_id == span.span_id
-        assert clone.parent_id == span.parent_id
-        assert clone.attributes == span.attributes
-        assert clone.error == span.error
-        assert clone.duration == span.duration
-
-    def test_capture_collects_finished_spans_for_shipping(self):
-        tracer = Tracer()
-        ctx = TraceContext("t" * 16, "s" * 16)
-        with tracer.capture() as sink:
-            with tracer.span("worker", parent=ctx):
-                with tracer.span("inner"):
-                    pass
-        assert {s.name for s in sink} == {"worker", "inner"}
-
-    def test_ingest_stitches_worker_spans_into_the_parent_buffer(self):
-        parent = Tracer()
-        parent.enable()
-        root = parent.span("job")
-
-        worker = Tracer()  # separate process stand-in: never enabled
-        with worker.capture() as sink:
-            with worker.span("remote", parent=root.context()):
-                pass
-        payloads = [s.to_dict() for s in sink]
-        root.finish()
-
-        stitched = parent.ingest(payloads)
-        names = {s.name for s in parent.spans(root.trace_id)}
-        assert names == {"job", "remote"}
-        assert stitched[0].parent_id == root.span_id
-
-    def test_nested_captures_both_see_ingested_spans(self):
-        """Two-hop shipping: an outer sink must include spans an inner
-        capture ingested, so they travel one more hop up."""
-        tracer = Tracer()
-        ctx = TraceContext("t" * 16, "s" * 16)
-        payload = {
-            "name": "remote-step",
-            "trace_id": ctx.trace_id,
-            "span_id": "x" * 16,
-            "parent_id": ctx.span_id,
-            "start_wall": 1.0,
-            "duration": 0.5,
-        }
-        with tracer.capture() as outer:
-            with tracer.capture() as inner:
-                tracer.ingest([payload])
-        assert [s.name for s in inner] == ["remote-step"]
-        assert [s.name for s in outer] == ["remote-step"]
-
+class TestRetroactiveSpans:
     def test_record_writes_a_retroactive_span(self):
         tracer = Tracer()
         tracer.enable()

@@ -3,8 +3,8 @@
 Two invariants anchor this file:
 
 * **Lane choice never changes results.**  At complex128 every lane —
-  serial, thread-chunked, shot-sharded — produces bit-identical fixed-seed
-  histograms.
+  serial, thread-chunked, the ``ShardedExecutor`` name — produces
+  bit-identical fixed-seed histograms.
 * **The single-precision tier is fidelity-bounded.**  Evolving the paper's
   algorithm suite in complex64 deviates from the complex128 amplitudes by
   at most 1e-4 (max absolute amplitude difference) — the documented bound
@@ -138,8 +138,6 @@ class TestFidelityBound:
         from repro.simulator.parallel_engine import ParallelSimulationEngine
 
         circuit = factory()
-        # Shard seeds derive per worker, so the in-process reference must
-        # split shots the same way: threads == shards.
         engine = ParallelSimulationEngine(num_threads=2)
         local = LocalBackend(engine=engine)
         executor = ShardedExecutor(2, name=f"prec-shard-{name}")

@@ -1,7 +1,6 @@
 """Unit contracts of the fault-tolerance building blocks.
 
 Covers the primitives the lifecycle tier composes — cancellation tokens,
-retry policies and failure classification, the lane circuit breaker,
 memory-budget admission control, the walk-the-structure memory accounting,
 and the fault-injection harness itself — in isolation, so the service- and
 chaos-level tests can assume these semantics.
@@ -25,17 +24,8 @@ from repro.exceptions import (
     CompilationError,
     DeadlineExceeded,
     JobCancelled,
-    RetryExhausted,
-)
-from repro.exec.retry import (
-    DEFAULT_RETRY_POLICY,
-    NO_RETRY,
-    RetryPolicy,
-    is_infrastructure_failure,
-    is_retryable,
 )
 from repro.service.admission import AdmissionController, estimate_job_bytes
-from repro.service.breaker import CircuitBreaker
 from repro.simulator.execution_plan import compile_plan
 from repro.testing import FaultSpec, InjectedFault, clear_faults, fire, install_faults
 
@@ -139,176 +129,6 @@ class TestCombinedToken:
         a = CancelToken(deadline=time.time() + 1.0)
         b = CancelToken()
         assert combine_tokens([a, b]).deadline is None
-
-
-# ---------------------------------------------------------------------------
-# Retry policy + classification
-# ---------------------------------------------------------------------------
-
-
-class TestFailureClassification:
-    @pytest.mark.parametrize(
-        "error",
-        [EOFError(), ConnectionError(), OSError()],
-    )
-    def test_infrastructure_errors_are_retryable(self, error):
-        assert is_retryable(error)
-        assert is_infrastructure_failure(error)
-
-    @pytest.mark.parametrize(
-        "error",
-        [
-            JobCancelled("c"),
-            DeadlineExceeded("d"),
-            AdmissionRejected("a"),
-            CompilationError("bad"),
-            TimeoutError(),  # OSError subclass: terminal must win
-        ],
-    )
-    def test_job_shaped_errors_are_terminal(self, error):
-        assert not is_retryable(error)
-        assert not is_infrastructure_failure(error)
-
-    def test_retry_exhausted_feeds_the_breaker_but_not_retries(self):
-        error = RetryExhausted("done", attempts=3)
-        assert not is_retryable(error)
-        assert is_infrastructure_failure(error)
-
-    def test_memory_pressure_feeds_the_breaker(self):
-        assert is_infrastructure_failure(MemoryError())
-        assert not is_retryable(MemoryError())
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-1.0)
-
-    def test_should_retry_respects_budget_and_classification(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.should_retry(1, OSError())
-        assert policy.should_retry(2, OSError())
-        assert not policy.should_retry(3, OSError())
-        assert not policy.should_retry(1, CompilationError("bad"))
-
-    def test_no_retry_never_retries(self):
-        assert not NO_RETRY.should_retry(1, OSError())
-
-    def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=0.1, max_delay=0.4, multiplier=2.0, jitter=0.0
-        )
-        delays = [policy.delay_for(retry) for retry in range(1, 6)]
-        assert delays[0] == pytest.approx(0.1)
-        assert delays[1] == pytest.approx(0.2)
-        assert delays[2] == pytest.approx(0.4)
-        assert delays[3] == pytest.approx(0.4)  # capped
-        assert delays == sorted(delays)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1, jitter=0.1)
-        for retry in (1, 2, 3):
-            once = policy.delay_for(retry)
-            again = policy.delay_for(retry)
-            assert once == again
-            base = min(policy.max_delay, 0.1 * 2.0 ** (retry - 1))
-            assert base * 0.9 <= once <= base * 1.1
-
-    def test_sleep_honours_a_tripped_token(self):
-        policy = RetryPolicy(max_attempts=2, base_delay=5.0, jitter=0.0)
-        token = CancelToken()
-        token.cancel()
-        started = time.perf_counter()
-        with pytest.raises(JobCancelled):
-            policy.sleep(1, token)
-        assert time.perf_counter() - started < 1.0
-
-    def test_exhausted_carries_attempts_and_cause(self):
-        policy = RetryPolicy(max_attempts=2)
-        cause = OSError("pipe")
-        error = policy.exhausted("shard 0", 2, cause)
-        assert isinstance(error, RetryExhausted)
-        assert error.attempts == 2
-        assert error.__cause__ is cause
-        assert "shard 0" in str(error)
-
-    def test_default_policy_matches_historical_single_retry(self):
-        assert DEFAULT_RETRY_POLICY.max_attempts == 2
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def test_closed_until_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_single_probe_then_close_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=10.0, clock=clock
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now += 11.0
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe slot
-        assert not breaker.allow()  # only one probe at a time
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_retrips(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=10.0, clock=clock
-        )
-        breaker.record_failure()
-        clock.now += 11.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 2
-
-    def test_snapshot_shape(self):
-        breaker = CircuitBreaker(name="lane-x", clock=FakeClock())
-        snap = breaker.snapshot()
-        assert snap["name"] == "lane-x"
-        assert snap["state"] == "closed"
-        assert snap["trips"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -492,36 +312,10 @@ class TestFaultHarness:
         with pytest.raises(InjectedFault):
             fire("x")
 
-    def test_global_scope_counts_across_simulated_respawns(self):
-        # A respawned worker resets per-process counters; the global scope
-        # must still fire exactly `times` total.  Simulate by resetting the
-        # per-process hit dict between fires.
-        install_faults(
-            [FaultSpec(site="x", action="fail", times=1, scope="global")]
-        )
-        from repro.testing import faults as faults_module
-
-        with pytest.raises(InjectedFault):
-            fire("x")
-        faults_module._PLAN.hits.clear()  # "respawn"
-        fire("x")  # sentinel file says the one firing already happened
-
     def test_invalid_specs_rejected_at_install(self):
         with pytest.raises(ValueError):
             FaultSpec(site="x", action="explode")
         with pytest.raises(ValueError):
             FaultSpec(site="x", action="fail", kind="nope")
         with pytest.raises(ValueError):
-            FaultSpec(site="x", scope="galactic")
-
-    def test_clear_removes_env_and_sentinels(self):
-        import os
-
-        install_faults([FaultSpec(site="x", scope="global")])
-        from repro.testing import faults as faults_module
-
-        sentinel_dir = faults_module._PLAN.sentinel_dir
-        assert os.environ.get("REPRO_FAULTS")
-        clear_faults()
-        assert "REPRO_FAULTS" not in os.environ
-        assert not os.path.isdir(sentinel_dir)
+            FaultSpec(site="x", action="kill")

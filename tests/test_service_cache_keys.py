@@ -20,8 +20,9 @@ from repro.service.keys import (
 #: member is listed, so adding one to ``_NON_SEMANTIC_OPTIONS`` is covered
 #: without touching this table; ``batch-diagonals`` is a compile-level
 #: argument, not a job option, and ``adaptive-lane`` / ``shm-states`` /
-#: ``shm-processes`` are retired options, so each fragments keys like any
-#: unknown one.
+#: ``shm-processes`` and the process-shard lane's options are retired, so
+#: each fragments keys like any unknown one (the broker and the
+#: accelerators refuse the process-shard ones before a key is made).
 _KEY_TOGGLES = [
     (name, (0, 1, 2, 64, True, False, "x"), False) for name in sorted(_NON_SEMANTIC_OPTIONS)
 ] + [
@@ -32,6 +33,10 @@ _KEY_TOGGLES = [
     ("adaptive-lane", (True, False), True),
     ("shm-states", (1, 4), True),
     ("shm-processes", (2, 4), True),
+    ("processes", (2, 4), True),
+    ("retry-max-attempts", (2, 4), True),
+    ("breaker-failure-threshold", (2, 4), True),
+    ("breaker-cooldown-seconds", (1.0, 5.0), True),
 ]
 
 

@@ -202,7 +202,6 @@ _FALLBACKS = [
         {},
         "precision single",
     ),
-    ("sharded", _plain, {"processes": 2}, {}, "sharded"),
 ]
 
 

@@ -1,7 +1,7 @@
 """Fault-tolerant job lifecycle through the public service API.
 
 Deadlines and cancellation (queued and mid-flight), admission control,
-breaker-gated graceful degradation of the shard lane and orphan-handle
+refusal of the retired process-shard options and orphan-handle
 ``result()`` behaviour — all exercised the way a client would see them:
 through :class:`QuantumJobService` and :class:`JobHandle`.
 """
@@ -14,7 +14,6 @@ from repro.algorithms.bell import bell_circuit
 from repro.cancellation import CancelToken, cancel_scope
 from repro.exceptions import (
     AdmissionRejected,
-    CompilationError,
     DeadlineExceeded,
     ExecutionError,
     JobCancelled,
@@ -116,9 +115,6 @@ class TestDeadlines:
                 "deadline-seconds": 1.0,
                 "memory-budget-bytes": 1 << 30,
                 "admission-wait-seconds": 0.5,
-                "breaker-failure-threshold": 5,
-                "breaker-cooldown-seconds": 1.0,
-                "retry-max-attempts": 4,
             },
         )
         assert plain == tuned
@@ -250,82 +246,25 @@ class TestServiceAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Breaker-gated shard lane degradation
+# Retired process-shard options
 # ---------------------------------------------------------------------------
 
+#: Options of the process-shard lane, retired with it.
+RETIRED_OPTIONS = (
+    "processes",
+    "retry-max-attempts",
+    "breaker-failure-threshold",
+    "breaker-cooldown-seconds",
+)
 
-class TestBreakerDegradation:
-    def test_shard_lane_falls_back_in_process_and_trips(self):
-        # Every shard attempt dies: the retry budget exhausts, the breaker
-        # records the infrastructure failure, and the batch still completes
-        # on the dispatcher's in-process clone — correct but slower.
-        install_faults(
-            [
-                FaultSpec(
-                    site="sharded.worker.replay",
-                    action="kill",
-                    times=None,
-                    scope="global",
-                )
-            ]
-        )
-        service = QuantumJobService(
-            backend="qpp",
-            workers=1,
-            processes=2,
-            backend_options={"breaker-failure-threshold": 1},
-            name="life-breaker",
-        )
-        try:
-            handle = service.submit(unique_circuit("brk"), shots=64)
-            result = handle.result(timeout=60)
-            assert sum(result.counts.values()) == 64
-            metrics = service.metrics()
-            assert metrics.breaker_fallbacks >= 1
-            assert metrics.breaker_state == "open"
-            assert metrics.breaker_trips >= 1
-            assert service.breaker.state == "open"
-            clear_faults()
-            # Open breaker: the next batch skips the lane without trying.
-            before = metrics.breaker_fallbacks
-            ok = service.submit(unique_circuit("brk2"), shots=64)
-            assert sum(ok.result(timeout=30).counts.values()) == 64
-            metrics = service.metrics()
-            assert metrics.breaker_fallbacks > before
-            assert metrics.sharded_executions == 0
-        finally:
-            clear_faults()
-            service.shutdown()
 
-    def test_job_shaped_failures_do_not_feed_the_breaker(self):
-        # A circuit that cannot compile fails the job, not the lane.
-        install_faults(
-            [
-                FaultSpec(
-                    site="sharded.worker.compile",
-                    action="fail",
-                    kind="compile",
-                    times=None,
-                    scope="global",
-                )
-            ]
-        )
-        service = QuantumJobService(
-            backend="qpp",
-            workers=1,
-            processes=2,
-            backend_options={"breaker-failure-threshold": 1},
-            name="life-breaker-job",
-        )
-        try:
-            handle = service.submit(unique_circuit("brkjob"), shots=64)
-            with pytest.raises(CompilationError):
-                handle.result(timeout=30)
-            assert service.breaker.state == "closed"
-            assert service.metrics().breaker_fallbacks == 0
-        finally:
-            clear_faults()
-            service.shutdown()
+class TestRetiredOptions:
+    @pytest.mark.parametrize("option", RETIRED_OPTIONS)
+    def test_service_construction_refuses_a_retired_option(self, option):
+        with pytest.raises(ExecutionError, match="retired with the process-shard lane"):
+            QuantumJobService(
+                backend="qpp", workers=1, backend_options={option: 2}, name="life-retired"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ The contracts under test:
 * **Gradients** — ``service.gradient`` implements the parameter-shift rule
   as one ``2·P``-binding expectation sweep, agreeing with central finite
   differences to 1e-6 and with the serial ObjectiveFunction path exactly.
-* **Tenancy** — per-tenant deadline/retry defaults apply to submissions
+* **Tenancy** — per-tenant deadline defaults apply to submissions
   (and every binding of a sweep) that do not carry their own.
 """
 
@@ -28,7 +28,6 @@ import pytest
 
 from repro.config import get_config, set_config
 from repro.exceptions import DeadlineExceeded, ExecutionError, JobCancelled
-from repro.exec.retry import RetryPolicy
 from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.operators import X, Z
@@ -44,8 +43,7 @@ def sweep_runtime_state():
     Bit-identity only exists at a fixed seed, and the sampled histogram
     additionally depends on the shot-chunking width (one RNG stream per
     thread), so the thread count is pinned too — both the config field and
-    the ``OMP_NUM_THREADS`` env var that freshly-spawned shard workers
-    derive their own default from.
+    the ``OMP_NUM_THREADS`` env var engines derive their default from.
     """
     previous_env = os.environ.get("OMP_NUM_THREADS")
     previous_threads = get_config().omp_num_threads
@@ -99,27 +97,6 @@ class TestSweepCountsIdentity:
                 ).result(timeout=60)
                 assert dict(row.counts) == dict(expected.counts)
                 assert sum(row.counts.values()) == 512
-
-    def test_sharded_sweep_matches_independent_sharded_submits(self):
-        """Same contract on the process-sharded lane: the comparison runs
-        through the same service shape (shard workers size their sampling
-        pools from the host topology, so *cross*-lane histograms are not
-        the guarantee — sweep-vs-independent within a lane is)."""
-        circuit, n_params = layered_ansatz()
-        bindings = random_bindings(4, n_params)
-        with QuantumJobService(
-            workers=2, processes=2, enable_cache=False, name="sweep-sharded"
-        ) as service:
-            table = service.submit_sweep(circuit, bindings, shots=256).result(
-                timeout=120
-            )
-            for row in table:
-                expected = service.submit(
-                    circuit.bind(row.values), shots=256
-                ).result(timeout=120)
-                assert dict(row.counts) == dict(expected.counts)
-            metrics = service.metrics()
-        assert metrics.sharded_executions >= 1
 
     def test_unparameterized_circuit_is_rejected(self):
         circuit, _ = layered_ansatz()
@@ -366,23 +343,23 @@ class TestTenantDefaults:
         finally:
             service.shutdown()
 
-    def test_tenant_retry_policy_rides_on_the_spec(self):
-        policy = RetryPolicy(max_attempts=5, base_delay=0.01)
+    def test_tenant_and_its_deadline_ride_on_the_spec(self):
         circuit, n_params = layered_ansatz()
         service = QuantumJobService(
             workers=1,
             auto_start=False,
-            name="tenant-retry",
-            tenant_defaults={"acme": {"retry_policy": policy}},
+            name="tenant-spec",
+            tenant_defaults={"acme": {"deadline": 60.0}},
         )
         try:
+            before = time.time()
             service.submit_sweep(
                 circuit, random_bindings(1, n_params), shots=64, tenant="acme"
             )
             batch = service._queue.get(timeout=0)
             assert batch is not None
-            assert batch.spec.retry_policy is policy
             assert batch.spec.tenant == "acme"
+            assert before + 59.0 < batch.spec.deadline <= time.time() + 60.0
         finally:
             service.shutdown()
 
@@ -429,7 +406,7 @@ class TestSweepKeys:
         routed = sweep_key(
             circuit,
             "qpp",
-            {"chunk-threshold": 1 << 12, "processes": 8},
+            {"chunk-threshold": 1 << 12, "threads": 8},
             bindings,
         )
         assert base == routed

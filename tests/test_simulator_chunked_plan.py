@@ -9,7 +9,8 @@ The two contracts under test:
 * **Diagonal batching is distribution-equivalent** — collapsing adjacent
   diagonal runs reassociates products (ulp-level amplitude shifts are
   allowed) but must stay within 1e-12 of the unbatched plan and preserve
-  fixed-seed counts across the in-process and sharded backends.
+  fixed-seed counts across the local backend and the ``ShardedExecutor``
+  name over it.
 """
 
 import numpy as np
@@ -289,10 +290,9 @@ def algorithm_suite():
 
 class TestShardedChunkedCountsIdentity:
     def test_fixed_seed_counts_identical_local_vs_sharded_chunked(self):
-        """Chunk-parallel replay inside shard workers must not move a single
-        count: low thresholds force chunking wherever the worker has more
-        than one thread, and chunked == serial bitwise keeps the histograms
-        frozen."""
+        """Chunk-parallel replay on the ``ShardedExecutor`` name's engine
+        must not move a single count: low thresholds force chunking, and
+        chunked == serial bitwise keeps the histograms frozen."""
         local = LocalBackend(engine=ParallelSimulationEngine(num_threads=2))
         with ShardedExecutor(2, name="chunk-identity") as sharded:
             for name, (circuit, width) in algorithm_suite().items():

@@ -281,7 +281,7 @@ def _reset_circuit():
 
 #: name -> (circuit, shots, seed, counts), recorded at the commit before
 #: the sparse sampler (dict-building sampler, per-plan scratch) on one
-#: thread.  At stream 4 every thread count and every shard draws them.
+#: thread.  At stream 4 every thread count draws them.
 _GOLDEN = {
     "bell": (bell_circuit(2), 1024, 11, {"00": 536, "11": 488}),
     "qft10": (

@@ -6,8 +6,8 @@ Checked here:
   of reset-outcome branches; its counts equal the per-shot loop it replaced
   (:mod:`repro.testing.trajectory_oracle`) as a dict *and* in item order —
   0-4 resets, full and partial measurement, both precisions, one-shot draws
-  by ``multinomial`` and by inverse CDF, the memo bound, and process shards
-  (every ``threads`` / ``processes`` setting draws one stream:
+  by ``multinomial`` and by inverse CDF, the memo bound, and the
+  ``ShardedExecutor`` name (every ``threads`` setting draws one stream:
   ``test_fixed_seed_contract.py``).
 * **Work bound** the per-shot loop fails: a job's kernels run once per
   distinct branch, not once per shot.
@@ -298,7 +298,7 @@ def test_sharded_replay_spans_attribute_the_tree(sharded2):
     with tracer.span("job") as root:
         sharded2.execute(circuit, 64, n_qubits=6, seed=3)
     spans = replay_spans(tracer, root.trace_id)
-    assert len(spans) == 1  # one tree per job, on one shard
+    assert len(spans) == 1  # one tree per job
     for span in spans:
         # The root and whichever outcomes the job's 64 shots took.
         assert 2 <= span.attributes["branches"] == span.attributes["segment_replays"] <= 3

@@ -1,9 +1,9 @@
 """The result type every execution backend returns.
 
 One dataclass covers the dense, tableau and density-matrix paths: a
-histogram plus enough provenance (plan-cache behaviour) for callers — accelerators, the job broker,
-benchmarks — to assert on *how* the result was produced, not just what it
-contains.
+histogram plus enough provenance (plan-cache behaviour) for callers —
+accelerators, the job broker, benchmarks — to assert on *how* the result
+was produced, not just what it contains.
 """
 
 from __future__ import annotations

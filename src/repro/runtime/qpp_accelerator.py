@@ -11,9 +11,10 @@ refactor it is a *thin adapter* over the unified
   large states — and samples them: the compile-once/execute-many pipeline.
 
 Every job's shots are one draw on one generator seeded from the global
-``seed``, so fixed-seed counts are the same at every ``threads`` setting.  Circuits containing mid-circuit ``RESET``
-instructions fall back to trajectory simulation (one replay per
-reset-outcome branch) on the same lane.  ``optimize=False`` skips the IR
+``seed``, so fixed-seed counts are the same at every ``threads`` setting.
+Circuits containing mid-circuit ``RESET`` instructions fall back to
+trajectory simulation (one replay per reset-outcome branch) on the same
+lane.  ``optimize=False`` skips the IR
 pass pipeline.  The gate-by-gate reference is
 :meth:`~repro.simulator.statevector.StateVector.apply_circuit` plus the
 engine's ``sample_parallel`` / ``run_trajectories``; plans are checked
@@ -80,8 +81,8 @@ class QppAccelerator(Accelerator, Cloneable):
         # Explicit simulation-method override.  "auto" here means *dense*:
         # this adapter is one dispatch target, not a router — automatic
         # Clifford routing is the job broker's decision (it sizes admission
-        # accordingly).  "stabilizer" is the direct
-        # tableau path for callers driving the accelerator without a broker.
+        # accordingly).  "stabilizer" is the direct tableau path for
+        # callers driving the accelerator without a broker.
         method = str(self.options.get("method", "auto")).strip().lower()
         if method not in ("auto", "statevector", "stabilizer"):
             raise AcceleratorError(

@@ -1165,10 +1165,11 @@ class QuantumJobService:
         """One backend execution of ``shots`` shots for ``spec``.
 
         ``method="stabilizer"`` (the classifier's verdict, resolved before
-        admission) bypasses the accelerator clone: the tableau needs no plan cache, no amplitude buffers, and no
-        per-qubit size ceiling — that bypass is exactly what lets a
-        500-qubit Clifford job through a dispatch path whose dense
-        accelerator refuses anything past ~26 qubits.
+        admission) bypasses the accelerator clone: the tableau needs no plan
+        cache, no amplitude buffers, and no per-qubit size ceiling — that
+        bypass is exactly what lets a 500-qubit Clifford job through a
+        dispatch path whose dense accelerator refuses anything past ~26
+        qubits.
 
         Every other job runs on the dispatcher thread's own accelerator
         clone.

@@ -54,10 +54,11 @@ __all__ = [
 #: and accelerator initialisation — so they never reach a key.
 #:
 #: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
-#: ``admission-wait-seconds``) are likewise non-semantic: they decide *whether and when* a result arrives — a job
-#: may fail with DeadlineExceeded or AdmissionRejected under one setting
-#: and succeed under another — but never change the histogram a successful
-#: job returns, so a result produced under a tight deadline is perfectly
+#: ``admission-wait-seconds``) are likewise non-semantic: they decide
+#: *whether and when* a result arrives — a job may fail with
+#: DeadlineExceeded or AdmissionRejected under one setting and succeed
+#: under another — but never change the histogram a successful job
+#: returns, so a result produced under a tight deadline is perfectly
 #: reusable by a submission with a loose one.
 #:
 #: ``"precision"`` is deliberately **not** listed: the complex64 tier

@@ -200,8 +200,8 @@ def sample_trajectories(
 ) -> dict[str, int]:
     """``shots`` shots of ``tree``'s job on ``rng``.
 
-    RNG-critical: each shot consumes ``rng`` draw for
-    draw as a full per-shot replay would: one ``random()`` per reset,
+    RNG-critical: each shot consumes ``rng`` draw for draw as a full
+    per-shot replay would: one ``random()`` per reset,
     compared with that branch's cached ``p1``, then one draw from the leaf's
     marginal — ``multinomial(1, p)`` over the normalised vector
     :func:`~repro.simulator.sampling.sample_counts` builds, or one

@@ -2,12 +2,14 @@
 job's counts, and no dispatch shape starts a process.
 
 A job's shots are one draw on one generator (``SAMPLING_STREAM`` 4), so
-every lane — :class:`~repro.exec.backend.LocalBackend`, the qpp
-accelerator and :class:`~repro.exec.sharded.ShardedExecutor` (a name kept
-over the local lane) — returns byte-identical counts at every ``threads``
-∈ {1, 2, 3}.  The recorded digests are the one-thread counts of the commit
-before stream 4 (one thread drew one chunk there, so it drew this stream),
-which makes each row fail wherever a split of the shots survives.
+every dense lane — :class:`~repro.exec.backend.LocalBackend`, the qpp
+accelerator, :class:`~repro.exec.sharded.ShardedExecutor` (a name kept
+over the local lane) and the job broker — returns byte-identical counts at
+every ``threads`` ∈ {1, 2, 3}.  Each (job, threads, lane) is its own row,
+so a failure names the lane that drifted.  The recorded digests are the
+one-thread counts of the commit before stream 4 (one thread drew one chunk
+there, so it drew this stream), which makes each row fail wherever a split
+of the shots survives.
 """
 
 from __future__ import annotations
@@ -139,25 +141,50 @@ def accelerator_counts(job: str, options: dict) -> dict:
     return buffer.get_measurement_counts()
 
 
-def lanes(job: str, threads: int) -> dict[str, dict]:
-    """Every lane's counts for ``job`` at one ``threads`` setting."""
+def local_counts(job: str, threads: int) -> dict:
     with LocalBackend(engine=ParallelSimulationEngine(num_threads=threads)) as local:
-        counts = {"local": backend_counts(local, job)}
+        return backend_counts(local, job)
+
+
+def sharded_counts(job: str, threads: int) -> dict:
     with ShardedExecutor(threads, name="contract") as sharded:
-        counts["sharded"] = backend_counts(sharded, job)
-    counts["qpp"] = accelerator_counts(job, {"threads": threads})
-    return counts
+        return backend_counts(sharded, job)
 
 
+def broker_counts(job: str, threads: int) -> dict:
+    """Counts served by a fresh broker on the dense lane (``method``
+    ``statevector``: the Clifford jobs would otherwise go to the tableau,
+    whose sampler draws a different stream)."""
+    factory, shots, options = JOBS[job]
+    circuit = factory()
+    set_config(seed=SEED)
+    backend_options = {"threads": threads, "method": "statevector", **options}
+    with QuantumJobService(
+        workers=2, backend_options=backend_options, name="contract"
+    ) as service:
+        if job == "sweep":
+            rows = service.submit_sweep(circuit, BINDINGS, shots=shots).result(timeout=60)
+            return dict(rows[1].counts)
+        return dict(service.submit(circuit, shots=shots).result(timeout=60).counts)
+
+
+#: lane -> ``(job, threads) -> counts``.
+LANES = {
+    "broker": broker_counts,
+    "local": local_counts,
+    "qpp": lambda job, threads: accelerator_counts(job, {"threads": threads}),
+    "sharded": sharded_counts,
+}
+
+
+@pytest.mark.parametrize("lane", sorted(LANES))
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_counts_are_byte_identical_at_every_threads_setting(job, threads):
+def test_counts_are_byte_identical_at_every_threads_setting(job, threads, lane):
     assert SAMPLING_STREAM == 4
-    counts = lanes(job, threads)
-    assert {lane: digest(c) for lane, c in counts.items()} == {
-        lane: RECORDED[job] for lane in counts
-    }
-    assert all(sum(c.values()) == JOBS[job][1] for c in counts.values())
+    counts = LANES[lane](job, threads)
+    assert digest(counts) == RECORDED[job]
+    assert sum(counts.values()) == JOBS[job][1]
 
 
 def test_no_process_is_ever_started():

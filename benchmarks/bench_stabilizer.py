@@ -16,7 +16,7 @@ asymptotic (O(n²) bits vs O(2^n) amplitudes), not parallelism:
 * a 400-qubit depth-8 H/S/CX/CZ brickwork (the end-to-end benchmark's widest
   ``clifford_wide`` job: ~3.7k gates, every measured qubit random) returns
   all its shots — its seconds are the record of the packed tableau's cost;
-* the cost model routes Clifford circuits to the tableau, refuses an
+* ``choose_backend`` routes Clifford circuits to the tableau, refuses an
   explicit ``stabilizer`` request for non-Clifford circuits, and the
   broker leaves non-Clifford jobs on the dense path.
 
@@ -45,7 +45,7 @@ from repro.ir.builder import CircuitBuilder
 from repro.ir.transforms.clifford import classify_clifford
 from repro.runtime.service_registry import reset_registry
 from repro.service import QuantumJobService
-from repro.simulator.cost_model import SimulationCostModel
+from repro.simulator.cost_model import choose_backend
 
 SPEEDUP_TARGET = 100.0
 GHZ_WIDE_QUBITS = 500
@@ -172,7 +172,6 @@ def bench_wide_brickwork(quick: bool) -> dict:
 
 def bench_routing(quick: bool) -> dict:
     """Routing soundness: picks the tableau for Clifford, refuses otherwise."""
-    model = SimulationCostModel()
     clifford = classify_clifford(ghz_circuit(8))
     non_clifford_circuit = (
         CircuitBuilder(3, name="bench_non_clifford")
@@ -184,10 +183,10 @@ def bench_routing(quick: bool) -> dict:
     )
     non_clifford = classify_clifford(non_clifford_circuit)
 
-    picks_tableau = model.choose_backend(clifford) == "stabilizer"
-    keeps_dense = model.choose_backend(non_clifford) == "statevector"
+    picks_tableau = choose_backend(clifford) == "stabilizer"
+    keeps_dense = choose_backend(non_clifford) == "statevector"
     try:
-        model.choose_backend(non_clifford, "stabilizer")
+        choose_backend(non_clifford, "stabilizer")
         refuses_explicit = False
     except ExecutionError:
         refuses_explicit = True

@@ -5,7 +5,7 @@
   shots, two Shor kernels with 10 shots, ...).
 * :mod:`~repro.benchmark.harness` — runs a workload under the *one-by-one*
   and *parallel* variants in either execution mode (``modeled`` uses the
-  calibrated cost model + discrete-event scheduler; ``real`` uses wall-clock
+  hand-set cost model + discrete-event scheduler; ``real`` uses wall-clock
   execution on the host).
 * :mod:`~repro.benchmark.figures` — regenerates each figure's series,
   printing paper-reported vs measured numbers side by side.

@@ -14,7 +14,7 @@ itself:
 
 ``execution_mode``
     ``"real"`` runs kernels on the NumPy simulator and measures wall-clock
-    time; ``"modeled"`` uses the calibrated cost model plus the
+    time; ``"modeled"`` uses the hand-set cost model plus the
     discrete-event scheduler so the paper's figures can be regenerated
     deterministically on any host.
 

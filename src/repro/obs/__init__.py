@@ -9,8 +9,8 @@ Three pillars, all off by default:
 * :mod:`repro.obs.metrics` — fixed-bucket latency histograms (p50/p95/p99)
   backing the broker's :class:`~repro.service.metrics.MetricsSnapshot`.
 * :mod:`repro.obs.profiler` — opt-in per-kernel replay profiler attributing
-  plan-replay time to each kernel class; the measured constants the
-  calibration roadmap item needs.
+  plan-replay time to each kernel class, the measurement any future
+  per-kernel cost constant must start from.
 
 :mod:`repro.obs.export` renders any of it as Prometheus text exposition,
 plain JSON, or Chrome trace-event JSON (loadable in Perfetto).

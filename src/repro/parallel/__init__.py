@@ -7,7 +7,7 @@ the system:
 * :class:`MachineTopology` — physical cores, SMT width and the throughput a
   given number of active software threads can extract from the machine.
 * :mod:`~repro.parallel.contention` — the parallel-efficiency / SMT /
-  cache-contention model calibrated against the paper's figures.
+  cache-contention model tuned to reproduce the paper's figures.
 * :class:`TaskScheduler` — a processor-sharing discrete-event simulator used
   by the ``modeled`` execution mode; it is what reproduces the paper's key
   observation that two kernels run *in parallel* with N/2 threads each beat

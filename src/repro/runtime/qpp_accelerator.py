@@ -28,6 +28,7 @@ from typing import Mapping
 from ..exceptions import AcceleratorError
 from ..exec.backend import ExecutionBackend, LocalBackend
 from ..ir.composite import CompositeInstruction
+from ..simulator.cost_model import SIMULATION_METHODS
 from ..simulator.parallel_engine import ParallelSimulationEngine
 from .accelerator import Accelerator, Cloneable
 from .buffer import AcceleratorBuffer
@@ -84,10 +85,10 @@ class QppAccelerator(Accelerator, Cloneable):
         # accordingly).  "stabilizer" is the direct tableau path for
         # callers driving the accelerator without a broker.
         method = str(self.options.get("method", "auto")).strip().lower()
-        if method not in ("auto", "statevector", "stabilizer"):
+        if method not in SIMULATION_METHODS:
             raise AcceleratorError(
                 f"unknown simulation method {self.options.get('method')!r}; "
-                f"expected 'auto', 'statevector' or 'stabilizer'"
+                f"expected one of {SIMULATION_METHODS}"
             )
         if method == "stabilizer":
             return self._execute_stabilizer(buffer, circuit, shots)

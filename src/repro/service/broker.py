@@ -61,7 +61,7 @@ from ..obs.trace import get_tracer
 from ..runtime.accelerator import Accelerator, reject_retired_options
 from ..runtime.buffer import AcceleratorBuffer
 from ..simulator.adjoint import adjoint_refusal
-from ..simulator.cost_model import SIMULATION_METHODS, SimulationCostModel
+from ..simulator.cost_model import SIMULATION_METHODS, choose_backend
 from ..simulator.execution_plan import resolve_precision
 from .admission import AdmissionController, estimate_job_bytes
 from .batching import BatchingJobQueue, PendingBatch
@@ -188,9 +188,6 @@ class QuantumJobService:
                 f"the stabilizer method routes within the 'qpp' backend's "
                 f"dispatch path, got backend {self.backend!r}"
             )
-        #: Categorical method router (the tableau-vs-dense choice is not a
-        #: constant-factor comparison, so an uncalibrated model is fine).
-        self._cost_model = SimulationCostModel()
         self._stabilizer_backend = None
         #: Per-thread subsampling generator (see :meth:`_rng`).
         self._rng_local = threading.local()
@@ -809,7 +806,7 @@ class QuantumJobService:
         if self.backend != "qpp" or self.method == "statevector":
             return "statevector"
         classification = classify_clifford(spec.circuit)
-        return self._cost_model.choose_backend(classification, self.method)
+        return choose_backend(classification, self.method)
 
     def _sweep_method(self, spec: JobSpec, bindings) -> str:
         """Simulation method for one sweep chunk.

@@ -27,7 +27,7 @@ amortises gate application with fused OpenMP kernels:
   one batched GEMM pass ping-ponged into the spare buffer, with no index
   tables.  A window of one gate, or of diagonals only, keeps each gate's
   specialised kernel.  ``fusion_max_qubits=0`` is the gate-for-gate plan
-  the bit-exact tests and the calibration micro-benchmarks need.
+  the bit-exact tests compare against.
 * :class:`ExecutionPlan.execute` is then a tight loop over ready kernels
   with a reusable per-thread ping-pong scratch buffer instead of per-gate
   allocation.

@@ -41,7 +41,6 @@ from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..obs.trace import get_tracer
 from .execution_plan import (
-    DEFAULT_CHUNK_THRESHOLD,
     ExecutionPlan,
     compile_plan,
     reset_probability,
@@ -56,11 +55,6 @@ __all__ = [
     "branch_memo_bytes",
     "sample_trajectories",
 ]
-
-#: States smaller than this (amplitudes) are not worth chunking across workers
-#: (shared with chunk-parallel plan replay — see execution_plan).
-_CHUNK_THRESHOLD = DEFAULT_CHUNK_THRESHOLD
-
 
 #: Bytes of branch states and leaf samplers one trajectory job keeps in its
 #: :class:`BranchTree`; past it a branch is replayed from its nearest
@@ -358,38 +352,3 @@ class ParallelSimulationEngine:
             span.set_attribute("branches", tree.branches)
             span.set_attribute("segment_replays", tree.segment_replays)
         return counts
-
-    # -- chunk-level parallelism ----------------------------------------------------
-    def apply_single_qubit_chunked(
-        self, state: np.ndarray, matrix: np.ndarray, target: int
-    ) -> np.ndarray:
-        """Apply a single-qubit gate, splitting the state across workers.
-
-        Falls back to the serial kernel for small states where pool overhead
-        would dominate.  The split is along the *high* bits (above the target
-        qubit), so each chunk is an independent contiguous slab.
-        """
-        from .gate_application import apply_single_qubit
-
-        threads = self.effective_threads()
-        if threads == 1 or state.size < _CHUNK_THRESHOLD:
-            return apply_single_qubit(state, matrix, target)
-        view = state.reshape(-1, 2, 1 << target)
-        n_rows = view.shape[0]
-        workers = min(threads, n_rows)
-        boundaries = np.linspace(0, n_rows, workers + 1, dtype=int)
-
-        def work(span: tuple[int, int]) -> None:
-            lo, hi = span
-            if lo == hi:
-                return
-            block = view[lo:hi]
-            s0 = block[:, 0, :].copy()
-            s1 = block[:, 1, :]
-            block[:, 0, :] = matrix[0, 0] * s0 + matrix[0, 1] * s1
-            block[:, 1, :] = matrix[1, 0] * s0 + matrix[1, 1] * s1
-
-        spans = list(zip(boundaries[:-1], boundaries[1:]))
-        pool = self._executor(workers)
-        list(pool.map(work, spans))
-        return state

@@ -26,13 +26,11 @@ from ..obs.trace import get_tracer
 from ..testing import faults
 from .execution_plan import (
     DEFAULT_CHUNK_THRESHOLD,
-    DEFAULT_FUSION_MAX_QUBITS,
     DEFAULT_PRECISION,
     ExecutionPlan,
     ParametricExecutionPlan,
     compile_parametric_plan,
     compile_plan,
-    resolve_fusion,
     resolve_precision,
 )
 
@@ -85,7 +83,6 @@ class PlanCache:
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> tuple[ExecutionPlan | ParametricExecutionPlan, bool]:
@@ -96,8 +93,9 @@ class PlanCache:
         All compile options participate in the key — ``chunk_threshold``
         never changes results, but it is baked into the compiled plan, so
         distinct thresholds must not share an entry; ``precision`` *does*
-        change results (complex64 plans hold complex64 payloads).
-        ``fusion_max_qubits`` keys on its meaning (window pass on or off).
+        change results (complex64 plans hold complex64 payloads).  Every
+        cached plan runs the window pass; ``compile_plan(...,
+        fusion_max_qubits=0)`` is the uncached gate-for-gate reference.
         """
         width = max(circuit.n_qubits, 1 if n_qubits is None else int(n_qubits), 1)
         threshold = (
@@ -108,7 +106,6 @@ class PlanCache:
             circuit_content_hash(circuit),
             width,
             bool(optimize),
-            resolve_fusion(fusion_max_qubits),
             threshold,
             precision,
         )
@@ -128,7 +125,6 @@ class PlanCache:
                     circuit,
                     width,
                     optimize=optimize,
-                    fusion_max_qubits=fusion_max_qubits,
                     chunk_threshold=threshold,
                     precision=precision,
                 )
@@ -137,7 +133,6 @@ class PlanCache:
                     circuit,
                     width,
                     optimize=optimize,
-                    fusion_max_qubits=fusion_max_qubits,
                     chunk_threshold=threshold,
                     precision=precision,
                 )
@@ -158,7 +153,6 @@ class PlanCache:
         n_qubits: int | None = None,
         *,
         optimize: bool = True,
-        fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
         chunk_threshold: int | None = None,
         precision: str = DEFAULT_PRECISION,
     ) -> ExecutionPlan | ParametricExecutionPlan:
@@ -167,7 +161,6 @@ class PlanCache:
             circuit,
             n_qubits,
             optimize=optimize,
-            fusion_max_qubits=fusion_max_qubits,
             chunk_threshold=chunk_threshold,
             precision=precision,
         )

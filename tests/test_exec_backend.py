@@ -2,10 +2,9 @@
 
 Covers the :class:`ExecutionBackend` protocol, :class:`LocalBackend` as the
 canonical in-process seam, :class:`DensityBackend` behind the noisy
-accelerator, the accelerator adapters, and the plan-aware cost model.
+accelerator, the accelerator adapters, and the replay-lane rule.
 """
 
-import numpy as np
 import pytest
 
 from repro.algorithms.bell import bell_circuit
@@ -18,36 +17,14 @@ from repro.exceptions import ExecutionError
 from repro.exec import DensityBackend, ExecutionResult, LocalBackend
 from repro.ir.builder import CircuitBuilder
 from repro.ir.transforms import default_pass_manager
-from repro.parallel.contention import ContentionModel
-from repro.parallel.scheduler import SimTask, TaskScheduler
 from repro.runtime.buffer import AcceleratorBuffer
 from repro.runtime.noisy_accelerator import NoisyAccelerator
 from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.runtime.service_registry import get_accelerator
-from repro.simulator.cost_model import (
-    DEFAULT_KERNEL_COST_FACTORS,
-    SimulationCostModel,
-)
-from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
+from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import reset_plan_cache
 from repro.simulator.statevector import StateVector
-
-
-def modeled_one_by_one(costs, threads=4):
-    """Makespan of kernels with ``costs`` run one after another on
-    ``threads`` threads each — the modeled harness's one-by-one variant."""
-    tasks = [
-        SimTask.from_cost(
-            f"k{index}",
-            parallel_work=cost.parallel_work,
-            serial_work=cost.serial_work,
-            locked_work=cost.locked_work,
-            threads=threads,
-        )
-        for index, cost in enumerate(costs)
-    ]
-    return TaskScheduler(contention=ContentionModel()).run_one_by_one(tasks).makespan
 
 
 @pytest.fixture(autouse=True)
@@ -264,80 +241,66 @@ class TestAcceleratorAdapter:
         assert sum(report.results[0].counts.values()) == 64
 
 
-class TestPlanAwareCostModel:
-    def test_kernel_factors_cover_every_kernel_class(self):
-        from repro.simulator.execution_plan import KERNEL_NAMES
+class TestLaneSelection:
+    """No calibrated model picks the lane any more: one fixed rule on the
+    plan's measured ``chunk_threshold`` routes every replay (serial below it,
+    the engine's threads at or above it)."""
 
-        assert set(DEFAULT_KERNEL_COST_FACTORS) == set(KERNEL_NAMES.values())
+    def _plan(self, n=8, steps=6, chunk_threshold=None):
+        from repro.ir.builder import CircuitBuilder
 
-    def test_diagonal_and_permutation_cheaper_than_dense(self):
-        model = SimulationCostModel()
-        n = 8
-        assert model.kernel_cost(n, "diagonal") < model.kernel_cost(n, "single")
-        assert model.kernel_cost(n, "permutation") < model.kernel_cost(n, "diagonal")
-        assert model.kernel_cost(n, "dense", targets=2) > model.kernel_cost(n, "single")
-
-    def test_plan_cost_below_gate_cost_for_qft(self):
-        # The QFT is dominated by CPHASE ladders: kernel-aware costing must
-        # price it well below the dense per-gate estimate.
-        circuit = qft_circuit(6)
-        model = SimulationCostModel()
-        plan = compile_plan(circuit, 6)
-        plan_cost = model.plan_cost(plan, 1024)
-        gate_cost = model.circuit_cost(circuit, 1024)
-        assert plan_cost.total_work < gate_cost.total_work
-        assert plan_cost.parallel_work < gate_cost.parallel_work
-
-    def test_plan_cost_accepts_parametric_plans(self):
-        ansatz = deuteron_ansatz_circuit()
-        plan = compile_parametric_plan(ansatz, 2)
-        cost = SimulationCostModel().plan_cost(plan, 256)
-        assert cost.total_work > 0
-
-    def test_fusion_reduces_modeled_cost(self):
-        builder = CircuitBuilder(5, name="dense_run")
-        for _ in range(6):
-            for q in range(5):
-                builder.h(q)
-                builder.t(q)
-        circuit = builder.build()
-        model = SimulationCostModel()
-        fused = model.plan_cost(compile_plan(circuit, 5), 10)
-        unfused = model.plan_cost(compile_plan(circuit, 5, fusion_max_qubits=0), 10)
-        assert fused.total_work < unfused.total_work
-
-    def test_block_is_priced_as_one_pass_whatever_its_width(self):
-        """A contiguous-window block is one GEMM pass: not k singles, and
-        not a gather-dense step scaled per extra target."""
-        model = SimulationCostModel()
-        n = 12
-        assert model.kernel_cost(n, "block", targets=4) == model.kernel_cost(
-            n, "block", targets=2
+        builder = CircuitBuilder(n, name=f"lane-{n}-{steps}")
+        for i in range(steps):
+            builder.rx(i % n, 0.1 + 0.01 * i)  # non-cancelling: plan keeps every step
+        return compile_plan(
+            builder.build(), n, optimize=False, chunk_threshold=chunk_threshold
         )
-        assert model.kernel_cost(n, "block", targets=4) < 2 * model.kernel_cost(n, "single")
-        assert model.kernel_cost(n, "block", targets=2) < model.kernel_cost(
-            n, "dense", targets=2
-        )
-        builder = CircuitBuilder(n, name="layer")
-        for q in range(n):
-            builder.ry(q, 0.1 + 0.1 * q)
-        fused = compile_plan(builder.build(), n)
-        assert fused.kernel_counts() == {"block": 3}
-        unfused = compile_plan(builder.build(), n, fusion_max_qubits=0)
-        assert model.plan_cost(fused, 0).total_work < 0.5 * model.plan_cost(unfused, 0).total_work
 
-    def test_plans_default_to_the_measured_threshold(self):
-        from repro.simulator.execution_plan import DEFAULT_CHUNK_THRESHOLD
+    def test_serial_host_chooses_serial(self):
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
 
-        assert compile_plan(qft_circuit(3), 3).chunk_threshold == DEFAULT_CHUNK_THRESHOLD
+        # Below the crossover the replay is serial however many threads
+        # the engine has.
+        for threads in (1, 4):
+            with ParallelSimulationEngine(num_threads=threads) as engine:
+                backend = LocalBackend(engine=engine)
+                assert backend._replay_pool(self._plan()) is None
 
-    def test_modeled_plan_costs_predict_faster_than_per_gate(self):
-        model = SimulationCostModel()
-        circuits = [qft_circuit(5), ghz_circuit(5)]
-        plan = modeled_one_by_one(
-            [model.plan_cost(compile_plan(c), 128) for c in circuits]
-        )
-        gate = modeled_one_by_one([model.circuit_cost(c, 128) for c in circuits])
-        assert plan > 0
-        # Plan replay is predicted faster than per-gate dispatch.
-        assert plan < gate
+    def test_threads_win_on_large_states(self):
+        plan = self._plan(n=21, steps=2)
+        assert plan.chunk_threshold == DEFAULT_CHUNK_THRESHOLD == 1 << 21
+        backend = LocalBackend()
+        try:
+            assert backend._replay_pool(plan) is backend.engine
+            assert backend._replay_pool(self._plan(n=20, steps=2)) is None
+        finally:
+            backend.close()
+
+    def test_threshold_is_inclusive(self):
+        """A state of exactly ``chunk_threshold`` amplitudes is on the
+        engine's threads; one qubit fewer replays serially."""
+        backend = LocalBackend()
+        try:
+            assert backend._replay_pool(self._plan(n=8, chunk_threshold=256)) is backend.engine
+            assert backend._replay_pool(self._plan(n=7, chunk_threshold=256)) is None
+        finally:
+            backend.close()
+
+    def test_thread_count_does_not_move_the_lane(self):
+        from repro.simulator.parallel_engine import ParallelSimulationEngine
+
+        # The rule reads only the plan; a one-thread engine is still the
+        # lane above the threshold (and its replay then runs serially).
+        plan = self._plan(n=8, chunk_threshold=2)
+        for threads in (1, 2, 4):
+            with ParallelSimulationEngine(num_threads=threads) as engine:
+                assert LocalBackend(engine=engine)._replay_pool(plan) is engine
+
+    def test_choice_is_deterministic(self):
+        plan = self._plan(n=10, steps=12, chunk_threshold=256)
+        backend = LocalBackend()
+        try:
+            choices = {id(backend._replay_pool(plan)) for _ in range(20)}
+        finally:
+            backend.close()
+        assert choices == {id(backend.engine)}

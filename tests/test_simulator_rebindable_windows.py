@@ -12,7 +12,8 @@ The contracts under test:
 * **Lanes are bitwise across rebinds**, and a rebind never writes into the
   arrays the template (and other threads' clones) share.
 * **A bind that fails leaves no half-bound plan.**
-* **``fusion_max_qubits`` keys on its meaning**: 1, 2 and 3 are one plan.
+* **``fusion_max_qubits`` means window pass on or off**: 1, 2 and 3 are
+  one plan, 0 is the gate-for-gate plan, 4 is rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.simulator.execution_plan import (
     compile_plan,
 )
 from repro.simulator.parallel_engine import ParallelSimulationEngine
-from repro.simulator.plan_cache import PlanCache
 
 
 def parametric_ansatz(n_qubits: int, layers: int, closing_layer: bool):
@@ -227,19 +227,15 @@ def test_a_failed_bind_leaves_no_half_bound_plan(monkeypatch):
     assert np.array_equal(plan.execute(plan.new_state()), expected)
 
 
-def test_fusion_max_qubits_keys_on_its_meaning():
+def test_fusion_max_qubits_means_window_pass_on_or_off():
     circuit = CircuitBuilder(5).ry(0, 0.3).cx(0, 1).ry(1, 0.2).build()
-    cache = PlanCache()
-    plan, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=1)
-    assert not hit
     windowed = compile_plan(circuit, fusion_max_qubits=DEFAULT_FUSION_MAX_QUBITS)
-    assert plan.fused_gates == windowed.fused_gates > 0
-    for value in (2, 3):
-        again, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=value)
-        assert hit and again is plan
-    plain, hit = cache.lookup_or_compile(circuit, fusion_max_qubits=0)
-    assert not hit and plain.fused_gates == 0
-    assert len(cache) == 2
+    assert windowed.fused_gates > 0
+    for value in (1, 2, 3):
+        assert compile_plan(circuit, fusion_max_qubits=value).fused_gates == (
+            windowed.fused_gates
+        )
+    assert compile_plan(circuit, fusion_max_qubits=0).fused_gates == 0
     with pytest.raises(ExecutionError):
         compile_plan(circuit, fusion_max_qubits=4)
 

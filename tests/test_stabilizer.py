@@ -10,8 +10,8 @@ Three contracts anchor this file:
   tableau's histogram over ≤12 qubits matches the statevector lane's
   within a chi-square bound — same sampling law, different bit streams.
 * **Routing is sound.**  The classifier lowers exactly the Clifford
-  circuits (including Clifford-angle rotations), the cost model picks the
-  tableau for them and refuses explicit stabilizer requests for anything
+  circuits (including Clifford-angle rotations), ``choose_backend`` picks
+  the tableau for them and refuses explicit stabilizer requests for anything
   else, and the broker routes automatically without changing results,
   job keys, or the non-Clifford path.
 """
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.ghz import ghz_circuit
 from repro.cancellation import CancelToken, cancel_scope
-from repro.exceptions import DeadlineExceeded, ExecutionError
+from repro.exceptions import AcceleratorError, DeadlineExceeded, ExecutionError
 from repro.exec import LocalBackend
 from repro.exec import stabilizer
 from repro.exec.stabilizer import (
@@ -42,11 +42,13 @@ from repro.ir.transforms import clifford
 from repro.ir.transforms.clifford import classify_clifford, clear_clifford_cache
 from repro.obs import enable_tracing
 from repro.operators.pauli import PauliOperator, PauliTerm
+from repro.runtime.buffer import AcceleratorBuffer
+from repro.runtime.qpp_accelerator import QppAccelerator
 from repro.runtime.service_registry import reset_registry
 from repro.service import QuantumJobService
 from repro.service.admission import estimate_job_bytes
 from repro.service.keys import job_key
-from repro.simulator.cost_model import SimulationCostModel
+from repro.simulator.cost_model import choose_backend
 from repro.simulator.statevector import StateVector
 from repro.testing import reference_marginal_probabilities
 
@@ -287,36 +289,90 @@ class TestCliffordClassifier:
 
 class TestCostModelRouting:
     def test_auto_picks_tableau_for_clifford(self):
-        model = SimulationCostModel()
         verdict = classify_clifford(ghz_circuit(6))
-        assert model.choose_backend(verdict) == "stabilizer"
+        assert choose_backend(verdict) == "stabilizer"
 
     def test_auto_keeps_non_clifford_dense(self):
-        model = SimulationCostModel()
         circuit = CircuitBuilder(2, name="dense").rz(0, 0.3).measure_all().build()
-        assert model.choose_backend(classify_clifford(circuit)) == "statevector"
+        assert choose_backend(classify_clifford(circuit)) == "statevector"
 
     def test_explicit_statevector_always_wins(self):
-        model = SimulationCostModel()
         verdict = classify_clifford(ghz_circuit(6))
-        assert model.choose_backend(verdict, "statevector") == "statevector"
+        assert choose_backend(verdict, "statevector") == "statevector"
 
     def test_explicit_stabilizer_on_non_clifford_raises(self):
-        model = SimulationCostModel()
         circuit = CircuitBuilder(2, name="dense2").rz(0, 0.3).measure_all().build()
         with pytest.raises(ExecutionError, match="not Clifford"):
-            model.choose_backend(classify_clifford(circuit), "stabilizer")
+            choose_backend(classify_clifford(circuit), "stabilizer")
 
     def test_unknown_method_raises(self):
-        model = SimulationCostModel()
         with pytest.raises(ExecutionError, match="unknown simulation method"):
-            model.choose_backend(classify_clifford(ghz_circuit(2)), "tensor")
+            choose_backend(classify_clifford(ghz_circuit(2)), "tensor")
 
-    def test_stabilizer_seconds_scales_polynomially(self):
-        model = SimulationCostModel(seconds_per_clifford_gate=1e-7)
-        small = model.stabilizer_seconds(10, 100)
-        large = model.stabilizer_seconds(500, 100)
-        assert large == pytest.approx(small * 50)
+
+#: Routing table over every ``method`` spelling (``None``: the option is
+#: left out) × a Clifford and a non-Clifford circuit, for the three places
+#: a method is read: the router itself, the accelerator (a dispatch target,
+#: not a router: ``auto`` means dense there) and the broker.  Each cell is
+#: the lane that ran or the exact error type.
+ROUTING_METHODS = [None, "auto", "AUTO", "statevector", "stabilizer", " Stabilizer ", "tensor"]
+ROUTING_TABLE = {
+    "router": {
+        True: ["stabilizer", "stabilizer", "stabilizer", "statevector",
+               "stabilizer", "stabilizer", ExecutionError],
+        False: ["statevector", "statevector", "statevector", "statevector",
+                ExecutionError, ExecutionError, ExecutionError],
+    },
+    "accelerator": {
+        True: ["statevector", "statevector", "statevector", "statevector",
+               "stabilizer", "stabilizer", AcceleratorError],
+        False: ["statevector", "statevector", "statevector", "statevector",
+                ExecutionError, ExecutionError, AcceleratorError],
+    },
+    "broker": {
+        True: ["stabilizer", "stabilizer", "stabilizer", "statevector",
+               "stabilizer", "stabilizer", ExecutionError],
+        False: ["statevector", "statevector", "statevector", "statevector",
+                ExecutionError, ExecutionError, ExecutionError],
+    },
+}
+
+
+def routed_lane(surface, circuit, method):
+    """The lane ``surface`` runs ``circuit`` on under ``method``."""
+    options = {} if method is None else {"method": method}
+    if surface == "router":
+        verdict = classify_clifford(circuit)
+        return choose_backend(verdict) if method is None else choose_backend(verdict, method)
+    if surface == "accelerator":
+        buffer = AcceleratorBuffer(circuit.n_qubits)
+        QppAccelerator({"threads": 1, **options}).execute(buffer, circuit, 32)
+        return buffer.information.get("method", "statevector")
+    with QuantumJobService(workers=1, backend_options=options) as service:
+        service.submit(circuit, shots=32).result(timeout=30)
+        routed = service.metrics().stabilizer_executions
+    return "stabilizer" if routed else "statevector"
+
+
+class TestRoutingTable:
+    @pytest.mark.parametrize("surface", sorted(ROUTING_TABLE))
+    @pytest.mark.parametrize("is_clifford", [True, False], ids=["clifford", "non_clifford"])
+    @pytest.mark.parametrize("index", range(len(ROUTING_METHODS)),
+                             ids=[repr(m) for m in ROUTING_METHODS])
+    def test_lane_or_error_type(self, surface, is_clifford, index):
+        method = ROUTING_METHODS[index]
+        expected = ROUTING_TABLE[surface][is_clifford][index]
+        circuit = (
+            ghz_circuit(4)
+            if is_clifford
+            else CircuitBuilder(3, name="routing_nc").rx(1, 0.3).cx(0, 1).measure_all().build()
+        )
+        if isinstance(expected, str):
+            assert routed_lane(surface, circuit, method) == expected
+            return
+        with pytest.raises(expected) as excinfo:
+            routed_lane(surface, circuit, method)
+        assert type(excinfo.value) is expected
 
 
 # ---------------------------------------------------------------------------
